@@ -104,8 +104,16 @@ impl Arena {
     /// # Panics
     /// Panics if `data` already has a host buffer.
     pub fn alloc_host(&self, data: DataId, init: &[u8]) {
+        self.alloc_host_buf(data, AlignedBuf::from_bytes(init));
+    }
+
+    /// Adopt `buf` as the host buffer for `data`.
+    ///
+    /// # Panics
+    /// Panics if `data` already has a host buffer.
+    pub fn alloc_host_buf(&self, data: DataId, buf: AlignedBuf) {
         self.with_shard(MemSpace::HOST, data, |host| {
-            let prev = host.insert(data, Arc::new(AlignedBuf::from_bytes(init)));
+            let prev = host.insert(data, Arc::new(buf));
             assert!(prev.is_none(), "{data:?} allocated twice on host");
         })
     }

@@ -19,7 +19,9 @@
 //!   (host→device), *Output Tx* (device→host) and *Device Tx*
 //!   (device→device).
 //! * [`Arena`] — native-mode backing store: per-space byte buffers that
-//!   real kernels execute against.
+//!   real kernels execute against. Buffers are [`AlignedBuf`]s, whose
+//!   tile-sized storage is recycled process-wide instead of going back
+//!   to the allocator.
 
 #![warn(missing_docs)]
 

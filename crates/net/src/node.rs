@@ -1,20 +1,23 @@
 //! [`TcpRemoteNode`]: the coordinator-side transport implementing
 //! [`RemoteNode`] over a [`Mux`].
 //!
-//! The engine's worker-shim threads call [`RemoteNode::ship`] and
-//! [`RemoteNode::exec`] concurrently; the mux interleaves them on one
-//! socket. Transport failures (dead link, timeout, protocol violation)
+//! The engine's staging lanes call [`RemoteNode::ship_begin`] and its
+//! exec lanes [`RemoteNode::exec`], all concurrently; the mux
+//! interleaves them on one socket. Transport failures (dead link,
+//! timeout, protocol violation)
 //! map to [`RemoteError::Lost`] — the engine retires the node and
 //! requeues its tasks — while a kernel failure reported by the worker
 //! maps to [`RemoteError::Task`], charged to the version like a local
 //! panic.
 
 use crate::link::Mux;
-use crate::protocol::{Frame, WireAccess};
+use crate::protocol::{Frame, WireAccess, WireFrame};
 use std::sync::Arc;
 use std::time::Duration;
 use versa_mem::{AccessMode, DataId};
-use versa_runtime::{RemoteCaps, RemoteDone, RemoteError, RemoteExec, RemoteNode};
+use versa_runtime::{
+    RemoteCaps, RemoteDone, RemoteError, RemoteExec, RemoteNode, ShipTicket,
+};
 
 /// A remote worker process reached over TCP.
 pub struct TcpRemoteNode {
@@ -59,14 +62,22 @@ impl RemoteNode for TcpRemoteNode {
     }
 
     fn ship(&self, data: DataId, bytes: &[u8]) -> Result<(), RemoteError> {
-        match self.mux.request(&Frame::Ship { data: data.0, bytes: bytes.to_vec() }) {
+        self.ship_begin(data, bytes)()
+    }
+
+    fn ship_begin(&self, data: DataId, bytes: &[u8]) -> ShipTicket {
+        // The frame is laid out (checksum included) and written straight
+        // from the borrowed tile; only the ack is left to wait for.
+        let started = self.mux.start(|tag| WireFrame::ship(data.0, bytes, tag));
+        let mux = Arc::clone(&self.mux);
+        Box::new(move || match started.and_then(|pending| mux.wait(pending, None)) {
             Ok(Frame::ShipAck) => Ok(()),
             Ok(other) => Err(RemoteError::Lost(format!(
                 "protocol violation: expected ShipAck, got frame type {}",
                 other.type_byte()
             ))),
             Err(e) => Err(RemoteError::Lost(e.to_string())),
-        }
+        })
     }
 
     fn exec(&self, req: &RemoteExec) -> Result<RemoteDone, RemoteError> {

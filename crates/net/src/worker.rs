@@ -11,21 +11,30 @@
 //! * `Ship` — store the bytes in the local arena (host space), ack.
 //!   Handled inline: shipments are ordered with respect to the
 //!   executions the coordinator issues after them.
-//! * `Exec` — spawned onto its own thread, so a node with N advertised
-//!   workers really executes N tasks concurrently and heartbeats keep
-//!   being answered while kernels run. Kernel panics are caught and
-//!   reported as `ExecErr` — the connection survives.
+//! * `Exec` — handed to a fixed pool of `smp_workers` threads started
+//!   with the membership, so a node with N advertised workers really
+//!   executes N tasks concurrently (the coordinator never has more than
+//!   that in flight) and heartbeats keep being answered while kernels
+//!   run. Kernel panics are caught and reported as `ExecErr` — the
+//!   connection survives. Replies are laid out (checksum included)
+//!   straight from the arena's buffers before the writer lock is taken.
 //! * `Heartbeat` — acked inline.
 //! * `Shutdown` — cache the coordinator's gossiped hints to the
 //!   configured file (warmth for the next join), ack, exit.
+//!
+//! The pool is joined before the membership's [`WorkerReport`] is
+//! built, so `execs` counts every task that ran, and a reply that could
+//! not be written ends the membership with that error.
 
-use crate::protocol::{read_frame, write_frame, Frame, ProtoError};
+use crate::protocol::{
+    read_frame, write_frame, Frame, ProtoError, WireAccess, WireFrame, MAX_PAYLOAD,
+};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use versa_core::{SchedulerKind, VersionId};
-use versa_mem::{AccessMode, DataId, MemSpace, Region};
+use versa_mem::{AccessMode, AlignedBuf, DataId, MemSpace, Region};
 use versa_runtime::{DetachedExecutor, NativeConfig, Runtime, RuntimeConfig};
 
 /// How a worker process joins a cluster.
@@ -111,77 +120,139 @@ pub fn run_worker(
     let hints_applied =
         if hints.is_empty() { 0 } else { rt.load_hints(&hints).map(|(a, _)| a).unwrap_or(0) };
 
-    let executor = Arc::new(rt.detach_executor().expect("native runtime has an executor"));
-    serve(stream, executor, &cfg, node_id, hints_applied)
+    let executor = rt.detach_executor().expect("native runtime has an executor");
+    serve(stream, &executor, &cfg, node_id, hints_applied)
 }
 
 fn versa_kernels_tier() -> String {
     versa_kernels::simd::active_tier().name().to_string()
 }
 
+/// One dispatched task, as the reader thread hands it to the pool.
+struct ExecJob {
+    tag: u64,
+    template: String,
+    version: u16,
+    accesses: Vec<WireAccess>,
+}
+
 fn serve(
     stream: TcpStream,
-    executor: Arc<DetachedExecutor>,
+    executor: &DetachedExecutor,
     cfg: &WorkerConfig,
     node_id: u16,
     hints_applied: usize,
 ) -> Result<WorkerReport, ProtoError> {
-    let writer = Arc::new(Mutex::new(stream.try_clone()?));
-    let mut reader = stream;
-    let execs = Arc::new(AtomicU64::new(0));
+    let writer = Mutex::new(stream.try_clone()?);
+    // Buffered: a frame's header and scalar fields cost one read, and
+    // tile bodies larger than the buffer still land directly in place.
+    let mut reader = std::io::BufReader::new(stream);
+    let execs = AtomicU64::new(0);
     let mut ships = 0u64;
+    let (jobs_tx, jobs_rx) = mpsc::channel::<ExecJob>();
+    let jobs_rx = Mutex::new(jobs_rx);
+    let reply = |frame: &Frame, tag: u64| {
+        write_frame(&mut *writer.lock().expect("worker writer lock poisoned"), frame, tag)
+    };
 
-    // Loop ends when the coordinator sends Shutdown, or drops the
-    // connection without one — from this side the latter is a normal
-    // (if abrupt) end of service.
-    while let Some((frame, tag)) = read_frame(&mut reader)? {
-        match frame {
-            Frame::Ship { data, bytes } => {
-                let arena = executor.arena();
-                arena.ensure(DataId(data), MemSpace::HOST, bytes.len());
-                arena.write(DataId(data), MemSpace::HOST, &bytes);
-                ships += 1;
-                write_frame(&mut *writer.lock().unwrap(), &Frame::ShipAck, tag)?;
-            }
-            Frame::Heartbeat => {
-                write_frame(&mut *writer.lock().unwrap(), &Frame::HeartbeatAck, tag)?;
-            }
-            Frame::Exec { template, version, accesses, .. } => {
-                let executor = Arc::clone(&executor);
-                let writer = Arc::clone(&writer);
-                let execs = Arc::clone(&execs);
-                std::thread::spawn(move || {
-                    let reply = run_exec(&executor, &template, version, &accesses);
-                    execs.fetch_add(1, Ordering::SeqCst);
-                    let _ = write_frame(&mut *writer.lock().unwrap(), &reply, tag);
-                });
-            }
-            Frame::Shutdown { hints } => {
-                if let Some(path) = &cfg.hints_cache {
-                    if !hints.is_empty() {
-                        let _ = std::fs::write(path, &hints);
+    let served = std::thread::scope(|scope| {
+        let pool: Vec<_> = (0..cfg.smp_workers.max(1))
+            .map(|_| scope.spawn(|| exec_lane(&jobs_rx, executor, &writer, &execs)))
+            .collect();
+
+        // Loop ends when the coordinator sends Shutdown, or drops the
+        // connection without one — from this side the latter is a normal
+        // (if abrupt) end of service.
+        let mut read_loop = || -> Result<(), ProtoError> {
+            while let Some((frame, tag)) = read_frame(&mut reader)? {
+                match frame {
+                    Frame::Ship { data, bytes } => {
+                        let arena = executor.arena();
+                        arena.ensure(DataId(data), MemSpace::HOST, bytes.len());
+                        arena.write(DataId(data), MemSpace::HOST, &bytes);
+                        ships += 1;
+                        reply(&Frame::ShipAck, tag)?;
                     }
+                    Frame::Heartbeat => reply(&Frame::HeartbeatAck, tag)?,
+                    Frame::Exec { template, version, accesses, .. } => {
+                        // Fails only when every lane already ended on a
+                        // write error, which the join below surfaces.
+                        let _ = jobs_tx.send(ExecJob { tag, template, version, accesses });
+                    }
+                    Frame::Shutdown { hints } => {
+                        if let Some(path) = &cfg.hints_cache {
+                            if !hints.is_empty() {
+                                let _ = std::fs::write(path, &hints);
+                            }
+                        }
+                        reply(&Frame::ShutdownAck, tag)?;
+                        break;
+                    }
+                    // A worker never receives responses or handshake frames;
+                    // tolerate and ignore rather than dying mid-job.
+                    _ => {}
                 }
-                write_frame(&mut *writer.lock().unwrap(), &Frame::ShutdownAck, tag)?;
-                break;
             }
-            // A worker never receives responses or handshake frames;
-            // tolerate and ignore rather than dying mid-job.
-            _ => {}
+            Ok(())
+        };
+        let mut served = read_loop();
+
+        // Closing the queue lets each lane finish what it holds and end.
+        drop(jobs_tx);
+        for lane in pool {
+            let wrote = lane.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            served = served.and(wrote);
         }
-    }
+        served
+    });
+    served?;
 
     Ok(WorkerReport { node_id, hints_applied, execs: execs.load(Ordering::SeqCst), ships })
 }
 
-/// Execute one dispatched task against the local arena and build the
-/// response frame (never panics — kernel panics become `ExecErr`).
+/// One pool thread: run queued tasks until the queue closes; stop at
+/// the first reply that cannot be written (the link is gone).
+fn exec_lane(
+    jobs: &Mutex<mpsc::Receiver<ExecJob>>,
+    executor: &DetachedExecutor,
+    writer: &Mutex<TcpStream>,
+    execs: &AtomicU64,
+) -> Result<(), ProtoError> {
+    loop {
+        let job = jobs.lock().expect("worker job queue lock poisoned").recv();
+        let Ok(ExecJob { tag, template, version, accesses }) = job else {
+            return Ok(());
+        };
+        let outcome = run_exec(executor, &template, version, &accesses);
+        execs.fetch_add(1, Ordering::SeqCst);
+        // The reply is laid out before the writer lock is taken: the
+        // checksum pass over the output tiles must not hold up acks.
+        let send = |wire: WireFrame<'_>| {
+            wire.write_to(&mut *writer.lock().expect("worker writer lock poisoned"))
+        };
+        match outcome {
+            Ok((kernel_ns, writes)) => {
+                let writes: Vec<(u32, &[u8])> =
+                    writes.iter().map(|(d, buf)| (*d, buf.as_bytes())).collect();
+                send(WireFrame::exec_ok(kernel_ns, &writes, tag))?;
+            }
+            Err(message) => send(WireFrame::new(&Frame::ExecErr { message }, tag))?,
+        }
+    }
+}
+
+/// A finished task: kernel nanoseconds and a handle to every written
+/// allocation's buffer.
+type ExecDone = (u64, Vec<(u32, Arc<AlignedBuf>)>);
+
+/// Execute one dispatched task against the local arena (never panics —
+/// kernel panics become `Err`).
 fn run_exec(
     executor: &DetachedExecutor,
     template: &str,
     version: u16,
-    accesses: &[crate::protocol::WireAccess],
-) -> Frame {
+    accesses: &[WireAccess],
+) -> Result<ExecDone, String> {
     let arena = executor.arena();
     let mut typed = Vec::with_capacity(accesses.len());
     for a in accesses {
@@ -190,23 +261,19 @@ fn run_exec(
             1 => AccessMode::Out,
             _ => AccessMode::InOut,
         };
+        if a.alloc_len > u64::from(MAX_PAYLOAD) {
+            return Err(format!("allocation of {} bytes exceeds the frame cap", a.alloc_len));
+        }
         // Output-only allocations were never shipped; materialize them
         // zeroed at full length so the kernel has a buffer to fill.
         arena.ensure(DataId(a.data), MemSpace::HOST, a.alloc_len as usize);
         typed.push((Region { data: DataId(a.data), offset: a.offset, len: a.len }, mode));
     }
-    match executor.execute(template, VersionId(version), &typed) {
-        Ok(kernel_time) => {
-            let writes = typed
-                .iter()
-                .filter(|(_, mode)| *mode != AccessMode::In)
-                .map(|(region, _)| {
-                    let bytes = arena.read_arc(region.data, MemSpace::HOST).as_bytes().to_vec();
-                    (region.data.0, bytes)
-                })
-                .collect();
-            Frame::ExecOk { kernel_ns: kernel_time.as_nanos() as u64, writes }
-        }
-        Err(message) => Frame::ExecErr { message },
-    }
+    let kernel_time = executor.execute(template, VersionId(version), &typed)?;
+    let writes = typed
+        .iter()
+        .filter(|(_, mode)| *mode != AccessMode::In)
+        .map(|(region, _)| (region.data.0, arena.read_arc(region.data, MemSpace::HOST)))
+        .collect();
+    Ok((kernel_time.as_nanos() as u64, writes))
 }

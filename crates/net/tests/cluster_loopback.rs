@@ -210,3 +210,57 @@ fn abrupt_disconnect_is_reaped_and_rejoin_enters_probation() {
     cluster.shutdown(&rt);
     w.join().unwrap().unwrap();
 }
+
+#[test]
+fn worker_reports_only_after_its_exec_pool_drained() {
+    use std::sync::mpsc;
+    use std::sync::{Arc, Mutex};
+    use versa_net::protocol::{read_frame, write_frame, Frame};
+    use versa_net::{ProtoError, WireAccess};
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    // The kernel waits for the test to let it go, then counts itself.
+    let (gate_tx, gate_rx) = mpsc::channel::<()>();
+    let gate_rx = Arc::new(Mutex::new(gate_rx));
+    let ran = Arc::new(AtomicU32::new(0));
+    let worker = std::thread::spawn({
+        let ran = Arc::clone(&ran);
+        move || {
+            versa_net::run_worker(WorkerConfig::new(addr, 1), move |rt| {
+                let tpl = rt.template("gated").main("smp", &[DeviceKind::Smp]).register();
+                rt.bind_native(tpl, VersionId(0), move |_| {
+                    gate_rx.lock().unwrap().recv().unwrap();
+                    ran.fetch_add(1, Ordering::SeqCst);
+                });
+            })
+        }
+    });
+
+    let (mut stream, _) = listener.accept().unwrap();
+    let (hello, tag) = read_frame(&mut stream).unwrap().unwrap();
+    assert!(matches!(hello, Frame::Hello { .. }));
+    write_frame(&mut stream, &Frame::Welcome { node_id: 1, hints: String::new() }, tag).unwrap();
+    let exec = Frame::Exec {
+        task: 1,
+        template: "gated".into(),
+        version: 0,
+        attempt: 1,
+        accesses: vec![WireAccess { data: 0, offset: 0, len: 8, alloc_len: 8, mode: 2 }],
+    };
+    write_frame(&mut stream, &exec, 5).unwrap();
+    // Hang up with the task still running, and only then let it finish.
+    drop(stream);
+    drop(listener);
+    gate_tx.send(()).unwrap();
+
+    // The membership ends only once the dispatched task has run; its
+    // reply either reached the socket buffer (a clean, fully counted
+    // report) or failed to (the write error is the membership's result).
+    let result = worker.join().unwrap();
+    assert_eq!(ran.load(Ordering::SeqCst), 1, "run_worker returned with a task still in flight");
+    match result {
+        Ok(report) => assert_eq!(report.execs, 1),
+        Err(e) => assert!(matches!(e, ProtoError::Io(_)), "{e}"),
+    }
+}

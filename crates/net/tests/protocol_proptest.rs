@@ -186,3 +186,45 @@ fn bad_utf8_in_string_field_is_typed() {
     wire.extend_from_slice(&crc32(&payload).to_le_bytes());
     assert_eq!(decode_frame(&wire), Err(ProtoError::BadUtf8));
 }
+
+/// Committed wire bytes produced by the encoder this build's replaced
+/// (protocol VERSION 1): they must still decode, and re-encode to the
+/// same bytes, so old and new peers interoperate.
+#[test]
+fn golden_wire_bytes_decode_and_reencode_identically() {
+    fn unhex(s: &str) -> Vec<u8> {
+        let s = s.trim();
+        (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
+    }
+    let ship = Frame::Ship {
+        data: 7,
+        bytes: (0u8..40).map(|i| i.wrapping_mul(37).wrapping_add(11)).collect(),
+    };
+    let exec = Frame::Exec {
+        task: 42,
+        template: "matmul_tile".into(),
+        version: 3,
+        attempt: 2,
+        accesses: vec![
+            WireAccess { data: 1, offset: 0, len: 64, alloc_len: 64, mode: 0 },
+            WireAccess { data: 2, offset: 8, len: 56, alloc_len: 128, mode: 2 },
+        ],
+    };
+    let exec_ok = Frame::ExecOk {
+        kernel_ns: 123_456_789,
+        writes: vec![(5, vec![1, 2, 3, 4, 5]), (6, vec![]), (9, vec![0xFF; 3])],
+    };
+    for (golden, frame, tag) in [
+        (include_str!("golden/ship.hex"), ship, 0x0102_0304_0506_0708u64),
+        (include_str!("golden/exec.hex"), exec, 9),
+        (include_str!("golden/exec_ok.hex"), exec_ok, 77),
+    ] {
+        let wire = unhex(golden);
+        assert_eq!(decode_frame(&wire), Ok((frame.clone(), tag, wire.len())));
+        assert_eq!(encode_frame(&frame, tag), wire);
+        let mut written = Vec::new();
+        versa_net::protocol::write_frame(&mut written, &frame, tag).unwrap();
+        assert_eq!(written, wire);
+        assert_eq!(read_frame(&mut std::io::Cursor::new(&wire)), Ok(Some((frame, tag))));
+    }
+}

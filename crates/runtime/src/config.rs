@@ -47,7 +47,9 @@ pub struct RuntimeConfig {
     /// every transfer, so directory decisions stay deterministic). On by
     /// default; turning it off restores the fully synchronous
     /// coordinator path byte-for-byte (same `TransferStats`, same
-    /// assignment order). See DESIGN.md §2.2.
+    /// assignment order). A runtime with remote nodes attached stages
+    /// regardless: the synchronous path serves local devices only. See
+    /// DESIGN.md §2.2.
     pub async_transfers: bool,
     /// Native engine, async mode: how many tasks beyond the running one
     /// may occupy a worker's staging pipeline, so the next task's inputs

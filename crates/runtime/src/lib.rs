@@ -36,7 +36,9 @@ pub use config::RuntimeConfig;
 pub use graph::{TaskGraph, TaskNode, TaskState};
 pub use lanepool::LanePool;
 pub use native::{KernelCtx, NativeConfig};
-pub use remote::{RemoteAccess, RemoteCaps, RemoteDone, RemoteError, RemoteExec, RemoteNode};
+pub use remote::{
+    RemoteAccess, RemoteCaps, RemoteDone, RemoteError, RemoteExec, RemoteNode, ShipTicket,
+};
 pub use report::{
     FailureReport, QuarantinedVersion, RunError, RunReport, TaskFailure, WorkerTransferStats,
 };

@@ -15,11 +15,13 @@
 
 use crate::assign::drain_pool;
 use crate::lanepool::LanePool;
+use crate::remote::{RemoteAccess, RemoteError, RemoteExec, RemoteNode, ShipTicket};
 use crate::report::{FailureReport, RunError, TaskFailure, WorkerTransferStats};
 use crate::runtime::{EngineKind, NativeFn};
 use crate::{RunReport, Runtime};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -298,7 +300,7 @@ fn throttle_link(link_bandwidth: Option<u64>, bytes: u64, spent: Duration) {
 #[allow(clippy::too_many_arguments)]
 fn worker_loop(
     rx: mpsc::Receiver<Msg>,
-    done: mpsc::Sender<(WorkerId, TaskId, Result<Duration, WorkFailure>)>,
+    done: mpsc::Sender<(WorkerId, TaskId, Result<Duration, String>)>,
     arena: Arc<Arena>,
     space: versa_mem::MemSpace,
     lanes: usize,
@@ -325,91 +327,7 @@ fn worker_loop(
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             execute_item(item, &arena, space, exec)
         }))
-        .map_err(|p| WorkFailure { message: panic_message(p), kind: FailureKind::Panic });
-        if let Some(sink) = &sink {
-            let ev = match &outcome {
-                Ok(measured) => TraceEvent::TaskEnd {
-                    time: ts(wall0),
-                    task,
-                    worker: wid,
-                    kernel_ns: measured.as_nanos() as u64,
-                },
-                Err(_) => TraceEvent::TaskFailed { time: ts(wall0), task, worker: wid, version, attempt },
-            };
-            sink.record(wid.index(), ev);
-        }
-        done.send((wid, task, outcome)).expect("coordinator hung up");
-    }
-}
-
-/// How a sync-engine task execution failed: the message plus the failure
-/// class the scheduler is charged with (`Panic` for kernel failures,
-/// `NodeLost` when the hosting remote node disappeared).
-pub(crate) struct WorkFailure {
-    pub message: String,
-    pub kind: FailureKind,
-}
-
-/// The worker shim for a remote node: same channel discipline as
-/// [`worker_loop`], but the kernel runs on the remote machine. Copy-ins
-/// were already shipped at transfer time, so the request carries only
-/// metadata; returned output buffers are written back into the
-/// coordinator's mirror space before completion is reported, keeping
-/// every later read local.
-#[allow(clippy::too_many_arguments)]
-fn remote_worker_loop(
-    rx: mpsc::Receiver<Msg>,
-    done: mpsc::Sender<(WorkerId, TaskId, Result<Duration, WorkFailure>)>,
-    node: Arc<dyn crate::remote::RemoteNode>,
-    arena: Arc<Arena>,
-    space: versa_mem::MemSpace,
-    wid: WorkerId,
-    names: Arc<HashMap<TemplateId, String>>,
-    sink: Option<Arc<TraceSink>>,
-    wall0: Instant,
-) {
-    use crate::remote::{RemoteAccess, RemoteError, RemoteExec};
-    while let Ok(Msg::Work(item)) = rx.recv() {
-        let task = item.task;
-        let (version, template, attempt) = (item.version, item.template, item.attempt);
-        if let Some(sink) = &sink {
-            sink.record(
-                wid.index(),
-                TraceEvent::TaskStart { time: ts(wall0), task, worker: wid, version, template, attempt },
-            );
-        }
-        let req = RemoteExec {
-            task,
-            template: names.get(&template).cloned().unwrap_or_default(),
-            version,
-            attempt,
-            accesses: item
-                .accesses
-                .iter()
-                .map(|(region, mode)| RemoteAccess {
-                    region: *region,
-                    mode: *mode,
-                    // The mirror buffer exists for every access (perform
-                    // for reads, ensure for outputs), so its length is
-                    // the allocation length the node must materialize.
-                    alloc_len: arena.read_arc(region.data, space).len() as u64,
-                })
-                .collect(),
-        };
-        let outcome = match node.exec(&req) {
-            Ok(reply) => {
-                for (data, bytes) in &reply.writes {
-                    arena.write(*data, space, bytes);
-                }
-                Ok(reply.kernel_time)
-            }
-            Err(RemoteError::Task(message)) => {
-                Err(WorkFailure { message, kind: FailureKind::Panic })
-            }
-            Err(RemoteError::Lost(message)) => {
-                Err(WorkFailure { message, kind: FailureKind::NodeLost })
-            }
-        };
+        .map_err(panic_message);
         if let Some(sink) = &sink {
             let ev = match &outcome {
                 Ok(measured) => TraceEvent::TaskEnd {
@@ -518,12 +436,11 @@ fn execute_item(
 /// coordinator before dispatch; the overlapped path (default) plans
 /// transfers on the coordinator but executes the byte movement on
 /// per-worker staging lanes, with a bounded lookahead so the next task's
-/// inputs stage under the current kernel (DESIGN.md §2.2).
+/// inputs stage under the current kernel (DESIGN.md §2.2). A runtime
+/// with remote nodes attached always takes the overlapped path: the
+/// coordinator thread never waits on the wire.
 pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunReport, RunError> {
-    // Remote nodes ride the synchronous engine (ship-at-transfer-time
-    // needs coordinator-ordered copies); attach_remote_node already
-    // clears async_transfers, the check here is belt and braces.
-    if rt.config.async_transfers && rt.remotes.is_empty() {
+    if rt.config.async_transfers || !rt.remotes.is_empty() {
         run_native_async(rt, max_dispatch)
     } else {
         run_native_sync(rt, max_dispatch)
@@ -540,17 +457,6 @@ fn run_native_sync(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRep
     };
     let cfg = cfg.clone();
     let arena = Arc::clone(arena);
-    let plan = rt.remote_plan();
-    // Template names for remote dispatch (closures don't cross the wire;
-    // remote processes resolve templates by name against their own
-    // registries).
-    let names: Arc<HashMap<TemplateId, String>> = Arc::new(
-        rt.templates
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (TemplateId(i as u32), t.name.clone()))
-            .collect(),
-    );
     let wall0 = Instant::now();
 
     let mut stats = TransferStats::default();
@@ -564,15 +470,6 @@ fn run_native_sync(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRep
     let mut failures = FailureReport::default();
     let mut attempts: HashMap<TaskId, u32> = HashMap::new();
     let mut abort: Option<(TaskId, String)> = None;
-    // Nodes already declared lost — workers retired, loss event recorded.
-    let mut lost_nodes: std::collections::HashSet<u16> = std::collections::HashSet::new();
-    // Lost nodes whose `NodeLost` trace event is deferred until every task
-    // still in flight on the node has reported back: worker threads stamp
-    // `TaskStart` on their own clocks, so recording the loss at detection
-    // time can predate a sibling worker's already-running start. Draining
-    // first guarantees the loss stamp postdates every start on the node.
-    let mut deferred_loss: Vec<u16> = Vec::new();
-    let node_count = plan.node_of_worker.iter().copied().max().map_or(1, |m| m as usize + 1);
 
     let sink = TraceSink::from_config(&rt.config.tracing, rt.workers.len());
     let log_here = crate::tracing::begin_decision_log(rt, &sink);
@@ -594,24 +491,15 @@ fn run_native_sync(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRep
             let info = w.info;
             let lanes = if info.device.shares_host_memory() { 1 } else { cfg.gpu_lanes };
             let wsink = sink.clone();
-            if let Some(node) = plan.by_space.get(&info.space) {
-                let node = Arc::clone(node);
-                let names = Arc::clone(&names);
-                scope.spawn(move || {
-                    remote_worker_loop(rx, done, node, arena, info.space, info.id, names, wsink, wall0)
-                });
-            } else {
-                scope.spawn(move || {
-                    worker_loop(rx, done, arena, info.space, lanes, info.id, wsink, wall0)
-                });
-            }
+            scope.spawn(move || {
+                worker_loop(rx, done, arena, info.space, lanes, info.id, wsink, wall0)
+            });
         }
         // Workers hold the only senders now: if they all die, recv()
         // errors instead of hanging the coordinator forever.
         drop(done_tx);
 
         let mut in_flight = 0usize;
-        let mut node_inflight = vec![0usize; node_count];
 
         // Assign + dispatch everything currently assignable within the
         // wave budget. Transfers are performed synchronously here
@@ -620,7 +508,6 @@ fn run_native_sync(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRep
         // runtime so over-budget tasks carry to the next wave.
         let dispatch = |rt: &mut Runtime,
                             in_flight: &mut usize,
-                            node_inflight: &mut Vec<usize>,
                             dispatched: &mut u64,
                             stats: &mut TransferStats,
                             worker_transfers: &mut Vec<WorkerTransferStats>,
@@ -664,18 +551,6 @@ fn run_native_sync(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRep
                         let t_start = ts(wall0);
                         let t0 = Instant::now();
                         arena.perform(&t);
-                        if let Some(node) = plan.by_space.get(&t.to) {
-                            // Mirror-space destination: push the bytes over
-                            // the wire inside the timed window, so the
-                            // elapsed time fed to `transfer_done` below is
-                            // the real NIC cost and the scheduler's
-                            // bandwidth EWMA learns the link. A transport
-                            // error is deferred: the exec on the dead node
-                            // fails with `NodeLost` and the retry machinery
-                            // takes over.
-                            let buf = arena.read_arc(t.data, t.to);
-                            let _ = node.ship(t.data, buf.as_bytes());
-                        }
                         throttle_link(cfg.link_bandwidth, t.bytes, t0.elapsed());
                         stats.record(t.kind(), t.bytes);
                         if let Some(sink) = &sink {
@@ -705,22 +580,17 @@ fn run_native_sync(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRep
                     }
                 }
                 let template = rt.graph.node(tid).instance.template;
-                let kernel = if plan.by_space.contains_key(&space) {
-                    // Remote worker: the kernel runs on the node; the shim
-                    // ignores this placeholder.
-                    Arc::new(|_: &mut KernelCtx<'_>| {}) as NativeFn
-                } else {
-                    rt.kernels
-                        .get(&(template, a.version))
-                        .unwrap_or_else(|| {
-                            panic!(
-                                "no native kernel bound for ({:?}, {:?})",
-                                rt.templates.get(template).name,
-                                a.version
-                            )
-                        })
-                        .clone()
-                };
+                let kernel = rt
+                    .kernels
+                    .get(&(template, a.version))
+                    .unwrap_or_else(|| {
+                        panic!(
+                            "no native kernel bound for ({:?}, {:?})",
+                            rt.templates.get(template).name,
+                            a.version
+                        )
+                    })
+                    .clone();
                 rt.graph.mark_running(tid);
                 work_txs[a.worker.index()]
                     .send(Msg::Work(WorkItem {
@@ -733,11 +603,10 @@ fn run_native_sync(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRep
                     }))
                     .expect("worker thread died");
                 *in_flight += 1;
-                node_inflight[plan.node_of_worker[a.worker.index()] as usize] += 1;
             }
         };
 
-        dispatch(rt, &mut in_flight, &mut node_inflight, &mut dispatched, &mut stats, &mut worker_transfers, &attempts);
+        dispatch(rt, &mut in_flight, &mut dispatched, &mut stats, &mut worker_transfers, &attempts);
 
         while !rt.graph.all_done() {
             if in_flight == 0 && dispatched >= budget {
@@ -751,7 +620,6 @@ fn run_native_sync(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRep
             );
             let (wid, tid, outcome) = done_rx.recv().expect("all workers died");
             in_flight -= 1;
-            node_inflight[plan.node_of_worker[wid.index()] as usize] -= 1;
 
             let q = rt.workers[wid.index()]
                 .start_next()
@@ -773,7 +641,7 @@ fn run_native_sync(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRep
                     worker_transfers[wid.index()].compute_time += measured;
                     tasks_executed += 1;
                 }
-                Err(fail) => {
+                Err(message) => {
                     let assignment =
                         rt.graph.node(tid).assignment.expect("failed task was assigned");
                     let attempt = {
@@ -786,35 +654,17 @@ fn run_native_sync(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRep
                         template: rt.graph.node(tid).instance.template,
                         version: assignment.version,
                         worker: wid,
-                        kind: fail.kind,
-                        message: fail.message.clone(),
+                        kind: FailureKind::Panic,
+                        message: message.clone(),
                         attempt,
                     });
                     rt.scheduler.task_failed(
                         &rt.graph.node(tid).instance,
                         assignment,
-                        fail.kind,
+                        FailureKind::Panic,
                     );
-                    if fail.kind == FailureKind::NodeLost {
-                        // Charge the node, not the version: retire every
-                        // worker the lost node hosted so the scheduler
-                        // stops placing work there, record the loss once,
-                        // and requeue unconditionally — node loss never
-                        // burns the task's retry budget.
-                        let node = plan.node_of_worker[wid.index()];
-                        if lost_nodes.insert(node) {
-                            for (i, w) in rt.workers.iter_mut().enumerate() {
-                                if plan.node_of_worker[i] == node {
-                                    w.retire();
-                                }
-                            }
-                            // Recorded once the node's in-flight tasks have
-                            // drained back (see `deferred_loss`), so the
-                            // loss stamp postdates every start on the node.
-                            deferred_loss.push(node);
-                        }
-                    } else if attempt > rt.config.max_task_retries {
-                        abort = Some((tid, fail.message));
+                    if attempt > rt.config.max_task_retries {
+                        abort = Some((tid, message));
                         break;
                     }
                     rt.graph.requeue(tid);
@@ -822,32 +672,13 @@ fn run_native_sync(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRep
                 }
             }
 
-            deferred_loss.retain(|&node| {
-                if node_inflight[node as usize] > 0 {
-                    return true;
-                }
-                if let Some(sink) = &sink {
-                    sink.record(sink.coordinator(), TraceEvent::NodeLost { time: ts(wall0), node });
-                }
-                false
-            });
-
-            dispatch(rt, &mut in_flight, &mut node_inflight, &mut dispatched, &mut stats, &mut worker_transfers, &attempts);
+            dispatch(rt, &mut in_flight, &mut dispatched, &mut stats, &mut worker_transfers, &attempts);
         }
 
         for tx in &work_txs {
             let _ = tx.send(Msg::Stop);
         }
     });
-
-    // An abort or spent wave budget can leave a loss deferred; the worker
-    // threads have joined by now, so a stamp taken here postdates every
-    // start they recorded.
-    if let Some(sink) = &sink {
-        for node in deferred_loss.drain(..) {
-            sink.record(sink.coordinator(), TraceEvent::NodeLost { time: ts(wall0), node });
-        }
-    }
 
     // An aborted run skips the flush (the graph still has live tasks and
     // the caller gets the partial report through the error); a partial
@@ -905,7 +736,7 @@ fn run_native_sync(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRep
 }
 
 // ---------------------------------------------------------------------------
-// Overlapped transfer pipeline (async_transfers = true)
+// Overlapped transfer pipeline (async_transfers = true, or any remote node)
 // ---------------------------------------------------------------------------
 //
 // Per worker, two pipeline threads replace the single worker thread:
@@ -921,6 +752,11 @@ fn run_native_sync(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRep
 // *exec* thread that runs the kernel. At most `lookahead_depth + 1`
 // items occupy a worker's pipeline, so the next task's inputs stage
 // while the current kernel computes.
+//
+// A remote node's workers get the same lane pair (`RemoteLane`): the
+// stager ships each staged copy to the node as the copy's epilogue, the
+// exec thread forwards the task instead of running a kernel. The
+// coordinator never touches the wire.
 
 /// One step of a staged item's pre-kernel pipeline, planned by the
 /// coordinator, executed by the destination worker's stager.
@@ -992,10 +828,13 @@ enum ExecMsg {
     Failed {
         task: TaskId,
         msg: String,
-        /// True when this task did not fail itself but observed another
-        /// task's staging failure (its copy source, or a local cell) —
-        /// it is requeued without charging a retry.
-        upstream: bool,
+        /// What the task is charged with: `Panic` when its own copy
+        /// faulted, `NodeLost` when its own shipment found the node
+        /// gone. `None` when it did not fail itself but observed
+        /// another task's failure (its copy source, a local cell, a
+        /// lane whose node is already lost) — it is requeued without
+        /// charging a retry.
+        charge: Option<FailureKind>,
     },
     Stop,
 }
@@ -1010,8 +849,69 @@ enum Outcome {
         stage_spans: Vec<(u64, u64)>,
         samples: Vec<(u64, u64)>,
     },
-    Panicked(String),
-    StageFailed { msg: String, upstream: bool },
+    /// Staging succeeded but the execution failed: a kernel panic, a
+    /// failure reported by the remote node (`Panic`), or the node
+    /// disappearing under the task (`NodeLost`).
+    Failed { msg: String, kind: FailureKind },
+    /// The kernel never ran; `charge` as in [`ExecMsg::Failed`].
+    StageFailed { msg: String, charge: Option<FailureKind> },
+}
+
+/// The remote node a lane pair fronts: the stager ships what it stages
+/// there, the exec thread forwards tasks instead of running kernels.
+#[derive(Clone)]
+struct RemoteLane {
+    node: Arc<dyn RemoteNode>,
+    /// Closures don't cross the wire: the node resolves templates by
+    /// name against its own registry.
+    names: Arc<HashMap<TemplateId, String>>,
+    /// Raised by whichever lane of the node first sees
+    /// [`RemoteError::Lost`]; stagers then bounce queued items instead
+    /// of shipping to a dead node.
+    lost: Arc<AtomicBool>,
+}
+
+impl RemoteLane {
+    /// Run one fully shipped task on the node and write its outputs
+    /// back into the mirror `space`, so every later read stays local.
+    fn execute(
+        &self,
+        item: &WorkItem,
+        arena: &Arena,
+        space: MemSpace,
+    ) -> Result<Duration, (String, FailureKind)> {
+        let req = RemoteExec {
+            task: item.task,
+            template: self.names.get(&item.template).cloned().unwrap_or_default(),
+            version: item.version,
+            attempt: item.attempt,
+            accesses: item
+                .accesses
+                .iter()
+                .map(|(region, mode)| RemoteAccess {
+                    region: *region,
+                    mode: *mode,
+                    // The mirror buffer exists for every access (a staged
+                    // copy for reads, `Ensure` for outputs), so its length
+                    // is the allocation length the node must materialize.
+                    alloc_len: arena.read_arc(region.data, space).len() as u64,
+                })
+                .collect(),
+        };
+        match self.node.exec(&req) {
+            Ok(reply) => {
+                for (data, bytes) in &reply.writes {
+                    arena.write(*data, space, bytes);
+                }
+                Ok(reply.kernel_time)
+            }
+            Err(RemoteError::Task(msg)) => Err((msg, FailureKind::Panic)),
+            Err(RemoteError::Lost(msg)) => {
+                self.lost.store(true, Ordering::SeqCst);
+                Err((msg, FailureKind::NodeLost))
+            }
+        }
+    }
 }
 
 /// Undo record for one task's optimistic directory updates, applied in
@@ -1030,6 +930,13 @@ enum Rollback {
 /// The staging lane of one worker: executes `StageOp`s in plan order,
 /// then forwards the item to the exec thread (or a failure notice, so
 /// per-worker completion order stays FIFO).
+///
+/// On a remote lane every copy has an epilogue: once the bytes sit in
+/// the mirror space they go on the wire. The acknowledgements are
+/// collected after the item's last op — all of its tiles travel
+/// together — and before it is forwarded, so the node holds every input
+/// before it is asked to execute. A copy's destination cell is
+/// published only when its acknowledgement arrived.
 #[allow(clippy::too_many_arguments)]
 fn stager_loop(
     rx: mpsc::Receiver<StageMsg>,
@@ -1040,17 +947,18 @@ fn stager_loop(
     wall0: Instant,
     wid: WorkerId,
     sink: Option<Arc<TraceSink>>,
+    remote: Option<RemoteLane>,
 ) {
     // Every planned `Copy` gets exactly one Transfer event — a real span
     // on success, a truncated (or empty) span when the copy faults or is
     // abandoned — so traced bytes reconcile with plan-time TransferStats.
-    let record_copy = |t: &Transfer, start: Ts, end: Ts| {
+    let record_copy = |t: &Transfer, start: Duration, end: Duration| {
         if let Some(sink) = &sink {
             sink.record(
                 wid.index(),
                 TraceEvent::Transfer {
-                    start,
-                    end,
+                    start: Ts(start.as_nanos() as u64),
+                    end: Ts(end.as_nanos() as u64),
                     data: t.data,
                     from: t.from,
                     to: t.to,
@@ -1073,13 +981,31 @@ fn stager_loop(
         let mut stage_ns = 0u64;
         let mut stage_spans: Vec<(u64, u64)> = Vec::new();
         let mut samples: Vec<(u64, u64)> = Vec::new();
-        let mut failure: Option<(String, bool)> = None;
-        for op in ops.by_ref() {
+        // A copy's bytes are in place (and acknowledged, on a remote
+        // lane): account its `start..now` window and publish its cell.
+        let mut landed = |t: &Transfer, start: Duration, publish: &ReadyCell| {
+            throttle_link(link_bandwidth, t.bytes, wall0.elapsed() - start);
+            let end = wall0.elapsed();
+            let took = (end - start).as_nanos() as u64;
+            stage_ns += took;
+            stage_spans.push((start.as_nanos() as u64, end.as_nanos() as u64));
+            samples.push((t.bytes, took));
+            record_copy(t, start, end);
+            publish.publish_ok();
+            end
+        };
+        // Copies whose bytes are on the wire, awaiting the node's ack.
+        let mut on_wire: Vec<(Transfer, Duration, Arc<ReadyCell>, ShipTicket)> = Vec::new();
+        let mut failure: Option<(String, Option<FailureKind>)> = None;
+        if remote.as_ref().is_some_and(|r| r.lost.load(Ordering::SeqCst)) {
+            failure = Some(("the lane's node is lost".to_string(), None));
+        }
+        while failure.is_none() {
+            let Some(op) = ops.next() else { break };
             match op {
                 StageOp::WaitLocal(cell) => {
                     if let Err(msg) = cell.wait() {
-                        failure = Some((format!("upstream staging failed: {msg}"), true));
-                        break;
+                        failure = Some((format!("upstream staging failed: {msg}"), None));
                     }
                 }
                 StageOp::Ensure { data, len } => arena.ensure(data, space, len),
@@ -1089,10 +1015,10 @@ fn stager_loop(
                         if let Err(msg) = src.wait() {
                             let msg = format!("upstream staging failed: {msg}");
                             publish.publish_failed(msg.clone());
-                            let now = ts(wall0);
+                            let now = wall0.elapsed();
                             record_copy(&t, now, now);
-                            failure = Some((msg, true));
-                            break;
+                            failure = Some((msg, None));
+                            continue;
                         }
                     }
                     let start = wall0.elapsed();
@@ -1101,46 +1027,56 @@ fn stager_loop(
                             panic!("injected staging fault for {:?}", t.data);
                         }
                         arena.perform(&t);
+                        remote.as_ref().map(|r| {
+                            r.node.ship_begin(t.data, arena.read_arc(t.data, space).as_bytes())
+                        })
                     }));
                     match moved {
-                        Ok(()) => {
-                            throttle_link(link_bandwidth, t.bytes, wall0.elapsed() - start);
-                            let end = wall0.elapsed();
-                            let took = end - start;
-                            stage_ns += took.as_nanos() as u64;
-                            stage_spans.push((start.as_nanos() as u64, end.as_nanos() as u64));
-                            samples.push((t.bytes, took.as_nanos() as u64));
-                            record_copy(
-                                &t,
-                                Ts(start.as_nanos() as u64),
-                                Ts(end.as_nanos() as u64),
-                            );
-                            publish.publish_ok();
+                        Ok(Some(ticket)) => on_wire.push((t, start, publish, ticket)),
+                        Ok(None) => {
+                            landed(&t, start, &publish);
                         }
                         Err(payload) => {
                             let msg = panic_message(payload);
                             publish.publish_failed(msg.clone());
-                            record_copy(&t, Ts(start.as_nanos() as u64), ts(wall0));
-                            failure = Some((msg, false));
-                            break;
+                            record_copy(&t, start, wall0.elapsed());
+                            failure = Some((msg, Some(FailureKind::Panic)));
                         }
                     }
                 }
             }
         }
+        // Collect the acks in shipping order. A tile queued behind an
+        // earlier one on the link is timed from that one's ack, so the
+        // windows never overlap and each is what the link spent on it.
+        let mut link_free = Duration::ZERO;
+        for (t, start, publish, ticket) in on_wire {
+            match ticket() {
+                Ok(()) => link_free = landed(&t, start.max(link_free), &publish),
+                Err(e) => {
+                    let msg = e.to_string();
+                    publish.publish_failed(msg.clone());
+                    record_copy(&t, start, wall0.elapsed());
+                    if let Some(r) = &remote {
+                        r.lost.store(true, Ordering::SeqCst);
+                    }
+                    failure.get_or_insert((msg, Some(FailureKind::NodeLost)));
+                }
+            }
+        }
         let sent = match failure {
-            Some((msg, upstream)) => {
+            Some((msg, charge)) => {
                 // Poison the copies this item never attempted, so
                 // cross-worker waiters observe failure instead of
                 // hanging; the coordinator rolls all of them back.
                 for op in ops {
                     if let StageOp::Copy { t, publish, .. } = &op {
                         publish.publish_failed("abandoned after earlier staging failure");
-                        let now = ts(wall0);
+                        let now = wall0.elapsed();
                         record_copy(t, now, now);
                     }
                 }
-                tx.send(ExecMsg::Failed { task, msg, upstream })
+                tx.send(ExecMsg::Failed { task, msg, charge })
             }
             None => tx.send(ExecMsg::Run {
                 task,
@@ -1162,8 +1098,9 @@ fn stager_loop(
 }
 
 /// The exec thread of one worker: runs kernels against fully staged
-/// data, forwards staging failures unchanged (keeping completion order
-/// FIFO), reports outcomes with wall-clock spans for overlap accounting.
+/// data — on this worker's lanes, or on the node a remote lane fronts —
+/// forwards staging failures unchanged (keeping completion order FIFO),
+/// reports outcomes with wall-clock spans for overlap accounting.
 #[allow(clippy::too_many_arguments)]
 fn exec_loop(
     rx: mpsc::Receiver<ExecMsg>,
@@ -1174,6 +1111,7 @@ fn exec_loop(
     wid: WorkerId,
     wall0: Instant,
     sink: Option<Arc<TraceSink>>,
+    remote: Option<RemoteLane>,
 ) {
     let pool = (lanes > 1).then(|| LanePool::new(lanes));
     let exec: &dyn LaneExec = match &pool {
@@ -1183,9 +1121,7 @@ fn exec_loop(
     while let Ok(msg) = rx.recv() {
         let (task, outcome) = match msg {
             ExecMsg::Stop => break,
-            ExecMsg::Failed { task, msg, upstream } => {
-                (task, Outcome::StageFailed { msg, upstream })
-            }
+            ExecMsg::Failed { task, msg, charge } => (task, Outcome::StageFailed { msg, charge }),
             ExecMsg::Run {
                 task,
                 kernel,
@@ -1211,14 +1147,14 @@ fn exec_loop(
                         },
                     );
                 }
-                let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    execute_item(
-                        WorkItem { task, kernel, accesses, version, template, attempt },
-                        &arena,
-                        space,
-                        exec,
-                    )
-                }));
+                let item = WorkItem { task, kernel, accesses, version, template, attempt };
+                let res = match &remote {
+                    Some(lane) => lane.execute(&item, &arena, space),
+                    None => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        execute_item(item, &arena, space, exec)
+                    }))
+                    .map_err(|payload| (panic_message(payload), FailureKind::Panic)),
+                };
                 let end = wall0.elapsed();
                 if let Some(sink) = &sink {
                     let time = Ts(end.as_nanos() as u64);
@@ -1243,12 +1179,44 @@ fn exec_loop(
                         stage_spans,
                         samples,
                     },
-                    Err(payload) => Outcome::Panicked(panic_message(payload)),
+                    Err((msg, kind)) => Outcome::Failed { msg, kind },
                 };
                 (task, outcome)
             }
         };
         done.send((wid, task, outcome)).expect("coordinator hung up");
+    }
+}
+
+/// Where a node stands between the first `NodeLost` failure seen on it
+/// and the `NodeLost` trace event.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum NodeLoss {
+    Alive,
+    /// Workers retired; tasks planned onto the node are still reporting
+    /// back. Lane threads stamp `TaskStart` on their own clocks, so a
+    /// loss stamped at detection time could predate a sibling lane's
+    /// already-running start; draining first guarantees the stamp
+    /// postdates every start on the node.
+    Draining,
+    Stamped,
+}
+
+/// Record `NodeLost` for every draining node with nothing left in flight.
+fn stamp_drained_losses(
+    node_loss: &mut [NodeLoss],
+    node_inflight: &[usize],
+    sink: &Option<Arc<TraceSink>>,
+    wall0: Instant,
+) {
+    for (node, loss) in node_loss.iter_mut().enumerate() {
+        if *loss == NodeLoss::Draining && node_inflight[node] == 0 {
+            *loss = NodeLoss::Stamped;
+            if let Some(sink) = sink {
+                let node = node as u16;
+                sink.record(sink.coordinator(), TraceEvent::NodeLost { time: ts(wall0), node });
+            }
+        }
     }
 }
 
@@ -1307,6 +1275,40 @@ fn run_native_async(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRe
     let mut ledger = StagingLedger::new();
     let mut rollbacks: HashMap<TaskId, Vec<Rollback>> = HashMap::new();
 
+    // Remote nodes: which lanes front one, and per node (0 = this
+    // process) how many planned tasks have not reported back yet.
+    let plan = rt.remote_plan();
+    let node_count = plan.node_of_worker.iter().copied().max().map_or(1, |m| m as usize + 1);
+    let mut node_inflight = vec![0usize; node_count];
+    let mut node_loss = vec![NodeLoss::Alive; node_count];
+    // Attempts per task that ended in a node loss: not counted against
+    // `max_task_retries`.
+    let mut uncharged: HashMap<TaskId, u32> = HashMap::new();
+    let remote_lanes: Vec<Option<RemoteLane>> = {
+        let names: Arc<HashMap<TemplateId, String>> = Arc::new(if plan.by_space.is_empty() {
+            HashMap::new()
+        } else {
+            rt.templates
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (TemplateId(i as u32), t.name.clone()))
+                .collect()
+        });
+        let lost: Vec<Arc<AtomicBool>> =
+            (0..node_count).map(|_| Arc::new(AtomicBool::new(false))).collect();
+        rt.workers
+            .iter()
+            .zip(&plan.node_of_worker)
+            .map(|(w, &node)| {
+                plan.by_space.get(&w.info.space).map(|transport| RemoteLane {
+                    node: Arc::clone(transport),
+                    names: Arc::clone(&names),
+                    lost: Arc::clone(&lost[node as usize]),
+                })
+            })
+            .collect()
+    };
+
     let sink = TraceSink::from_config(&rt.config.tracing, n_workers);
     let log_here = crate::tracing::begin_decision_log(rt, &sink);
     crate::tracing::record_live_created(rt, &sink, ts(wall0));
@@ -1320,7 +1322,7 @@ fn run_native_async(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRe
         // `stage_txs` stops the stagers, which drop their exec senders,
         // which stops the exec threads.
         let mut stage_txs: Vec<mpsc::Sender<StageMsg>> = Vec::with_capacity(n_workers);
-        for w in rt.workers.iter() {
+        for (w, remote) in rt.workers.iter().zip(&remote_lanes) {
             let (stage_tx, stage_rx) = mpsc::channel();
             let (exec_tx, exec_rx) = mpsc::channel();
             stage_txs.push(stage_tx);
@@ -1332,11 +1334,32 @@ fn run_native_async(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRe
             let link = cfg.link_bandwidth;
             let stager_sink = sink.clone();
             let exec_sink = sink.clone();
+            let (stager_remote, exec_remote) = (remote.clone(), remote.clone());
             scope.spawn(move || {
-                stager_loop(stage_rx, exec_tx, stager_arena, info.space, link, wall0, info.id, stager_sink)
+                stager_loop(
+                    stage_rx,
+                    exec_tx,
+                    stager_arena,
+                    info.space,
+                    link,
+                    wall0,
+                    info.id,
+                    stager_sink,
+                    stager_remote,
+                )
             });
             scope.spawn(move || {
-                exec_loop(exec_rx, done, exec_arena, info.space, lanes, info.id, wall0, exec_sink)
+                exec_loop(
+                    exec_rx,
+                    done,
+                    exec_arena,
+                    info.space,
+                    lanes,
+                    info.id,
+                    wall0,
+                    exec_sink,
+                    exec_remote,
+                )
             });
         }
         drop(done_tx);
@@ -1351,9 +1374,10 @@ fn run_native_async(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRe
         // Plan everything currently assignable within the wave budget:
         // run the scheduler, perform directory transitions, record the
         // rollback ledger, and queue `StagedItem`s — no byte movement.
-        let plan = |rt: &mut Runtime,
-                    in_flight: &mut usize,
-                    dispatched: &mut u64,
+        let plan_wave = |rt: &mut Runtime,
+                         in_flight: &mut usize,
+                         node_inflight: &mut Vec<usize>,
+                         dispatched: &mut u64,
                     stats: &mut TransferStats,
                     worker_transfers: &mut Vec<WorkerTransferStats>,
                     ledger: &mut StagingLedger,
@@ -1439,17 +1463,21 @@ fn run_native_async(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRe
                 }
                 rollbacks.insert(tid, rb);
                 let template = rt.graph.node(tid).instance.template;
-                let kernel = rt
-                    .kernels
-                    .get(&(template, a.version))
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "no native kernel bound for ({:?}, {:?})",
-                            rt.templates.get(template).name,
-                            a.version
-                        )
-                    })
-                    .clone();
+                let kernel = if remote_lanes[wi].is_some() {
+                    // The kernel runs on the node, which binds its own.
+                    Arc::new(|_: &mut KernelCtx<'_>| {}) as NativeFn
+                } else {
+                    rt.kernels
+                        .get(&(template, a.version))
+                        .unwrap_or_else(|| {
+                            panic!(
+                                "no native kernel bound for ({:?}, {:?})",
+                                rt.templates.get(template).name,
+                                a.version
+                            )
+                        })
+                        .clone()
+                };
                 rt.graph.mark_running(tid);
                 outbox[wi].push_back(StagedItem {
                     task: tid,
@@ -1461,6 +1489,7 @@ fn run_native_async(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRe
                     attempt: attempts.get(&tid).copied().unwrap_or(0) + 1,
                 });
                 *in_flight += 1;
+                node_inflight[plan.node_of_worker[wi] as usize] += 1;
             }
         };
 
@@ -1475,9 +1504,10 @@ fn run_native_async(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRe
             }
         };
 
-        plan(
+        plan_wave(
             rt,
             &mut in_flight,
+            &mut node_inflight,
             &mut dispatched,
             &mut stats,
             &mut worker_transfers,
@@ -1502,6 +1532,7 @@ fn run_native_async(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRe
             in_flight -= 1;
             let wi = wid.index();
             lane_busy[wi] -= 1;
+            node_inflight[plan.node_of_worker[wi] as usize] -= 1;
 
             let q = rt.workers[wi]
                 .start_next()
@@ -1509,6 +1540,9 @@ fn run_native_async(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRe
             assert_eq!(q.task, tid, "worker completions must be FIFO");
             rt.workers[wi].finish(tid);
 
+            // A failure to account: message, what the task is charged
+            // with (`None` = collateral), whether its kernel was started.
+            let mut failed: Option<(String, Option<FailureKind>, bool)> = None;
             match outcome {
                 Outcome::Done { kernel, kernel_span, stage_ns, stage_spans: spans, samples } => {
                     rollbacks.remove(&tid);
@@ -1532,40 +1566,15 @@ fn run_native_async(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRe
                     stage_spans[wi].extend(spans);
                     tasks_executed += 1;
                 }
-                Outcome::Panicked(msg) => {
-                    // Kernel panic: staging succeeded, so the directory's
-                    // optimistic state is real — no rollback, same
-                    // accounting as the sync engine.
+                Outcome::Failed { msg, kind } => {
+                    // The execution failed after staging succeeded, so the
+                    // directory's optimistic state is real — no rollback.
+                    // (A remote node's outputs are only written back on
+                    // success, so its mirror still holds the inputs.)
                     rollbacks.remove(&tid);
-                    let assignment =
-                        rt.graph.node(tid).assignment.expect("failed task was assigned");
-                    let attempt = {
-                        let n = attempts.entry(tid).or_insert(0);
-                        *n += 1;
-                        *n
-                    };
-                    failures.events.push(TaskFailure {
-                        task: tid,
-                        template: rt.graph.node(tid).instance.template,
-                        version: assignment.version,
-                        worker: wid,
-                        kind: FailureKind::Panic,
-                        message: msg.clone(),
-                        attempt,
-                    });
-                    rt.scheduler.task_failed(
-                        &rt.graph.node(tid).instance,
-                        assignment,
-                        FailureKind::Panic,
-                    );
-                    if attempt > rt.config.max_task_retries {
-                        abort = Some((tid, msg));
-                        break;
-                    }
-                    rt.graph.requeue(tid);
-                    failures.retries += 1;
+                    failed = Some((msg, Some(kind), true));
                 }
-                Outcome::StageFailed { msg, upstream } => {
+                Outcome::StageFailed { msg, charge } => {
                     // The kernel never ran: undo this task's optimistic
                     // directory updates (LIFO, so a same-task read
                     // copy-in preceding a write acquire of the same
@@ -1578,65 +1587,85 @@ fn run_native_async(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRe
                             }
                         }
                     }
-                    if upstream {
-                        // Collateral of another task's staging failure:
-                        // replan without charging this task an attempt —
-                        // the origin task's retry budget bounds the
-                        // cascade.
-                        rt.graph.requeue(tid);
-                    } else {
-                        let assignment =
-                            rt.graph.node(tid).assignment.expect("failed task was assigned");
-                        let attempt = {
-                            let n = attempts.entry(tid).or_insert(0);
-                            *n += 1;
-                            *n
-                        };
-                        // A staging failure never reached the exec thread,
-                        // so no TaskStart exists — record the terminal
-                        // event here (Failed-without-Start is legal).
-                        // Upstream requeues charge no attempt and are
-                        // deliberately not recorded.
-                        if let Some(sink) = &sink {
-                            sink.record(
-                                sink.coordinator(),
-                                TraceEvent::TaskFailed {
-                                    time: ts(wall0),
-                                    task: tid,
-                                    worker: wid,
-                                    version: assignment.version,
-                                    attempt,
-                                },
-                            );
-                        }
-                        failures.events.push(TaskFailure {
-                            task: tid,
-                            template: rt.graph.node(tid).instance.template,
-                            version: assignment.version,
-                            worker: wid,
-                            kind: FailureKind::Panic,
-                            message: msg.clone(),
-                            attempt,
-                        });
-                        rt.scheduler.task_failed(
-                            &rt.graph.node(tid).instance,
-                            assignment,
-                            FailureKind::Panic,
-                        );
-                        if attempt > rt.config.max_task_retries {
-                            abort = Some((tid, msg));
-                            break;
-                        }
-                        rt.graph.requeue(tid);
-                        failures.retries += 1;
-                    }
+                    failed = Some((msg, charge, false));
                 }
             }
 
+            match failed {
+                None => {}
+                // Collateral of another task's failure: replan without
+                // charging this task an attempt (and without a trace
+                // event) — the origin task's retry budget, or the
+                // node's retirement, bounds the cascade.
+                Some((_, None, _)) => rt.graph.requeue(tid),
+                Some((msg, Some(kind), started)) => {
+                    let assignment =
+                        rt.graph.node(tid).assignment.expect("failed task was assigned");
+                    let attempt = {
+                        let n = attempts.entry(tid).or_insert(0);
+                        *n += 1;
+                        *n
+                    };
+                    // A staging failure never reached the exec thread, so
+                    // no TaskStart exists — record the terminal event here
+                    // (Failed-without-Start is legal).
+                    if let (false, Some(sink)) = (started, &sink) {
+                        sink.record(
+                            sink.coordinator(),
+                            TraceEvent::TaskFailed {
+                                time: ts(wall0),
+                                task: tid,
+                                worker: wid,
+                                version: assignment.version,
+                                attempt,
+                            },
+                        );
+                    }
+                    failures.events.push(TaskFailure {
+                        task: tid,
+                        template: rt.graph.node(tid).instance.template,
+                        version: assignment.version,
+                        worker: wid,
+                        kind,
+                        message: msg.clone(),
+                        attempt,
+                    });
+                    rt.scheduler.task_failed(&rt.graph.node(tid).instance, assignment, kind);
+                    if kind == FailureKind::NodeLost {
+                        // Charge the node, not the version: retire every
+                        // worker the lost node hosted so the scheduler
+                        // stops placing work there, and requeue
+                        // unconditionally — node loss never burns the
+                        // task's retry budget (the attempt number still
+                        // advances: it names the attempt in the trace).
+                        *uncharged.entry(tid).or_insert(0) += 1;
+                        let node = plan.node_of_worker[wi];
+                        if node_loss[node as usize] == NodeLoss::Alive {
+                            node_loss[node as usize] = NodeLoss::Draining;
+                            for (w, &n) in rt.workers.iter_mut().zip(&plan.node_of_worker) {
+                                if n == node {
+                                    w.retire();
+                                }
+                            }
+                        }
+                    } else if attempt - uncharged.get(&tid).copied().unwrap_or(0)
+                        > rt.config.max_task_retries
+                    {
+                        abort = Some((tid, msg));
+                        break;
+                    }
+                    rt.graph.requeue(tid);
+                    failures.retries += 1;
+                }
+            }
+
+            stamp_drained_losses(&mut node_loss, &node_inflight, &sink, wall0);
+
             ledger.prune();
-            plan(
+            plan_wave(
                 rt,
                 &mut in_flight,
+                &mut node_inflight,
                 &mut dispatched,
                 &mut stats,
                 &mut worker_transfers,
@@ -1662,6 +1691,12 @@ fn run_native_async(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRe
             let _ = tx.send(StageMsg::Stop);
         }
     });
+
+    // An abort or spent wave budget can leave a loss unstamped; the lane
+    // threads have joined by now, so a stamp taken here postdates every
+    // start they recorded.
+    node_inflight.fill(0);
+    stamp_drained_losses(&mut node_loss, &node_inflight, &sink, wall0);
 
     if abort.is_none() && rt.config.flush_on_wait && rt.graph.all_done() {
         for t in rt.directory.flush_all_to_host() {

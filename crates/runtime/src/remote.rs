@@ -10,24 +10,35 @@
 //! [`MemSpace`] whose copy-in cost the per-destination bandwidth EWMA
 //! learns online, so NIC links are priced exactly like PCIe links.
 //!
-//! Data plane (sync engine only):
+//! Data plane — the node boundary is just another device boundary, so a
+//! remote worker gets the same stager → exec lane pair as a local one
+//! (DESIGN.md §2.2, §7). The coordinator thread only *plans*; it never
+//! touches the wire:
 //!
-//! * **Copy-in**: when the directory plans a transfer into a mirror
-//!   space, the engine performs the local `memcpy` *and* ships the bytes
-//!   through [`RemoteNode::ship`] inside the same timed window — the
-//!   elapsed time fed to `transfer_done` includes the wire round-trip,
-//!   so the EWMA measures the real NIC.
-//! * **Execution**: the worker shim thread forwards the task through
+//! * **Copy-in**: a transfer the directory plans into a mirror space is
+//!   an ordinary staged copy on the destination lane, with an epilogue:
+//!   the lane's stager performs the local `memcpy` into the mirror and
+//!   puts the bytes on the wire ([`RemoteNode::ship_begin`]). All of a
+//!   task's tiles may be in flight at once; the stager collects every
+//!   acknowledgement before it forwards the task, so the node holds all
+//!   inputs before it is asked to execute. Each copy's measured window
+//!   (copy + wire + ack) is the sample fed to `transfer_done`, so the
+//!   bandwidth EWMA measures the real NIC.
+//! * **Execution**: the lane's exec thread forwards the task through
 //!   [`RemoteNode::exec`] (template *name* + version — closures don't
 //!   cross the wire; the remote process binds its own kernels) and
 //!   writes the returned output buffers back into the mirror space. All
 //!   later reads (flushes, dependent tasks) hit the mirror, never the
-//!   network.
-//! * **Loss**: a transport error surfaces as
-//!   [`RemoteError::Lost`]; the engine retires every worker of the node,
-//!   fails in-flight tasks with [`FailureKind::NodeLost`](versa_core::FailureKind)
-//!   (no version-quarantine strike), and requeues them onto surviving
-//!   workers.
+//!   network. While it waits, the stager is already shipping the next
+//!   task's tiles (`lookahead_depth`), so shipment overlaps both local
+//!   and remote kernels.
+//! * **Loss**: a transport error surfaces as [`RemoteError::Lost`]; the
+//!   engine retires every worker of the node, fails the tasks whose own
+//!   shipment or execution hit the error with
+//!   [`FailureKind::NodeLost`](versa_core::FailureKind) (no
+//!   version-quarantine strike, no retry-budget check), bounces what
+//!   was queued behind them on the dead lanes back to the ready pool
+//!   uncharged, and requeues everything onto surviving workers.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -110,18 +121,32 @@ pub struct RemoteDone {
     pub writes: Vec<(DataId, Vec<u8>)>,
 }
 
-/// Transport to one remote node, as the coordinator drives it. Blocking
-/// calls; multiple shim threads may call concurrently (the TCP transport
-/// in `versa-net` multiplexes one connection by request tag, and tests
-/// use in-process loopback implementations).
+/// A shipment whose bytes are on the wire: call it to block until the
+/// node acknowledges receipt (or the link fails).
+pub type ShipTicket = Box<dyn FnOnce() -> Result<(), RemoteError> + Send>;
+
+/// Transport to one remote node, as the engine's lanes drive it.
+/// Blocking calls; every lane of the node calls concurrently (the TCP
+/// transport in `versa-net` multiplexes one connection by request tag,
+/// and tests use in-process loopback implementations).
 pub trait RemoteNode: Send + Sync {
     /// The node's advertised capabilities.
     fn caps(&self) -> RemoteCaps;
 
     /// Ship the full bytes of `data` to the node, blocking until the
-    /// node acknowledges receipt. The engine times this call; the
-    /// elapsed time is the NIC bandwidth sample.
+    /// node acknowledges receipt.
     fn ship(&self, data: DataId, bytes: &[u8]) -> Result<(), RemoteError>;
+
+    /// Put the full bytes of `data` on the wire and return without
+    /// waiting for the acknowledgement, so a task's tiles travel
+    /// together; `bytes` is not referenced after the call returns. The
+    /// engine times from this call to the ticket's resolution — that
+    /// window is the NIC bandwidth sample. The default ships
+    /// synchronously and hands back the settled result.
+    fn ship_begin(&self, data: DataId, bytes: &[u8]) -> ShipTicket {
+        let done = self.ship(data, bytes);
+        Box::new(move || done)
+    }
 
     /// Execute a task on the node, blocking until it completes or fails.
     fn exec(&self, req: &RemoteExec) -> Result<RemoteDone, RemoteError>;
@@ -140,11 +165,11 @@ pub(crate) struct RemoteAttachment {
     pub space: MemSpace,
 }
 
-/// Lookup tables the sync engine snapshots before a run: which spaces
+/// Lookup tables the native engine snapshots before a run: which spaces
 /// are remote mirrors, and which node each worker belongs to.
 #[derive(Clone, Default)]
 pub(crate) struct RemotePlan {
-    /// Mirror space → transport, for ship-at-transfer-time.
+    /// Mirror space → transport.
     pub by_space: HashMap<MemSpace, Arc<dyn RemoteNode>>,
     /// Worker index → node id (0 = local).
     pub node_of_worker: Vec<u16>,

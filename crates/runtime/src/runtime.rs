@@ -12,7 +12,9 @@ use versa_core::{
     TemplateId, TemplateRegistry, VersionId, VersioningScheduler, WorkerId, WorkerInfo,
     WorkerState,
 };
-use versa_mem::{AccessMode, Arena, DataId, DeviceCache, Directory, MemSpace, Region};
+use versa_mem::{
+    AccessMode, AlignedBuf, Arena, DataId, DeviceCache, Directory, MemSpace, Region,
+};
 use versa_sim::{CostTable, PlatformConfig};
 
 /// A task implementation body for native execution.
@@ -215,8 +217,9 @@ impl Runtime {
     /// arena (see [`crate::remote`] for the data plane). Returns the
     /// node's dense 1-based id (0 is the coordinator process itself).
     ///
-    /// Remote execution rides the synchronous engine, so attaching a
-    /// node turns `async_transfers` off for this runtime.
+    /// A runtime with remote nodes always runs on the staged engine
+    /// (whatever `async_transfers` says): tiles ship from the node's
+    /// staging lanes, never from the coordinator thread.
     ///
     /// # Panics
     /// Panics on a simulated runtime (use
@@ -238,7 +241,6 @@ impl Runtime {
             }));
         }
         let node_id = (self.remotes.len() + 1) as u16;
-        self.config.async_transfers = false;
         self.remotes.push(crate::remote::RemoteAttachment { node, node_id, space });
         node_id
     }
@@ -259,7 +261,7 @@ impl Runtime {
         self.remotes.iter().find(|r| r.space == space).map_or(0, |r| r.node_id)
     }
 
-    /// Snapshot the remote lookup tables the sync engine needs.
+    /// Snapshot the remote lookup tables the staged engine needs.
     pub(crate) fn remote_plan(&self) -> crate::remote::RemotePlan {
         crate::remote::RemotePlan {
             by_space: self
@@ -392,10 +394,9 @@ impl Runtime {
 
     /// Allocate runtime-managed data initialized from an `f64` slice.
     pub fn alloc_from_f64(&mut self, init: &[f64]) -> DataId {
-        let bytes: Vec<u8> = init.iter().flat_map(|v| v.to_ne_bytes()).collect();
-        let id = self.register_data(bytes.len() as u64);
+        let id = self.register_data(init.len() as u64 * 8);
         if let EngineKind::Native { arena, .. } = &self.engine {
-            arena.alloc_host(id, &bytes);
+            arena.alloc_host_buf(id, AlignedBuf::from_f64s(init));
         }
         id
     }
