@@ -239,8 +239,8 @@ pub fn run_native(
 }
 
 /// [`run_native`] with full control over the [`RuntimeConfig`] — for
-/// benchmarks and tests that toggle transfer staging
-/// (`async_transfers`, `lookahead_depth`) or other runtime knobs.
+/// benchmarks and tests that set the staging depth (`lookahead_depth`)
+/// or other runtime knobs.
 pub fn run_native_with(
     runtime_config: RuntimeConfig,
     config: CholeskyConfig,

@@ -1,17 +1,14 @@
-//! Overlapped-transfer benchmark: sync coordinator copies vs async
-//! per-worker staging lanes vs async + prefetch lookahead.
+//! Overlapped-transfer benchmark: per-worker staging lanes without and
+//! with prefetch lookahead.
 //!
 //! Runs tiled matmul (primary) and Cholesky (secondary) on the native
 //! engine with ≥ 2 emulated-GPU workers and a throttled interconnect
-//! (`NativeConfig::link_bandwidth`), in three transfer modes:
+//! (`NativeConfig::link_bandwidth`), at two staging depths:
 //!
-//! * `sync`  — `async_transfers = false`: every copy-in runs on the
-//!   coordinator, serializing all workers' transfers.
-//! * `async` — staging lanes, `lookahead_depth = 0`: copies move off the
-//!   coordinator and overlap *across* workers, but not with the same
-//!   worker's compute.
-//! * `async+lookahead` — `lookahead_depth = 2`: the next tasks' inputs
-//!   stage while the current kernel runs (double-buffering).
+//! * `depth0` — `lookahead_depth = 0` (the baseline row): copies overlap
+//!   *across* workers, but not with the same worker's compute.
+//! * `lookahead` — `lookahead_depth = 2` (the default): the next tasks'
+//!   inputs stage while the current kernel runs (double-buffering).
 //!
 //! The emulated link runs at 200 MB/s — software GEMM kernels are some
 //! three orders of magnitude slower than the M2090s the paper measured,
@@ -38,14 +35,13 @@ const LINK_BYTES_PER_SEC: u64 = 200_000_000;
 #[derive(Clone, Copy)]
 struct Mode {
     name: &'static str,
-    async_transfers: bool,
     lookahead_depth: usize,
 }
 
-const MODES: [Mode; 3] = [
-    Mode { name: "sync", async_transfers: false, lookahead_depth: 0 },
-    Mode { name: "async", async_transfers: true, lookahead_depth: 0 },
-    Mode { name: "async+lookahead", async_transfers: true, lookahead_depth: 2 },
+/// Baseline row first.
+const MODES: [Mode; 2] = [
+    Mode { name: "depth0", lookahead_depth: 0 },
+    Mode { name: "lookahead", lookahead_depth: 2 },
 ];
 
 struct ModeResult {
@@ -60,7 +56,6 @@ struct ModeResult {
 
 fn mode_config(mode: Mode) -> RuntimeConfig {
     let mut cfg = RuntimeConfig::with_scheduler(SchedulerKind::DepAware);
-    cfg.async_transfers = mode.async_transfers;
     cfg.lookahead_depth = mode.lookahead_depth;
     cfg
 }
@@ -161,7 +156,7 @@ fn report_line(r: &ModeResult) {
 }
 
 fn emit_app(json: &mut String, app: &str, results: &[ModeResult], last: bool) {
-    let sync = results.iter().find(|r| r.mode == "sync").unwrap().seconds;
+    let baseline = results[0].seconds;
     json.push_str(&format!("    {{\"app\": \"{app}\", \"modes\": [\n"));
     for (i, r) in results.iter().enumerate() {
         let workers: Vec<String> = r
@@ -175,13 +170,13 @@ fn emit_app(json: &mut String, app: &str, results: &[ModeResult], last: bool) {
             })
             .collect();
         json.push_str(&format!(
-            "      {{\"mode\": \"{}\", \"seconds\": {:.6}, \"tasks\": {}, \"input_bytes\": {}, \"device_bytes\": {}, \"speedup_vs_sync\": {:.4}, \"workers\": [{}]}}{}\n",
+            "      {{\"mode\": \"{}\", \"seconds\": {:.6}, \"tasks\": {}, \"input_bytes\": {}, \"device_bytes\": {}, \"speedup_vs_depth0\": {:.4}, \"workers\": [{}]}}{}\n",
             r.mode,
             r.seconds,
             r.tasks,
             r.input_bytes,
             r.device_bytes,
-            sync / r.seconds,
+            baseline / r.seconds,
             workers.join(", "),
             if i + 1 < results.len() { "," } else { "" }
         ));
@@ -202,19 +197,15 @@ fn main() {
     let mm = bench_matmul(quick);
     let ch = bench_cholesky(quick);
 
-    let mm_sync = mm.iter().find(|r| r.mode == "sync").unwrap().seconds;
-    let mm_best = mm.iter().find(|r| r.mode == "async+lookahead").unwrap().seconds;
-    let speedup = mm_sync / mm_best;
-    eprintln!("matmul async+lookahead speedup vs sync: {speedup:.2}x");
+    let speedup = mm[0].seconds / mm[1].seconds;
+    eprintln!("matmul lookahead speedup vs depth 0: {speedup:.2}x");
 
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"generated_by\": \"transfer_bench\",\n");
     json.push_str(&format!("  \"mode\": \"{}\",\n", if quick { "quick" } else { "full" }));
     json.push_str(&format!("  \"link_bytes_per_sec\": {LINK_BYTES_PER_SEC},\n"));
-    json.push_str(&format!(
-        "  \"matmul_async_lookahead_speedup_vs_sync\": {speedup:.4},\n"
-    ));
+    json.push_str(&format!("  \"matmul_lookahead_speedup_vs_depth0\": {speedup:.4},\n"));
     json.push_str("  \"apps\": [\n");
     emit_app(&mut json, "matmul", &mm, false);
     emit_app(&mut json, "cholesky", &ch, true);

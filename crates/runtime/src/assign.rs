@@ -22,16 +22,12 @@ use versa_mem::Directory;
 /// `limit` caps how many assignments this call may make (`None` =
 /// unlimited) — the dispatch budget behind bounded waves.
 ///
-/// With `batched` set, the whole call is bracketed in one
-/// [`Scheduler::begin_wave`]/`end_wave` pair over the pooled frontier,
-/// so the scheduler computes its wave-invariant decision inputs once
-/// per wave instead of once per `eager`/`assign` probe. The bracket is
-/// sound because nothing completes inside this function: `task_finished`
-/// / `task_failed` / `transfer_done` only fire between drains.
-// The argument list mirrors the engine state split borrow-by-borrow;
-// bundling it into a struct would just move the same eight borrows one
-// level up at every call site.
-#[allow(clippy::too_many_arguments)]
+/// The whole call is bracketed in one [`Scheduler::begin_wave`]/`end_wave`
+/// pair over the pooled frontier, so the scheduler computes its
+/// wave-invariant decision inputs once per wave instead of once per
+/// `eager`/`assign` probe. The bracket is sound because nothing completes
+/// inside this function: `task_finished` / `task_failed` /
+/// `transfer_done` only fire between drains.
 pub(crate) fn drain_pool(
     pool: &mut VecDeque<TaskId>,
     scheduler: &mut dyn Scheduler,
@@ -40,14 +36,11 @@ pub(crate) fn drain_pool(
     directory: &Directory,
     graph: &mut TaskGraph,
     limit: Option<usize>,
-    batched: bool,
 ) -> Vec<(TaskId, Assignment)> {
-    if batched {
-        let frontier: Vec<&versa_core::TaskInstance> =
-            pool.iter().map(|&tid| &graph.node(tid).instance).collect();
-        let ctx = SchedCtx { templates, workers, directory, chain_hint: None };
-        scheduler.begin_wave(&frontier, &ctx);
-    }
+    let frontier: Vec<&versa_core::TaskInstance> =
+        pool.iter().map(|&tid| &graph.node(tid).instance).collect();
+    let ctx = SchedCtx { templates, workers, directory, chain_hint: None };
+    scheduler.begin_wave(&frontier, &ctx);
     let mut out = Vec::new();
     let mut progress = true;
     while progress && limit.is_none_or(|l| out.len() < l) {
@@ -82,9 +75,7 @@ pub(crate) fn drain_pool(
             }
         }
     }
-    if batched {
-        scheduler.end_wave();
-    }
+    scheduler.end_wave();
     out
 }
 
@@ -160,7 +151,6 @@ mod tests {
             &directory,
             &mut graph,
             None,
-            true,
         );
         assert_eq!(assigned.len(), 10, "baselines push eagerly");
         assert!(pool.is_empty());
@@ -183,7 +173,6 @@ mod tests {
             &directory,
             &mut graph,
             Some(3),
-            true,
         );
         assert_eq!(assigned.len(), 3);
         assert_eq!(pool.len(), 7, "tasks beyond the budget stay pooled");
@@ -204,7 +193,6 @@ mod tests {
             &directory,
             &mut graph,
             None,
-            true,
         );
         // Group is in the learning phase → only idle workers got work:
         // two workers → two assignments, eight tasks held back.
@@ -229,7 +217,6 @@ mod tests {
             &directory,
             &mut graph,
             None,
-            true,
         );
         assert_eq!(first.len(), 2);
         // Complete the GPU worker's task: it becomes idle again.
@@ -251,7 +238,6 @@ mod tests {
             &directory,
             &mut graph,
             None,
-            true,
         );
         assert_eq!(second.len(), 1, "one more task for the freed worker");
         assert_eq!(pool.len(), 1);

@@ -42,30 +42,13 @@ pub struct RuntimeConfig {
     /// one-shot API has a single implicit job, and keeping the flag off
     /// preserves the exact historical dispatch order.
     pub fair_scheduling: bool,
-    /// Native engine: move copy-in byte movement off the coordinator
-    /// onto per-worker staging lanes (the coordinator still *plans*
-    /// every transfer, so directory decisions stay deterministic). On by
-    /// default; turning it off restores the fully synchronous
-    /// coordinator path byte-for-byte (same `TransferStats`, same
-    /// assignment order). A runtime with remote nodes attached stages
-    /// regardless: the synchronous path serves local devices only. See
-    /// DESIGN.md §2.2.
-    pub async_transfers: bool,
-    /// Native engine, async mode: how many tasks beyond the running one
-    /// may occupy a worker's staging pipeline, so the next task's inputs
-    /// stage while the current kernel runs (the double-buffering the
-    /// paper's M2090s did in hardware). `0` still stages asynchronously
-    /// but without compute/copy overlap on the same worker.
+    /// Native engine: how many tasks beyond the running one may occupy a
+    /// worker's staging pipeline, so the next task's inputs stage while
+    /// the current kernel runs (the double-buffering the paper's M2090s
+    /// did in hardware). `0` still stages on the worker's lane but
+    /// without compute/copy overlap on the same worker. See DESIGN.md
+    /// §2.2.
     pub lookahead_depth: usize,
-    /// Bracket each dispatch round with
-    /// [`Scheduler::begin_wave`](versa_core::Scheduler::begin_wave) /
-    /// `end_wave` so the scheduler snapshots its wave-invariant decision
-    /// inputs (candidate sets, reliability, runnable lists) once per
-    /// ready frontier instead of once per task. Decisions are
-    /// bit-identical with the flag on or off — batching is a pure
-    /// amortization — so it is on by default; turning it off restores
-    /// the historical per-task recomputation for A/B measurement.
-    pub batched_bids: bool,
 }
 
 impl RuntimeConfig {
@@ -85,9 +68,7 @@ impl Default for RuntimeConfig {
             noise_sigma: 0.05,
             max_task_retries: 3,
             fair_scheduling: false,
-            async_transfers: true,
             lookahead_depth: 2,
-            batched_bids: true,
         }
     }
 }
@@ -105,9 +86,7 @@ mod tests {
         assert!(c.tracing.lane_capacity > 0, "bounded but non-empty rings");
         assert_eq!(c.scheduler.label(), "ver");
         assert_eq!(c.max_task_retries, 3);
-        assert!(c.async_transfers, "staged transfers overlap by default");
         assert_eq!(c.lookahead_depth, 2, "double-buffering depth");
-        assert!(c.batched_bids, "wave-batched bids are a pure amortization");
     }
 
     #[test]

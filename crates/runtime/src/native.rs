@@ -54,8 +54,8 @@ pub struct NativeConfig {
     /// (default) moves bytes at memcpy speed — the historical behaviour.
     /// Real machines pay PCIe for every copy; our in-process "devices"
     /// otherwise copy at DRAM speed, which makes transfer scheduling
-    /// decisions invisible. Applied identically on the synchronous and
-    /// asynchronous staging paths.
+    /// decisions invisible. Applied by the staging lanes per copy and by
+    /// the coordinator's final flush.
     pub link_bandwidth: Option<u64>,
 }
 
@@ -269,11 +269,6 @@ struct WorkItem {
     attempt: u32,
 }
 
-enum Msg {
-    Work(WorkItem),
-    Stop,
-}
-
 /// Extract a readable message from a panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
@@ -291,56 +286,6 @@ fn throttle_link(link_bandwidth: Option<u64>, bytes: u64, spent: Duration) {
     let budget = Duration::from_secs_f64(bytes as f64 / bw as f64);
     if let Some(residual) = budget.checked_sub(spent) {
         std::thread::sleep(residual);
-    }
-}
-
-/// One worker thread: receive tasks, run kernels against this worker's
-/// arena space, report wall-clock kernel durations. Multi-lane workers
-/// build their lane pool here, once, before the first task arrives.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop(
-    rx: mpsc::Receiver<Msg>,
-    done: mpsc::Sender<(WorkerId, TaskId, Result<Duration, String>)>,
-    arena: Arc<Arena>,
-    space: versa_mem::MemSpace,
-    lanes: usize,
-    wid: WorkerId,
-    sink: Option<Arc<TraceSink>>,
-    wall0: Instant,
-) {
-    let pool = (lanes > 1).then(|| LanePool::new(lanes));
-    let exec: &dyn LaneExec = match &pool {
-        Some(pool) => pool,
-        None => &SerialExec,
-    };
-    while let Ok(Msg::Work(item)) = rx.recv() {
-        let task = item.task;
-        let (version, template, attempt) = (item.version, item.template, item.attempt);
-        // This thread records its own lifecycle events into its own lane,
-        // so per-worker spans are monotonic by construction.
-        if let Some(sink) = &sink {
-            sink.record(
-                wid.index(),
-                TraceEvent::TaskStart { time: ts(wall0), task, worker: wid, version, template, attempt },
-            );
-        }
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_item(item, &arena, space, exec)
-        }))
-        .map_err(panic_message);
-        if let Some(sink) = &sink {
-            let ev = match &outcome {
-                Ok(measured) => TraceEvent::TaskEnd {
-                    time: ts(wall0),
-                    task,
-                    worker: wid,
-                    kernel_ns: measured.as_nanos() as u64,
-                },
-                Err(_) => TraceEvent::TaskFailed { time: ts(wall0), task, worker: wid, version, attempt },
-            };
-            sink.record(wid.index(), ev);
-        }
-        done.send((wid, task, outcome)).expect("coordinator hung up");
     }
 }
 
@@ -415,337 +360,17 @@ fn execute_item(
     })
 }
 
-/// Run every submitted task to completion on real threads.
-///
-/// A kernel panic does not take the process down: the worker catches the
-/// unwind, the coordinator rolls the task back to the ready frontier
-/// (worker bookkeeping unwound, buffers restored by the arena's unwind
-/// guard), reports the failure to the scheduler (quarantine accounting),
-/// and retries elsewhere — until
-/// [`RuntimeConfig::max_task_retries`](crate::RuntimeConfig) is
-/// exhausted, which aborts with a [`RunError`] carrying the partial
-/// report.
-///
-/// With `max_dispatch` set, at most that many tasks are dispatched this
-/// call (a *wave*); everything dispatched drains before returning, and
-/// ready tasks beyond the budget stay pooled in the runtime.
-///
-/// Two data-movement modes, selected by
-/// [`RuntimeConfig::async_transfers`](crate::RuntimeConfig):
-/// the historical synchronous path performs every copy-in on the
-/// coordinator before dispatch; the overlapped path (default) plans
-/// transfers on the coordinator but executes the byte movement on
-/// per-worker staging lanes, with a bounded lookahead so the next task's
-/// inputs stage under the current kernel (DESIGN.md §2.2). A runtime
-/// with remote nodes attached always takes the overlapped path: the
-/// coordinator thread never waits on the wire.
-pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunReport, RunError> {
-    if rt.config.async_transfers || !rt.remotes.is_empty() {
-        run_native_async(rt, max_dispatch)
-    } else {
-        run_native_sync(rt, max_dispatch)
-    }
-}
-
-/// The fully synchronous engine: copy-ins happen on the coordinator
-/// thread, in plan order, before each dispatch. Kept byte-identical to
-/// the pre-staging behaviour (same `TransferStats`, same assignment
-/// order) as the fallback for `async_transfers = false`.
-fn run_native_sync(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunReport, RunError> {
-    let EngineKind::Native { cfg, arena } = &rt.engine else {
-        unreachable!("run_native on a non-native runtime")
-    };
-    let cfg = cfg.clone();
-    let arena = Arc::clone(arena);
-    let wall0 = Instant::now();
-
-    let mut stats = TransferStats::default();
-    let mut version_counts: HashMap<(TemplateId, VersionId), u64> = HashMap::new();
-    let mut worker_counts = vec![0u64; rt.workers.len()];
-    let mut worker_busy = vec![Duration::ZERO; rt.workers.len()];
-    let mut worker_transfers = vec![WorkerTransferStats::default(); rt.workers.len()];
-    let mut tasks_executed = 0u64;
-    let budget = max_dispatch.unwrap_or(u64::MAX);
-    let mut dispatched = 0u64;
-    let mut failures = FailureReport::default();
-    let mut attempts: HashMap<TaskId, u32> = HashMap::new();
-    let mut abort: Option<(TaskId, String)> = None;
-
-    let sink = TraceSink::from_config(&rt.config.tracing, rt.workers.len());
-    let log_here = crate::tracing::begin_decision_log(rt, &sink);
-    crate::tracing::record_live_created(rt, &sink, ts(wall0));
-
-    let (done_tx, done_rx) = mpsc::channel();
-
-    std::thread::scope(|scope| {
-        // The work senders live *inside* the scope: if the coordinator
-        // panics mid-run, unwinding drops them, every worker's `recv`
-        // fails, the workers exit, and the scope join completes — the
-        // panic propagates instead of deadlocking.
-        let mut work_txs: Vec<mpsc::Sender<Msg>> = Vec::with_capacity(rt.workers.len());
-        for w in rt.workers.iter() {
-            let (tx, rx) = mpsc::channel();
-            work_txs.push(tx);
-            let done = done_tx.clone();
-            let arena = Arc::clone(&arena);
-            let info = w.info;
-            let lanes = if info.device.shares_host_memory() { 1 } else { cfg.gpu_lanes };
-            let wsink = sink.clone();
-            scope.spawn(move || {
-                worker_loop(rx, done, arena, info.space, lanes, info.id, wsink, wall0)
-            });
-        }
-        // Workers hold the only senders now: if they all die, recv()
-        // errors instead of hanging the coordinator forever.
-        drop(done_tx);
-
-        let mut in_flight = 0usize;
-
-        // Assign + dispatch everything currently assignable within the
-        // wave budget. Transfers are performed synchronously here
-        // (coordinator order matches directory order, so sources are
-        // always materialized in time). The ready pool lives in the
-        // runtime so over-budget tasks carry to the next wave.
-        let dispatch = |rt: &mut Runtime,
-                            in_flight: &mut usize,
-                            dispatched: &mut u64,
-                            stats: &mut TransferStats,
-                            worker_transfers: &mut Vec<WorkerTransferStats>,
-                            attempts: &HashMap<TaskId, u32>| {
-            let newly = rt.graph.take_newly_ready();
-            if let Some(sink) = &sink {
-                let lane = sink.coordinator();
-                for &tid in &newly {
-                    sink.record(lane, TraceEvent::TaskReady { time: ts(wall0), task: tid });
-                }
-            }
-            rt.pending.extend(newly);
-            let remaining = budget - *dispatched;
-            if remaining == 0 {
-                return;
-            }
-            if rt.config.fair_scheduling {
-                rt.fair.order(&mut rt.pending, &rt.graph);
-            }
-            let assigned = drain_pool(
-                &mut rt.pending,
-                rt.scheduler.as_mut(),
-                &rt.templates,
-                &mut rt.workers,
-                &rt.directory,
-                &mut rt.graph,
-                (budget != u64::MAX).then_some(remaining as usize),
-                rt.config.batched_bids,
-            );
-            *dispatched += assigned.len() as u64;
-            if rt.config.fair_scheduling {
-                rt.fair.note_dispatched(&rt.graph, assigned.iter().map(|(t, _)| t));
-            }
-            crate::tracing::drain_decisions(rt, &sink, ts(wall0));
-            for (tid, a) in assigned {
-                let wi = a.worker.index();
-                let space = rt.workers[wi].info.space;
-                let accesses = rt.graph.node(tid).instance.accesses.clone();
-                for (region, mode) in &accesses {
-                    if let Some(t) = rt.directory.acquire(region.data, space, *mode) {
-                        let t_start = ts(wall0);
-                        let t0 = Instant::now();
-                        arena.perform(&t);
-                        throttle_link(cfg.link_bandwidth, t.bytes, t0.elapsed());
-                        stats.record(t.kind(), t.bytes);
-                        if let Some(sink) = &sink {
-                            sink.record(
-                                sink.coordinator(),
-                                TraceEvent::Transfer {
-                                    start: t_start,
-                                    end: ts(wall0),
-                                    data: t.data,
-                                    from: t.from,
-                                    to: t.to,
-                                    bytes: t.bytes,
-                                    by: Some(a.worker),
-                                },
-                            );
-                        }
-                        let wt = &mut worker_transfers[wi];
-                        wt.staged_bytes += t.bytes;
-                        wt.staged_count += 1;
-                        wt.stage_time += t0.elapsed();
-                        rt.scheduler.transfer_done(t.to, t.bytes, t0.elapsed());
-                    }
-                    if mode.writes() {
-                        // Output-only accesses get no copy-in, but the
-                        // kernel still needs backing memory in `space`.
-                        arena.ensure(region.data, space, rt.directory.bytes(region.data) as usize);
-                    }
-                }
-                let template = rt.graph.node(tid).instance.template;
-                let kernel = rt
-                    .kernels
-                    .get(&(template, a.version))
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "no native kernel bound for ({:?}, {:?})",
-                            rt.templates.get(template).name,
-                            a.version
-                        )
-                    })
-                    .clone();
-                rt.graph.mark_running(tid);
-                work_txs[a.worker.index()]
-                    .send(Msg::Work(WorkItem {
-                        task: tid,
-                        kernel,
-                        accesses,
-                        version: a.version,
-                        template,
-                        attempt: attempts.get(&tid).copied().unwrap_or(0) + 1,
-                    }))
-                    .expect("worker thread died");
-                *in_flight += 1;
-            }
-        };
-
-        dispatch(rt, &mut in_flight, &mut dispatched, &mut stats, &mut worker_transfers, &attempts);
-
-        while !rt.graph.all_done() {
-            if in_flight == 0 && dispatched >= budget {
-                break; // wave budget spent, everything dispatched drained
-            }
-            assert!(
-                in_flight > 0,
-                "native engine stalled with {} live tasks and {} pooled tasks",
-                rt.graph.live_tasks(),
-                rt.pending.len()
-            );
-            let (wid, tid, outcome) = done_rx.recv().expect("all workers died");
-            in_flight -= 1;
-
-            let q = rt.workers[wid.index()]
-                .start_next()
-                .expect("completion from a worker with an empty queue");
-            assert_eq!(q.task, tid, "worker completions must be FIFO");
-            rt.workers[wid.index()].finish(tid);
-
-            match outcome {
-                Ok(measured) => {
-                    rt.graph.complete(tid, wid);
-                    let assignment =
-                        rt.graph.node(tid).assignment.expect("completed task was assigned");
-                    rt.scheduler.task_finished(&rt.graph.node(tid).instance, assignment, measured);
-                    *version_counts
-                        .entry((rt.graph.node(tid).instance.template, assignment.version))
-                        .or_insert(0) += 1;
-                    worker_counts[wid.index()] += 1;
-                    worker_busy[wid.index()] += measured;
-                    worker_transfers[wid.index()].compute_time += measured;
-                    tasks_executed += 1;
-                }
-                Err(message) => {
-                    let assignment =
-                        rt.graph.node(tid).assignment.expect("failed task was assigned");
-                    let attempt = {
-                        let n = attempts.entry(tid).or_insert(0);
-                        *n += 1;
-                        *n
-                    };
-                    failures.events.push(TaskFailure {
-                        task: tid,
-                        template: rt.graph.node(tid).instance.template,
-                        version: assignment.version,
-                        worker: wid,
-                        kind: FailureKind::Panic,
-                        message: message.clone(),
-                        attempt,
-                    });
-                    rt.scheduler.task_failed(
-                        &rt.graph.node(tid).instance,
-                        assignment,
-                        FailureKind::Panic,
-                    );
-                    if attempt > rt.config.max_task_retries {
-                        abort = Some((tid, message));
-                        break;
-                    }
-                    rt.graph.requeue(tid);
-                    failures.retries += 1;
-                }
-            }
-
-            dispatch(rt, &mut in_flight, &mut dispatched, &mut stats, &mut worker_transfers, &attempts);
-        }
-
-        for tx in &work_txs {
-            let _ = tx.send(Msg::Stop);
-        }
-    });
-
-    // An aborted run skips the flush (the graph still has live tasks and
-    // the caller gets the partial report through the error); a partial
-    // wave skips it too, leaving data in place for the next wave.
-    if abort.is_none() && rt.config.flush_on_wait && rt.graph.all_done() {
-        for t in rt.directory.flush_all_to_host() {
-            let t_start = ts(wall0);
-            let t0 = Instant::now();
-            arena.perform(&t);
-            throttle_link(cfg.link_bandwidth, t.bytes, t0.elapsed());
-            stats.record(t.kind(), t.bytes);
-            if let Some(sink) = &sink {
-                sink.record(
-                    sink.coordinator(),
-                    TraceEvent::Transfer {
-                        start: t_start,
-                        end: ts(wall0),
-                        data: t.data,
-                        from: t.from,
-                        to: t.to,
-                        bytes: t.bytes,
-                        by: None,
-                    },
-                );
-            }
-            rt.scheduler.transfer_done(t.to, t.bytes, t0.elapsed());
-        }
-    }
-
-    crate::tracing::end_decision_log(rt, log_here);
-    failures.quarantined = rt.quarantined_versions();
-    let report = RunReport {
-        scheduler: rt.scheduler.name().to_string(),
-        makespan: wall0.elapsed(),
-        tasks_executed,
-        transfers: stats,
-        version_counts,
-        worker_task_counts: worker_counts,
-        worker_busy,
-        worker_transfers,
-        completed: rt.graph.all_done(),
-        profile_table: rt
-            .scheduler
-            .as_versioning()
-            .map(|v| v.profiles().render_table(&rt.templates)),
-        trace: sink.map(|s| s.drain(crate::tracing::trace_meta(rt, "native"))),
-        failures,
-    };
-    match abort {
-        Some((task, message)) => {
-            Err(RunError { task, kind: FailureKind::Panic, message, report: Box::new(report) })
-        }
-        None => Ok(report),
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Overlapped transfer pipeline (async_transfers = true, or any remote node)
+// The staged transfer pipeline
 // ---------------------------------------------------------------------------
 //
-// Per worker, two pipeline threads replace the single worker thread:
+// Each worker is a pair of pipeline threads:
 //
 //   coordinator ──plan──▶ outbox ──▶ stager ──▶ exec ──done──▶ coordinator
 //
-// The coordinator still performs every directory transition (acquire,
+// The coordinator performs every directory transition (acquire,
 // snapshot, rollback) single-threaded, in plan order — decisions stay
-// deterministic. What moves off the coordinator is the byte movement:
+// deterministic. The byte movement happens off the coordinator:
 // each planned task becomes a `StagedItem` whose `StageOp`s the worker's
 // *stager* thread executes (waiting on in-flight sources via the
 // `StagingLedger`'s `ReadyCell`s), after which the item flows to the
@@ -1245,10 +870,27 @@ fn overlap_ns(kernel: &mut [(u64, u64)], stage: &[(u64, u64)]) -> u64 {
     total
 }
 
-/// The overlapped engine: coordinator-planned, worker-staged transfers
-/// with bounded per-worker lookahead. See the module comment above and
+/// Run every submitted task to completion on real threads.
+///
+/// A kernel panic does not take the process down: the worker catches the
+/// unwind, the coordinator rolls the task back to the ready frontier
+/// (worker bookkeeping unwound, buffers restored by the arena's unwind
+/// guard), reports the failure to the scheduler (quarantine accounting),
+/// and retries elsewhere — until
+/// [`RuntimeConfig::max_task_retries`](crate::RuntimeConfig) is
+/// exhausted, which aborts with a [`RunError`] carrying the partial
+/// report.
+///
+/// With `max_dispatch` set, at most that many tasks are dispatched this
+/// call (a *wave*); everything dispatched drains before returning, and
+/// ready tasks beyond the budget stay pooled in the runtime.
+///
+/// The coordinator plans every transfer but the byte movement runs on
+/// per-worker staging lanes, with a bounded lookahead so the next task's
+/// inputs stage under the current kernel; the coordinator thread never
+/// waits on a copy or on the wire. See the pipeline comment above and
 /// DESIGN.md §2.2 for the protocol and its invariants.
-fn run_native_async(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunReport, RunError> {
+pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunReport, RunError> {
     let EngineKind::Native { cfg, arena } = &rt.engine else {
         unreachable!("run_native on a non-native runtime")
     };
@@ -1316,8 +958,8 @@ fn run_native_async(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRe
     let (done_tx, done_rx) = mpsc::channel();
 
     std::thread::scope(|scope| {
-        // As in the sync engine, every sender lives inside the scope so
-        // a coordinator panic unwinds cleanly: dropping the outboxes
+        // Every sender lives inside the scope so a coordinator panic
+        // unwinds cleanly: dropping the outboxes
         // resolves their cells (StagedItem's drop guard), dropping
         // `stage_txs` stops the stagers, which drop their exec senders,
         // which stops the exec threads.
@@ -1407,7 +1049,6 @@ fn run_native_async(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRe
                 &rt.directory,
                 &mut rt.graph,
                 (budget != u64::MAX).then_some(remaining as usize),
-                rt.config.batched_bids,
             );
             *dispatched += assigned.len() as u64;
             if rt.config.fair_scheduling {
@@ -1436,9 +1077,9 @@ fn run_native_async(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunRe
                         }
                         let (wait_src, publish) = ledger.plan_copy(&t);
                         let inject_fault = rt.take_stage_fault(data);
-                        // Counted at plan time, in plan order — exactly
-                        // where the sync path records them, so fault-free
-                        // runs produce identical TransferStats.
+                        // Counted at plan time, in plan order, so the
+                        // totals do not depend on lane timing or on
+                        // `lookahead_depth`.
                         stats.record(t.kind(), t.bytes);
                         let wt = &mut worker_transfers[wi];
                         wt.staged_bytes += t.bytes;

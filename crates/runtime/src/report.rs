@@ -124,7 +124,7 @@ pub struct WorkerTransferStats {
     /// Wall (or virtual) time spent executing kernels.
     pub compute_time: Duration,
     /// Portion of `stage_time` that ran concurrently with a kernel on
-    /// the same worker (native async engine only; zero elsewhere).
+    /// the same worker (native engine only; zero on the simulator).
     pub overlap_time: Duration,
 }
 

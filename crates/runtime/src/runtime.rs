@@ -93,7 +93,7 @@ pub struct Runtime {
     /// Tag stamped onto subsequently submitted tasks (multi-job service).
     current_job: Option<JobTag>,
     /// Test hook: pending injected staging faults per datum (native
-    /// engine, async mode). See [`Runtime::inject_stage_fault`].
+    /// engine). See [`Runtime::inject_stage_fault`].
     pub(crate) stage_faults: HashMap<DataId, u32>,
     pub(crate) remotes: Vec<crate::remote::RemoteAttachment>,
     next_data: u32,
@@ -217,9 +217,8 @@ impl Runtime {
     /// arena (see [`crate::remote`] for the data plane). Returns the
     /// node's dense 1-based id (0 is the coordinator process itself).
     ///
-    /// A runtime with remote nodes always runs on the staged engine
-    /// (whatever `async_transfers` says): tiles ship from the node's
-    /// staging lanes, never from the coordinator thread.
+    /// Tiles ship from the node's staging lanes, never from the
+    /// coordinator thread.
     ///
     /// # Panics
     /// Panics on a simulated runtime (use
@@ -641,12 +640,10 @@ impl Runtime {
     }
 
     /// Arrange for the next `times` staged copies of `data` to panic
-    /// mid-transfer (native engine, `async_transfers` mode). This is the
-    /// staging analogue of the simulated engine's fault plans: it proves
-    /// a transfer-lane failure routes through the same
-    /// `task_failed`/retry/quarantine machinery as a kernel panic. The
-    /// sync path never consults it (its copies run on the coordinator),
-    /// and an empty plan leaves execution byte-identical.
+    /// mid-transfer (native engine). This is the staging analogue of the
+    /// simulated engine's fault plans: it proves a transfer-lane failure
+    /// routes through the same `task_failed`/retry/quarantine machinery
+    /// as a kernel panic. An empty plan leaves execution byte-identical.
     pub fn inject_stage_fault(&mut self, data: DataId, times: u32) {
         if times > 0 {
             *self.stage_faults.entry(data).or_insert(0) += times;
@@ -654,7 +651,7 @@ impl Runtime {
     }
 
     /// Consume one pending staging fault for `data`, if any (called by
-    /// the async planner per planned copy).
+    /// the planner per planned copy).
     pub(crate) fn take_stage_fault(&mut self, data: DataId) -> bool {
         match self.stage_faults.get_mut(&data) {
             Some(n) if *n > 0 => {

@@ -438,7 +438,6 @@ fn pump(rt: &mut Runtime, st: &mut SimState, now: SimTime) {
         &rt.directory,
         &mut rt.graph,
         (st.budget != u64::MAX).then_some(remaining as usize),
-        rt.config.batched_bids,
     );
     st.dispatched += assigned.len() as u64;
     crate::tracing::drain_decisions(rt, &st.sink, now.into());

@@ -58,12 +58,6 @@ pub struct ServeConfig {
     /// jobs can warm a newly joining `versa-net` worker with what the
     /// service has learned *so far*, without shutting it down.
     pub gossip_hints: bool,
-    /// Recycle task-graph storage between waves: completed jobs' nodes
-    /// are pruned from the graph window and their fair-queue accounts
-    /// dropped, so steady-state admission allocates O(active jobs), not
-    /// O(jobs ever served). On by default; turn off only to inspect the
-    /// full graph post-mortem.
-    pub recycle_graph: bool,
 }
 
 impl Default for ServeConfig {
@@ -74,7 +68,6 @@ impl Default for ServeConfig {
             warm_start: None,
             idle_poll: Duration::from_millis(2),
             gossip_hints: false,
-            recycle_graph: true,
         }
     }
 }
@@ -300,20 +293,17 @@ fn serve_loop(
             if job_done(&rt, &job.range) {
                 let id = job.id;
                 finalize(&mut rt, job, &shared, wave);
-                if config.recycle_graph {
-                    rt.forget_job(id);
-                }
+                rt.forget_job(id);
             } else {
                 still.push(job);
             }
         }
         active = still;
-        if config.recycle_graph {
-            // Everything below the earliest still-active job is finalized
-            // and safe to recycle.
-            let keep = active.iter().map(|j| j.range.start).min().unwrap_or(rt.graph().len() as u64);
-            rt.prune_done_tasks(TaskId(keep));
-        }
+        // Everything below the earliest still-active job is finalized
+        // and safe to recycle: steady-state admission allocates O(active
+        // jobs), not O(jobs ever served).
+        let keep = active.iter().map(|j| j.range.start).min().unwrap_or(rt.graph().len() as u64);
+        rt.prune_done_tasks(TaskId(keep));
     }
 
     rt.config_mut().flush_on_wait = saved_flush;
