@@ -226,6 +226,41 @@ pub fn run_sim_with(
     rt.run().expect("run failed")
 }
 
+/// Bind the f32 tile kernels for `bs × bs` tiles to the templates
+/// [`register`] returned for `variant` — one kernel per registered
+/// version, since a version with no native kernel fails a native run.
+/// `ctx.exec()` carries the emulated GPU's persistent lane pool; read
+/// arguments are borrowed in place (no copies).
+pub fn bind_native(
+    rt: &mut Runtime,
+    (potrf_t, trsm_t, syrk_t, gemm_t): (TemplateId, TemplateId, TemplateId, TemplateId),
+    variant: CholeskyVariant,
+    bs: usize,
+) {
+    let potrf_kernel = move |ctx: &mut versa_runtime::KernelCtx<'_>| {
+        potrf::spotrf(ctx.f32_mut(0), bs).expect("tile not positive definite");
+    };
+    rt.bind_native(potrf_t, VersionId(0), potrf_kernel);
+    if variant == CholeskyVariant::PotrfHybrid {
+        rt.bind_native(potrf_t, VersionId(1), potrf_kernel);
+    }
+    rt.bind_native(trsm_t, VersionId(0), move |ctx| {
+        let exec = ctx.exec();
+        let (reads, a) = ctx.f32_reads_and_mut(&[0], 1);
+        trsm::strsm_right_lower_trans_par_on(exec, reads[0], a, bs);
+    });
+    rt.bind_native(syrk_t, VersionId(0), move |ctx| {
+        let exec = ctx.exec();
+        let (reads, c) = ctx.f32_reads_and_mut(&[0], 1);
+        syrk::ssyrk_lower_par_on(exec, reads[0], c, bs);
+    });
+    rt.bind_native(gemm_t, VersionId(0), move |ctx| {
+        let exec = ctx.exec();
+        let (reads, c) = ctx.f32_reads_and_mut(&[0, 1], 2);
+        gemm::sgemm_nt_sub_par_on(exec, reads[0], reads[1], c, bs);
+    });
+}
+
 /// Native-engine Cholesky on a real SPD matrix. Returns the report, the
 /// input matrix and the computed factor tiles for verification.
 pub fn run_native(
@@ -250,38 +285,11 @@ pub fn run_native_with(
 ) -> (RunReport, NativeCholeskyData) {
     let mut rt = Runtime::native(runtime_config, native);
     let templates = register(&mut rt, variant);
-    let (potrf_t, trsm_t, syrk_t, gemm_t) = templates;
     let bs = config.bs;
     let n = config.n;
     let nb = config.nb();
 
-    // Kernels. `ctx.exec()` carries the emulated GPU's persistent lane
-    // pool; read arguments are borrowed in place (no copies).
-    let potrf_kernel = move |ctx: &mut versa_runtime::KernelCtx<'_>| {
-        potrf::spotrf(ctx.f32_mut(0), bs).expect("tile not positive definite");
-    };
-    let trsm_kernel = move |ctx: &mut versa_runtime::KernelCtx<'_>| {
-        let exec = ctx.exec();
-        let (reads, a) = ctx.f32_reads_and_mut(&[0], 1);
-        trsm::strsm_right_lower_trans_par_on(exec, reads[0], a, bs);
-    };
-    let syrk_kernel = move |ctx: &mut versa_runtime::KernelCtx<'_>| {
-        let exec = ctx.exec();
-        let (reads, c) = ctx.f32_reads_and_mut(&[0], 1);
-        syrk::ssyrk_lower_par_on(exec, reads[0], c, bs);
-    };
-    let gemm_kernel = move |ctx: &mut versa_runtime::KernelCtx<'_>| {
-        let exec = ctx.exec();
-        let (reads, c) = ctx.f32_reads_and_mut(&[0, 1], 2);
-        gemm::sgemm_nt_sub_par_on(exec, reads[0], reads[1], c, bs);
-    };
-    rt.bind_native(potrf_t, VersionId(0), potrf_kernel);
-    if variant == CholeskyVariant::PotrfHybrid {
-        rt.bind_native(potrf_t, VersionId(1), potrf_kernel);
-    }
-    rt.bind_native(trsm_t, VersionId(0), trsm_kernel);
-    rt.bind_native(syrk_t, VersionId(0), syrk_kernel);
-    rt.bind_native(gemm_t, VersionId(0), gemm_kernel);
+    bind_native(&mut rt, templates, variant, bs);
 
     // Build a full SPD matrix, cut into tiles.
     let full = versa_kernels::verify::spd_matrix_f32(n, seed);

@@ -106,28 +106,9 @@ fn ensure_cholesky_native(
     ) {
         return (p, t, s, g);
     }
-    let templates = cholesky::register(rt, cholesky::CholeskyVariant::PotrfHybrid);
-    let (potrf_t, trsm_t, syrk_t, gemm_t) = templates;
-    let potrf_kernel = move |ctx: &mut versa_runtime::KernelCtx<'_>| {
-        versa_kernels::potrf::spotrf(ctx.f32_mut(0), bs).expect("tile not positive definite");
-    };
-    rt.bind_native(potrf_t, VersionId(0), potrf_kernel);
-    rt.bind_native(potrf_t, VersionId(1), potrf_kernel);
-    rt.bind_native(trsm_t, VersionId(0), move |ctx| {
-        let exec = ctx.exec();
-        let (reads, a) = ctx.f32_reads_and_mut(&[0], 1);
-        versa_kernels::trsm::strsm_right_lower_trans_par_on(exec, reads[0], a, bs);
-    });
-    rt.bind_native(syrk_t, VersionId(0), move |ctx| {
-        let exec = ctx.exec();
-        let (reads, c) = ctx.f32_reads_and_mut(&[0], 1);
-        versa_kernels::syrk::ssyrk_lower_par_on(exec, reads[0], c, bs);
-    });
-    rt.bind_native(gemm_t, VersionId(0), move |ctx| {
-        let exec = ctx.exec();
-        let (reads, c) = ctx.f32_reads_and_mut(&[0, 1], 2);
-        versa_kernels::gemm::sgemm_nt_sub_par_on(exec, reads[0], reads[1], c, bs);
-    });
+    let variant = cholesky::CholeskyVariant::PotrfHybrid;
+    let templates = cholesky::register(rt, variant);
+    cholesky::bind_native(rt, templates, variant, bs);
     templates
 }
 

@@ -4,8 +4,10 @@
 //! loop, the packed register-blocked core forced to the scalar
 //! micro-kernel, one row per *detected* SIMD micro-kernel tier (avx2,
 //! avx512), the runtime-dispatched `dgemm_packed`, and the multi-lane
-//! packed tier — plus the native engine end-to-end on small matmul and
-//! Cholesky instances in tasks/sec, then writes the numbers as JSON.
+//! packed tier — plus the Cholesky panel kernels (`strsm`, `spotrf`) at
+//! bs=256, blocked and unblocked, and the native engine end-to-end on
+//! small matmul and Cholesky instances in tasks/sec, then writes the
+//! numbers as JSON.
 //!
 //! Usage:
 //! ```text
@@ -15,8 +17,10 @@
 //! * `--quick` shrinks the GEMM size and rep count for CI smoke runs.
 //! * `--check` turns the run into a regression gate. Same-run *ratio*
 //!   gates always apply (they are immune to host speed): the packed
-//!   scalar core must beat naive, and the dispatched kernel must not
-//!   lose to the best tier measured in the same process. In full (non
+//!   scalar core must beat naive, the dispatched kernel must not lose
+//!   to the best tier measured in the same process, and the blocked
+//!   `strsm`/`spotrf` must beat their unblocked oracles by 3× (1.25× on
+//!   the scalar tier, whose f32 micro-kernel is slow). In full (non
 //!   `--quick`) mode the measured tiers are additionally compared
 //!   against the committed baseline JSON with a generous tolerance —
 //!   shared-host day-to-day variance is large, so the absolute gate only
@@ -38,7 +42,8 @@ use versa_kernels::gemm::{
     dgemm_parallel,
 };
 use versa_kernels::simd::{self, Tier};
-use versa_kernels::verify::random_matrix_f64;
+use versa_kernels::verify::{random_matrix_f32, random_matrix_f64, spd_matrix_f32};
+use versa_kernels::{potrf, trsm};
 use versa_runtime::NativeConfig;
 
 struct TierResult {
@@ -86,6 +91,80 @@ fn measure_tiers(specs: &[TierSpec], n: usize, rounds: usize) -> Vec<TierResult>
             TierResult { name: s.name.clone(), n, seconds, gflops }
         })
         .collect()
+}
+
+/// Tile size of the panel-kernel rows: the native workloads' tile.
+const PANEL_BS: usize = 256;
+
+/// Least blocked/unblocked speedup `--check` accepts for each panel
+/// kernel: a same-run ratio, immune to host speed. On a SIMD tier the
+/// blocked kernels measure 6–11×.
+const MIN_PANEL_SPEEDUP: f64 = 3.0;
+
+/// The same floor when the scalar tier is active. There, the packed
+/// updates run on the portable f32 micro-kernel, which manages ~5
+/// GFLOP/s against 17–22 for the f64 scalar tile, so the blocked kernels
+/// measure only 1.5–2.1× over the unblocked loops.
+const MIN_PANEL_SPEEDUP_SCALAR: f64 = 1.25;
+
+/// The f32 panel kernels at `PANEL_BS`, blocked and unblocked, timed
+/// best-of-`rounds` and interleaved like [`measure_tiers`]. Each call
+/// starts from a fresh copy of its input, since both work in place.
+fn measure_panels(rounds: usize) -> Vec<TierResult> {
+    let n = PANEL_BS;
+    let spd = spd_matrix_f32(n, 7);
+    let mut l = spd.clone();
+    potrf::spotrf(&mut l, n).expect("SPD input");
+    let rhs = random_matrix_f32(n, 8);
+    let n3 = (n * n * n) as f64;
+    let (mut x_blocked, mut x_unblocked) = (rhs.clone(), rhs.clone());
+    let (mut f_blocked, mut f_unblocked) = (spd.clone(), spd.clone());
+    type PanelFn<'a> = Box<dyn FnMut() + 'a>;
+    let mut ops: Vec<(&str, f64, PanelFn)> = vec![
+        ("strsm_blocked", n3, Box::new(|| {
+            x_blocked.copy_from_slice(&rhs);
+            trsm::strsm_right_lower_trans(&l, &mut x_blocked, n);
+        })),
+        ("strsm_unblocked", n3, Box::new(|| {
+            x_unblocked.copy_from_slice(&rhs);
+            trsm::strsm_right_lower_trans_unblocked(&l, &mut x_unblocked, n);
+        })),
+        ("spotrf_blocked", n3 / 3.0, Box::new(|| {
+            f_blocked.copy_from_slice(&spd);
+            potrf::spotrf(&mut f_blocked, n).expect("SPD input");
+        })),
+        ("spotrf_unblocked", n3 / 3.0, Box::new(|| {
+            f_unblocked.copy_from_slice(&spd);
+            potrf::spotrf_unblocked(&mut f_unblocked, n).expect("SPD input");
+        })),
+    ];
+    for (_, _, f) in &mut ops {
+        f();
+    }
+    let mut best = vec![f64::INFINITY; ops.len()];
+    for _ in 0..rounds {
+        for (i, (_, _, f)) in ops.iter_mut().enumerate() {
+            let t0 = Instant::now();
+            f();
+            best[i] = best[i].min(t0.elapsed().as_secs_f64());
+        }
+    }
+    ops.iter()
+        .zip(best)
+        .map(|((name, flops, _), seconds)| {
+            let gflops = flops / seconds / 1e9;
+            eprintln!("  {name:<16} n={n:<5} {seconds:8.4}s  {gflops:7.2} GFLOP/s");
+            TierResult { name: name.to_string(), n, seconds, gflops }
+        })
+        .collect()
+}
+
+/// Blocked over unblocked speedup of panel kernel `kernel`.
+fn panel_speedup(tiers: &[TierResult], kernel: &str) -> f64 {
+    let rate = |suffix: &str| {
+        tier_gflops(tiers, &format!("{kernel}_{suffix}")).map_or(0.0, |t| t.gflops)
+    };
+    rate("blocked") / rate("unblocked")
 }
 
 struct NativeResult {
@@ -222,6 +301,20 @@ fn check(tiers: &[TierResult], quick: bool, baseline_path: &str) -> Vec<String> 
         ));
     }
 
+    // Gate 4: the blocked panel kernels must keep their lead over the
+    // unblocked oracles.
+    let floor = if simd::active_tier() == Tier::Scalar {
+        MIN_PANEL_SPEEDUP_SCALAR
+    } else {
+        MIN_PANEL_SPEEDUP
+    };
+    for kernel in ["strsm", "spotrf"] {
+        let speedup = panel_speedup(tiers, kernel);
+        if speedup.is_nan() || speedup < floor {
+            failures.push(format!("{kernel} blocked/unblocked speedup {speedup:.2}× < {floor}×"));
+        }
+    }
+
     if !quick {
         // Absolute bands vs the committed baseline. Shared hosts swing
         // ~2× day to day, so the band only catches collapses (a tier
@@ -318,13 +411,19 @@ fn main() {
         name: "packed_4lanes".into(),
         f: Box::new(|a, b, c, n| dgemm_parallel(a, b, c, n, 4)),
     });
-    let tiers = measure_tiers(&specs, n, reps);
+    let mut tiers = measure_tiers(&specs, n, reps);
+    eprintln!("Cholesky panel kernels (f32, n={PANEL_BS}):");
+    tiers.extend(measure_panels(if quick { 5 } else { 20 }));
 
     let blocked = tier_gflops(&tiers, "blocked64").unwrap().gflops;
     let packed = tier_gflops(&tiers, "packed").unwrap().gflops;
     let scalar = tier_gflops(&tiers, "packed_scalar").unwrap().gflops;
     eprintln!("packed vs blocked64 speedup: {:.2}x", packed / blocked);
     eprintln!("packed vs packed_scalar speedup: {:.2}x", packed / scalar);
+    let (strsm_speedup, spotrf_speedup) =
+        (panel_speedup(&tiers, "strsm"), panel_speedup(&tiers, "spotrf"));
+    eprintln!("strsm blocked vs unblocked speedup: {strsm_speedup:.2}x");
+    eprintln!("spotrf blocked vs unblocked speedup: {spotrf_speedup:.2}x");
 
     if do_check {
         let failures = check(&tiers, quick, &baseline_path);
@@ -380,6 +479,8 @@ fn main() {
         "  \"packed_vs_scalar_speedup\": {:.3},\n",
         packed / scalar
     ));
+    json.push_str(&format!("  \"strsm_blocked_speedup\": {strsm_speedup:.3},\n"));
+    json.push_str(&format!("  \"spotrf_blocked_speedup\": {spotrf_speedup:.3},\n"));
     json.push_str("  \"native\": [\n");
     for (i, r) in native.iter().enumerate() {
         json.push_str(&format!(

@@ -8,7 +8,11 @@
 //!   the roles of the paper's CBLAS / hand-coded CUDA / CUBLAS versions:
 //!   only their *relative speeds* matter to the scheduler.
 //! * [`potrf`], [`trsm`], [`syrk`] — the four building blocks of the tiled
-//!   right-looking Cholesky factorization (paper §V-B2).
+//!   right-looking Cholesky factorization (paper §V-B2). `syrk` and the
+//!   `gemm` NT update run on the packed core. `potrf` and `trsm` are
+//!   blocked onto it: `NB`-wide column blocks, a scalar diagonal step and
+//!   packed updates. The original loops stay as the `*_unblocked` oracles.
+//!   Results are bitwise identical across tiers and lane counts.
 //! * [`pbpi`] — the three computational loops of the PBPI Bayesian
 //!   phylogenetic inference application (paper §V-B3): per-site partial
 //!   likelihood propagation, partial combination, and the log-likelihood

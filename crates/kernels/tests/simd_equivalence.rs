@@ -12,6 +12,10 @@
 //!   element as fused multiply-adds in ascending-k order, so tier choice
 //!   and row banding must never change a single bit.
 //!
+//! The blocked Cholesky panel kernels (`potrf`, `trsm`) carry the same
+//! two guarantees — bitwise across tiers and lane counts — and are
+//! checked numerically against their `*_unblocked` oracles.
+//!
 //! Sizes straddle every blocking boundary of the widest tile (the 16×8
 //! avx512 f64 kernel) plus `MC = 128` / `KC = 256`. The whole file also
 //! runs in CI under `VERSA_SIMD=scalar`, which exercises the same
@@ -22,8 +26,16 @@ use versa_kernels::gemm::{
     dgemm_blocked, dgemm_naive, dgemm_packed, dgemm_packed_scalar, dgemm_packed_tier,
     dgemm_parallel, sgemm_naive, sgemm_packed, sgemm_packed_scalar, sgemm_packed_tier,
 };
+use versa_kernels::potrf::{
+    dpotrf, dpotrf_tier, dpotrf_unblocked, spotrf, spotrf_tier, spotrf_unblocked,
+};
 use versa_kernels::simd::{self, Tier};
-use versa_kernels::verify::{random_matrix_f32, random_matrix_f64};
+use versa_kernels::trsm::{
+    dtrsm_right_lower_trans, dtrsm_right_lower_trans_par, dtrsm_right_lower_trans_tier,
+    dtrsm_right_lower_trans_unblocked, strsm_right_lower_trans, strsm_right_lower_trans_par,
+    strsm_right_lower_trans_tier, strsm_right_lower_trans_unblocked,
+};
+use versa_kernels::verify::{random_matrix_f32, random_matrix_f64, spd_matrix_f32, spd_matrix_f64};
 
 /// Sizes around the micro-tile edges (8, 16), the dispatch threshold
 /// (16), MC (128) and KC (256), each ±1, plus a uniform small range.
@@ -171,5 +183,142 @@ fn unavailable_tier_is_refused_without_touching_c() {
         let mut c = c0.clone();
         assert!(!dgemm_packed_tier(tier, &a, &b, &mut c, n));
         assert_eq!(c0, c, "refused tier {tier:?} must not modify C");
+    }
+}
+
+/// Panel-kernel sizes: around the column-block width (64), its
+/// multiples and the small-tile threshold.
+const PANEL_N: [usize; 15] = [1, 7, 15, 16, 17, 31, 33, 63, 64, 65, 127, 129, 255, 256, 257];
+
+/// Up to one column block (64) the blocked kernels run the oracle's
+/// exact per-element arithmetic, so they must match it bitwise.
+const SINGLE_BLOCK_N: usize = 64;
+
+/// `(L, A)` for an `n × n` solve: a Cholesky factor and a random right
+/// hand side.
+fn trsm_inputs_f64(n: usize) -> (Vec<f64>, Vec<f64>) {
+    let mut l = spd_matrix_f64(n, n as u64);
+    dpotrf_unblocked(&mut l, n).unwrap();
+    (l, random_matrix_f64(n, n as u64 + 1))
+}
+
+fn trsm_inputs_f32(n: usize) -> (Vec<f32>, Vec<f32>) {
+    let mut l = spd_matrix_f32(n, n as u64);
+    spotrf_unblocked(&mut l, n).unwrap();
+    (l, random_matrix_f32(n, n as u64 + 1))
+}
+
+/// Blocked `potrf`/`trsm` are bit-identical on every detected tier, the
+/// forced-scalar core and the dispatched entry.
+#[test]
+fn panel_kernels_are_bitwise_identical_across_tiers() {
+    for n in PANEL_N {
+        let a64 = spd_matrix_f64(n, 3);
+        let mut scalar64 = a64.clone();
+        dpotrf_tier(Tier::Scalar, &mut scalar64, n).unwrap().unwrap();
+        let a32 = spd_matrix_f32(n, 3);
+        let mut scalar32 = a32.clone();
+        spotrf_tier(Tier::Scalar, &mut scalar32, n).unwrap().unwrap();
+        let (l64, b64) = trsm_inputs_f64(n);
+        let mut xscalar64 = b64.clone();
+        assert!(dtrsm_right_lower_trans_tier(Tier::Scalar, &l64, &mut xscalar64, n));
+        let (l32, b32) = trsm_inputs_f32(n);
+        let mut xscalar32 = b32.clone();
+        assert!(strsm_right_lower_trans_tier(Tier::Scalar, &l32, &mut xscalar32, n));
+        for tier in simd::detected_tiers() {
+            let mut got = a64.clone();
+            dpotrf_tier(tier, &mut got, n).unwrap().unwrap();
+            assert_eq!(scalar64, got, "dpotrf tier {tier} diverged at n={n}");
+            let mut got = a32.clone();
+            spotrf_tier(tier, &mut got, n).unwrap().unwrap();
+            assert_eq!(scalar32, got, "spotrf tier {tier} diverged at n={n}");
+            let mut got = b64.clone();
+            assert!(dtrsm_right_lower_trans_tier(tier, &l64, &mut got, n));
+            assert_eq!(xscalar64, got, "dtrsm tier {tier} diverged at n={n}");
+            let mut got = b32.clone();
+            assert!(strsm_right_lower_trans_tier(tier, &l32, &mut got, n));
+            assert_eq!(xscalar32, got, "strsm tier {tier} diverged at n={n}");
+        }
+        let mut got = a64.clone();
+        dpotrf(&mut got, n).unwrap();
+        assert_eq!(scalar64, got, "dispatched dpotrf diverged at n={n}");
+        let mut got = a32.clone();
+        spotrf(&mut got, n).unwrap();
+        assert_eq!(scalar32, got, "dispatched spotrf diverged at n={n}");
+        let mut got = b64.clone();
+        dtrsm_right_lower_trans(&l64, &mut got, n);
+        assert_eq!(xscalar64, got, "dispatched dtrsm diverged at n={n}");
+        let mut got = b32.clone();
+        strsm_right_lower_trans(&l32, &mut got, n);
+        assert_eq!(xscalar32, got, "dispatched strsm diverged at n={n}");
+    }
+}
+
+/// Row banding never changes a bit of the blocked solve, at 1–4 lanes.
+#[test]
+fn panel_trsm_is_bitwise_identical_at_any_lane_count() {
+    for n in PANEL_N {
+        let (l64, b64) = trsm_inputs_f64(n);
+        let mut serial64 = b64.clone();
+        dtrsm_right_lower_trans(&l64, &mut serial64, n);
+        let (l32, b32) = trsm_inputs_f32(n);
+        let mut serial32 = b32.clone();
+        strsm_right_lower_trans(&l32, &mut serial32, n);
+        for lanes in 1..=4 {
+            let mut par = b64.clone();
+            dtrsm_right_lower_trans_par(&l64, &mut par, n, lanes);
+            assert_eq!(serial64, par, "dtrsm over {lanes} lanes diverged at n={n}");
+            let mut par = b32.clone();
+            strsm_right_lower_trans_par(&l32, &mut par, n, lanes);
+            assert_eq!(serial32, par, "strsm over {lanes} lanes diverged at n={n}");
+        }
+    }
+}
+
+fn assert_near_f64(oracle: &[f64], got: &[f64], tol: f64, what: &str, n: usize) {
+    if n <= SINGLE_BLOCK_N {
+        assert_eq!(oracle, got, "{what} differs bitwise from its oracle at n={n}");
+    }
+    for (i, (&o, &g)) in oracle.iter().zip(got).enumerate() {
+        assert!((o - g).abs() <= tol * o.abs().max(1.0), "{what} n={n} elem {i}: oracle {o} vs {g}");
+    }
+}
+
+fn assert_near_f32(oracle: &[f32], got: &[f32], tol: f32, what: &str, n: usize) {
+    if n <= SINGLE_BLOCK_N {
+        assert_eq!(oracle, got, "{what} differs bitwise from its oracle at n={n}");
+    }
+    for (i, (&o, &g)) in oracle.iter().zip(got).enumerate() {
+        assert!((o - g).abs() <= tol * o.abs().max(1.0), "{what} n={n} elem {i}: oracle {o} vs {g}");
+    }
+}
+
+/// The blocked kernels agree with the unblocked loops they replace.
+#[test]
+fn panel_kernels_match_the_unblocked_oracles() {
+    for n in PANEL_N {
+        let a = spd_matrix_f64(n, 21);
+        let (mut oracle, mut got) = (a.clone(), a);
+        dpotrf_unblocked(&mut oracle, n).unwrap();
+        dpotrf(&mut got, n).unwrap();
+        assert_near_f64(&oracle, &got, 1e-10, "dpotrf", n);
+
+        let a = spd_matrix_f32(n, 21);
+        let (mut oracle, mut got) = (a.clone(), a);
+        spotrf_unblocked(&mut oracle, n).unwrap();
+        spotrf(&mut got, n).unwrap();
+        assert_near_f32(&oracle, &got, 1e-4, "spotrf", n);
+
+        let (l, b) = trsm_inputs_f64(n);
+        let (mut oracle, mut got) = (b.clone(), b);
+        dtrsm_right_lower_trans_unblocked(&l, &mut oracle, n);
+        dtrsm_right_lower_trans(&l, &mut got, n);
+        assert_near_f64(&oracle, &got, 1e-10, "dtrsm", n);
+
+        let (l, b) = trsm_inputs_f32(n);
+        let (mut oracle, mut got) = (b.clone(), b);
+        strsm_right_lower_trans_unblocked(&l, &mut oracle, n);
+        strsm_right_lower_trans(&l, &mut got, n);
+        assert_near_f32(&oracle, &got, 1e-4, "strsm", n);
     }
 }
