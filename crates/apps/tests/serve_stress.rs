@@ -21,9 +21,8 @@ fn sim_service(queue_capacity: usize, wave_dispatch: u64) -> Service {
 /// Eight clients push a hundred-plus tiny jobs each through a small
 /// queue. Every submission must land in exactly one admission bucket,
 /// every accepted job must complete, and the service must come back to
-/// rest with nothing live — all with graph recycling and batched bids
-/// on (the defaults), i.e. the exact configuration the throughput
-/// bench's optimized side runs.
+/// rest with nothing live — all with graph recycling on (the default),
+/// i.e. the exact configuration the throughput bench runs.
 #[test]
 fn admission_is_lossless_with_eight_concurrent_clients() {
     let service = sim_service(32, 32);
@@ -177,7 +176,7 @@ fn axpy_chain_bits() -> Vec<u64> {
     bits
 }
 
-/// The serve-at-scale machinery (wave-batched bids, graph recycling)
+/// The serve-at-scale machinery (bounded waves, graph recycling)
 /// must not perturb numerics: a single job's result bytes match the
 /// serial recomputation.
 #[test]

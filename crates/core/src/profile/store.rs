@@ -108,6 +108,14 @@ impl GroupProfile {
         self.quarantined[v.index()]
     }
 
+    /// Whether a version is excluded from scheduling in this group:
+    /// quarantined and not (yet) due for a retrial after `probation` peer
+    /// successes (`None`: quarantine holds).
+    pub fn is_excluded(&self, v: VersionId, probation: Option<u64>) -> bool {
+        self.quarantined[v.index()]
+            && probation.is_none_or(|p| self.probation_credit[v.index()] < p)
+    }
+
     /// Statistics of every version, in version order.
     pub fn versions(&self) -> &[VersionStats] {
         &self.versions
@@ -297,14 +305,7 @@ impl ProfileStore {
     /// Whether a version is excluded from scheduling in the group of
     /// `size`: quarantined and not (yet) due for a probation retrial.
     pub fn is_excluded(&self, template: TemplateId, size: u64, version: VersionId) -> bool {
-        let Some(group) = self.group(template, size) else { return false };
-        if !group.is_quarantined(version) {
-            return false;
-        }
-        match self.probation {
-            None => true,
-            Some(p) => group.probation_credit[version.index()] < p,
-        }
+        self.group(template, size).is_some_and(|g| g.is_excluded(version, self.probation))
     }
 
     /// Whether a version is quarantined in the group of `size` (even if

@@ -142,24 +142,18 @@ pub trait Scheduler: Send {
         false
     }
 
-    /// Begin a batched scheduling wave over the ready frontier. Engines
-    /// call this once per dispatch round, before the per-task
-    /// [`Scheduler::assign`]/[`Scheduler::eager`] loop, handing over the
-    /// frontier so the scheduler can snapshot whatever decision inputs
-    /// are invariant for the whole wave (candidate sets, reliability
-    /// flags, runnable-version lists). Between `begin_wave` and
-    /// [`Scheduler::end_wave`] the engine promises not to call
-    /// `task_finished` / `task_failed` / `transfer_done`, so completed
-    /// counts — and everything derived from them — cannot move under the
-    /// cache. The default implementation does nothing: batching is a
-    /// pure amortization, and per-task decisions must be bit-identical
-    /// with or without the bracket.
+    /// Mark the start of a batch of [`Scheduler::assign`] /
+    /// [`Scheduler::eager`] calls over `frontier`. No scheduler in this
+    /// crate overrides it and neither engine calls it: the versioning
+    /// scheduler computes every decision's inputs in place into reused
+    /// buffers, which costs less than a per-wave cache did. The no-op
+    /// pair stays only because the benchmark's `core` probe still
+    /// brackets its waves with it; decisions are identical either way.
     fn begin_wave(&mut self, frontier: &[&TaskInstance], ctx: &SchedCtx<'_>) {
         let _ = (frontier, ctx);
     }
 
-    /// End a batched scheduling wave: drop any per-wave caches. Always
-    /// paired with [`Scheduler::begin_wave`].
+    /// End a batch begun by [`Scheduler::begin_wave`]; a no-op.
     fn end_wave(&mut self) {}
 
     /// Whether `task` should be pushed to a worker queue immediately

@@ -85,9 +85,10 @@ pub struct PolicyCtx<'a> {
     pub workers: &'a [WorkerSnap],
 }
 
-/// A policy's answer: the chosen placement, which regime produced it,
-/// and the bid ledger backing it (empty for learning-style decisions).
-#[derive(Clone, Debug)]
+/// A policy's answer: the chosen placement and which regime produced it.
+/// The bids backing an auction go to the caller's buffer (see
+/// [`Policy::decide`]).
+#[derive(Clone, Copy, Debug)]
 pub struct PolicyChoice {
     /// Chosen version.
     pub version: VersionId,
@@ -99,8 +100,6 @@ pub struct PolicyChoice {
     /// Execution-time estimate backing the choice (for busy-time
     /// accounting; zero when unknown).
     pub estimate: Duration,
-    /// All bids considered, when the choice came from an auction.
-    pub bids: Vec<WorkerBid>,
 }
 
 /// The decision core of the versioning scheduler, extracted so
@@ -120,8 +119,11 @@ pub trait Policy: Send {
     /// Stable policy name (CLI selector and report label).
     fn name(&self) -> &'static str;
 
-    /// Choose a `(version, worker)` for one ready task.
-    fn decide(&mut self, ctx: &PolicyCtx<'_>) -> PolicyChoice;
+    /// Choose a `(version, worker)` for one ready task, appending every
+    /// bid considered to `bids` (passed in empty; left empty by
+    /// learning-style decisions). The buffer is the caller's so that a
+    /// decision allocates nothing once it has grown to the worker count.
+    fn decide(&mut self, ctx: &PolicyCtx<'_>, bids: &mut Vec<WorkerBid>) -> PolicyChoice;
 }
 
 /// Least-loaded worker able to run `version`, by `(queue pressure, busy
@@ -149,12 +151,15 @@ fn earliest_for(workers: &[WorkerSnap], version: VersionId, mean: Duration) -> W
 
 /// The paper's earliest-executor auction over `allowed`, with the
 /// no-means fallback: every worker bids `busy + mean(fastest allowed
-/// version it can run) + transfer`; the minimum bid wins. When no
-/// worker can produce a bid (no allowed version has a completed mean),
-/// the least-scheduled candidate goes to the least-loaded compatible
-/// worker.
-pub(crate) fn earliest_executor(ctx: &PolicyCtx<'_>, allowed: &[CandidateStats]) -> PolicyChoice {
-    let mut bids: Vec<WorkerBid> = Vec::with_capacity(ctx.workers.len());
+/// version it can run) + transfer` into `bids`; the minimum bid wins.
+/// When no worker can produce a bid (no allowed version has a completed
+/// mean), the least-scheduled candidate goes to the least-loaded
+/// compatible worker.
+pub(crate) fn earliest_executor(
+    ctx: &PolicyCtx<'_>,
+    allowed: &[CandidateStats],
+    bids: &mut Vec<WorkerBid>,
+) -> PolicyChoice {
     for w in ctx.workers {
         let best = allowed
             .iter()
@@ -177,7 +182,6 @@ pub(crate) fn earliest_executor(ctx: &PolicyCtx<'_>, allowed: &[CandidateStats])
             worker: best.worker,
             phase: DecisionPhase::Reliable,
             estimate: best.mean,
-            bids,
         };
     }
     // Every allowed version has λ assignments queued but none has
@@ -193,7 +197,6 @@ pub(crate) fn earliest_executor(ctx: &PolicyCtx<'_>, allowed: &[CandidateStats])
         worker: least_loaded_for(ctx.workers, version),
         phase: DecisionPhase::ReliableFallback,
         estimate: Duration::ZERO,
-        bids: Vec::new(),
     }
 }
 
@@ -221,7 +224,7 @@ impl Policy for RoundRobinLearning {
         "round-robin"
     }
 
-    fn decide(&mut self, ctx: &PolicyCtx<'_>) -> PolicyChoice {
+    fn decide(&mut self, ctx: &PolicyCtx<'_>, bids: &mut Vec<WorkerBid>) -> PolicyChoice {
         if ctx.candidates.iter().any(|c| c.scheduled < ctx.lambda) {
             let cursor = self.cursors.entry((ctx.template, ctx.bucket)).or_insert(0);
             let n = ctx.candidates.len();
@@ -235,7 +238,6 @@ impl Policy for RoundRobinLearning {
                         worker: least_loaded_for(ctx.workers, c.version),
                         phase: DecisionPhase::Learning,
                         estimate: c.mean.unwrap_or(Duration::ZERO),
-                        bids: Vec::new(),
                     };
                 }
             }
@@ -243,7 +245,7 @@ impl Policy for RoundRobinLearning {
             // the pick (quarantine strikes can do this): fall through to
             // the profiled path instead of panicking.
         }
-        earliest_executor(ctx, ctx.candidates)
+        earliest_executor(ctx, ctx.candidates, bids)
     }
 }
 
@@ -270,7 +272,7 @@ impl Policy for Ucb1 {
         "ucb1"
     }
 
-    fn decide(&mut self, ctx: &PolicyCtx<'_>) -> PolicyChoice {
+    fn decide(&mut self, ctx: &PolicyCtx<'_>, _bids: &mut Vec<WorkerBid>) -> PolicyChoice {
         if let Some(c) =
             ctx.candidates.iter().filter(|c| c.count == 0).min_by_key(|c| (c.scheduled, c.version))
         {
@@ -279,7 +281,6 @@ impl Policy for Ucb1 {
                 worker: least_loaded_for(ctx.workers, c.version),
                 phase: DecisionPhase::Learning,
                 estimate: Duration::ZERO,
-                bids: Vec::new(),
             };
         }
         let total: u64 = ctx.candidates.iter().map(|c| c.count).sum();
@@ -308,7 +309,6 @@ impl Policy for Ucb1 {
             worker: earliest_for(ctx.workers, best.version, mean),
             phase: DecisionPhase::Reliable,
             estimate: mean,
-            bids: Vec::new(),
         }
     }
 }
@@ -349,7 +349,7 @@ impl Policy for EpsilonGreedy {
         "epsilon-greedy"
     }
 
-    fn decide(&mut self, ctx: &PolicyCtx<'_>) -> PolicyChoice {
+    fn decide(&mut self, ctx: &PolicyCtx<'_>, _bids: &mut Vec<WorkerBid>) -> PolicyChoice {
         if let Some(c) =
             ctx.candidates.iter().filter(|c| c.count == 0).min_by_key(|c| (c.scheduled, c.version))
         {
@@ -358,7 +358,6 @@ impl Policy for EpsilonGreedy {
                 worker: least_loaded_for(ctx.workers, c.version),
                 phase: DecisionPhase::Learning,
                 estimate: Duration::ZERO,
-                bids: Vec::new(),
             };
         }
         let explore = self.next_f64() < self.epsilon;
@@ -377,7 +376,6 @@ impl Policy for EpsilonGreedy {
             worker: earliest_for(ctx.workers, chosen.version, mean),
             phase: DecisionPhase::Reliable,
             estimate: mean,
-            bids: Vec::new(),
         }
     }
 }
@@ -403,7 +401,7 @@ impl Policy for RepresentativeSet {
         "representative-set"
     }
 
-    fn decide(&mut self, ctx: &PolicyCtx<'_>) -> PolicyChoice {
+    fn decide(&mut self, ctx: &PolicyCtx<'_>, bids: &mut Vec<WorkerBid>) -> PolicyChoice {
         // One observation per version is the entire learning phase.
         if let Some(c) = ctx
             .candidates
@@ -416,14 +414,13 @@ impl Policy for RepresentativeSet {
                 worker: least_loaded_for(ctx.workers, c.version),
                 phase: DecisionPhase::Learning,
                 estimate: Duration::ZERO,
-                bids: Vec::new(),
             };
         }
         let mut ranked: Vec<&CandidateStats> = ctx.candidates.iter().collect();
         ranked.sort_by_key(|c| (c.mean.unwrap_or(Duration::MAX), c.version));
         let allowed: Vec<CandidateStats> =
             ranked.into_iter().take(self.k).copied().collect();
-        earliest_executor(ctx, &allowed)
+        earliest_executor(ctx, &allowed, bids)
     }
 }
 
@@ -534,15 +531,16 @@ mod tests {
         let workers = [snap(0, 0, Duration::ZERO, &[0, 1])];
         // Both under-trained: alternate starting at the cursor.
         let c = [cand(0, 0, 0, None), cand(1, 0, 0, None)];
-        assert_eq!(p.decide(&ctx(&c, &workers)).version, VersionId(0));
+        assert_eq!(p.decide(&ctx(&c, &workers), &mut Vec::new()).version, VersionId(0));
         let c = [cand(0, 1, 1, Some(ms(10))), cand(1, 0, 0, None)];
-        assert_eq!(p.decide(&ctx(&c, &workers)).version, VersionId(1));
+        assert_eq!(p.decide(&ctx(&c, &workers), &mut Vec::new()).version, VersionId(1));
         // Trained: the faster mean wins the auction.
         let c = [cand(0, 3, 3, Some(ms(10))), cand(1, 3, 3, Some(ms(5)))];
-        let choice = p.decide(&ctx(&c, &workers));
+        let mut bids = Vec::new();
+        let choice = p.decide(&ctx(&c, &workers), &mut bids);
         assert_eq!(choice.version, VersionId(1));
         assert_eq!(choice.phase, DecisionPhase::Reliable);
-        assert_eq!(choice.bids.len(), 1);
+        assert_eq!(bids.len(), 1);
     }
 
     #[test]
@@ -552,9 +550,9 @@ mod tests {
         // v0 already has λ assignments: the walk starts at the cursor
         // (0) and skips to v1.
         let c = [cand(0, 3, 0, None), cand(1, 0, 0, None), cand(2, 0, 0, None)];
-        assert_eq!(p.decide(&ctx(&c, &workers)).version, VersionId(1));
+        assert_eq!(p.decide(&ctx(&c, &workers), &mut Vec::new()).version, VersionId(1));
         let c = [cand(0, 3, 0, None), cand(1, 1, 0, None), cand(2, 0, 0, None)];
-        assert_eq!(p.decide(&ctx(&c, &workers)).version, VersionId(2));
+        assert_eq!(p.decide(&ctx(&c, &workers), &mut Vec::new()).version, VersionId(2));
     }
 
     #[test]
@@ -565,7 +563,7 @@ mod tests {
         let mut p = RoundRobinLearning::new();
         let workers = [snap(0, 0, Duration::ZERO, &[0])];
         let c = [cand(0, 5, 2, Some(ms(7)))];
-        let choice = p.decide(&ctx(&c, &workers));
+        let choice = p.decide(&ctx(&c, &workers), &mut Vec::new());
         assert_eq!(choice.version, VersionId(0));
         assert_eq!(choice.phase, DecisionPhase::Reliable);
     }
@@ -579,7 +577,7 @@ mod tests {
             snap(2, 1, ms(5), &[0, 1]),
         ];
         let c = [cand(0, 0, 0, None), cand(1, 0, 0, None)];
-        let choice = p.decide(&ctx(&c, &workers));
+        let choice = p.decide(&ctx(&c, &workers), &mut Vec::new());
         assert_eq!(choice.version, VersionId(0));
         assert_eq!(choice.worker, WorkerId(2), "w1 is idle but incompatible");
     }
@@ -589,11 +587,11 @@ mod tests {
         let mut p = Ucb1::new(0.0); // greedy: no exploration bonus
         let workers = [snap(0, 0, Duration::ZERO, &[0, 1])];
         let c = [cand(0, 0, 0, None), cand(1, 0, 0, None)];
-        assert_eq!(p.decide(&ctx(&c, &workers)).version, VersionId(0));
+        assert_eq!(p.decide(&ctx(&c, &workers), &mut Vec::new()).version, VersionId(0));
         let c = [cand(0, 1, 1, Some(ms(20))), cand(1, 0, 0, None)];
-        assert_eq!(p.decide(&ctx(&c, &workers)).version, VersionId(1));
+        assert_eq!(p.decide(&ctx(&c, &workers), &mut Vec::new()).version, VersionId(1));
         let c = [cand(0, 1, 1, Some(ms(20))), cand(1, 1, 1, Some(ms(5)))];
-        let choice = p.decide(&ctx(&c, &workers));
+        let choice = p.decide(&ctx(&c, &workers), &mut Vec::new());
         assert_eq!(choice.version, VersionId(1), "greedy UCB picks the faster mean");
         assert_eq!(choice.phase, DecisionPhase::Reliable);
     }
@@ -605,7 +603,7 @@ mod tests {
         // v0 slightly slower but tried once; v1 fast and tried often.
         // A large exploration bonus prefers the under-sampled v0.
         let c = [cand(0, 1, 1, Some(ms(11))), cand(1, 50, 50, Some(ms(10)))];
-        assert_eq!(p.decide(&ctx(&c, &workers)).version, VersionId(0));
+        assert_eq!(p.decide(&ctx(&c, &workers), &mut Vec::new()).version, VersionId(0));
     }
 
     #[test]
@@ -614,7 +612,9 @@ mod tests {
         let c = [cand(0, 5, 5, Some(ms(20))), cand(1, 5, 5, Some(ms(5)))];
         let run = |seed: u64| {
             let mut p = EpsilonGreedy::new(0.5, seed);
-            (0..32).map(|_| p.decide(&ctx(&c, &workers)).version.0).collect::<Vec<_>>()
+            (0..32)
+                .map(|_| p.decide(&ctx(&c, &workers), &mut Vec::new()).version.0)
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7), "same seed, same choices");
         let picks = run(7);
@@ -628,11 +628,11 @@ mod tests {
         let workers = [snap(0, 0, Duration::ZERO, &[0, 1, 2])];
         // Train each version exactly once.
         let c = [cand(0, 0, 0, None), cand(1, 0, 0, None), cand(2, 0, 0, None)];
-        assert_eq!(p.decide(&ctx(&c, &workers)).version, VersionId(0));
+        assert_eq!(p.decide(&ctx(&c, &workers), &mut Vec::new()).version, VersionId(0));
         let c = [cand(0, 1, 1, Some(ms(30))), cand(1, 0, 0, None), cand(2, 0, 0, None)];
-        assert_eq!(p.decide(&ctx(&c, &workers)).version, VersionId(1));
+        assert_eq!(p.decide(&ctx(&c, &workers), &mut Vec::new()).version, VersionId(1));
         let c = [cand(0, 1, 1, Some(ms(30))), cand(1, 1, 1, Some(ms(5))), cand(2, 0, 0, None)];
-        assert_eq!(p.decide(&ctx(&c, &workers)).version, VersionId(2));
+        assert_eq!(p.decide(&ctx(&c, &workers), &mut Vec::new()).version, VersionId(2));
         // All observed: v2 (400 ms) is outside the representative set
         // {v1, v0}; the auction never picks it again.
         let c = [
@@ -641,7 +641,7 @@ mod tests {
             cand(2, 1, 1, Some(ms(400))),
         ];
         for _ in 0..8 {
-            let choice = p.decide(&ctx(&c, &workers));
+            let choice = p.decide(&ctx(&c, &workers), &mut Vec::new());
             assert_ne!(choice.version, VersionId(2), "pruned version must not win");
         }
     }

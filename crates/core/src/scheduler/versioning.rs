@@ -2,8 +2,8 @@
 
 use super::policy::{CandidateStats, Policy, PolicyCtx, PolicyKind, WorkerSnap};
 use super::{queue_pressure, Assignment, FailureKind, SchedCtx, Scheduler};
-use crate::profile::{BucketKey, MeanPolicy, ProfileStore, SizeBucketPolicy};
-use crate::{TaskId, TaskInstance, TemplateId, VersionId, WorkerId};
+use crate::profile::{BucketKey, GroupProfile, MeanPolicy, ProfileStore, SizeBucketPolicy};
+use crate::{TaskId, TaskInstance, TaskTemplate, TemplateId, VersionId, WorkerId, WorkerState};
 use std::collections::HashMap;
 use std::time::Duration;
 use versa_mem::MemSpace;
@@ -105,28 +105,59 @@ pub struct WorkerBid {
     pub finish: Duration,
 }
 
-/// Per-(template, size-group) decision inputs precomputed at
-/// [`Scheduler::begin_wave`] and reused for every task of the group in
-/// the wave. Valid because reliability and candidate sets only move via
-/// `task_finished`/`task_failed`, which the engine promises not to call
-/// inside the wave bracket. The one intra-wave mutation — `scheduled`
-/// bumps from the scheduler's own bookkeeping — is mirrored into
-/// `stats` after each decision so round-robin still advances, and a
-/// quarantined choice (whose bookkeeping can flip the group's exclusion
-/// set) evicts the entry outright.
-struct GroupCache {
-    candidates: Vec<VersionId>,
-    stats: Vec<CandidateStats>,
-    reliable: bool,
+/// The inputs and bid ledger of one decision, refilled in place by every
+/// [`Scheduler::assign`]: once they have grown to the platform's size, a
+/// decision allocates nothing. Cloned into a [`Decision`] only while the
+/// decision log is on.
+#[derive(Default)]
+struct DecisionBufs {
+    /// Candidate versions with their profile statistics, in version order.
+    candidates: Vec<CandidateStats>,
+    /// Per-worker load snapshots, in worker order (each snapshot keeps
+    /// its `runnable` list's storage from one decision to the next).
+    workers: Vec<WorkerSnap>,
+    /// The bids of an auction (empty for learning-phase decisions).
+    bids: Vec<WorkerBid>,
 }
 
-/// All caches for one scheduling wave; dropped at
-/// [`Scheduler::end_wave`].
-struct WaveCache {
-    groups: HashMap<(TemplateId, BucketKey), GroupCache>,
-    /// Per-template, per-worker runnable-version lists (retirement is
-    /// wave-invariant, so these never change mid-wave).
-    runnable: HashMap<TemplateId, Vec<Vec<VersionId>>>,
+/// The candidate versions of a task: the template's versions some live
+/// worker can run (versions targeting absent devices are excluded so the
+/// learning phase can terminate), minus those excluded by quarantine in
+/// its size `group`. If quarantine empties the set, the least-failed
+/// runnable version alone, so the scheduler stays total — the engine's
+/// bounded retry is the layer that turns persistent failure into a
+/// graceful error.
+fn candidate_versions<'a>(
+    tpl: &'a TaskTemplate,
+    workers: &'a [WorkerState],
+    group: Option<&'a GroupProfile>,
+    probation: Option<u64>,
+) -> impl Iterator<Item = VersionId> + 'a {
+    let trainable = move || {
+        (0..tpl.version_count() as u16).map(VersionId).filter(move |&v| {
+            workers.iter().any(|w| !w.is_retired() && tpl.version(v).runs_on(w.info.device))
+        })
+    };
+    let excluded = move |v: VersionId| group.is_some_and(|g| g.is_excluded(v, probation));
+    let fallback = if trainable().all(excluded) {
+        trainable().min_by_key(|&v| (group.map_or(0, |g| g.failures(v)), v))
+    } else {
+        None
+    };
+    trainable().filter(move |&v| !excluded(v)).chain(fallback)
+}
+
+/// A candidate's statistics in its size `group`, as the policy sees them.
+fn candidate_stats(group: Option<&GroupProfile>, version: VersionId) -> CandidateStats {
+    match group {
+        Some(g) => CandidateStats {
+            version,
+            scheduled: g.scheduled(version),
+            count: g.version(version).count(),
+            mean: g.version(version).mean(),
+        },
+        None => CandidateStats { version, scheduled: 0, count: 0, mean: None },
+    }
 }
 
 /// A recorded scheduling decision (optional; see
@@ -184,10 +215,7 @@ pub struct VersioningScheduler {
     /// term in place of the static `assumed_bandwidth` once at least one
     /// transfer into the space has been observed.
     bandwidth: HashMap<MemSpace, f64>,
-    /// Active wave cache between `begin_wave`/`end_wave`; `None` when
-    /// scheduling task-by-task (decisions are identical either way —
-    /// the cache only amortizes recomputation).
-    wave: Option<WaveCache>,
+    bufs: DecisionBufs,
 }
 
 impl VersioningScheduler {
@@ -203,7 +231,7 @@ impl VersioningScheduler {
             policy,
             decisions: None,
             bandwidth: HashMap::new(),
-            wave: None,
+            bufs: DecisionBufs::default(),
         }
     }
 
@@ -257,50 +285,18 @@ impl VersioningScheduler {
         self.decisions.is_some()
     }
 
-    /// Versions of `task`'s template that at least one existing worker
-    /// can run (versions targeting absent devices are excluded so the
-    /// learning phase can terminate).
-    fn trainable_versions(&self, task: &TaskInstance, ctx: &SchedCtx<'_>) -> Vec<VersionId> {
-        let tpl = ctx.templates.get(task.template);
-        (0..tpl.version_count() as u16)
-            .map(VersionId)
-            .filter(|&v| {
-                ctx.workers
-                    .iter()
-                    .any(|w| !w.is_retired() && tpl.version(v).runs_on(w.info.device))
-            })
-            .collect()
-    }
-
-    /// Trainable versions minus quarantined ones. If quarantine empties
-    /// the set entirely, falls back to the least-failed runnable version
-    /// so the scheduler stays total — the engine's bounded retry is the
-    /// layer that turns persistent failure into a graceful error.
-    fn candidate_versions(&self, task: &TaskInstance, ctx: &SchedCtx<'_>) -> Vec<VersionId> {
-        let all = self.trainable_versions(task, ctx);
-        let candidates: Vec<VersionId> = all
-            .iter()
-            .copied()
-            .filter(|&v| !self.profiles.is_excluded(task.template, task.data_set_size, v))
-            .collect();
-        if !candidates.is_empty() {
-            return candidates;
-        }
-        let group = self.profiles.group(task.template, task.data_set_size);
-        all.iter()
-            .copied()
-            .min_by_key(|&v| (group.map_or(0, |g| g.failures(v)), v))
-            .into_iter()
-            .collect()
-    }
-
     /// Measured bandwidth into `space`, once at least one transfer has
     /// completed there.
     pub fn measured_bandwidth(&self, space: MemSpace) -> Option<f64> {
         self.bandwidth.get(&space).copied()
     }
 
-    fn transfer_estimate(&self, task: &TaskInstance, ctx: &SchedCtx<'_>, w: &crate::WorkerState) -> Duration {
+    fn transfer_estimate(
+        &self,
+        task: &TaskInstance,
+        ctx: &SchedCtx<'_>,
+        w: &WorkerState,
+    ) -> Duration {
         if !self.config.locality_aware {
             return Duration::ZERO;
         }
@@ -316,94 +312,38 @@ impl VersioningScheduler {
         Duration::from_secs_f64(bytes as f64 / bw)
     }
 
-    /// Per-candidate profile statistics, captured *before* any
-    /// bookkeeping mutates the store. Recorded into the decision ledger
-    /// so policies replay offline as pure functions of this snapshot.
-    fn candidate_stats(&self, task: &TaskInstance, candidates: &[VersionId]) -> Vec<CandidateStats> {
+    /// Refill the decision buffers for `task` from one profile-group
+    /// lookup: the candidates' statistics, captured *before* any
+    /// bookkeeping mutates the store, and every worker's live load
+    /// (enqueues between decisions of one drain must be visible).
+    fn fill_inputs(&mut self, task: &TaskInstance, ctx: &SchedCtx<'_>) {
+        let tpl = ctx.templates.get(task.template);
         let group = self.profiles.group(task.template, task.data_set_size);
-        candidates
-            .iter()
-            .map(|&v| match group {
-                Some(g) => CandidateStats {
-                    version: v,
-                    scheduled: g.scheduled(v),
-                    count: g.version(v).count(),
-                    mean: g.version(v).mean(),
-                },
-                None => CandidateStats { version: v, scheduled: 0, count: 0, mean: None },
-            })
-            .collect()
-    }
-
-    /// Per-worker runnable-version lists for a template: a retired
-    /// worker (lost node) advertises no runnable versions, so every
-    /// policy treats it as incompatible.
-    fn runnable_lists(&self, template: TemplateId, ctx: &SchedCtx<'_>) -> Vec<Vec<VersionId>> {
-        let tpl = ctx.templates.get(template);
-        ctx.workers
-            .iter()
-            .map(|w| {
-                if w.is_retired() {
-                    Vec::new()
-                } else {
-                    tpl.versions_for(w.info.device).collect()
-                }
-            })
-            .collect()
-    }
-
-    /// Per-worker load snapshots at decision time. Busy time, queue
-    /// pressure, and the transfer estimate are read live — enqueues
-    /// between decisions in the same wave must be visible — while the
-    /// runnable lists come from the wave cache when one is active.
-    fn worker_snaps(&self, task: &TaskInstance, ctx: &SchedCtx<'_>) -> Vec<WorkerSnap> {
-        let cached = self.wave.as_ref().and_then(|w| w.runnable.get(&task.template));
-        let fresh;
-        let runnable = match cached {
-            Some(lists) if lists.len() == ctx.workers.len() => lists,
-            _ => {
-                fresh = self.runnable_lists(task.template, ctx);
-                &fresh
-            }
-        };
-        ctx.workers
-            .iter()
-            .zip(runnable)
-            .map(|(w, runnable)| WorkerSnap {
-                worker: w.info.id,
-                pressure: queue_pressure(w) as u64,
-                busy: w.estimated_busy(),
-                transfer: self.transfer_estimate(task, ctx, w),
-                runnable: runnable.clone(),
-            })
-            .collect()
-    }
-
-    /// Candidate versions plus their stats snapshot for one decision:
-    /// from the wave cache when a wave is active and the group is
-    /// cached, recomputed (and cached for the rest of the wave)
-    /// otherwise.
-    fn decision_inputs(
-        &mut self,
-        task: &TaskInstance,
-        ctx: &SchedCtx<'_>,
-    ) -> (Vec<VersionId>, Vec<CandidateStats>) {
-        let key = (task.template, self.profiles.bucket(task.data_set_size));
-        if let Some(g) = self.wave.as_ref().and_then(|w| w.groups.get(&key)) {
-            return (g.candidates.clone(), g.stats.clone());
-        }
-        let candidates = self.candidate_versions(task, ctx);
-        let stats = self.candidate_stats(task, &candidates);
-        if self.wave.is_some() {
-            let reliable =
-                self.profiles.is_reliable(task.template, task.data_set_size, &candidates);
-            let entry =
-                GroupCache { candidates: candidates.clone(), stats: stats.clone(), reliable };
-            if let Some(w) = &mut self.wave {
-                w.groups.insert(key, entry);
+        let candidates = candidate_versions(tpl, ctx.workers, group, self.profiles.probation());
+        self.bufs.candidates.clear();
+        self.bufs.candidates.extend(candidates.map(|v| candidate_stats(group, v)));
+        // Every field of every snapshot is overwritten below.
+        self.bufs.workers.resize_with(ctx.workers.len(), || WorkerSnap {
+            worker: WorkerId(0),
+            pressure: 0,
+            busy: Duration::ZERO,
+            transfer: Duration::ZERO,
+            runnable: Vec::new(),
+        });
+        for (i, w) in ctx.workers.iter().enumerate() {
+            let transfer = self.transfer_estimate(task, ctx, w);
+            let snap = &mut self.bufs.workers[i];
+            snap.worker = w.info.id;
+            snap.pressure = queue_pressure(w) as u64;
+            snap.busy = w.estimated_busy();
+            snap.transfer = transfer;
+            // A retired worker (lost node) advertises no runnable
+            // versions, so every policy treats it as incompatible.
+            snap.runnable.clear();
+            if !w.is_retired() {
+                snap.runnable.extend(tpl.versions_for(w.info.device));
             }
         }
-        (candidates, stats)
     }
 }
 
@@ -416,49 +356,29 @@ impl Scheduler for VersioningScheduler {
         }
     }
 
-    fn begin_wave(&mut self, frontier: &[&TaskInstance], ctx: &SchedCtx<'_>) {
-        let mut groups = HashMap::new();
-        let mut runnable: HashMap<TemplateId, Vec<Vec<VersionId>>> = HashMap::new();
-        for task in frontier {
-            let key = (task.template, self.profiles.bucket(task.data_set_size));
-            groups.entry(key).or_insert_with(|| {
-                let candidates = self.candidate_versions(task, ctx);
-                let stats = self.candidate_stats(task, &candidates);
-                let reliable =
-                    self.profiles.is_reliable(task.template, task.data_set_size, &candidates);
-                GroupCache { candidates, stats, reliable }
-            });
-            runnable
-                .entry(task.template)
-                .or_insert_with(|| self.runnable_lists(task.template, ctx));
-        }
-        self.wave = Some(WaveCache { groups, runnable });
-    }
-
-    fn end_wave(&mut self) {
-        self.wave = None;
-    }
-
     fn assign(&mut self, task: &TaskInstance, ctx: &SchedCtx<'_>) -> Assignment {
         // The full decision input, captured before any bookkeeping; the
         // policy sees nothing else, so recording this snapshot into the
         // ledger makes every decision replayable offline.
-        let (candidate_versions, candidates) = self.decision_inputs(task, ctx);
+        self.fill_inputs(task, ctx);
         assert!(
-            !candidate_versions.is_empty(),
+            !self.bufs.candidates.is_empty(),
             "no worker can run any version of {:?}",
             ctx.templates.get(task.template).name
         );
-        let workers = self.worker_snaps(task, ctx);
         let bucket = self.profiles.bucket(task.data_set_size);
-        let choice = self.policy.decide(&PolicyCtx {
-            template: task.template,
-            bucket,
-            job: task.job.map(|j| j.job),
-            lambda: self.config.lambda,
-            candidates: &candidates,
-            workers: &workers,
-        });
+        self.bufs.bids.clear();
+        let choice = self.policy.decide(
+            &PolicyCtx {
+                template: task.template,
+                bucket,
+                job: task.job.map(|j| j.job),
+                lambda: self.config.lambda,
+                candidates: &self.bufs.candidates,
+                workers: &self.bufs.workers,
+            },
+            &mut self.bufs.bids,
+        );
         let n_versions = ctx.templates.get(task.template).version_count();
         match choice.phase {
             DecisionPhase::Learning => {
@@ -478,26 +398,6 @@ impl Scheduler for VersioningScheduler {
                 );
             }
         }
-        // Keep the wave cache coherent with the bookkeeping above: the
-        // chosen version's `scheduled` count advanced (round-robin in
-        // the same wave must see it), and picking a quarantined version
-        // zeroes its probation credit — which can flip the group's
-        // exclusion set — so that group's entry is evicted and
-        // recomputed on next use.
-        if self.wave.is_some() {
-            let key = (task.template, bucket);
-            let quarantined =
-                self.profiles.is_quarantined(task.template, task.data_set_size, choice.version);
-            if let Some(w) = &mut self.wave {
-                if quarantined {
-                    w.groups.remove(&key);
-                } else if let Some(g) = w.groups.get_mut(&key) {
-                    if let Some(c) = g.stats.iter_mut().find(|c| c.version == choice.version) {
-                        c.scheduled += 1;
-                    }
-                }
-            }
-        }
         let assignment =
             Assignment { worker: choice.worker, version: choice.version, estimate: choice.estimate };
         if let Some(log) = &mut self.decisions {
@@ -507,10 +407,10 @@ impl Scheduler for VersioningScheduler {
                 bucket,
                 job: task.job.map(|j| j.job),
                 phase: choice.phase,
-                bids: choice.bids,
+                bids: self.bufs.bids.clone(),
                 assignment,
-                candidates,
-                workers,
+                candidates: self.bufs.candidates.clone(),
+                workers: self.bufs.workers.clone(),
             });
         }
         assignment
@@ -571,14 +471,15 @@ impl Scheduler for VersioningScheduler {
     }
 
     fn eager(&self, task: &TaskInstance, ctx: &SchedCtx<'_>) -> bool {
-        if let Some(w) = &self.wave {
-            let key = (task.template, self.profiles.bucket(task.data_set_size));
-            if let Some(g) = w.groups.get(&key) {
-                return g.reliable;
-            }
+        // `ProfileStore::is_reliable` over the candidates, without
+        // collecting them.
+        let tpl = ctx.templates.get(task.template);
+        let group = self.profiles.group(task.template, task.data_set_size);
+        let mut candidates = candidate_versions(tpl, ctx.workers, group, self.profiles.probation());
+        match group {
+            Some(g) => candidates.all(|v| g.version(v).count() >= self.config.lambda),
+            None => candidates.next().is_none(),
         }
-        let candidates = self.candidate_versions(task, ctx);
-        self.profiles.is_reliable(task.template, task.data_set_size, &candidates)
     }
 
     fn as_versioning(&self) -> Option<&VersioningScheduler> {

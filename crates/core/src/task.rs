@@ -241,15 +241,14 @@ impl TaskInstance {
         accesses: &[(Region, AccessMode)],
         alloc_bytes: impl Fn(versa_mem::DataId) -> u64,
     ) -> u64 {
-        let mut seen = Vec::with_capacity(accesses.len());
-        let mut total = 0;
-        for (region, _) in accesses {
-            if !seen.contains(&region.data) {
-                seen.push(region.data);
-                total += alloc_bytes(region.data);
-            }
-        }
-        total
+        // An allocation counts at its first access only; access lists are
+        // a handful long, so the quadratic scan beats building a set.
+        accesses
+            .iter()
+            .enumerate()
+            .filter(|&(i, (region, _))| accesses[..i].iter().all(|(r, _)| r.data != region.data))
+            .map(|(_, (region, _))| alloc_bytes(region.data))
+            .sum()
     }
 }
 

@@ -288,6 +288,7 @@ pub fn replay(ledger: &Ledger, kind: PolicyKind) -> Replay {
     let mut placement_agree = 0usize;
     let mut learning = 0usize;
     let mut regret = Duration::ZERO;
+    let mut bids = Vec::new();
 
     for (i, step) in ledger.steps.iter().enumerate() {
         let ctx = PolicyCtx {
@@ -298,7 +299,8 @@ pub fn replay(ledger: &Ledger, kind: PolicyKind) -> Replay {
             candidates: &step.candidates,
             workers: &step.workers,
         };
-        let choice = policy.decide(&ctx);
+        bids.clear();
+        let choice = policy.decide(&ctx, &mut bids);
         let replayed = (trace_phase(choice.phase), choice.version, choice.worker);
         if replayed == step.recorded {
             version_agree += 1;

@@ -4,79 +4,58 @@
 //! (look-ahead assignment, used by the baselines and by the versioning
 //! scheduler's reliable phase) or held in a central pool and handed out
 //! one at a time as workers run dry (the versioning scheduler's learning
-//! phase — see [`Scheduler::eager`]).
+//! phase — see [`Scheduler::eager`](versa_core::Scheduler::eager)).
 
-use crate::graph::TaskGraph;
-use std::collections::VecDeque;
-use versa_core::{Assignment, SchedCtx, Scheduler, TaskId, TemplateRegistry, WorkerState};
-use versa_mem::Directory;
+use crate::Runtime;
+use versa_core::{Assignment, SchedCtx, TaskId};
 
 /// Move as many pooled ready tasks as possible onto worker queues.
 ///
 /// A task is assigned when its scheduler wants eager placement, or when at
 /// least one *idle* worker can run some version of it (pull-style
-/// distribution during the learning phase). Returns the assignments made,
-/// in order; tasks that could not be placed stay pooled for the next call
-/// (triggered by the next completion, which frees a worker).
+/// distribution during the learning phase). The assignments made, in
+/// order, replace the contents of `out` (a buffer the engine reuses from
+/// drain to drain); tasks that could not be placed stay pooled, in order,
+/// for the next call (triggered by the next completion, which frees a
+/// worker).
 ///
 /// `limit` caps how many assignments this call may make (`None` =
 /// unlimited) — the dispatch budget behind bounded waves.
 ///
-/// The whole call is bracketed in one [`Scheduler::begin_wave`]/`end_wave`
-/// pair over the pooled frontier, so the scheduler computes its
-/// wave-invariant decision inputs once per wave instead of once per
-/// `eager`/`assign` probe. The bracket is sound because nothing completes
-/// inside this function: `task_finished` / `task_failed` /
-/// `transfer_done` only fire between drains.
+/// Each pass visits the pool front to back and compacts it in place, so a
+/// wave costs O(pool) per pass even when held-back learning-phase tasks
+/// fill the front of a wide pool.
 pub(crate) fn drain_pool(
-    pool: &mut VecDeque<TaskId>,
-    scheduler: &mut dyn Scheduler,
-    templates: &TemplateRegistry,
-    workers: &mut [WorkerState],
-    directory: &Directory,
-    graph: &mut TaskGraph,
+    rt: &mut Runtime,
     limit: Option<usize>,
-) -> Vec<(TaskId, Assignment)> {
-    let frontier: Vec<&versa_core::TaskInstance> =
-        pool.iter().map(|&tid| &graph.node(tid).instance).collect();
-    let ctx = SchedCtx { templates, workers, directory, chain_hint: None };
-    scheduler.begin_wave(&frontier, &ctx);
-    let mut out = Vec::new();
+    out: &mut Vec<(TaskId, Assignment)>,
+) {
+    let Runtime { pending: pool, scheduler, templates, workers, directory, graph, .. } = rt;
+    out.clear();
     let mut progress = true;
     while progress && limit.is_none_or(|l| out.len() < l) {
         progress = false;
-        let mut i = 0;
-        while i < pool.len() && limit.is_none_or(|l| out.len() < l) {
+        let mut kept = 0;
+        for i in 0..pool.len() {
             let tid = pool[i];
-            let assignment = {
+            if limit.is_none_or(|l| out.len() < l) {
                 let node = graph.node(tid);
-                let ctx = SchedCtx {
-                    templates,
-                    workers,
-                    directory,
-                    chain_hint: node.chain_hint,
-                };
+                let ctx = SchedCtx { templates, workers, directory, chain_hint: node.chain_hint };
                 let task = &node.instance;
                 if scheduler.eager(task, &ctx) || idle_compatible_exists(&ctx, task) {
-                    Some(scheduler.assign(task, &ctx))
-                } else {
-                    None
-                }
-            };
-            match assignment {
-                Some(a) => {
+                    let a = scheduler.assign(task, &ctx);
                     workers[a.worker.index()].enqueue(tid, a.version, a.estimate);
                     graph.node_mut(tid).assignment = Some(a);
                     out.push((tid, a));
-                    pool.remove(i);
                     progress = true;
+                    continue;
                 }
-                None => i += 1,
             }
+            pool[kept] = tid;
+            kept += 1;
         }
+        pool.truncate(kept);
     }
-    scheduler.end_wave();
-    out
 }
 
 /// Whether some idle worker can run at least one version of the task.
@@ -90,156 +69,124 @@ fn idle_compatible_exists(ctx: &SchedCtx<'_>, task: &versa_core::TaskInstance) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RuntimeConfig;
+    use std::time::Duration;
     use versa_core::{
-        make_scheduler, DeviceKind, SchedulerKind, TaskInstance, WorkerId, WorkerInfo,
+        DeviceKind, FailureKind, SchedulerKind, TemplateId, VersionId, VersioningConfig, WorkerId,
     };
-    use versa_mem::{AccessMode, DataId, MemSpace, Region};
+    use versa_sim::PlatformConfig;
 
-    fn setup() -> (TemplateRegistry, versa_core::TemplateId, Vec<WorkerState>, Directory) {
-        let mut templates = TemplateRegistry::new();
-        let tpl = templates
+    /// One SMP worker (w0) and one GPU worker (w1); a template whose main
+    /// version runs on the GPU and whose alternative runs on the SMP
+    /// core; `n` independent ready tasks in the pool.
+    fn setup(kind: SchedulerKind, n: usize) -> (Runtime, TemplateId) {
+        let mut rt = Runtime::simulated(
+            RuntimeConfig::with_scheduler(kind),
+            PlatformConfig::minotauro(1, 1),
+        );
+        let tpl = rt
             .template("t")
             .main("gpu", &[DeviceKind::Cuda])
             .version("smp", &[DeviceKind::Smp])
             .register();
-        let workers = vec![
-            WorkerState::new(WorkerInfo {
-                id: WorkerId(0),
-                device: DeviceKind::Smp,
-                space: MemSpace::HOST,
-            }),
-            WorkerState::new(WorkerInfo {
-                id: WorkerId(1),
-                device: DeviceKind::Cuda,
-                space: MemSpace::device(0),
-            }),
-        ];
-        let directory = Directory::new();
-        directory.register(DataId(0), 64, MemSpace::HOST);
-        (templates, tpl, workers, directory)
+        let d = rt.alloc_bytes(64);
+        for _ in 0..n {
+            rt.task(tpl).read(d).submit();
+        }
+        let ready = rt.graph.take_newly_ready();
+        rt.pending.extend(ready);
+        (rt, tpl)
     }
 
-    fn submit_n(graph: &mut TaskGraph, tpl: versa_core::TemplateId, n: u64) -> Vec<TaskId> {
-        (0..n)
-            .map(|i| {
-                // Each task touches its own region so they are independent.
-                let accesses =
-                    vec![(Region::range(DataId(0), i % 64, 0), AccessMode::In)];
-                graph.submit(TaskInstance {
-                    id: TaskId(i),
-                    template: tpl,
-                    accesses,
-                    data_set_size: 64,
-                    job: None,
-                })
-            })
-            .collect()
+    fn drain(rt: &mut Runtime, limit: Option<usize>) -> Vec<(TaskId, Assignment)> {
+        let mut out = Vec::new();
+        drain_pool(rt, limit, &mut out);
+        out
     }
 
     #[test]
     fn eager_scheduler_drains_everything_at_once() {
-        let (templates, tpl, mut workers, directory) = setup();
-        let mut graph = TaskGraph::new();
-        submit_n(&mut graph, tpl, 10);
-        let mut pool: VecDeque<TaskId> = graph.take_newly_ready().into();
-        let mut sched = make_scheduler(&SchedulerKind::DepAware);
-        let assigned = drain_pool(
-            &mut pool,
-            sched.as_mut(),
-            &templates,
-            &mut workers,
-            &directory,
-            &mut graph,
-            None,
-        );
+        let (mut rt, _) = setup(SchedulerKind::DepAware, 10);
+        let assigned = drain(&mut rt, None);
         assert_eq!(assigned.len(), 10, "baselines push eagerly");
-        assert!(pool.is_empty());
+        assert!(rt.pending.is_empty());
         // Everything went to the single GPU worker (main version is CUDA).
         assert!(assigned.iter().all(|(_, a)| a.worker == WorkerId(1)));
     }
 
     #[test]
     fn limit_caps_assignments_and_keeps_the_rest_pooled() {
-        let (templates, tpl, mut workers, directory) = setup();
-        let mut graph = TaskGraph::new();
-        submit_n(&mut graph, tpl, 10);
-        let mut pool: VecDeque<TaskId> = graph.take_newly_ready().into();
-        let mut sched = make_scheduler(&SchedulerKind::DepAware);
-        let assigned = drain_pool(
-            &mut pool,
-            sched.as_mut(),
-            &templates,
-            &mut workers,
-            &directory,
-            &mut graph,
-            Some(3),
-        );
+        let (mut rt, _) = setup(SchedulerKind::DepAware, 10);
+        let assigned = drain(&mut rt, Some(3));
         assert_eq!(assigned.len(), 3);
-        assert_eq!(pool.len(), 7, "tasks beyond the budget stay pooled");
+        let pooled: Vec<u64> = rt.pending.iter().map(|t| t.0).collect();
+        assert_eq!(pooled, (3..10).collect::<Vec<_>>(), "the rest stay pooled, in order");
     }
 
     #[test]
     fn learning_phase_hands_out_one_task_per_idle_worker() {
-        let (templates, tpl, mut workers, directory) = setup();
-        let mut graph = TaskGraph::new();
-        submit_n(&mut graph, tpl, 10);
-        let mut pool: VecDeque<TaskId> = graph.take_newly_ready().into();
-        let mut sched = make_scheduler(&SchedulerKind::versioning());
-        let assigned = drain_pool(
-            &mut pool,
-            sched.as_mut(),
-            &templates,
-            &mut workers,
-            &directory,
-            &mut graph,
-            None,
-        );
+        let (mut rt, _) = setup(SchedulerKind::versioning(), 10);
+        let assigned = drain(&mut rt, None);
         // Group is in the learning phase → only idle workers got work:
         // two workers → two assignments, eight tasks held back.
         assert_eq!(assigned.len(), 2);
-        assert_eq!(pool.len(), 8);
+        assert_eq!(rt.pending.len(), 8);
         let versions: Vec<u16> = assigned.iter().map(|(_, a)| a.version.0).collect();
         assert_eq!(versions, vec![0, 1], "round-robin over versions");
     }
 
     #[test]
     fn pool_drains_as_workers_free_up() {
-        let (templates, tpl, mut workers, directory) = setup();
-        let mut graph = TaskGraph::new();
-        submit_n(&mut graph, tpl, 4);
-        let mut pool: VecDeque<TaskId> = graph.take_newly_ready().into();
-        let mut sched = make_scheduler(&SchedulerKind::versioning());
-        let first = drain_pool(
-            &mut pool,
-            sched.as_mut(),
-            &templates,
-            &mut workers,
-            &directory,
-            &mut graph,
-            None,
-        );
+        let (mut rt, _) = setup(SchedulerKind::versioning(), 4);
+        let first = drain(&mut rt, None);
         assert_eq!(first.len(), 2);
         // Complete the GPU worker's task: it becomes idle again.
         let (tid, a) = first.iter().find(|(_, a)| a.worker == WorkerId(1)).copied().unwrap();
-        workers[1].start_next();
-        workers[1].finish(tid);
-        graph.mark_running(tid);
-        graph.complete(tid, a.worker);
-        sched.task_finished(
-            &graph.node(tid).instance,
-            a,
-            std::time::Duration::from_millis(5),
-        );
-        let second = drain_pool(
-            &mut pool,
-            sched.as_mut(),
-            &templates,
-            &mut workers,
-            &directory,
-            &mut graph,
-            None,
-        );
+        rt.workers[1].start_next();
+        rt.workers[1].finish(tid);
+        rt.graph.mark_running(tid);
+        rt.graph.complete(tid, a.worker);
+        rt.scheduler.task_finished(&rt.graph.node(tid).instance, a, Duration::from_millis(5));
+        let second = drain(&mut rt, None);
         assert_eq!(second.len(), 1, "one more task for the freed worker");
-        assert_eq!(pool.len(), 1);
+        assert_eq!(rt.pending.len(), 1);
+    }
+
+    #[test]
+    fn probation_retrial_is_handed_out_once_per_drain() {
+        // K = 1 and a probation of 2: one failure quarantines the GPU
+        // version v0, and two successes of v1 make its retrial due. The
+        // drain's first decision spends the retrial; every later
+        // decision of the same drain must see v0 excluded again.
+        let config = VersioningConfig {
+            quarantine_threshold: 1,
+            probation: Some(2),
+            ..Default::default()
+        };
+        let (mut rt, tpl) = setup(SchedulerKind::Versioning(config), 4);
+        let task = rt.graph.node(TaskId(0)).instance.clone();
+        let size = task.data_set_size;
+        let v = rt.versioning_mut().unwrap();
+        v.set_decision_logging(true);
+        v.profiles_mut().seed(tpl, 2, size, VersionId(0), Duration::from_millis(1), 3);
+        v.profiles_mut().seed(tpl, 2, size, VersionId(1), Duration::from_millis(10), 3);
+        let run = |version| Assignment { worker: WorkerId(0), version, estimate: Duration::ZERO };
+        rt.scheduler.task_failed(&task, run(VersionId(0)), FailureKind::Panic);
+        for _ in 0..2 {
+            rt.scheduler.task_finished(&task, run(VersionId(1)), Duration::from_millis(10));
+        }
+        let profiles = rt.versioning().unwrap().profiles();
+        assert!(profiles.is_quarantined(tpl, size, VersionId(0)));
+        assert!(!profiles.is_excluded(tpl, size, VersionId(0)), "the retrial is due");
+
+        let assigned = drain(&mut rt, None);
+        let versions: Vec<u16> = assigned.iter().map(|(_, a)| a.version.0).collect();
+        assert_eq!(versions, [0, 1, 1, 1], "one retrial, on the idle GPU, then v1 only");
+        let decisions = rt.versioning_mut().unwrap().drain_decisions();
+        let offers_v0 = |d: &versa_core::scheduler::Decision| {
+            d.candidates.iter().any(|c| c.version == VersionId(0))
+        };
+        assert!(offers_v0(&decisions[0]));
+        assert!(!decisions[1..].iter().any(offers_v0), "v0 is excluded again within the drain");
     }
 }

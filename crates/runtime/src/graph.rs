@@ -81,6 +81,9 @@ pub struct TaskGraph {
     logs: HashMap<DataId, RegionLog>,
     newly_ready: Vec<TaskId>,
     live: usize,
+    /// Scratch for [`TaskGraph::submit`]'s dependence list, reused so a
+    /// submission does not allocate one.
+    deps: Vec<TaskId>,
 }
 
 impl TaskGraph {
@@ -173,7 +176,8 @@ impl TaskGraph {
         assert_eq!(instance.id, id, "task instance id must match submission order");
 
         // Gather dependencies (deduplicated, only on unfinished tasks).
-        let mut deps: Vec<TaskId> = Vec::new();
+        let mut deps = std::mem::take(&mut self.deps);
+        deps.clear();
         for (region, mode) in &instance.accesses {
             let log = self.logs.entry(region.data).or_default();
             for (wr, writer) in &log.writers {
@@ -211,6 +215,7 @@ impl TaskGraph {
             let i = self.idx(*d);
             self.nodes[i].successors.push(id);
         }
+        self.deps = deps;
         self.nodes.push_back(TaskNode {
             instance,
             state: if remaining == 0 { TaskState::Ready } else { TaskState::Pending },
@@ -230,6 +235,12 @@ impl TaskGraph {
     /// completion order — deterministic).
     pub fn take_newly_ready(&mut self) -> Vec<TaskId> {
         std::mem::take(&mut self.newly_ready)
+    }
+
+    /// [`TaskGraph::take_newly_ready`] in place: the buffer keeps its
+    /// storage, so the engines' per-event drain allocates nothing.
+    pub fn drain_newly_ready(&mut self) -> std::vec::Drain<'_, TaskId> {
+        self.newly_ready.drain(..)
     }
 
     /// Record that a task started executing.

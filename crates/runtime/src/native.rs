@@ -1012,11 +1012,13 @@ pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<
             (0..n_workers).map(|_| VecDeque::new()).collect();
         let mut lane_busy = vec![0usize; n_workers];
         let mut in_flight = 0usize;
+        // The assignments of the latest drain (reused from wave to wave).
+        let mut assigned = Vec::new();
 
         // Plan everything currently assignable within the wave budget:
         // run the scheduler, perform directory transitions, record the
         // rollback ledger, and queue `StagedItem`s — no byte movement.
-        let plan_wave = |rt: &mut Runtime,
+        let mut plan_wave = |rt: &mut Runtime,
                          in_flight: &mut usize,
                          node_inflight: &mut Vec<usize>,
                          dispatched: &mut u64,
@@ -1026,14 +1028,15 @@ pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<
                     rollbacks: &mut HashMap<TaskId, Vec<Rollback>>,
                     outbox: &mut Vec<VecDeque<StagedItem>>,
                     attempts: &HashMap<TaskId, u32>| {
-            let newly = rt.graph.take_newly_ready();
-            if let Some(sink) = &sink {
-                let lane = sink.coordinator();
-                for &tid in &newly {
-                    sink.record(lane, TraceEvent::TaskReady { time: ts(wall0), task: tid });
+            for tid in rt.graph.drain_newly_ready() {
+                if let Some(sink) = &sink {
+                    sink.record(
+                        sink.coordinator(),
+                        TraceEvent::TaskReady { time: ts(wall0), task: tid },
+                    );
                 }
+                rt.pending.push_back(tid);
             }
-            rt.pending.extend(newly);
             let remaining = budget - *dispatched;
             if remaining == 0 {
                 return;
@@ -1041,21 +1044,13 @@ pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<
             if rt.config.fair_scheduling {
                 rt.fair.order(&mut rt.pending, &rt.graph);
             }
-            let assigned = drain_pool(
-                &mut rt.pending,
-                rt.scheduler.as_mut(),
-                &rt.templates,
-                &mut rt.workers,
-                &rt.directory,
-                &mut rt.graph,
-                (budget != u64::MAX).then_some(remaining as usize),
-            );
+            drain_pool(rt, (budget != u64::MAX).then_some(remaining as usize), &mut assigned);
             *dispatched += assigned.len() as u64;
             if rt.config.fair_scheduling {
                 rt.fair.note_dispatched(&rt.graph, assigned.iter().map(|(t, _)| t));
             }
             crate::tracing::drain_decisions(rt, &sink, ts(wall0));
-            for (tid, a) in assigned {
+            for &(tid, a) in &assigned {
                 let wi = a.worker.index();
                 let space = rt.workers[wi].info.space;
                 let accesses = rt.graph.node(tid).instance.accesses.clone();

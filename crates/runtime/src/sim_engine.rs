@@ -18,10 +18,10 @@ use crate::assign::drain_pool;
 use crate::report::{FailureReport, RunError, TaskFailure, WorkerTransferStats};
 use crate::runtime::EngineKind;
 use crate::{RunReport, Runtime};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
-use versa_core::{FailureKind, TaskId, TemplateId, VersionId, WorkerId};
+use versa_core::{Assignment, FailureKind, TaskId, TemplateId, VersionId, WorkerId};
 use versa_mem::Transfer;
 use versa_sim::{EventQueue, FaultInjector, NodeFaultKind, NoiseModel, SimTime, TransferEngine};
 use versa_trace::{TraceEvent, TraceSink, Ts};
@@ -32,6 +32,29 @@ use versa_trace::{TraceEvent, TraceSink, Ts};
 /// Completions that land in that window still count, exactly like an
 /// `ExecOk` frame racing the reaper on a real cluster.
 const SIM_HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(2);
+
+/// What the engine tracks about one dispatched task of this run, from its
+/// dispatch until it completes.
+#[derive(Default)]
+struct InFlight {
+    /// Completion time of its prefetch transfers, until it starts.
+    deadline: Option<SimTime>,
+    /// TaskStart stamp of the running attempt. A task may start *later*
+    /// than the current event-loop time (it waits on transfers), so the
+    /// `NodeLost` trace event must be stamped no earlier than any start
+    /// already recorded on that node.
+    start: SimTime,
+    /// Sampled compute duration of the running attempt.
+    duration: Duration,
+    /// The running attempt will fail on completion (an injected-fault
+    /// decision, made at task start for determinism).
+    doomed: bool,
+    /// It was running on a node when the node was lost: its queued
+    /// completion event is reinterpreted as a `NodeLost` failure.
+    lost: bool,
+    /// Failed attempts so far.
+    attempts: u32,
+}
 
 struct SimState {
     xfer: TransferEngine,
@@ -45,28 +68,15 @@ struct SimState {
     caches: Option<Vec<versa_mem::DeviceCache>>,
     /// Per-worker kernel-duration multipliers (mixed-generation GPUs).
     speed: Vec<f64>,
-    /// Completion time of prefetch transfers per task.
-    deadlines: HashMap<TaskId, SimTime>,
-    /// Sampled compute duration of in-flight tasks.
-    durations: HashMap<TaskId, Duration>,
-    /// Injected-fault decisions, made at task start for determinism.
+    /// Every dispatched, not yet completed task.
+    tasks: HashMap<TaskId, InFlight>,
+    /// The assignments of the latest drain (reused from pump to pump).
+    assigned: Vec<(TaskId, Assignment)>,
     injector: FaultInjector,
-    /// In-flight tasks whose current attempt will fail on completion.
-    doomed: HashSet<TaskId>,
     /// Scheduled node losses still to fire: `(detection time, node)`,
     /// sorted by time. Detection lags the fault by the heartbeat
     /// timeout for [`NodeFaultKind::HeartbeatTimeout`] rules.
     node_faults: Vec<(SimTime, u16)>,
-    /// Tasks that were running on a node when it was lost: their queued
-    /// completion events are reinterpreted as `NodeLost` failures.
-    lost: HashSet<TaskId>,
-    /// TaskStart stamps of in-flight tasks. A task may start *later*
-    /// than the current event-loop time (it waits on transfers), so the
-    /// `NodeLost` trace event must be stamped no earlier than any start
-    /// already recorded on that node.
-    starts: HashMap<TaskId, SimTime>,
-    /// Failed attempts per task so far.
-    attempts: HashMap<TaskId, u32>,
     failures: FailureReport,
     /// The unified tracer (`None` = tracing off; see `crate::tracing`).
     /// Worker events go to lane `worker.index()`, everything the
@@ -116,10 +126,9 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
                 None => 1.0,
             })
             .collect(),
-        deadlines: HashMap::new(),
-        durations: HashMap::new(),
+        tasks: HashMap::new(),
+        assigned: Vec::new(),
         injector: FaultInjector::new(platform.faults.clone(), platform.seed),
-        doomed: HashSet::new(),
         node_faults: {
             let mut f: Vec<(SimTime, u16)> = platform
                 .faults
@@ -136,9 +145,6 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
             f.sort_unstable();
             f
         },
-        lost: HashSet::new(),
-        starts: HashMap::new(),
-        attempts: HashMap::new(),
         failures: FailureReport::default(),
         sink: TraceSink::from_config(&rt.config.tracing, rt.workers.len()),
         log_here: false,
@@ -161,9 +167,10 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
         // interpreted: a completion from a just-lost node is a loss, not
         // a result.
         fire_node_faults(rt, &mut st, now);
-        if st.lost.remove(&tid) {
+        let t = &st.tasks[&tid];
+        if t.lost {
             on_node_lost(rt, &mut st, now, wid, tid);
-        } else if st.doomed.remove(&tid) {
+        } else if t.doomed {
             if let Some(abort) = on_failure(rt, &mut st, now, wid, tid) {
                 let report = finish_report(rt, st, now.as_duration());
                 return Err(RunError {
@@ -243,8 +250,7 @@ fn on_completion(rt: &mut Runtime, st: &mut SimState, now: SimTime, wid: WorkerI
             st.xfer.mark_produced(region.data, space, now);
         }
     }
-    st.starts.remove(&tid);
-    let measured = st.durations.remove(&tid).expect("in-flight task had a sampled duration");
+    let measured = st.tasks.remove(&tid).expect("completed task was in flight").duration;
     rt.scheduler.task_finished(&rt.graph.node(tid).instance, assignment, measured);
     st.worker_transfers[wid.index()].compute_time += measured;
 
@@ -267,6 +273,16 @@ fn on_completion(rt: &mut Runtime, st: &mut SimState, now: SimTime, wid: WorkerI
     }
 }
 
+/// Close a task's failed attempt in the in-flight table (the task stays
+/// in it, to be dispatched again) and return the attempt's number.
+fn end_attempt(st: &mut SimState, tid: TaskId) -> u32 {
+    let t = st.tasks.get_mut(&tid).expect("failed task was in flight");
+    t.attempts += 1;
+    t.doomed = false;
+    t.lost = false;
+    t.attempts
+}
+
 /// Handle one failed attempt at virtual time `now`. The worker is freed,
 /// the task produces nothing and goes back to the ready frontier, and the
 /// scheduler hears about the failure (quarantine accounting). Returns
@@ -279,16 +295,9 @@ fn on_failure(
     tid: TaskId,
 ) -> Option<(TaskId, String)> {
     rt.workers[wid.index()].finish(tid);
-    st.durations.remove(&tid);
-    st.deadlines.remove(&tid);
-    st.starts.remove(&tid);
+    let attempt = end_attempt(st, tid);
 
     let assignment = rt.graph.node(tid).assignment.expect("failed task had an assignment");
-    let attempt = {
-        let n = st.attempts.entry(tid).or_insert(0);
-        *n += 1;
-        *n
-    };
     let message = format!(
         "injected fault (rule matched {:?} {:?} on {wid:?})",
         rt.templates.get(rt.graph.node(tid).instance.template).name,
@@ -352,11 +361,9 @@ fn fire_node_faults(rt: &mut Runtime, st: &mut SimState, now: SimTime) {
                 rt.pending.push_back(q.task);
             }
             if let Some(q) = rt.workers[wi].running() {
-                let tid = q.task;
-                st.lost.insert(tid);
-                if let Some(&s) = st.starts.get(&tid) {
-                    stamp = stamp.max(s);
-                }
+                let t = st.tasks.get_mut(&q.task).expect("running task is in flight");
+                t.lost = true;
+                stamp = stamp.max(t.start);
             }
         }
         if let Some(sink) = &st.sink {
@@ -372,18 +379,10 @@ fn fire_node_faults(rt: &mut Runtime, st: &mut SimState, now: SimTime) {
 /// coherence, but the retry *budget* is never checked, so node loss
 /// alone cannot abort a run.
 fn on_node_lost(rt: &mut Runtime, st: &mut SimState, now: SimTime, wid: WorkerId, tid: TaskId) {
-    st.doomed.remove(&tid);
-    st.durations.remove(&tid);
-    st.deadlines.remove(&tid);
-    st.starts.remove(&tid);
     rt.workers[wid.index()].abandon_running();
+    let attempt = end_attempt(st, tid);
 
     let assignment = rt.graph.node(tid).assignment.expect("lost task had an assignment");
-    let attempt = {
-        let n = st.attempts.entry(tid).or_insert(0);
-        *n += 1;
-        *n
-    };
     let message = format!("node {} lost mid-task", rt.node_of_worker(wid));
     if let Some(sink) = &st.sink {
         sink.record(
@@ -415,14 +414,12 @@ fn on_node_lost(rt: &mut Runtime, st: &mut SimState, now: SimTime, wid: WorkerId
 /// The pool lives in the runtime, so tasks a bounded wave could not
 /// dispatch carry over to the next wave.
 fn pump(rt: &mut Runtime, st: &mut SimState, now: SimTime) {
-    let newly = rt.graph.take_newly_ready();
-    if let Some(sink) = &st.sink {
-        let lane = sink.coordinator();
-        for &tid in &newly {
-            sink.record(lane, TraceEvent::TaskReady { time: now.into(), task: tid });
+    for tid in rt.graph.drain_newly_ready() {
+        if let Some(sink) = &st.sink {
+            sink.record(sink.coordinator(), TraceEvent::TaskReady { time: now.into(), task: tid });
         }
+        rt.pending.push_back(tid);
     }
-    rt.pending.extend(newly);
     let remaining = st.budget - st.dispatched;
     if remaining == 0 {
         return;
@@ -430,26 +427,17 @@ fn pump(rt: &mut Runtime, st: &mut SimState, now: SimTime) {
     if rt.config.fair_scheduling {
         rt.fair.order(&mut rt.pending, &rt.graph);
     }
-    let assigned = drain_pool(
-        &mut rt.pending,
-        rt.scheduler.as_mut(),
-        &rt.templates,
-        &mut rt.workers,
-        &rt.directory,
-        &mut rt.graph,
-        (st.budget != u64::MAX).then_some(remaining as usize),
-    );
-    st.dispatched += assigned.len() as u64;
+    let limit = (st.budget != u64::MAX).then_some(remaining as usize);
+    drain_pool(rt, limit, &mut st.assigned);
+    st.dispatched += st.assigned.len() as u64;
     crate::tracing::drain_decisions(rt, &st.sink, now.into());
     if rt.config.fair_scheduling {
-        rt.fair.note_dispatched(&rt.graph, assigned.iter().map(|(t, _)| t));
+        rt.fair.note_dispatched(&rt.graph, st.assigned.iter().map(|(t, _)| t));
     }
-    if !rt.config.prefetch {
-        return;
-    }
-    for (tid, a) in assigned {
-        let deadline = stage_task_data(rt, st, tid, a.worker, now);
-        st.deadlines.insert(tid, deadline);
+    for i in 0..st.assigned.len() {
+        let (tid, a) = st.assigned[i];
+        let deadline = rt.config.prefetch.then(|| stage_task_data(rt, st, tid, a.worker, now));
+        st.tasks.entry(tid).or_default().deadline = deadline;
     }
 }
 
@@ -464,7 +452,7 @@ fn stage_task_data(
     now: SimTime,
 ) -> SimTime {
     let space = rt.workers[worker.index()].info.space;
-    let accesses = rt.graph.node(tid).instance.accesses.clone();
+    let accesses = &rt.graph.node(tid).instance.accesses;
     let mut deadline = now;
 
     // Capacity management (finite GPU memories only): make room for the
@@ -479,7 +467,7 @@ fn stage_task_data(
             // when they start (see `start_idle_workers`), exactly like a
             // bounded prefetch window on real hardware.
             let mut pinned = Vec::with_capacity(accesses.len());
-            for (region, _) in &accesses {
+            for (region, _) in accesses {
                 cache.insert(region.data, rt.directory.bytes(region.data));
                 if !pinned.contains(&region.data) {
                     pinned.push(region.data);
@@ -510,7 +498,7 @@ fn stage_task_data(
     }
 
     let mut end = now;
-    for (region, mode) in &accesses {
+    for (region, mode) in accesses {
         if let Some(t) = rt.directory.acquire(region.data, space, *mode) {
             // Per-transfer scheduling (same fold `schedule_all` does, so
             // virtual-time results are unchanged) lets the scheduler
@@ -572,7 +560,7 @@ fn start_idle_workers(rt: &mut Runtime, st: &mut SimState, now: SimTime) {
         // in-flight copies of read data headed to this space.
         let mut ready = now;
         if rt.config.prefetch {
-            if let Some(d) = st.deadlines.remove(&tid) {
+            if let Some(d) = st.tasks.get_mut(&tid).and_then(|t| t.deadline.take()) {
                 ready = ready.max(d);
             }
             if st.caches.is_some() {
@@ -592,19 +580,19 @@ fn start_idle_workers(rt: &mut Runtime, st: &mut SimState, now: SimTime) {
         }
 
         let inst = &rt.graph.node(tid).instance;
-        if st.injector.should_fail(inst.template, q.version, wid) {
-            st.doomed.insert(tid);
-        }
+        let doomed = st.injector.should_fail(inst.template, q.version, wid);
         let base = rt.costs.duration(inst.template, q.version, inst.data_set_size);
         let scaled = base.mul_f64(st.speed[wi]);
         let duration = st.noise.sample(scaled);
         let start = ready.max(now);
         let end = start + duration;
-        st.durations.insert(tid, duration);
-        st.starts.insert(tid, start);
+        let t = st.tasks.entry(tid).or_default();
+        t.doomed = doomed;
+        t.start = start;
+        t.duration = duration;
+        let attempt = t.attempts + 1;
         st.events.push(end, (wid, tid));
         if let Some(sink) = &st.sink {
-            let attempt = st.attempts.get(&tid).copied().unwrap_or(0) + 1;
             sink.record(
                 wi,
                 TraceEvent::TaskStart {

@@ -19,8 +19,11 @@ use versa_trace::{
 };
 
 /// Convert one scheduler decision into the trace's record form, stamped
-/// with the (virtual or wall) time the engine drained it at.
-pub(crate) fn decision_record(d: &Decision, time: Ts) -> DecisionRecord {
+/// with the (virtual or wall) time the engine drained it at. The bid,
+/// candidate and worker vectors (and each worker's `runnable` list) move
+/// into the record: the element types share a layout, so `collect`
+/// reuses each vector's storage instead of copying it.
+pub(crate) fn decision_record(d: Decision, time: Ts) -> DecisionRecord {
     DecisionRecord {
         time,
         task: d.task,
@@ -36,7 +39,7 @@ pub(crate) fn decision_record(d: &Decision, time: Ts) -> DecisionRecord {
         version: d.assignment.version,
         bids: d
             .bids
-            .iter()
+            .into_iter()
             .map(|b| Bid {
                 worker: b.worker,
                 version: b.version,
@@ -48,7 +51,7 @@ pub(crate) fn decision_record(d: &Decision, time: Ts) -> DecisionRecord {
             .collect(),
         candidates: d
             .candidates
-            .iter()
+            .into_iter()
             .map(|c| CandidateRecord {
                 version: c.version,
                 scheduled: c.scheduled,
@@ -58,13 +61,13 @@ pub(crate) fn decision_record(d: &Decision, time: Ts) -> DecisionRecord {
             .collect(),
         workers: d
             .workers
-            .iter()
+            .into_iter()
             .map(|w| WorkerSnapRecord {
                 worker: w.worker,
                 pressure: w.pressure,
                 busy: w.busy,
                 transfer: w.transfer,
-                runnable: w.runnable.clone(),
+                runnable: w.runnable,
             })
             .collect(),
     }
@@ -106,7 +109,7 @@ pub(crate) fn drain_decisions(rt: &mut Runtime, sink: &Option<Arc<TraceSink>>, n
     }
     let lane = sink.coordinator();
     for d in v.drain_decisions() {
-        sink.record(lane, TraceEvent::Decision(decision_record(&d, now)));
+        sink.record(lane, TraceEvent::Decision(decision_record(d, now)));
     }
 }
 

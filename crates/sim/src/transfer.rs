@@ -77,14 +77,13 @@ impl TransferEngine {
         self.ready.insert((data, space), time);
     }
 
-    /// The DMA engines a transfer occupies: `(device index, direction)`.
-    fn engines_of(&self, t: &Transfer) -> Vec<(usize, Dir)> {
-        match (t.from.device_index(), t.to.device_index()) {
-            (None, Some(d)) => vec![(usize::from(d), Dir::Up)],
-            (Some(d), None) => vec![(usize::from(d), Dir::Down)],
-            (Some(a), Some(b)) => vec![(usize::from(a), Dir::Down), (usize::from(b), Dir::Up)],
-            (None, None) => unreachable!("host-to-host transfer"),
-        }
+    /// The DMA engines a transfer occupies: `(device index, direction)`,
+    /// the source's download engine before the destination's upload one.
+    fn engines_of(t: &Transfer) -> impl Iterator<Item = (usize, Dir)> + Clone {
+        let down = t.from.device_index().map(|d| (usize::from(d), Dir::Down));
+        let up = t.to.device_index().map(|d| (usize::from(d), Dir::Up));
+        assert!(down.is_some() || up.is_some(), "host-to-host transfer");
+        down.into_iter().chain(up)
     }
 
     fn engine_free(&self, dev: usize, dir: Dir) -> SimTime {
@@ -122,23 +121,23 @@ impl TransferEngine {
     /// while still being accounted once as *Device Tx*.
     pub fn schedule(&mut self, t: &Transfer, now: SimTime) -> SimTime {
         let kind = t.kind();
-        let engines = self.engines_of(t);
+        let engines = Self::engines_of(t);
         let src_ready = self.ready_at(t.data, t.from);
         let mut start = now.max(src_ready);
-        for &(dev, dir) in &engines {
+        for (dev, dir) in engines.clone() {
             start = start.max(self.engine_free(dev, dir));
         }
         let hops = if kind == TransferKind::Device && !self.p2p { 2 } else { 1 };
         // A transfer is limited by its slowest involved link (a GPU→node
         // copy cannot beat the NIC no matter how fast PCIe is).
         let link_time = engines
-            .iter()
-            .map(|&(dev, _)| self.links[dev].transfer_time(t.bytes))
+            .clone()
+            .map(|(dev, _)| self.links[dev].transfer_time(t.bytes))
             .max()
             .expect("a transfer involves at least one link");
         let duration = link_time * hops;
         let end = start + duration;
-        for &(dev, dir) in &engines {
+        for (dev, dir) in engines {
             self.occupy(dev, dir, end);
         }
         self.ready.insert((t.data, t.to), end);
