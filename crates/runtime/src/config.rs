@@ -19,7 +19,10 @@ pub struct RuntimeConfig {
     pub prefetch: bool,
     /// Whether the implicit `taskwait` at the end of a run flushes all
     /// device-resident data back to the host. Disable for the
-    /// `taskwait(noflush)` behaviour of paper §III.
+    /// `taskwait(noflush)` behaviour of paper §III. In an unbounded
+    /// native run a datum is written back as soon as no unfinished task
+    /// uses it, so the flush overlaps the remaining kernels; the moved
+    /// bytes are the same.
     pub flush_on_wait: bool,
     /// Structured execution tracing (both engines): task lifecycle,
     /// scheduler decision records, transfer spans. Off by default; when

@@ -299,10 +299,25 @@ impl TaskGraph {
         self.live == 0
     }
 
+    /// Whether any unfinished task (pending, ready, or running) has an
+    /// access clause over `data`: `live_users(data) > 0`, answered from
+    /// the allocation's dependence log instead of a scan of the window.
+    /// The gate behind [`Runtime::try_free`](crate::Runtime::try_free)
+    /// and the native engine's early write-back.
+    /// The log can miss an unfinished accessor only when a later write
+    /// covering its region superseded it — and that writer depends on
+    /// it, so it is unfinished too; following the chain always ends at
+    /// an unfinished task that is still logged.
+    pub fn has_live_accessor(&self, data: DataId) -> bool {
+        self.live > 0
+            && self.logs.get(&data).is_some_and(|log| {
+                log.writers.iter().chain(&log.readers).any(|(_, t)| !self.is_done(*t))
+            })
+    }
+
     /// Number of unfinished tasks (pending, ready, or running) with an
-    /// access clause over `data` — the per-allocation liveness check
-    /// behind [`Runtime::free`](crate::Runtime::free) in a multi-job
-    /// setting, where the graph as a whole may never be quiescent.
+    /// access clause over `data`. A scan of the whole window: gate on
+    /// [`TaskGraph::has_live_accessor`] and count only to report.
     pub fn live_users(&self, data: DataId) -> usize {
         if self.live == 0 {
             return 0;

@@ -23,7 +23,7 @@ use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use versa_core::{FailureKind, TaskId, TemplateId, VersionId, WorkerId};
 use versa_kernels::chunk_ranges;
@@ -54,8 +54,9 @@ pub struct NativeConfig {
     /// (default) moves bytes at memcpy speed — the historical behaviour.
     /// Real machines pay PCIe for every copy; our in-process "devices"
     /// otherwise copy at DRAM speed, which makes transfer scheduling
-    /// decisions invisible. Applied by the staging lanes per copy and by
-    /// the coordinator's final flush.
+    /// decisions invisible. Applied per copy by the staging lanes and by
+    /// the run's write-back lane; a device's link carries one copy out to
+    /// the host at a time.
     pub link_bandwidth: Option<u64>,
 }
 
@@ -289,6 +290,72 @@ fn throttle_link(link_bandwidth: Option<u64>, bytes: u64, spent: Duration) {
     }
 }
 
+/// The emulated link's copy-out rule: a device's link carries one
+/// device→host copy at a time, whichever lane makes it. The guard is held
+/// across the memcpy and the throttle's sleep, so a host stager and the
+/// write-back lane copying out of one device share its link instead of
+/// each getting a full one. Unthrottled runs copy at memcpy speed and
+/// hold no lock (the table is empty).
+struct CopyOut(Vec<Mutex<()>>);
+
+impl CopyOut {
+    fn new(link_bandwidth: Option<u64>, spaces: usize) -> CopyOut {
+        let locks = if link_bandwidth.is_some() { spaces } else { 0 };
+        CopyOut((0..locks).map(|_| Mutex::new(())).collect())
+    }
+
+    /// Hold the source device's link for `t`, if `t` is a throttled copy
+    /// out to the host.
+    fn guard(&self, t: &Transfer) -> Option<MutexGuard<'_, ()>> {
+        if !t.to.is_host() {
+            return None;
+        }
+        let lock = self.0.get(t.from.index())?;
+        // The lock guards no data, so a copy that panicked holding it
+        // left nothing inconsistent behind.
+        Some(lock.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
+/// The run's write-back lane: performs the device→host copies the
+/// coordinator planned, in plan order, under the link's copy-out rule.
+/// Returns each copy's `(to, bytes, took)` sample in plan order; the
+/// coordinator hands them to the scheduler once the lane has joined, so
+/// in-run decisions never see them.
+fn writeback_loop(
+    rx: mpsc::Receiver<Transfer>,
+    arena: &Arena,
+    link_bandwidth: Option<u64>,
+    copy_out: &CopyOut,
+    wall0: Instant,
+    sink: Option<Arc<TraceSink>>,
+) -> Vec<(MemSpace, u64, Duration)> {
+    let mut samples = Vec::new();
+    for t in rx {
+        let _link = copy_out.guard(&t);
+        let start = wall0.elapsed();
+        arena.perform(&t);
+        throttle_link(link_bandwidth, t.bytes, wall0.elapsed() - start);
+        let end = wall0.elapsed();
+        if let Some(sink) = &sink {
+            sink.record(
+                sink.coordinator(),
+                TraceEvent::Transfer {
+                    start: Ts(start.as_nanos() as u64),
+                    end: Ts(end.as_nanos() as u64),
+                    data: t.data,
+                    from: t.from,
+                    to: t.to,
+                    bytes: t.bytes,
+                    by: None,
+                },
+            );
+        }
+        samples.push((t.to, t.bytes, end - start));
+    }
+    samples
+}
+
 /// Execute a bound kernel outside the engine — the remote *worker
 /// process* path (`versa-net`): no graph, no scheduler, just the kernel
 /// against the given arena space, panic-safe.
@@ -382,6 +449,10 @@ fn execute_item(
 // stager ships each staged copy to the node as the copy's epilogue, the
 // exec thread forwards the task instead of running a kernel. The
 // coordinator never touches the wire.
+//
+// Copies home go the same way: the coordinator plans each write-back
+// when the datum's last unfinished accessor completes, and the run's
+// one write-back lane performs them in plan order.
 
 /// One step of a staged item's pre-kernel pipeline, planned by the
 /// coordinator, executed by the destination worker's stager.
@@ -569,6 +640,7 @@ fn stager_loop(
     arena: Arc<Arena>,
     space: MemSpace,
     link_bandwidth: Option<u64>,
+    copy_out: &CopyOut,
     wall0: Instant,
     wid: WorkerId,
     sink: Option<Arc<TraceSink>>,
@@ -646,6 +718,8 @@ fn stager_loop(
                             continue;
                         }
                     }
+                    // Held until the copy has landed, throttle included.
+                    let _link = copy_out.guard(&t);
                     let start = wall0.elapsed();
                     let moved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         if inject_fault {
@@ -888,8 +962,12 @@ fn overlap_ns(kernel: &mut [(u64, u64)], stage: &[(u64, u64)]) -> u64 {
 /// The coordinator plans every transfer but the byte movement runs on
 /// per-worker staging lanes, with a bounded lookahead so the next task's
 /// inputs stage under the current kernel; the coordinator thread never
-/// waits on a copy or on the wire. See the pipeline comment above and
-/// DESIGN.md §2.2 for the protocol and its invariants.
+/// waits on a copy or on the wire. With `flush_on_wait`, the `taskwait`
+/// flush runs on the same terms: one write-back lane per run copies
+/// each datum home as soon as no unfinished task uses it (in an
+/// unbounded run) and takes the end-of-run flush of whatever is left.
+/// See the pipeline comment above and DESIGN.md §2.2 for the protocol
+/// and its invariants.
 pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunReport, RunError> {
     let EngineKind::Native { cfg, arena } = &rt.engine else {
         unreachable!("run_native on a non-native runtime")
@@ -956,8 +1034,12 @@ pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<
     crate::tracing::record_live_created(rt, &sink, ts(wall0));
 
     let (done_tx, done_rx) = mpsc::channel();
+    let copy_out = CopyOut::new(cfg.link_bandwidth, arena.space_count());
+    // Only a run that ends with the flush writes data back early, so the
+    // moved bytes are exactly the ones that flush would move.
+    let write_behind = rt.config.flush_on_wait && max_dispatch.is_none();
 
-    std::thread::scope(|scope| {
+    let writeback_samples = std::thread::scope(|scope| {
         // Every sender lives inside the scope so a coordinator panic
         // unwinds cleanly: dropping the outboxes
         // resolves their cells (StagedItem's drop guard), dropping
@@ -977,6 +1059,7 @@ pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<
             let stager_sink = sink.clone();
             let exec_sink = sink.clone();
             let (stager_remote, exec_remote) = (remote.clone(), remote.clone());
+            let copy_out = &copy_out;
             scope.spawn(move || {
                 stager_loop(
                     stage_rx,
@@ -984,6 +1067,7 @@ pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<
                     stager_arena,
                     info.space,
                     link,
+                    copy_out,
                     wall0,
                     info.id,
                     stager_sink,
@@ -1005,6 +1089,20 @@ pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<
             });
         }
         drop(done_tx);
+        // The write-back lane, in runs that may end with the flush.
+        let (writeback_tx, writeback_rx) = mpsc::channel();
+        let writeback = rt.config.flush_on_wait.then(|| {
+            let (arena, copy_out, sink) = (&arena, &copy_out, sink.clone());
+            scope.spawn(move || {
+                writeback_loop(writeback_rx, arena, cfg.link_bandwidth, copy_out, wall0, sink)
+            })
+        });
+        // Counted at plan time, like staged copies.
+        let write_back = |t: Transfer, stats: &mut TransferStats| {
+            stats.record(t.kind(), t.bytes);
+            // A dead lane surfaces its panic when it is joined.
+            let _ = writeback_tx.send(t);
+        };
 
         // Planned items not yet admitted to a lane, and the number
         // admitted and not yet completed (bounded by `inflight_cap`).
@@ -1183,6 +1281,17 @@ pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<
                 Outcome::Done { kernel, kernel_span, stage_ns, stage_spans: spans, samples } => {
                     rollbacks.remove(&tid);
                     rt.graph.complete(tid, wid);
+                    if write_behind {
+                        // Data no unfinished task uses goes home now,
+                        // under the remaining kernels, not after them.
+                        for (region, _) in &rt.graph.node(tid).instance.accesses {
+                            if !rt.graph.has_live_accessor(region.data) {
+                                if let Some(t) = rt.directory.flush_to_host(region.data) {
+                                    write_back(t, &mut stats);
+                                }
+                            }
+                        }
+                    }
                     let assignment =
                         rt.graph.node(tid).assignment.expect("completed task was assigned");
                     rt.scheduler.task_finished(&rt.graph.node(tid).instance, assignment, kernel);
@@ -1313,6 +1422,15 @@ pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<
             pump(&mut outbox, &mut lane_busy);
         }
 
+        // The `taskwait` flush: whatever is still device-only (data this
+        // run never touched, or every datum in a bounded wave) goes on
+        // the write-back lane behind the copies already planned there.
+        if abort.is_none() && rt.config.flush_on_wait && rt.graph.all_done() {
+            for t in rt.directory.flush_all_to_host() {
+                write_back(t, &mut stats);
+            }
+        }
+
         // Flush every outbox before stopping (reached on abort, or when
         // a wave budget leaves planned items unadmitted): a queued item
         // may hold the publish cell a blocked stager is waiting on.
@@ -1326,6 +1444,10 @@ pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<
         for tx in &stage_txs {
             let _ = tx.send(StageMsg::Stop);
         }
+        drop(writeback_tx);
+        writeback.map_or_else(Vec::new, |lane| {
+            lane.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        })
     });
 
     // An abort or spent wave budget can leave a loss unstamped; the lane
@@ -1334,29 +1456,8 @@ pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<
     node_inflight.fill(0);
     stamp_drained_losses(&mut node_loss, &node_inflight, &sink, wall0);
 
-    if abort.is_none() && rt.config.flush_on_wait && rt.graph.all_done() {
-        for t in rt.directory.flush_all_to_host() {
-            let t_start = ts(wall0);
-            let t0 = Instant::now();
-            arena.perform(&t);
-            throttle_link(cfg.link_bandwidth, t.bytes, t0.elapsed());
-            stats.record(t.kind(), t.bytes);
-            if let Some(sink) = &sink {
-                sink.record(
-                    sink.coordinator(),
-                    TraceEvent::Transfer {
-                        start: t_start,
-                        end: ts(wall0),
-                        data: t.data,
-                        from: t.from,
-                        to: t.to,
-                        bytes: t.bytes,
-                        by: None,
-                    },
-                );
-            }
-            rt.scheduler.transfer_done(t.to, t.bytes, t0.elapsed());
-        }
+    for (to, bytes, took) in writeback_samples {
+        rt.scheduler.transfer_done(to, bytes, took);
     }
 
     for wi in 0..n_workers {

@@ -434,9 +434,8 @@ impl Runtime {
     /// Returns a description of the conflict when unfinished tasks still
     /// reference the allocation; the allocation is left untouched.
     pub fn try_free(&mut self, id: DataId) -> Result<(), FreeError> {
-        let users = self.graph.live_users(id);
-        if users > 0 {
-            return Err(FreeError { data: id, live_users: users });
+        if self.graph.has_live_accessor(id) {
+            return Err(FreeError { data: id, live_users: self.graph.live_users(id) });
         }
         self.directory.unregister(id);
         self.graph.forget_data(id);
@@ -513,7 +512,7 @@ impl Runtime {
 
     fn read_bytes(&mut self, id: DataId) -> Vec<u8> {
         assert!(
-            self.graph.live_users(id) == 0,
+            !self.graph.has_live_accessor(id),
             "read of {id:?} while tasks referencing it are in flight; run() first"
         );
         let EngineKind::Native { arena, .. } = &self.engine else {
@@ -571,8 +570,11 @@ impl Runtime {
     /// Execute every submitted-but-unfinished task to completion — the
     /// implicit `taskwait` — and report what happened. With
     /// [`RuntimeConfig::flush_on_wait`] set, device-resident data is
-    /// flushed back to host memory at the end (and accounted as Output
-    /// Tx).
+    /// flushed back to host memory before this returns (and accounted as
+    /// Output Tx). The native engine starts each datum's write-back as
+    /// soon as no unfinished task uses it, overlapping the remaining
+    /// kernels; the simulated one flushes at the end, as the paper's
+    /// `taskwait` does.
     ///
     /// # Errors
     /// Task failures (native kernel panics, simulated injected faults)

@@ -484,3 +484,96 @@ proptest! {
         prop_assert!(graph.all_done());
     }
 }
+
+// ---------------------------------------------------------------------
+// Task graph: the log-based liveness gate agrees with the window scan
+// ---------------------------------------------------------------------
+
+/// One step against a live task graph over three 64-byte allocations.
+#[derive(Clone, Debug)]
+enum GraphOp {
+    /// Submit a task with these `(data, offset, len, mode)` accesses.
+    Submit(Vec<(u32, u64, u64, u8)>),
+    /// Start the ready task at this (wrapped) index.
+    Start(usize),
+    /// Complete the running task at this (wrapped) index.
+    Complete(usize),
+    /// Return the running task at this (wrapped) index to the frontier.
+    Requeue(usize),
+    /// Prune the done prefix below the task at this (wrapped) id.
+    Prune(usize),
+}
+
+fn graph_op() -> impl Strategy<Value = GraphOp> {
+    // Whole allocations and 16-byte-granular partial ranges.
+    let access = (0u32..3, 0u64..4, 1u64..5, 0u8..3).prop_map(|(d, slot, len, mode)| {
+        let offset = slot * 16;
+        (d, offset, (len * 16).min(64 - offset), mode)
+    });
+    prop_oneof![
+        proptest::collection::vec(access, 1..4).prop_map(GraphOp::Submit),
+        (0usize..1000).prop_map(GraphOp::Start),
+        (0usize..1000).prop_map(GraphOp::Complete),
+        (0usize..1000).prop_map(GraphOp::Requeue),
+        (0usize..1000).prop_map(GraphOp::Prune),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128 })]
+
+    #[test]
+    fn has_live_accessor_matches_live_users(ops in proptest::collection::vec(graph_op(), 1..80)) {
+        use versa::core::TaskInstance;
+        let mut graph = TaskGraph::new();
+        let (mut ready, mut running): (Vec<TaskId>, Vec<TaskId>) = (Vec::new(), Vec::new());
+        for op in ops {
+            match op {
+                GraphOp::Submit(spec) => {
+                    let accesses: Vec<(Region, AccessMode)> = spec
+                        .iter()
+                        .map(|&(d, offset, len, mode)| {
+                            let mode = match mode {
+                                0 => AccessMode::In,
+                                1 => AccessMode::Out,
+                                _ => AccessMode::InOut,
+                            };
+                            (Region::range(DataId(d), offset, len), mode)
+                        })
+                        .collect();
+                    graph.submit(TaskInstance {
+                        id: TaskId(graph.len() as u64),
+                        template: versa::core::TemplateId(0),
+                        accesses,
+                        data_set_size: 64,
+                        job: None,
+                    });
+                }
+                GraphOp::Start(i) if !ready.is_empty() => {
+                    let task = ready.swap_remove(i % ready.len());
+                    graph.mark_running(task);
+                    running.push(task);
+                }
+                GraphOp::Complete(i) if !running.is_empty() => {
+                    graph.complete(running.swap_remove(i % running.len()), WorkerId(0));
+                }
+                GraphOp::Requeue(i) if !running.is_empty() => {
+                    graph.requeue(running.swap_remove(i % running.len()));
+                }
+                GraphOp::Prune(i) if !graph.is_empty() => {
+                    graph.prune_done_prefix(TaskId((i % (graph.len() + 1)) as u64));
+                }
+                _ => {}
+            }
+            ready.extend(graph.take_newly_ready());
+            for d in 0..3 {
+                let data = DataId(d);
+                prop_assert_eq!(
+                    graph.has_live_accessor(data),
+                    graph.live_users(data) > 0,
+                    "{:?} disagrees", data
+                );
+            }
+        }
+    }
+}

@@ -5,12 +5,14 @@
 //! failures route through the same recovery machinery as kernel panics.
 
 use std::collections::HashMap;
+use versa::apps::cholesky::{self, CholeskyConfig, CholeskyVariant};
 use versa::apps::matmul::{self, MatmulConfig, MatmulVariant, NativeMatmulData};
 use versa::kernels::exec::SerialExec;
 use versa::kernels::gemm::dgemm_parallel_on;
 use versa::kernels::verify::random_matrix_f64;
 use versa::prelude::*;
 use versa::runtime::NativeConfig;
+use versa::trace::{invariants, Trace, TraceEvent, Ts};
 
 fn small() -> MatmulConfig {
     // nb = 4: 64 gemm tasks over 16+16+16 tiles of 48×48 f64.
@@ -180,6 +182,150 @@ fn bounded_waves_sum_to_a_single_run() {
     }
     assert_eq!(total, whole[0].transfers);
     assert_eq!(wave_c, whole_c, "bitwise-identical results across wave boundaries");
+}
+
+fn traced(mut cfg: RuntimeConfig) -> RuntimeConfig {
+    cfg.tracing.enabled = true;
+    cfg
+}
+
+/// End times of the write-back lane's copies (`by: None`) in a trace.
+fn write_back_ends(trace: &Trace) -> Vec<Ts> {
+    trace
+        .events()
+        .iter()
+        .filter_map(|ev| match *ev {
+            TraceEvent::Transfer { end, to, by: None, .. } => {
+                assert!(to.is_host(), "the write-back lane only copies home");
+                Some(end)
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// Write-behind: each `C` tile goes home once its last `inout` task
+/// completes, under the kernels still running — not in a tail after the
+/// last one. Same tile grid as the golden, with tiles big enough that a
+/// kernel outlasts a throttled copy: the last round of tasks finishes one
+/// `C` tile per kernel, and its write-back keeps pace.
+#[test]
+fn write_backs_overlap_the_remaining_kernels() {
+    let config = MatmulConfig { n: 512, bs: 128 };
+    assert_eq!(config.nb(), small().nb());
+    let (report, data) = matmul::run_native_with(
+        traced(runtime_config(2)),
+        config,
+        MatmulVariant::Gpu,
+        NativeConfig { gpu_lanes: 1, link_bandwidth: Some(4_000_000_000), ..one_gpu() },
+        7,
+    );
+    let tile = 128 * 128 * 8u64;
+    assert_eq!(report.transfers.output_count, 16);
+    assert_eq!(report.transfers.output_bytes, 16 * tile);
+    let trace = report.trace.as_ref().expect("tracing was on");
+    let last_task_end = trace
+        .events()
+        .iter()
+        .filter_map(|ev| match *ev {
+            TraceEvent::TaskEnd { time, .. } => Some(time),
+            _ => None,
+        })
+        .max()
+        .expect("tasks ran");
+    let ends = write_back_ends(trace);
+    assert_eq!(ends.len(), 16, "one write-back per written C tile");
+    let early = ends.iter().filter(|&&end| end < last_task_end).count();
+    assert!(early >= 8, "only {early} of 16 write-backs ended before the last kernel");
+    assert_eq!(data.c, serial_c(&data), "bitwise-identical to the serial recompute");
+}
+
+/// `taskwait(noflush)` plans no write-back at all, early or late.
+#[test]
+fn noflush_runs_write_nothing_back() {
+    let mut rt = Runtime::native(traced(runtime_config(2)), one_gpu());
+    let tpl = matmul::register_native(&mut rt, MatmulVariant::Gpu, small().bs);
+    let nb = small().nb();
+    let tile = vec![1.0; small().bs * small().bs];
+    let tiles: Vec<DataId> = (0..3 * nb * nb).map(|_| rt.alloc_from_f64(&tile)).collect();
+    let (a, rest) = tiles.split_at(nb * nb);
+    let (b, c) = rest.split_at(nb * nb);
+    matmul::submit_tasks(&mut rt, tpl, nb, a, b, c);
+    let report = rt.run_noflush().expect("run failed");
+    assert_eq!(report.tasks_executed, 64);
+    assert_eq!(report.transfers.output_count, 0);
+    assert!(write_back_ends(report.trace.as_ref().expect("tracing was on")).is_empty());
+}
+
+/// The end-of-run flush goes through the write-back lane too: a datum
+/// left on the device by an earlier `run_noflush` and untouched by the
+/// next `run()` still comes home, next to the datum that run wrote.
+#[test]
+fn untouched_device_data_is_flushed_at_the_end_of_the_run() {
+    let mut rt = Runtime::native(traced(runtime_config(2)), one_gpu());
+    let tpl = rt.template("scale").main("scale_gpu", &[DeviceKind::Cuda]).register();
+    rt.bind_native(tpl, VersionId(0), |ctx| {
+        for v in ctx.f64_mut(0) {
+            *v *= 2.0;
+        }
+    });
+    let left = rt.alloc_from_f64(&[1.0; 8]);
+    let later = rt.alloc_from_f64(&[3.0; 8]);
+    rt.task(tpl).read_write(left).submit();
+    let first = rt.run_noflush().expect("run failed");
+    assert_eq!(first.transfers.output_count, 0);
+
+    rt.task(tpl).read_write(later).submit();
+    let report = rt.run().expect("run failed");
+    assert_eq!(report.transfers.output_count, 2, "the untouched datum and the new one");
+    let trace = report.trace.as_ref().expect("tracing was on");
+    let mut flushed: Vec<DataId> = trace
+        .events()
+        .iter()
+        .filter_map(|ev| match *ev {
+            TraceEvent::Transfer { data, by: None, .. } => Some(data),
+            _ => None,
+        })
+        .collect();
+    flushed.sort_unstable();
+    assert_eq!(flushed, vec![left, later]);
+    assert_eq!(rt.read_f64(left), vec![2.0; 8]);
+    assert_eq!(rt.read_f64(later), vec![6.0; 8]);
+}
+
+/// The emulated link carries one device→host copy per source device at
+/// a time: whether a host stager or the write-back lane makes them, the
+/// `Transfer` spans out of one device never overlap.
+#[test]
+fn one_copy_out_per_device_at_a_time() {
+    let (report, data) = cholesky::run_native_with(
+        traced(RuntimeConfig::with_scheduler(SchedulerKind::versioning())),
+        CholeskyConfig { n: 384, bs: 64 },
+        CholeskyVariant::PotrfHybrid,
+        NativeConfig { smp_workers: 1, gpus: 1, gpu_lanes: 1, link_bandwidth: Some(50_000_000) },
+        3,
+    );
+    assert!(data.max_error() < 1e-2, "factor error {}", data.max_error());
+    let trace = report.trace.as_ref().expect("tracing was on");
+    assert!(invariants::check(trace).is_empty(), "{:?}", invariants::check(trace));
+    let mut out: Vec<(Ts, Ts, bool)> = trace
+        .events()
+        .iter()
+        .filter_map(|ev| match *ev {
+            TraceEvent::Transfer { start, end, from, to, by, .. }
+                if to.is_host() && from == MemSpace::device(0) =>
+            {
+                Some((start, end, by.is_none()))
+            }
+            _ => None,
+        })
+        .collect();
+    assert!(out.iter().any(|&(.., wb)| wb), "the write-back lane copied");
+    assert!(out.iter().any(|&(.., wb)| !wb), "the host stager copied out of the device");
+    out.sort_unstable();
+    for pair in out.windows(2) {
+        assert!(pair[0].1 <= pair[1].0, "copies out of device 0 overlap: {pair:?}");
+    }
 }
 
 /// Per-worker staging accounting: bytes and counts attributed to the
