@@ -20,9 +20,6 @@
 //! Whatever the tier or banding, per-element accumulation order is
 //! identical (see `crate::microkernel`'s bitwise contract), so every
 //! packed variant agrees **bitwise** with every other.
-//!
-//! The seed's 64×64 cache-blocked loop survives as `*gemm_blocked64`: a
-//! fixed baseline that `perf_baseline` measures the packed core against.
 
 use crate::exec::{LaneExec, ScopedExec};
 use crate::microkernel::{drive, par_bands};
@@ -31,43 +28,17 @@ use crate::simd::{self, Tier};
 
 /// Below this dimension the packed core's packing overhead outweighs its
 /// register blocking and the plain triple loop wins. Measured against the
-/// SIMD tiers with `perf_baseline --crossover` (this machine, avx512):
-/// naive wins through n = 12 (7.5 vs 4.8 GFLOP/s), packed wins from
-/// n = 16 up (8.0 vs 6.7) and is ~2× naive by n = 24 — so the old 64
-/// cutoff was costing tiles in 16..64 up to ~2.5×. The 64×64 loop
-/// (`*gemm_blocked64`) is never the best tier at any size and is no
-/// longer on the dispatch path at all.
-const PACK_MIN_N: usize = 16;
+/// SIMD tiers with `perf_baseline --crossover` (avx512): naive wins
+/// through n = 8 (0.22 vs 0.27 µs/call), the two tie at n = 10 (0.42 vs
+/// 0.40) and packed is ~2× naive by n = 16.
+const PACK_MIN_N: usize = 10;
 
 /// Below this dimension banding across lanes costs more than it saves.
 const PAR_MIN_N: usize = 128;
 
 macro_rules! gemm_impls {
-    ($t:ty, $naive:ident, $blocked:ident, $blocked64:ident, $packed:ident, $packed_scalar:ident,
-     $packed_tier:ident, $parallel:ident, $parallel_on:ident, $rect:ident,
-     $kernel:path, $kernel_for:path) => {
-        /// Rectangular 64×64-blocked core: `C[rows×n] += A[rows×n] · B[n×n]`.
-        fn $rect(a: &[$t], b: &[$t], c: &mut [$t], rows: usize, n: usize) {
-            assert!(a.len() >= rows * n && b.len() >= n * n && c.len() >= rows * n);
-            const BS: usize = 64;
-            for ii in (0..rows).step_by(BS) {
-                for kk in (0..n).step_by(BS) {
-                    for jj in (0..n).step_by(BS) {
-                        let (ie, ke, je) =
-                            ((ii + BS).min(rows), (kk + BS).min(n), (jj + BS).min(n));
-                        for i in ii..ie {
-                            for k in kk..ke {
-                                let aik = a[i * n + k];
-                                for j in jj..je {
-                                    c[i * n + j] += aik * b[k * n + j];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
+    ($t:ty, $naive:ident, $blocked:ident, $packed:ident, $packed_scalar:ident,
+     $packed_tier:ident, $parallel:ident, $parallel_on:ident, $kernel:path, $kernel_for:path) => {
         /// `C += A · B`, naive i-k-j triple loop.
         ///
         /// # Panics
@@ -83,15 +54,6 @@ macro_rules! gemm_impls {
                     }
                 }
             }
-        }
-
-        /// `C += A · B`, the seed's 64×64 cache-blocked loop. Kept as a
-        /// fixed perf baseline the packed core is measured against.
-        ///
-        /// # Panics
-        /// Panics if any slice is shorter than `n * n`.
-        pub fn $blocked64(a: &[$t], b: &[$t], c: &mut [$t], n: usize) {
-            $rect(a, b, c, n, n);
         }
 
         /// `C += A · B` through the packed register-blocked core with the
@@ -199,13 +161,11 @@ gemm_impls!(
     f64,
     dgemm_naive,
     dgemm_blocked,
-    dgemm_blocked64,
     dgemm_packed,
     dgemm_packed_scalar,
     dgemm_packed_tier,
     dgemm_parallel,
     dgemm_parallel_on,
-    dgemm_rect,
     simd::kernel_f64,
     simd::kernel_f64_for
 );
@@ -213,13 +173,11 @@ gemm_impls!(
     f32,
     sgemm_naive,
     sgemm_blocked,
-    sgemm_blocked64,
     sgemm_packed,
     sgemm_packed_scalar,
     sgemm_packed_tier,
     sgemm_parallel,
     sgemm_parallel_on,
-    sgemm_rect,
     simd::kernel_f32,
     simd::kernel_f32_for
 );
@@ -345,19 +303,6 @@ mod tests {
             let mut c2 = c1.clone();
             dgemm_naive(&a, &b, &mut c1, n);
             dgemm_blocked(&a, &b, &mut c2, n);
-            assert_close_f64(&c1, &c2, 1e-10);
-        }
-    }
-
-    #[test]
-    fn blocked64_matches_naive_f64() {
-        for n in [7usize, 64, 130] {
-            let a = random_matrix_f64(n, 31);
-            let b = random_matrix_f64(n, 32);
-            let mut c1 = random_matrix_f64(n, 33);
-            let mut c2 = c1.clone();
-            dgemm_naive(&a, &b, &mut c1, n);
-            dgemm_blocked64(&a, &b, &mut c2, n);
             assert_close_f64(&c1, &c2, 1e-10);
         }
     }

@@ -24,9 +24,19 @@
 //! never the per-element operation sequence, so **all micro-kernels
 //! produce bitwise-identical results** — and so does any row banding a
 //! parallel caller applies on top. The scalar tiles are the portable
-//! fallback and are preserved exactly as the pre-SIMD tier.
+//! fallback.
+//!
+//! # Memory traffic
+//!
+//! The driver's packed `A` block is a [`crate::pack::Scratch`] buffer
+//! from the calling thread's pool, like the [`PackedB`] it is driven
+//! with, so repeated GEMMs of one shape allocate nothing. Pooled storage
+//! is reused without clearing; packing overwrites every element a
+//! micro-kernel reads. The SIMD tiles prefetch their `C` tile at entry,
+//! so the single `±` write-back after the `k` loop hits L1 even when a
+//! task's `C` arrives cold from L3 or DRAM.
 
-use crate::pack::{PackedB, MC};
+use crate::pack::{PackedB, Pooled, MC};
 
 /// Micro-tile height of the portable scalar `f64` kernel.
 pub(crate) const MR_F64: usize = 8;
@@ -35,7 +45,7 @@ pub(crate) const NR_F64: usize = 4;
 /// Micro-tile height of the portable scalar `f32` kernel.
 pub(crate) const MR_F32: usize = 8;
 /// Micro-tile width of the portable scalar `f32` kernel.
-pub(crate) const NR_F32: usize = 8;
+pub(crate) const NR_F32: usize = 16;
 
 /// A monomorphized packed-block driver produced by [`make_driver!`]:
 /// `C[rows × ncols] ±= A[rows × k] · B` with `B` prepacked for the
@@ -63,7 +73,7 @@ pub(crate) type DriveFn<T> = unsafe fn(
 ///
 /// The packing layer uses `mr`/`nr` to shape the micro-panels, so a
 /// [`PackedB`] is only valid for drivers using the same `nr`.
-pub(crate) struct MicroKernel<T: 'static> {
+pub(crate) struct MicroKernel<T: Pooled> {
     /// Dispatch-tier name (`"scalar"`, `"avx2"`, `"avx512"`).
     pub name: &'static str,
     /// Micro-tile height (rows of `A` per register tile).
@@ -101,10 +111,10 @@ macro_rules! make_driver {
             const NR: usize = $nr;
             debug_assert_eq!(pb.nr, NR, "PackedB packed for a different micro-kernel shape");
             let k = pb.k;
-            // Size the A-pack buffer to the actual block extent so small
-            // tiles don't pay an MC × KC zero-fill per call.
             let apack_rows = $crate::pack::MC.min(rows.next_multiple_of(MR));
-            let mut apack = vec![0.0 as $t; apack_rows * $crate::pack::KC.min(k.max(1))];
+            let mut apack = $crate::pack::Scratch::<$t>::take(
+                apack_rows * $crate::pack::KC.min(k.max(1)),
+            );
             let mut p0 = 0;
             while p0 < k {
                 let kc = $crate::pack::KC.min(k - p0);
@@ -113,7 +123,8 @@ macro_rules! make_driver {
                 while i0 < rows {
                     let mc = $crate::pack::MC.min(rows - i0);
                     let mc_round = mc.next_multiple_of(MR);
-                    $crate::pack::pack_a(a, lda, i0, mc, p0, kc, MR, &mut apack[..mc_round * kc]);
+                    let apack = &mut apack[..mc_round * kc];
+                    $crate::pack::pack_a::<$t, MR>(a, lda, i0, mc, p0, kc, apack);
                     let mut jr = 0;
                     while jr < ncols {
                         let cols = NR.min(ncols - jr);
@@ -186,31 +197,54 @@ macro_rules! scalar_micro {
                     }
                 }
             }
-            for r in 0..rows {
-                // SAFETY: the caller guarantees the rows × cols corner at
-                // `c` with row stride `ldc` is writable.
-                let crow = unsafe { std::slice::from_raw_parts_mut(c.add(r * ldc), cols) };
-                if sub {
-                    for (dst, v) in crow.iter_mut().zip(&acc[r]) {
-                        *dst -= *v;
-                    }
-                } else {
-                    for (dst, v) in crow.iter_mut().zip(&acc[r]) {
-                        *dst += *v;
-                    }
-                }
-            }
+            // SAFETY: the caller guarantees the rows × cols corner at `c`
+            // with row stride `ldc` is writable.
+            unsafe { apply_rows(acc.as_flattened(), $nr, c, ldc, rows, cols, sub) }
         }
     };
+}
+
+/// `C ±= acc` on the `rows × cols` corner of `c`, with the accumulator
+/// tile spilled row-major to `acc` (row `r` at `acc[r · nr]`). The
+/// write-back of the scalar tiles and of the SIMD tiles' ragged corners.
+///
+/// # Safety
+/// The `rows × cols` corner at `c` with row stride `ldc` must be
+/// writable, and `acc` must hold `rows` rows of `nr ≥ cols` elements.
+#[inline]
+pub(crate) unsafe fn apply_rows<T>(
+    acc: &[T],
+    nr: usize,
+    c: *mut T,
+    ldc: usize,
+    rows: usize,
+    cols: usize,
+    sub: bool,
+) where
+    T: Copy + std::ops::SubAssign + std::ops::AddAssign,
+{
+    for (r, src) in acc.chunks_exact(nr).take(rows).enumerate() {
+        // SAFETY: row `r < rows` of the corner is writable (caller).
+        let crow = unsafe { std::slice::from_raw_parts_mut(c.add(r * ldc), cols) };
+        if sub {
+            for (dst, v) in crow.iter_mut().zip(src) {
+                *dst -= *v;
+            }
+        } else {
+            for (dst, v) in crow.iter_mut().zip(src) {
+                *dst += *v;
+            }
+        }
+    }
 }
 
 scalar_micro!(f64, micro_scalar_f64, MR_F64, NR_F64);
 scalar_micro!(f32, micro_scalar_f32, MR_F32, NR_F32);
 make_driver!(f64, drive_scalar_f64, micro_scalar_f64, 8, 4);
-make_driver!(f32, drive_scalar_f32, micro_scalar_f32, 8, 8);
+make_driver!(f32, drive_scalar_f32, micro_scalar_f32, 8, 16);
 
-/// The portable scalar `f64` kernel — the pre-SIMD packed tier, kept
-/// bit-for-bit as the fallback and as its own task version.
+/// The portable scalar `f64` kernel — the pre-SIMD packed tier, kept as
+/// the fallback and as its own task version.
 pub(crate) static SCALAR_F64: MicroKernel<f64> =
     MicroKernel { name: "scalar", mr: MR_F64, nr: NR_F64, drive: drive_scalar_f64 };
 
@@ -225,7 +259,7 @@ pub(crate) static SCALAR_F32: MicroKernel<f32> =
 /// of `+=`. Asserts the slice geometry, then runs `mk`'s monomorphized
 /// loop nest.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn drive<T>(
+pub(crate) fn drive<T: Pooled>(
     mk: &MicroKernel<T>,
     a: &[T],
     lda: usize,

@@ -9,17 +9,23 @@
 //!
 //! | tier | f64 tile | f32 tile | requires |
 //! |---|---|---|---|
-//! | `scalar` | 8×4 | 8×8 | nothing — the portable pre-SIMD tier |
-//! | `avx2` | 8×4 | 8×8 | AVX2 + FMA |
-//! | `avx512` | 16×8 | 16×8 | AVX-512F |
+//! | `scalar` | 8×4 | 8×16 | nothing — the portable pre-SIMD tier |
+//! | `avx2` | 4×8 | 4×16 | AVX2 + FMA |
+//! | `avx512` | 8×16 | 8×32 | AVX-512F |
 //!
-//! The SIMD tiles hold one accumulator register per *column* spanning the
-//! tile's rows, so each `k` step is one (or two) packed-`A` loads plus
-//! one broadcast-FMA per column — with enough independent accumulator
-//! chains to keep both FMA ports saturated. Every tier preserves the
-//! bitwise contract of [`crate::microkernel`]: per-element fused
-//! multiply-add in ascending `k` order, so **all tiers produce
-//! bitwise-identical results** and tests can compare them with `==`.
+//! The SIMD tiles are *row-oriented*: each tile row keeps two
+//! accumulator vectors spanning the tile's columns, so each `k` step is
+//! two packed-`B` vector loads, one broadcast of each row's packed-`A`
+//! value and two FMAs per row — 8 independent accumulator chains on
+//! AVX2, 16 on AVX-512, enough to keep both FMA ports busy. A full tile
+//! is written back straight from its registers, one vector load, `±`
+//! and store per accumulator; only a ragged corner spills to a row
+//! buffer. Each tile prefetches the rows of its `C` tile on entry, so
+//! the write-back does not stall on a `C` that lives in L3 or DRAM.
+//! Every tier preserves the bitwise contract of [`crate::microkernel`]:
+//! per-element fused multiply-add in ascending `k` order, so **all tiers
+//! produce bitwise-identical results** and tests can compare them with
+//! `==`.
 //!
 //! # Override knobs
 //!
@@ -161,220 +167,138 @@ pub(crate) fn kernel_f32() -> &'static MicroKernel<f32> {
 }
 
 /// One-line description of the active dispatch, e.g.
-/// `"avx512 (f64 8x8, f32 16x8)"` — used by benches and diagnostics.
+/// `"avx512 (f64 8x16, f32 8x32)"` — used by benches and diagnostics.
 pub fn active_description() -> String {
     let (k64, k32) = (kernel_f64(), kernel_f32());
     format!("{} (f64 {}x{}, f32 {}x{})", k64.name, k64.mr, k64.nr, k32.mr, k32.nr)
 }
 
-/// Apply a column-major accumulator buffer (`colbuf[j · mr + r]`) to the
-/// `rows × cols` corner of `c`. Shared writeback of every SIMD tile.
-///
-/// # Safety
-/// The `rows × cols` corner at `c` with row stride `ldc` must be
-/// writable, and `colbuf` must hold `cols` columns of `mr` rows.
 #[cfg(target_arch = "x86_64")]
-#[inline]
-unsafe fn apply_cols<T>(colbuf: &[T], mr: usize, c: *mut T, ldc: usize, rows: usize, cols: usize, sub: bool)
-where
-    T: Copy + std::ops::Add<Output = T> + std::ops::Sub<Output = T>,
-{
-    for r in 0..rows {
-        for j in 0..cols {
-            let v = colbuf[j * mr + r];
-            // SAFETY: caller guarantees the corner is writable.
-            unsafe {
-                let dst = c.add(r * ldc + j);
-                *dst = if sub { *dst - v } else { *dst + v };
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-// The 8-argument signature is the shared micro-kernel ABI, and the
-// `acc[j]` loops index lockstep with raw-pointer arithmetic on the
-// packed panels — iterator rewrites would obscure the stride contract.
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 mod x86 {
     //! The explicit x86-64 micro-kernels.
     //!
-    //! Each `*_impl` carries `#[target_feature]` so LLVM emits the wide
-    //! instructions regardless of the crate's base target. `make_driver!`
-    //! wraps each one in its own monomorphized BLIS loop nest, and the
-    //! dispatch table stores that *driver* — calling a kernel whose
-    //! features the CPU lacks is the driver's safety precondition, which
-    //! dispatch upholds by only handing out kernels after
-    //! `is_x86_feature_detected!` confirms the features.
+    //! Each tile is generated by [`row_tile!`] as a `#[target_feature]`
+    //! function, so LLVM emits the wide instructions regardless of the
+    //! crate's base target. `make_driver!` wraps it in its own
+    //! monomorphized BLIS loop nest, and the dispatch table stores that
+    //! *driver* — calling a kernel whose features the CPU lacks is the
+    //! driver's safety precondition, which dispatch upholds by only
+    //! handing out kernels after `is_x86_feature_detected!` confirms the
+    //! features.
 
-    use super::apply_cols;
-    use crate::microkernel::{make_driver, MicroKernel};
+    use crate::microkernel::{apply_rows, make_driver, MicroKernel};
     use std::arch::x86_64::*;
 
-    /// AVX2+FMA f64 8×4 tile: two 4-wide row vectors per `k` step, one
-    /// broadcast-FMA pair per column — 8 independent accumulator chains.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn avx2_f64_impl(
-        kc: usize,
-        ap: &[f64],
-        bp: &[f64],
-        c: *mut f64,
-        ldc: usize,
-        rows: usize,
-        cols: usize,
-        sub: bool,
-    ) {
-        debug_assert!(ap.len() >= kc * 8 && bp.len() >= kc * 4);
-        let mut acc = [[_mm256_setzero_pd(); 2]; 4];
-        let mut a = ap.as_ptr();
-        let mut b = bp.as_ptr();
-        // SAFETY: panel lengths checked above; loads stay within them.
-        unsafe {
-            for _ in 0..kc {
-                let a0 = _mm256_loadu_pd(a);
-                let a1 = _mm256_loadu_pd(a.add(4));
-                for j in 0..4 {
-                    let bb = _mm256_set1_pd(*b.add(j));
-                    acc[j][0] = _mm256_fmadd_pd(a0, bb, acc[j][0]);
-                    acc[j][1] = _mm256_fmadd_pd(a1, bb, acc[j][1]);
-                }
-                a = a.add(8);
-                b = b.add(4);
+    /// Prefetch the live `rows × cols` corner of a `C` tile into L1 at
+    /// micro-kernel entry, so the write-back after the `k` loop finds it
+    /// there instead of waiting on L3 or DRAM. Touches every cache line
+    /// of each live row (its first byte, every 64 bytes, its last byte).
+    #[inline(always)]
+    fn prefetch_c<T>(c: *const T, ldc: usize, rows: usize, cols: usize) {
+        debug_assert!(cols > 0);
+        let bytes = cols * std::mem::size_of::<T>();
+        for r in 0..rows {
+            let row = c.wrapping_add(r * ldc).cast::<i8>();
+            for off in (0..bytes).step_by(64).chain([bytes - 1]) {
+                // SAFETY: a prefetch is a hint that never faults, and
+                // `wrapping_add` keeps the address computation defined.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(row.wrapping_add(off)) }
             }
-            let mut colbuf = [0.0f64; 8 * 4];
-            for j in 0..4 {
-                _mm256_storeu_pd(colbuf.as_mut_ptr().add(j * 8), acc[j][0]);
-                _mm256_storeu_pd(colbuf.as_mut_ptr().add(j * 8 + 4), acc[j][1]);
-            }
-            apply_cols(&colbuf, 8, c, ldc, rows, cols, sub);
         }
     }
 
-    /// AVX2+FMA f32 8×8 tile: one 8-wide row vector per `k` step, one
-    /// broadcast-FMA per column — 8 chains, AVX2 f32 peak.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn avx2_f32_impl(
-        kc: usize,
-        ap: &[f32],
-        bp: &[f32],
-        c: *mut f32,
-        ldc: usize,
-        rows: usize,
-        cols: usize,
-        sub: bool,
-    ) {
-        debug_assert!(ap.len() >= kc * 8 && bp.len() >= kc * 8);
-        let mut acc = [_mm256_setzero_ps(); 8];
-        let mut a = ap.as_ptr();
-        let mut b = bp.as_ptr();
-        // SAFETY: panel lengths checked above; loads stay within them.
-        unsafe {
-            for _ in 0..kc {
-                let av = _mm256_loadu_ps(a);
-                for j in 0..8 {
-                    let bb = _mm256_set1_ps(*b.add(j));
-                    acc[j] = _mm256_fmadd_ps(av, bb, acc[j]);
+    /// Generate one row-oriented SIMD tile, its driver and its
+    /// [`MicroKernel`]. Row `r` of the `MR × NR` tile keeps two
+    /// accumulator vectors of `NR / 2` lanes, so each `k` step loads two
+    /// vectors of packed `B`, broadcasts each of the `MR` packed `A`
+    /// values once and issues `2 · MR` independent FMAs. A full tile is
+    /// written back straight from the registers, one load, `±` and store
+    /// per vector; a ragged corner spills the tile row-major and goes
+    /// through [`apply_rows`].
+    macro_rules! row_tile {
+        ($kernel:ident, $micro:ident, $driver:ident, $t:ty, $tier:literal, $feature:literal,
+         $mr:literal, $nr:literal,
+         $zero:ident, $load:ident, $store:ident, $set1:ident, $fmadd:ident,
+         $add:ident, $sub:ident) => {
+            #[doc = concat!("The ", $tier, " `", stringify!($t), "` tile, ", stringify!($mr), "×",
+                stringify!($nr), ".")]
+            // The 8-argument signature is the shared micro-kernel ABI.
+            #[allow(clippy::too_many_arguments)]
+            #[target_feature(enable = $feature)]
+            unsafe fn $micro(
+                kc: usize,
+                ap: &[$t],
+                bp: &[$t],
+                c: *mut $t,
+                ldc: usize,
+                rows: usize,
+                cols: usize,
+                sub: bool,
+            ) {
+                const LANES: usize = $nr / 2;
+                debug_assert!(ap.len() >= kc * $mr && bp.len() >= kc * $nr);
+                debug_assert!(rows <= $mr && cols <= $nr);
+                prefetch_c(c, ldc, rows, cols);
+                let mut acc = [[$zero(); 2]; $mr];
+                let (mut a, mut b) = (ap.as_ptr(), bp.as_ptr());
+                // SAFETY: the panel lengths checked above bound every
+                // load of `a` and `b`; the driver guarantees the rows ×
+                // cols corner at `c` with row stride `ldc` is writable,
+                // and the full-tile path runs only when that corner is
+                // the whole tile.
+                unsafe {
+                    for _ in 0..kc {
+                        let (b0, b1) = ($load(b), $load(b.add(LANES)));
+                        for (r, [v0, v1]) in acc.iter_mut().enumerate() {
+                            let ar = $set1(*a.add(r));
+                            *v0 = $fmadd(ar, b0, *v0);
+                            *v1 = $fmadd(ar, b1, *v1);
+                        }
+                        a = a.add($mr);
+                        b = b.add($nr);
+                    }
+                    if rows == $mr && cols == $nr {
+                        for (r, row) in acc.iter().enumerate() {
+                            for (h, &v) in row.iter().enumerate() {
+                                let dst = c.add(r * ldc + h * LANES);
+                                let cv = $load(dst);
+                                $store(dst, if sub { $sub(cv, v) } else { $add(cv, v) });
+                            }
+                        }
+                    } else {
+                        let mut spill = [0.0 as $t; $mr * $nr];
+                        for (r, row) in acc.iter().enumerate() {
+                            for (h, &v) in row.iter().enumerate() {
+                                $store(spill.as_mut_ptr().add(r * $nr + h * LANES), v);
+                            }
+                        }
+                        apply_rows(&spill, $nr, c, ldc, rows, cols, sub);
+                    }
                 }
-                a = a.add(8);
-                b = b.add(8);
             }
-            let mut colbuf = [0.0f32; 8 * 8];
-            for j in 0..8 {
-                _mm256_storeu_ps(colbuf.as_mut_ptr().add(j * 8), acc[j]);
-            }
-            apply_cols(&colbuf, 8, c, ldc, rows, cols, sub);
-        }
+
+            make_driver!($t, $driver, $micro, $mr, $nr);
+
+            pub(crate) static $kernel: MicroKernel<$t> =
+                MicroKernel { name: $tier, mr: $mr, nr: $nr, drive: $driver };
+        };
     }
 
-    /// AVX-512F f64 16×8 tile: two 8-wide row vectors per `k` step, one
-    /// broadcast plus two FMAs per column — 16 zmm accumulator chains,
-    /// enough to cover FMA latency × dual-port throughput.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn avx512_f64_impl(
-        kc: usize,
-        ap: &[f64],
-        bp: &[f64],
-        c: *mut f64,
-        ldc: usize,
-        rows: usize,
-        cols: usize,
-        sub: bool,
-    ) {
-        debug_assert!(ap.len() >= kc * 16 && bp.len() >= kc * 8);
-        let mut acc = [[_mm512_setzero_pd(); 2]; 8];
-        let mut a = ap.as_ptr();
-        let mut b = bp.as_ptr();
-        // SAFETY: panel lengths checked above; loads stay within them.
-        unsafe {
-            for _ in 0..kc {
-                let a0 = _mm512_loadu_pd(a);
-                let a1 = _mm512_loadu_pd(a.add(8));
-                for j in 0..8 {
-                    let bb = _mm512_set1_pd(*b.add(j));
-                    acc[j][0] = _mm512_fmadd_pd(a0, bb, acc[j][0]);
-                    acc[j][1] = _mm512_fmadd_pd(a1, bb, acc[j][1]);
-                }
-                a = a.add(16);
-                b = b.add(8);
-            }
-            let mut colbuf = [0.0f64; 16 * 8];
-            for j in 0..8 {
-                _mm512_storeu_pd(colbuf.as_mut_ptr().add(j * 16), acc[j][0]);
-                _mm512_storeu_pd(colbuf.as_mut_ptr().add(j * 16 + 8), acc[j][1]);
-            }
-            apply_cols(&colbuf, 16, c, ldc, rows, cols, sub);
-        }
-    }
-
-    /// AVX-512F f32 16×8 tile: one 16-wide row vector per `k` step, one
-    /// embedded-broadcast FMA per column — 8 zmm chains, f32 peak.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn avx512_f32_impl(
-        kc: usize,
-        ap: &[f32],
-        bp: &[f32],
-        c: *mut f32,
-        ldc: usize,
-        rows: usize,
-        cols: usize,
-        sub: bool,
-    ) {
-        debug_assert!(ap.len() >= kc * 16 && bp.len() >= kc * 8);
-        let mut acc = [_mm512_setzero_ps(); 8];
-        let mut a = ap.as_ptr();
-        let mut b = bp.as_ptr();
-        // SAFETY: panel lengths checked above; loads stay within them.
-        unsafe {
-            for _ in 0..kc {
-                let av = _mm512_loadu_ps(a);
-                for j in 0..8 {
-                    let bb = _mm512_set1_ps(*b.add(j));
-                    acc[j] = _mm512_fmadd_ps(av, bb, acc[j]);
-                }
-                a = a.add(16);
-                b = b.add(8);
-            }
-            let mut colbuf = [0.0f32; 16 * 8];
-            for j in 0..8 {
-                _mm512_storeu_ps(colbuf.as_mut_ptr().add(j * 16), acc[j]);
-            }
-            apply_cols(&colbuf, 16, c, ldc, rows, cols, sub);
-        }
-    }
-
-    make_driver!(f64, drive_avx2_f64, avx2_f64_impl, 8, 4);
-    make_driver!(f32, drive_avx2_f32, avx2_f32_impl, 8, 8);
-    make_driver!(f64, drive_avx512_f64, avx512_f64_impl, 16, 8);
-    make_driver!(f32, drive_avx512_f32, avx512_f32_impl, 16, 8);
-
-    pub(crate) static AVX2_F64: MicroKernel<f64> =
-        MicroKernel { name: "avx2", mr: 8, nr: 4, drive: drive_avx2_f64 };
-    pub(crate) static AVX2_F32: MicroKernel<f32> =
-        MicroKernel { name: "avx2", mr: 8, nr: 8, drive: drive_avx2_f32 };
-    pub(crate) static AVX512_F64: MicroKernel<f64> =
-        MicroKernel { name: "avx512", mr: 16, nr: 8, drive: drive_avx512_f64 };
-    pub(crate) static AVX512_F32: MicroKernel<f32> =
-        MicroKernel { name: "avx512", mr: 16, nr: 8, drive: drive_avx512_f32 };
+    // AVX2 has 16 vector registers: 4 rows × 2 accumulators leave room
+    // for the two `B` vectors and the broadcast. 4×8/4×16 measured at
+    // least as fast as 8×4/8×8 with one accumulator per row.
+    row_tile!(AVX2_F64, avx2_f64_tile, drive_avx2_f64, f64, "avx2", "avx2,fma", 4, 8,
+        _mm256_setzero_pd, _mm256_loadu_pd, _mm256_storeu_pd, _mm256_set1_pd, _mm256_fmadd_pd,
+        _mm256_add_pd, _mm256_sub_pd);
+    row_tile!(AVX2_F32, avx2_f32_tile, drive_avx2_f32, f32, "avx2", "avx2,fma", 4, 16,
+        _mm256_setzero_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_fmadd_ps,
+        _mm256_add_ps, _mm256_sub_ps);
+    row_tile!(AVX512_F64, avx512_f64_tile, drive_avx512_f64, f64, "avx512", "avx512f", 8, 16,
+        _mm512_setzero_pd, _mm512_loadu_pd, _mm512_storeu_pd, _mm512_set1_pd, _mm512_fmadd_pd,
+        _mm512_add_pd, _mm512_sub_pd);
+    row_tile!(AVX512_F32, avx512_f32_tile, drive_avx512_f32, f32, "avx512", "avx512f", 8, 32,
+        _mm512_setzero_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps, _mm512_fmadd_ps,
+        _mm512_add_ps, _mm512_sub_ps);
 }
 
 #[cfg(test)]

@@ -40,12 +40,12 @@
 use crate::chunk_ranges;
 use crate::exec::{LaneExec, ScopedExec, SerialExec};
 use crate::microkernel::{drive, MicroKernel};
-use crate::pack::{PackedB, MC};
+use crate::pack::{PackedB, Pooled, MC};
 use crate::simd::{self, Tier};
 use std::ops::{Div, Mul, Sub};
 
 /// Column-block width of the blocked `trsm` and `potrf`: a multiple of
-/// every micro-tile's `mr` (8, 16) and `nr` (4, 8).
+/// every micro-tile's `mr` (4, 8) and `nr` (4, 8, 16, 32).
 pub(crate) const NB: usize = 64;
 
 /// Below this dimension banding rows across lanes costs more than it
@@ -60,8 +60,7 @@ pub(crate) const BLOCKED_MIN_N: usize = 24;
 
 /// The element arithmetic the panel kernels are generic over.
 pub(crate) trait Real:
-    Copy
-    + Default
+    Pooled
     + PartialOrd
     + Send
     + Sync
@@ -125,7 +124,7 @@ fn diagonal_solve<T: Real>(l: &[T], jb: usize, t: &mut [T], m: usize) {
 }
 
 /// One column block `J = j0..j0 + jb` of `L`, prepared once per solve.
-struct Block<T> {
+struct Block<T: Pooled> {
     j0: usize,
     jb: usize,
     /// `L[J, J]`, row-major `jb × jb`.
@@ -136,7 +135,7 @@ struct Block<T> {
 
 /// An `n × n` lower factor cut into `NB`-wide column blocks, shared
 /// read-only by every row band of a solve.
-pub(crate) struct Panels<T> {
+pub(crate) struct Panels<T: Pooled> {
     blocks: Vec<Block<T>>,
 }
 

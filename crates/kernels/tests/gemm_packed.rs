@@ -1,7 +1,7 @@
 //! Property tests for the packed register-blocked GEMM core.
 //!
 //! Sizes are drawn adversarially around every blocking boundary the
-//! packed path has: the micro-tile (8×4 f64 / 8×8 f32), the small-tile
+//! packed path has: the micro-tiles (4 or 8 rows tall), the small-tile
 //! dispatch threshold (64), the `MC = 128` row block and the `KC = 256`
 //! panel depth — plus a uniform range of small sizes. Case counts are
 //! kept modest because the naive reference is O(n³) in debug builds.

@@ -16,8 +16,8 @@
 //! two guarantees — bitwise across tiers and lane counts — and are
 //! checked numerically against their `*_unblocked` oracles.
 //!
-//! Sizes straddle every blocking boundary of the widest tile (the 16×8
-//! avx512 f64 kernel) plus `MC = 128` / `KC = 256`. The whole file also
+//! Sizes straddle every blocking boundary of the tiles (heights 4 and 8,
+//! widths 4 to 32) plus `NB = 64`, `MC = 128` and `KC = 256`. The whole file also
 //! runs in CI under `VERSA_SIMD=scalar`, which exercises the same
 //! properties with dispatch pinned to the portable fallback.
 
@@ -37,8 +37,9 @@ use versa_kernels::trsm::{
 };
 use versa_kernels::verify::{random_matrix_f32, random_matrix_f64, spd_matrix_f32, spd_matrix_f64};
 
-/// Sizes around the micro-tile edges (8, 16), the dispatch threshold
-/// (16), MC (128) and KC (256), each ±1, plus a uniform small range.
+/// Sizes around the micro-tile edges (8, 16, 32, 48), the dispatch
+/// threshold (16), NB (64), MC (128) and KC (256), each ±1, plus a
+/// uniform small range.
 fn adversarial_n() -> impl Strategy<Value = usize> {
     prop_oneof![
         Just(1usize),
@@ -49,7 +50,14 @@ fn adversarial_n() -> impl Strategy<Value = usize> {
         Just(16usize),
         Just(17usize),
         Just(31usize),
+        Just(32usize),
         Just(33usize),
+        Just(47usize),
+        Just(48usize),
+        Just(49usize),
+        Just(63usize),
+        Just(64usize),
+        Just(65usize),
         Just(127usize),
         Just(128usize),
         Just(129usize),
