@@ -2,9 +2,9 @@
 
 use super::{BucketKey, MeanPolicy, RunningMean, SizeBucketPolicy};
 use crate::{TemplateId, TemplateRegistry, VersionId};
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Duration;
+use versa_mem::IdMap;
 
 /// Statistics of one task version within one size group.
 #[derive(Clone, Copy, Debug, Default)]
@@ -160,7 +160,7 @@ pub struct ProfileStore {
     lambda: u64,
     quarantine_threshold: u64,
     probation: Option<u64>,
-    groups: HashMap<(TemplateId, BucketKey), GroupProfile>,
+    groups: IdMap<(TemplateId, BucketKey), GroupProfile>,
 }
 
 /// Summary of one quarantined (template, size-group, version) entry, for
@@ -192,7 +192,7 @@ impl ProfileStore {
             lambda,
             quarantine_threshold: 2,
             probation: None,
-            groups: HashMap::new(),
+            groups: IdMap::default(),
         }
     }
 
@@ -502,7 +502,8 @@ impl ProfileStore {
     }
 
     /// Iterate over all `(template, bucket, group)` entries, sorted for
-    /// deterministic output.
+    /// deterministic output: the table, the hints file and every other
+    /// reader go through here, never through the map's own order.
     pub fn iter(&self) -> impl Iterator<Item = (TemplateId, BucketKey, &GroupProfile)> {
         let mut keys: Vec<&(TemplateId, BucketKey)> = self.groups.keys().collect();
         keys.sort_unstable();

@@ -20,8 +20,8 @@ use super::versioning::DecisionPhase;
 use super::WorkerBid;
 use crate::profile::BucketKey;
 use crate::{TemplateId, VersionId, WorkerId};
-use std::collections::HashMap;
 use std::time::Duration;
+use versa_mem::IdMap;
 
 /// Profile statistics of one candidate version, snapshotted immediately
 /// before a decision (quarantined versions are already filtered out by
@@ -209,7 +209,7 @@ pub(crate) fn earliest_executor(
 pub struct RoundRobinLearning {
     /// Per-(template, bucket) round-robin cursor — the same arithmetic
     /// the profile store's learning cursor used before the extraction.
-    cursors: HashMap<(TemplateId, BucketKey), usize>,
+    cursors: IdMap<(TemplateId, BucketKey), usize>,
 }
 
 impl RoundRobinLearning {

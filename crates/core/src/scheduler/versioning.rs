@@ -4,9 +4,8 @@ use super::policy::{CandidateStats, Policy, PolicyCtx, PolicyKind, WorkerSnap};
 use super::{queue_pressure, Assignment, FailureKind, SchedCtx, Scheduler};
 use crate::profile::{BucketKey, GroupProfile, MeanPolicy, ProfileStore, SizeBucketPolicy};
 use crate::{TaskId, TaskInstance, TaskTemplate, TemplateId, VersionId, WorkerId, WorkerState};
-use std::collections::HashMap;
 use std::time::Duration;
-use versa_mem::MemSpace;
+use versa_mem::{IdMap, MemSpace};
 
 /// Smoothing factor for the per-space bandwidth EWMA: the same "keep
 /// adapting, weight the recent past" idea as the paper's footnote-3
@@ -214,7 +213,7 @@ pub struct VersioningScheduler {
     /// completed transfers (EWMA). Used by the locality-aware transfer
     /// term in place of the static `assumed_bandwidth` once at least one
     /// transfer into the space has been observed.
-    bandwidth: HashMap<MemSpace, f64>,
+    bandwidth: IdMap<MemSpace, f64>,
     bufs: DecisionBufs,
 }
 
@@ -230,7 +229,7 @@ impl VersioningScheduler {
             profiles,
             policy,
             decisions: None,
-            bandwidth: HashMap::new(),
+            bandwidth: IdMap::default(),
             bufs: DecisionBufs::default(),
         }
     }

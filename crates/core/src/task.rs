@@ -1,6 +1,8 @@
 //! Task templates (version sets), versions, and dynamic task instances.
 
 use crate::{DeviceKind, TaskId, TemplateId, VersionId};
+// `by_name` is keyed by template names, not ids.
+#[allow(clippy::disallowed_types)]
 use std::collections::HashMap;
 use versa_mem::{AccessMode, Region};
 
@@ -148,6 +150,8 @@ impl TemplateBuilder<'_> {
 #[derive(Default, Debug, Clone)]
 pub struct TemplateRegistry {
     templates: Vec<TaskTemplate>,
+    // String keys: hashed as std hashes them.
+    #[allow(clippy::disallowed_types)]
     by_name: HashMap<String, TemplateId>,
 }
 

@@ -21,7 +21,7 @@
 //! allocator's hands: after the first runtime of a process a tile costs a
 //! free-list pop, whatever the allocator's thresholds are.
 
-use std::collections::HashMap;
+use crate::IdMap;
 use std::sync::Mutex;
 
 /// Storage shorter than this is left to the allocator.
@@ -33,7 +33,7 @@ const POOL_CAP_BYTES: usize = 256 << 20;
 
 /// Parked word storage by length in words, and the bytes parked in total.
 struct Pool {
-    free: HashMap<usize, Vec<Box<[u64]>>>,
+    free: IdMap<usize, Vec<Box<[u64]>>>,
     bytes: usize,
 }
 
@@ -55,6 +55,9 @@ impl Pool {
             return;
         }
         while self.bytes + bytes > cap {
+            // Which other length gives way follows the map's order. It only
+            // picks which parked storage goes back to the allocator: every
+            // buffer reads as fresh, so it reaches no decision or report.
             let other = self.free.iter_mut().find(|(w, v)| **w != buf.len() && !v.is_empty());
             let Some((words, stale)) = other else { return };
             stale.pop();
@@ -81,7 +84,7 @@ fn take(words: usize) -> Option<Box<[u64]>> {
 fn park(buf: Box<[u64]>) {
     POOL.lock()
         .unwrap_or_else(|e| e.into_inner())
-        .get_or_insert_with(|| Pool { free: HashMap::new(), bytes: 0 })
+        .get_or_insert_with(|| Pool { free: IdMap::default(), bytes: 0 })
         .park(buf, POOL_CAP_BYTES);
 }
 
@@ -247,7 +250,7 @@ mod tests {
     #[test]
     fn pool_is_bounded_and_evicts_other_lengths_first() {
         let buf = |words: usize| vec![0u64; words].into_boxed_slice();
-        let mut pool = Pool { free: HashMap::new(), bytes: 0 };
+        let mut pool = Pool { free: IdMap::default(), bytes: 0 };
         let cap = 10 * 8;
         pool.park(buf(4), cap);
         pool.park(buf(4), cap);

@@ -14,11 +14,10 @@
 //! same allocation in the same space, so unwrap contention is limited to
 //! the instants a transfer briefly holds a second reference.
 
-use crate::{AlignedBuf, DataId, MemSpace, Transfer};
-use std::collections::HashMap;
+use crate::{AlignedBuf, DataId, IdMap, MemSpace, Transfer};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
-type SpaceMap = HashMap<DataId, Arc<AlignedBuf>>;
+type SpaceMap = IdMap<DataId, Arc<AlignedBuf>>;
 
 /// Number of lock stripes per space. Buffer operations are keyed to a
 /// stripe by data id, so concurrent kernels, stagers, and admissions
@@ -33,7 +32,7 @@ struct SpaceShards {
 
 impl SpaceShards {
     fn new() -> SpaceShards {
-        SpaceShards { shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect() }
+        SpaceShards { shards: (0..SHARDS).map(|_| Mutex::new(SpaceMap::default())).collect() }
     }
 
     /// The stripe holding `data`'s buffer.

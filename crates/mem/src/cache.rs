@@ -10,8 +10,7 @@
 //! picks LRU victims; the runtime decides whether a victim needs a
 //! write-back (it holds the only valid copy) or can simply be dropped.
 
-use crate::DataId;
-use std::collections::HashMap;
+use crate::{DataId, IdMap};
 
 /// LRU residency tracker for one device memory space.
 ///
@@ -30,7 +29,7 @@ use std::collections::HashMap;
 pub struct DeviceCache {
     capacity: u64,
     used: u64,
-    bytes: HashMap<DataId, u64>,
+    bytes: IdMap<DataId, u64>,
     /// LRU order: front = least recently used.
     order: Vec<DataId>,
 }
@@ -38,7 +37,7 @@ pub struct DeviceCache {
 impl DeviceCache {
     /// Cache with `capacity` bytes of device memory.
     pub fn new(capacity: u64) -> DeviceCache {
-        DeviceCache { capacity, used: 0, bytes: HashMap::new(), order: Vec::new() }
+        DeviceCache { capacity, used: 0, bytes: IdMap::default(), order: Vec::new() }
     }
 
     /// Total capacity in bytes.

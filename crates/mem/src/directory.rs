@@ -8,8 +8,7 @@
 //! *latest* value, and emits the minimal [`Transfer`]s needed before a task
 //! may access the data in a given space.
 
-use crate::{DataId, MemSpace, Region, Transfer};
-use std::collections::HashMap;
+use crate::{DataId, IdMap, MemSpace, Region, Transfer};
 use std::sync::{Mutex, MutexGuard};
 
 /// Number of lock stripes the directory is split into. Entries are
@@ -101,7 +100,7 @@ impl HandleState {
 /// ```
 #[derive(Debug)]
 pub struct Directory {
-    shards: Vec<Mutex<HashMap<DataId, HandleState>>>,
+    shards: Vec<Mutex<IdMap<DataId, HandleState>>>,
 }
 
 impl Default for Directory {
@@ -113,11 +112,11 @@ impl Default for Directory {
 impl Directory {
     /// Empty directory.
     pub fn new() -> Directory {
-        Directory { shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect() }
+        Directory { shards: (0..SHARDS).map(|_| Mutex::new(IdMap::default())).collect() }
     }
 
     /// The stripe holding `data`'s entry.
-    fn shard(&self, data: DataId) -> MutexGuard<'_, HashMap<DataId, HandleState>> {
+    fn shard(&self, data: DataId) -> MutexGuard<'_, IdMap<DataId, HandleState>> {
         self.shards[data.0 as usize % SHARDS].lock().expect("directory shard poisoned")
     }
 
@@ -238,7 +237,7 @@ impl Directory {
     /// Flush every allocation to the host, returning all needed transfers
     /// (a full `taskwait` without `noflush`). Ids are sorted before
     /// flushing so the transfer order stays deterministic regardless of
-    /// stripe layout.
+    /// stripe layout and of the stripes' hash order.
     pub fn flush_all_to_host(&self) -> Vec<Transfer> {
         let mut ids: Vec<DataId> = Vec::new();
         for shard in &self.shards {

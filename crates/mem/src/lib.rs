@@ -22,6 +22,9 @@
 //!   real kernels execute against. Buffers are [`AlignedBuf`]s, whose
 //!   tile-sized storage is recycled process-wide instead of going back
 //!   to the allocator.
+//! * [`IdMap`] / [`IdSet`] — the hash tables every coordinator map uses:
+//!   keyed by runtime-assigned ids, hashed with the in-tree [`IdHasher`]
+//!   instead of std's SipHash.
 
 #![warn(missing_docs)]
 
@@ -29,6 +32,7 @@ mod aligned;
 mod arena;
 mod cache;
 mod directory;
+mod idmap;
 mod region;
 mod space;
 mod staging;
@@ -39,6 +43,7 @@ pub use aligned::AlignedBuf;
 pub use arena::Arena;
 pub use cache::DeviceCache;
 pub use directory::{AccessMode, Directory, HandleState};
+pub use idmap::{IdHasher, IdMap, IdSet};
 pub use region::{DataId, Region};
 pub use space::MemSpace;
 pub use staging::{ReadyCell, StagingLedger};

@@ -33,8 +33,7 @@
 //!    proceeds independently — so the wait graph is acyclic and the
 //!    protocol is deadlock-free.
 
-use crate::{DataId, MemSpace, Transfer};
-use std::collections::HashMap;
+use crate::{DataId, IdMap, MemSpace, Transfer};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Resolution state of one planned copy.
@@ -133,10 +132,14 @@ impl ReadyCell {
 ///
 /// Single-threaded by construction (only the coordinator touches it);
 /// the [`ReadyCell`]s it hands out are the only shared state.
+///
+/// The maps are only ever iterated by `retain` with a side-effect-free
+/// predicate, or counted: what survives does not depend on the order
+/// visited, so [`IdMap`]'s order reaches no plan.
 #[derive(Default, Debug)]
 pub struct StagingLedger {
-    cells: HashMap<(DataId, MemSpace), Arc<ReadyCell>>,
-    epochs: HashMap<(DataId, MemSpace), u64>,
+    cells: IdMap<(DataId, MemSpace), Arc<ReadyCell>>,
+    epochs: IdMap<(DataId, MemSpace), u64>,
 }
 
 impl StagingLedger {

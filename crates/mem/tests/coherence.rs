@@ -128,7 +128,7 @@ proptest! {
         write_at in proptest::collection::vec((0..2u8).prop_map(|b| b == 1), 1..40),
     ) {
         let mut ledger = StagingLedger::new();
-        let mut last_epoch = std::collections::HashMap::new();
+        let mut last_epoch = versa_mem::IdMap::default();
         for ((data, space, publish_ok), write) in plans.into_iter().zip(write_at) {
             let (data, space) = (DataId(data), spaces()[usize::from(space)]);
             let t = Transfer { data, from: MemSpace::HOST, to: space, bytes: 64 };

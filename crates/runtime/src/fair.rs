@@ -17,9 +17,9 @@
 //! nothing for single-job workloads.
 
 use crate::graph::TaskGraph;
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use versa_core::{JobTag, TaskId};
+use versa_mem::IdMap;
 
 /// Virtual-position scale: keeps integer division by the weight precise
 /// enough that distinct positions never collide spuriously.
@@ -32,7 +32,7 @@ const UNTAGGED: JobTag = JobTag { job: u64::MAX, tenant: u32::MAX, class: 1, wei
 #[derive(Default, Debug)]
 pub(crate) struct FairState {
     /// Tasks dispatched so far per job id.
-    dispatched: HashMap<u64, u64>,
+    dispatched: IdMap<u64, u64>,
 }
 
 fn tag_of(graph: &TaskGraph, tid: TaskId) -> JobTag {
@@ -46,7 +46,7 @@ impl FairState {
         if pool.len() < 2 {
             return;
         }
-        let mut pending: HashMap<u64, u64> = HashMap::new();
+        let mut pending: IdMap<u64, u64> = IdMap::default();
         let mut keyed: Vec<(u8, u128, usize, TaskId)> = pool
             .iter()
             .enumerate()

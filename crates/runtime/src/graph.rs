@@ -12,9 +12,9 @@
 //!   writers (output dependence) — this runtime does not rename, so WAR
 //!   and WAW must serialize.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use versa_core::{Assignment, TaskId, TaskInstance, WorkerId};
-use versa_mem::{DataId, Region};
+use versa_mem::{DataId, IdMap, Region};
 
 /// Lifecycle of a task inside the graph.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -78,7 +78,7 @@ pub struct TaskGraph {
     /// Id of the first node still stored; everything below is pruned
     /// (and was `Done` when it went).
     base: usize,
-    logs: HashMap<DataId, RegionLog>,
+    logs: IdMap<DataId, RegionLog>,
     newly_ready: Vec<TaskId>,
     live: usize,
     /// Scratch for [`TaskGraph::submit`]'s dependence list, reused so a

@@ -191,9 +191,9 @@ impl Drop for LanePool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread::ThreadId;
+    use versa_mem::IdSet;
 
     fn batch_sum(pool: &LanePool, jobs: usize) -> usize {
         let hits = AtomicUsize::new(0);
@@ -230,7 +230,7 @@ mod tests {
     #[test]
     fn reuses_the_same_threads_across_batches() {
         let pool = LanePool::new(3);
-        let seen: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
+        let seen: Mutex<IdSet<ThreadId>> = Mutex::new(IdSet::default());
         for _ in 0..50 {
             let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..6)
                 .map(|_| {

@@ -19,7 +19,7 @@ use crate::remote::{RemoteAccess, RemoteError, RemoteExec, RemoteNode, ShipTicke
 use crate::report::{FailureReport, RunError, TaskFailure, WorkerTransferStats};
 use crate::runtime::{EngineKind, NativeFn};
 use crate::{RunReport, Runtime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -29,8 +29,8 @@ use versa_core::{FailureKind, TaskId, TemplateId, VersionId, WorkerId};
 use versa_kernels::chunk_ranges;
 use versa_kernels::exec::{LaneExec, SerialExec};
 use versa_mem::{
-    AccessMode, AlignedBuf, Arena, DataId, HandleState, MemSpace, ReadyCell, Region, StagingLedger,
-    Transfer, TransferStats,
+    AccessMode, AlignedBuf, Arena, DataId, HandleState, IdMap, MemSpace, ReadyCell, Region,
+    StagingLedger, Transfer, TransferStats,
 };
 use versa_trace::{TraceEvent, TraceSink, Ts};
 
@@ -560,7 +560,7 @@ struct RemoteLane {
     node: Arc<dyn RemoteNode>,
     /// Closures don't cross the wire: the node resolves templates by
     /// name against its own registry.
-    names: Arc<HashMap<TemplateId, String>>,
+    names: Arc<IdMap<TemplateId, String>>,
     /// Raised by whichever lane of the node first sees
     /// [`RemoteError::Lost`]; stagers then bounce queued items instead
     /// of shipping to a dead node.
@@ -980,7 +980,7 @@ pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<
     let inflight_cap = rt.config.lookahead_depth + 1;
 
     let mut stats = TransferStats::default();
-    let mut version_counts: HashMap<(TemplateId, VersionId), u64> = HashMap::new();
+    let mut version_counts: IdMap<(TemplateId, VersionId), u64> = IdMap::default();
     let mut worker_counts = vec![0u64; n_workers];
     let mut worker_busy = vec![Duration::ZERO; n_workers];
     let mut worker_transfers = vec![WorkerTransferStats::default(); n_workers];
@@ -990,10 +990,10 @@ pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<
     let budget = max_dispatch.unwrap_or(u64::MAX);
     let mut dispatched = 0u64;
     let mut failures = FailureReport::default();
-    let mut attempts: HashMap<TaskId, u32> = HashMap::new();
+    let mut attempts: IdMap<TaskId, u32> = IdMap::default();
     let mut abort: Option<(TaskId, String)> = None;
     let mut ledger = StagingLedger::new();
-    let mut rollbacks: HashMap<TaskId, Vec<Rollback>> = HashMap::new();
+    let mut rollbacks: IdMap<TaskId, Vec<Rollback>> = IdMap::default();
 
     // Remote nodes: which lanes front one, and per node (0 = this
     // process) how many planned tasks have not reported back yet.
@@ -1003,10 +1003,10 @@ pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<
     let mut node_loss = vec![NodeLoss::Alive; node_count];
     // Attempts per task that ended in a node loss: not counted against
     // `max_task_retries`.
-    let mut uncharged: HashMap<TaskId, u32> = HashMap::new();
+    let mut uncharged: IdMap<TaskId, u32> = IdMap::default();
     let remote_lanes: Vec<Option<RemoteLane>> = {
-        let names: Arc<HashMap<TemplateId, String>> = Arc::new(if plan.by_space.is_empty() {
-            HashMap::new()
+        let names: Arc<IdMap<TemplateId, String>> = Arc::new(if plan.by_space.is_empty() {
+            IdMap::default()
         } else {
             rt.templates
                 .iter()
@@ -1123,9 +1123,9 @@ pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<
                     stats: &mut TransferStats,
                     worker_transfers: &mut Vec<WorkerTransferStats>,
                     ledger: &mut StagingLedger,
-                    rollbacks: &mut HashMap<TaskId, Vec<Rollback>>,
+                    rollbacks: &mut IdMap<TaskId, Vec<Rollback>>,
                     outbox: &mut Vec<VecDeque<StagedItem>>,
-                    attempts: &HashMap<TaskId, u32>| {
+                    attempts: &IdMap<TaskId, u32>| {
             for tid in rt.graph.drain_newly_ready() {
                 if let Some(sink) = &sink {
                     sink.record(
@@ -1472,7 +1472,7 @@ pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<
         makespan: wall0.elapsed(),
         tasks_executed,
         transfers: stats,
-        version_counts,
+        version_counts: version_counts.into_iter().collect(),
         worker_task_counts: worker_counts,
         worker_busy,
         worker_transfers,

@@ -40,11 +40,10 @@
 //!   was queued behind them on the dead lanes back to the ready pool
 //!   uncharged, and requeues everything onto surviving workers.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use versa_core::{TaskId, VersionId};
-use versa_mem::{AccessMode, DataId, MemSpace, Region};
+use versa_mem::{AccessMode, DataId, IdMap, MemSpace, Region};
 
 /// Capabilities a remote node advertises at registration (the hello
 /// handshake's payload, transport-agnostic).
@@ -170,7 +169,7 @@ pub(crate) struct RemoteAttachment {
 #[derive(Clone, Default)]
 pub(crate) struct RemotePlan {
     /// Mirror space → transport.
-    pub by_space: HashMap<MemSpace, Arc<dyn RemoteNode>>,
+    pub by_space: IdMap<MemSpace, Arc<dyn RemoteNode>>,
     /// Worker index → node id (0 = local).
     pub node_of_worker: Vec<u16>,
 }

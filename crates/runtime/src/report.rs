@@ -2,6 +2,8 @@
 //! plus the failure/retry accounting added by the fault-tolerance
 //! subsystem.
 
+// `RunReport::version_counts` is a public std map.
+#[allow(clippy::disallowed_types)]
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
@@ -167,6 +169,8 @@ pub struct RunReport {
     /// Transfer accounting (paper Figs. 7, 10, 13).
     pub transfers: TransferStats,
     /// Executions per (template, version) (paper Figs. 8, 11, 14, 15).
+    // Public report field: engines convert into it once.
+    #[allow(clippy::disallowed_types)]
     pub version_counts: HashMap<(TemplateId, VersionId), u64>,
     /// Tasks executed per worker, indexed by worker id.
     pub worker_task_counts: Vec<u64>,
@@ -269,9 +273,8 @@ mod tests {
     use versa_core::DeviceKind;
 
     fn report() -> RunReport {
-        let mut version_counts = HashMap::new();
-        version_counts.insert((TemplateId(0), VersionId(0)), 90);
-        version_counts.insert((TemplateId(0), VersionId(2)), 10);
+        let version_counts =
+            [((TemplateId(0), VersionId(0)), 90), ((TemplateId(0), VersionId(2)), 10)].into();
         RunReport {
             scheduler: "versioning".into(),
             makespan: Duration::from_secs(2),

@@ -5,7 +5,10 @@ use crate::graph::TaskGraph;
 use crate::native::{KernelCtx, NativeConfig};
 use crate::report::QuarantinedVersion;
 use crate::{RunError, RunReport, RuntimeConfig};
-use std::collections::{HashMap, VecDeque};
+// `DetachedExecutor` looks kernels up by template name.
+#[allow(clippy::disallowed_types)]
+use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use versa_core::{
     make_scheduler, DeviceKind, JobTag, Scheduler, TaskId, TaskInstance, TemplateBuilder,
@@ -13,7 +16,7 @@ use versa_core::{
     WorkerState,
 };
 use versa_mem::{
-    AccessMode, AlignedBuf, Arena, DataId, DeviceCache, Directory, MemSpace, Region,
+    AccessMode, AlignedBuf, Arena, DataId, DeviceCache, Directory, IdMap, MemSpace, Region,
 };
 use versa_sim::{CostTable, PlatformConfig};
 
@@ -83,7 +86,7 @@ pub struct Runtime {
     pub(crate) workers: Vec<WorkerState>,
     pub(crate) scheduler: Box<dyn Scheduler>,
     pub(crate) costs: CostTable,
-    pub(crate) kernels: HashMap<(TemplateId, VersionId), NativeFn>,
+    pub(crate) kernels: IdMap<(TemplateId, VersionId), NativeFn>,
     pub(crate) engine: EngineKind,
     pub(crate) run_count: u64,
     /// Ready tasks not yet dispatched — persists across bounded waves.
@@ -94,7 +97,7 @@ pub struct Runtime {
     current_job: Option<JobTag>,
     /// Test hook: pending injected staging faults per datum (native
     /// engine). See [`Runtime::inject_stage_fault`].
-    pub(crate) stage_faults: HashMap<DataId, u32>,
+    pub(crate) stage_faults: IdMap<DataId, u32>,
     pub(crate) remotes: Vec<crate::remote::RemoteAttachment>,
     next_data: u32,
 }
@@ -148,13 +151,13 @@ impl Runtime {
             workers,
             scheduler,
             costs: CostTable::new(),
-            kernels: HashMap::new(),
+            kernels: IdMap::default(),
             engine: EngineKind::Sim { platform, caches: None },
             run_count: 0,
             pending: VecDeque::new(),
             fair: FairState::default(),
             current_job: None,
-            stage_faults: HashMap::new(),
+            stage_faults: IdMap::default(),
             remotes: Vec::new(),
             next_data: 0,
         }
@@ -177,13 +180,13 @@ impl Runtime {
             workers,
             scheduler,
             costs: CostTable::new(),
-            kernels: HashMap::new(),
+            kernels: IdMap::default(),
             engine: EngineKind::Native { cfg: native, arena },
             run_count: 0,
             pending: VecDeque::new(),
             fair: FairState::default(),
             current_job: None,
-            stage_faults: HashMap::new(),
+            stage_faults: IdMap::default(),
             remotes: Vec::new(),
             next_data: 0,
         }
@@ -683,6 +686,8 @@ impl Runtime {
 /// kernels are `Arc` closures and the arena synchronizes internally, so
 /// the executor is freely shared across serve threads.
 pub struct DetachedExecutor {
+    // Keyed by template name, as a worker receives it.
+    #[allow(clippy::disallowed_types)]
     kernels: HashMap<(String, VersionId), NativeFn>,
     arena: Arc<Arena>,
 }

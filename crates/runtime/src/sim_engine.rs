@@ -18,11 +18,10 @@ use crate::assign::drain_pool;
 use crate::report::{FailureReport, RunError, TaskFailure, WorkerTransferStats};
 use crate::runtime::EngineKind;
 use crate::{RunReport, Runtime};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use versa_core::{Assignment, FailureKind, TaskId, TemplateId, VersionId, WorkerId};
-use versa_mem::Transfer;
+use versa_mem::{IdMap, Transfer};
 use versa_sim::{EventQueue, FaultInjector, NodeFaultKind, NoiseModel, SimTime, TransferEngine};
 use versa_trace::{TraceEvent, TraceSink, Ts};
 
@@ -69,7 +68,7 @@ struct SimState {
     /// Per-worker kernel-duration multipliers (mixed-generation GPUs).
     speed: Vec<f64>,
     /// Every dispatched, not yet completed task.
-    tasks: HashMap<TaskId, InFlight>,
+    tasks: IdMap<TaskId, InFlight>,
     /// The assignments of the latest drain (reused from pump to pump).
     assigned: Vec<(TaskId, Assignment)>,
     injector: FaultInjector,
@@ -85,7 +84,7 @@ struct SimState {
     /// Whether this run turned scheduler decision logging on (and must
     /// turn it off again).
     log_here: bool,
-    version_counts: HashMap<(TemplateId, VersionId), u64>,
+    version_counts: IdMap<(TemplateId, VersionId), u64>,
     worker_counts: Vec<u64>,
     worker_busy: Vec<Duration>,
     /// Per-worker copy-in accounting (virtual time). `overlap_time`
@@ -126,7 +125,7 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
                 None => 1.0,
             })
             .collect(),
-        tasks: HashMap::new(),
+        tasks: IdMap::default(),
         assigned: Vec::new(),
         injector: FaultInjector::new(platform.faults.clone(), platform.seed),
         node_faults: {
@@ -148,7 +147,7 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
         failures: FailureReport::default(),
         sink: TraceSink::from_config(&rt.config.tracing, rt.workers.len()),
         log_here: false,
-        version_counts: HashMap::new(),
+        version_counts: IdMap::default(),
         worker_counts: vec![0; rt.workers.len()],
         worker_busy: vec![Duration::ZERO; rt.workers.len()],
         worker_transfers: vec![WorkerTransferStats::default(); rt.workers.len()],
@@ -224,7 +223,7 @@ fn finish_report(rt: &mut Runtime, mut st: SimState, makespan: Duration) -> RunR
         makespan,
         tasks_executed: st.tasks_executed,
         transfers: *st.xfer.stats(),
-        version_counts: st.version_counts,
+        version_counts: st.version_counts.into_iter().collect(),
         worker_task_counts: st.worker_counts,
         worker_busy: st.worker_busy,
         worker_transfers: st.worker_transfers,

@@ -4,12 +4,11 @@
 //! overlapped with execution, name-based dispatch, write-back, node-loss
 //! retirement/requeue, NIC bandwidth learning — without any sockets.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use versa_core::{DeviceKind, FailureKind, SchedulerKind, VersionId};
-use versa_mem::{DataId, MemSpace};
+use versa_mem::{DataId, IdMap, MemSpace};
 use versa_runtime::{
     NativeConfig, RemoteCaps, RemoteDone, RemoteError, RemoteExec, RemoteNode, Runtime,
     RuntimeConfig,
@@ -22,7 +21,7 @@ use versa_trace::TraceEvent;
 /// shipments, and optionally takes a fixed time per call.
 struct MockNode {
     workers: usize,
-    store: Mutex<HashMap<DataId, Vec<u8>>>,
+    store: Mutex<IdMap<DataId, Vec<u8>>>,
     execs: AtomicU32,
     ships: AtomicU32,
     /// Executions before the node "dies" (`u32::MAX` = immortal).
@@ -38,7 +37,7 @@ impl MockNode {
     fn new(workers: usize, fail_after: u32) -> MockNode {
         MockNode {
             workers,
-            store: Mutex::new(HashMap::new()),
+            store: Mutex::new(IdMap::default()),
             execs: AtomicU32::new(0),
             ships: AtomicU32::new(0),
             fail_after,

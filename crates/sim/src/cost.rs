@@ -7,10 +7,10 @@
 //! [`NoiseModel`] adds run-to-run variation so the scheduler's running
 //! means actually have something to average.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use versa_core::{TemplateId, VersionId};
+use versa_mem::IdMap;
 
 /// Duration model of one task version: data set size (bytes) → base
 /// execution time.
@@ -21,7 +21,7 @@ pub type CostFn = Arc<dyn Fn(u64) -> Duration + Send + Sync>;
 /// ground truth.
 #[derive(Default, Clone)]
 pub struct CostTable {
-    entries: HashMap<(TemplateId, VersionId), CostFn>,
+    entries: IdMap<(TemplateId, VersionId), CostFn>,
 }
 
 impl CostTable {

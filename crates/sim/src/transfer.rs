@@ -12,8 +12,7 @@
 //! proceed while earlier tasks run.
 
 use crate::{PlatformConfig, SimTime};
-use std::collections::HashMap;
-use versa_mem::{DataId, MemSpace, Transfer, TransferKind, TransferStats};
+use versa_mem::{DataId, IdMap, MemSpace, Transfer, TransferKind, TransferStats};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Dir {
@@ -37,7 +36,7 @@ pub struct TransferEngine {
     down_free: Vec<SimTime>,
     /// When each (allocation, space) copy's bytes physically exist.
     /// Absent entries mean "since simulation start" (initial host data).
-    ready: HashMap<(DataId, MemSpace), SimTime>,
+    ready: IdMap<(DataId, MemSpace), SimTime>,
     stats: TransferStats,
     /// Per-device link, indexed by `MemSpace::device_index`.
     links: Vec<crate::LinkConfig>,
@@ -53,7 +52,7 @@ impl TransferEngine {
         TransferEngine {
             up_free: vec![SimTime::ZERO; engines],
             down_free: vec![SimTime::ZERO; engines],
-            ready: HashMap::new(),
+            ready: IdMap::default(),
             stats: TransferStats::default(),
             links,
             p2p: platform.gpu_p2p,
