@@ -32,8 +32,8 @@ pub use affinity::AffinityScheduler;
 pub use breadth_first::BreadthFirstScheduler;
 pub use dep_aware::DepAwareScheduler;
 pub use policy::{
-    CandidateStats, EpsilonGreedy, Policy, PolicyChoice, PolicyCtx, PolicyKind,
-    RepresentativeSet, RoundRobinLearning, Ucb1, WorkerSnap,
+    CandidateStats, Policy, PolicyChoice, PolicyCtx, PolicyKind, RepresentativeSet,
+    RoundRobinLearning, WorkerSnap,
 };
 pub use versioning::{Decision, DecisionPhase, VersioningConfig, VersioningScheduler, WorkerBid};
 

@@ -2,10 +2,12 @@
 //!
 //! The paper hard-wires one selection strategy: round-robin learning
 //! until every version has λ observations, then earliest-executor
-//! bidding. Korndörfer et al. (PAPERS.md) treat the selection strategy
-//! itself as a design axis, and Luo et al. show version-set pruning
-//! matters once version counts grow — so the decision core is factored
-//! out behind the [`Policy`] trait. The scheduler stays responsible for
+//! bidding. Luo et al. (PAPERS.md) show version-set pruning matters once
+//! version counts grow, so the decision core is factored out behind the
+//! [`Policy`] trait and two policies ship: the paper's
+//! [`RoundRobinLearning`] (the default) and [`RepresentativeSet`].
+//! Korndörfer et al. find that more elaborate selection rarely pays
+//! off. The scheduler stays responsible for
 //! everything *around* the decision (profiles, quarantine, bandwidth
 //! EWMAs, bookkeeping); a policy is a pure function of the
 //! [`PolicyCtx`] snapshot plus its own internal state.
@@ -109,7 +111,7 @@ pub struct PolicyChoice {
 /// Contract:
 /// * `decide` must return a version from `ctx.candidates` and a worker
 ///   whose snapshot says it can run that version.
-/// * Policies may keep internal state (round-robin cursors, RNG state),
+/// * Policies may keep internal state (round-robin cursors),
 ///   but must be deterministic: the same sequence of `PolicyCtx`
 ///   snapshots yields the same sequence of choices. This is what makes
 ///   offline replay (`versa-gym`) exact.
@@ -133,18 +135,6 @@ fn least_loaded_for(workers: &[WorkerSnap], version: VersionId) -> WorkerId {
         .iter()
         .filter(|w| w.can_run(version))
         .min_by_key(|w| (w.pressure, w.busy, w.worker))
-        .expect("candidate version has a compatible worker")
-        .worker
-}
-
-/// Earliest-finish worker for `version`, pricing queue drain plus the
-/// transfer term (used by the bandit policies, which choose the version
-/// first and the placement second).
-fn earliest_for(workers: &[WorkerSnap], version: VersionId, mean: Duration) -> WorkerId {
-    workers
-        .iter()
-        .filter(|w| w.can_run(version))
-        .min_by_key(|w| (w.busy + mean + w.transfer, w.pressure, w.worker))
         .expect("candidate version has a compatible worker")
         .worker
 }
@@ -249,137 +239,6 @@ impl Policy for RoundRobinLearning {
     }
 }
 
-/// UCB1 version selection (Korndörfer et al.): pick the version with
-/// the best lower confidence bound `mean − c·σ̂·sqrt(2·ln N / n)`,
-/// untried versions first. Exploration keeps slow-looking versions
-/// alive long enough to be sure they are actually slow; placement is
-/// earliest-finish.
-#[derive(Debug)]
-pub struct Ucb1 {
-    exploration: f64,
-}
-
-impl Ucb1 {
-    /// New UCB1 policy; `exploration` scales the confidence radius
-    /// (0 = pure greedy).
-    pub fn new(exploration: f64) -> Ucb1 {
-        Ucb1 { exploration }
-    }
-}
-
-impl Policy for Ucb1 {
-    fn name(&self) -> &'static str {
-        "ucb1"
-    }
-
-    fn decide(&mut self, ctx: &PolicyCtx<'_>, _bids: &mut Vec<WorkerBid>) -> PolicyChoice {
-        if let Some(c) =
-            ctx.candidates.iter().filter(|c| c.count == 0).min_by_key(|c| (c.scheduled, c.version))
-        {
-            return PolicyChoice {
-                version: c.version,
-                worker: least_loaded_for(ctx.workers, c.version),
-                phase: DecisionPhase::Learning,
-                estimate: Duration::ZERO,
-            };
-        }
-        let total: u64 = ctx.candidates.iter().map(|c| c.count).sum();
-        // Scale the confidence radius by the spread of observed means so
-        // the bound is dimensionally a duration, not a unitless count.
-        let spread = ctx
-            .candidates
-            .iter()
-            .filter_map(|c| c.mean)
-            .max()
-            .unwrap_or(Duration::ZERO)
-            .as_secs_f64();
-        let lcb = |c: &CandidateStats| -> f64 {
-            let mean = c.mean.map_or(0.0, |m| m.as_secs_f64());
-            let radius = (2.0 * (total.max(2) as f64).ln() / c.count.max(1) as f64).sqrt();
-            mean - self.exploration * spread * radius
-        };
-        let best = ctx
-            .candidates
-            .iter()
-            .min_by(|a, b| lcb(a).total_cmp(&lcb(b)).then(a.version.cmp(&b.version)))
-            .expect("candidates verified non-empty");
-        let mean = best.mean.unwrap_or(Duration::ZERO);
-        PolicyChoice {
-            version: best.version,
-            worker: earliest_for(ctx.workers, best.version, mean),
-            phase: DecisionPhase::Reliable,
-            estimate: mean,
-        }
-    }
-}
-
-/// ε-greedy version selection: with probability ε pick a uniformly
-/// random candidate (exploration), otherwise the fastest mean; untried
-/// versions are always taken first. Deterministic for a given seed
-/// (xorshift64*), so replay is exact.
-#[derive(Debug)]
-pub struct EpsilonGreedy {
-    epsilon: f64,
-    state: u64,
-}
-
-impl EpsilonGreedy {
-    /// New ε-greedy policy with the given exploration rate and RNG seed.
-    pub fn new(epsilon: f64, seed: u64) -> EpsilonGreedy {
-        EpsilonGreedy { epsilon, state: seed.max(1) }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        // xorshift64* — tiny, seedable, good enough for exploration.
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-impl Policy for EpsilonGreedy {
-    fn name(&self) -> &'static str {
-        "epsilon-greedy"
-    }
-
-    fn decide(&mut self, ctx: &PolicyCtx<'_>, _bids: &mut Vec<WorkerBid>) -> PolicyChoice {
-        if let Some(c) =
-            ctx.candidates.iter().filter(|c| c.count == 0).min_by_key(|c| (c.scheduled, c.version))
-        {
-            return PolicyChoice {
-                version: c.version,
-                worker: least_loaded_for(ctx.workers, c.version),
-                phase: DecisionPhase::Learning,
-                estimate: Duration::ZERO,
-            };
-        }
-        let explore = self.next_f64() < self.epsilon;
-        let chosen = if explore {
-            let idx = (self.next_u64() % ctx.candidates.len() as u64) as usize;
-            &ctx.candidates[idx]
-        } else {
-            ctx.candidates
-                .iter()
-                .min_by_key(|c| (c.mean.unwrap_or(Duration::MAX), c.version))
-                .expect("candidates verified non-empty")
-        };
-        let mean = chosen.mean.unwrap_or(Duration::ZERO);
-        PolicyChoice {
-            version: chosen.version,
-            worker: earliest_for(ctx.workers, chosen.version, mean),
-            phase: DecisionPhase::Reliable,
-            estimate: mean,
-        }
-    }
-}
-
 /// Representative-set pruning (Luo et al.): train every version once,
 /// then restrict the earliest-executor auction to the `k` fastest —
 /// learning cost stays bounded when version counts explode, at the
@@ -432,18 +291,6 @@ pub enum PolicyKind {
     /// The paper's round-robin learning + earliest-executor (default).
     #[default]
     RoundRobin,
-    /// UCB1 lower-confidence-bound version selection.
-    Ucb1 {
-        /// Confidence-radius scale (0 = greedy).
-        exploration: f64,
-    },
-    /// ε-greedy version selection with a deterministic seeded RNG.
-    EpsilonGreedy {
-        /// Exploration probability in [0, 1].
-        epsilon: f64,
-        /// RNG seed (decisions are deterministic per seed).
-        seed: u64,
-    },
     /// Representative-set pruning: one observation each, then auction
     /// over the `k` fastest.
     RepresentativeSet {
@@ -457,8 +304,6 @@ impl PolicyKind {
     pub fn label(&self) -> &'static str {
         match self {
             PolicyKind::RoundRobin => "round-robin",
-            PolicyKind::Ucb1 { .. } => "ucb1",
-            PolicyKind::EpsilonGreedy { .. } => "epsilon-greedy",
             PolicyKind::RepresentativeSet { .. } => "representative-set",
         }
     }
@@ -471,22 +316,13 @@ impl PolicyKind {
     /// Every shipped policy with its default parameters, in a stable
     /// order (`round-robin` first — the identity policy for replay).
     pub fn shipped() -> Vec<PolicyKind> {
-        vec![
-            PolicyKind::RoundRobin,
-            PolicyKind::Ucb1 { exploration: 0.5 },
-            PolicyKind::EpsilonGreedy { epsilon: 0.1, seed: 0x9E37_79B9_7F4A_7C15 },
-            PolicyKind::RepresentativeSet { k: 2 },
-        ]
+        vec![PolicyKind::RoundRobin, PolicyKind::RepresentativeSet { k: 2 }]
     }
 
     /// Instantiate the policy.
     pub fn build(&self) -> Box<dyn Policy> {
         match *self {
             PolicyKind::RoundRobin => Box::new(RoundRobinLearning::new()),
-            PolicyKind::Ucb1 { exploration } => Box::new(Ucb1::new(exploration)),
-            PolicyKind::EpsilonGreedy { epsilon, seed } => {
-                Box::new(EpsilonGreedy::new(epsilon, seed))
-            }
             PolicyKind::RepresentativeSet { k } => Box::new(RepresentativeSet::new(k)),
         }
     }
@@ -580,46 +416,6 @@ mod tests {
         let choice = p.decide(&ctx(&c, &workers), &mut Vec::new());
         assert_eq!(choice.version, VersionId(0));
         assert_eq!(choice.worker, WorkerId(2), "w1 is idle but incompatible");
-    }
-
-    #[test]
-    fn ucb1_tries_every_version_then_exploits() {
-        let mut p = Ucb1::new(0.0); // greedy: no exploration bonus
-        let workers = [snap(0, 0, Duration::ZERO, &[0, 1])];
-        let c = [cand(0, 0, 0, None), cand(1, 0, 0, None)];
-        assert_eq!(p.decide(&ctx(&c, &workers), &mut Vec::new()).version, VersionId(0));
-        let c = [cand(0, 1, 1, Some(ms(20))), cand(1, 0, 0, None)];
-        assert_eq!(p.decide(&ctx(&c, &workers), &mut Vec::new()).version, VersionId(1));
-        let c = [cand(0, 1, 1, Some(ms(20))), cand(1, 1, 1, Some(ms(5)))];
-        let choice = p.decide(&ctx(&c, &workers), &mut Vec::new());
-        assert_eq!(choice.version, VersionId(1), "greedy UCB picks the faster mean");
-        assert_eq!(choice.phase, DecisionPhase::Reliable);
-    }
-
-    #[test]
-    fn ucb1_exploration_revisits_rarely_tried_versions() {
-        let mut p = Ucb1::new(2.0);
-        let workers = [snap(0, 0, Duration::ZERO, &[0, 1])];
-        // v0 slightly slower but tried once; v1 fast and tried often.
-        // A large exploration bonus prefers the under-sampled v0.
-        let c = [cand(0, 1, 1, Some(ms(11))), cand(1, 50, 50, Some(ms(10)))];
-        assert_eq!(p.decide(&ctx(&c, &workers), &mut Vec::new()).version, VersionId(0));
-    }
-
-    #[test]
-    fn epsilon_greedy_is_deterministic_per_seed() {
-        let workers = [snap(0, 0, Duration::ZERO, &[0, 1])];
-        let c = [cand(0, 5, 5, Some(ms(20))), cand(1, 5, 5, Some(ms(5)))];
-        let run = |seed: u64| {
-            let mut p = EpsilonGreedy::new(0.5, seed);
-            (0..32)
-                .map(|_| p.decide(&ctx(&c, &workers), &mut Vec::new()).version.0)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(7), run(7), "same seed, same choices");
-        let picks = run(7);
-        assert!(picks.contains(&1), "greedy arm taken");
-        assert!(picks.contains(&0), "ε = 0.5 explores the slow arm too");
     }
 
     #[test]

@@ -966,27 +966,25 @@ mod tests {
     #[test]
     fn policy_selection_flows_through_config() {
         // A non-default policy wired through `VersioningConfig` drives
-        // decisions: UCB1 has no round-robin learning phase, so its first
-        // pass tries versions in least-scheduled order and its decisions
-        // remain valid assignments.
+        // decisions: representative-set has no λ-long round-robin phase,
+        // it tries each version once and then auctions over the k fastest.
         let fx = Fixture::new();
-        // Zero exploration = greedy-after-one-try, so convergence below
-        // is deterministic.
         let mut s = VersioningScheduler::new(VersioningConfig {
-            policy: PolicyKind::Ucb1 { exploration: 0.0 },
+            policy: PolicyKind::RepresentativeSet { k: 1 },
             ..Default::default()
         });
-        assert_eq!(s.policy_name(), "ucb1");
+        assert_eq!(s.policy_name(), "representative-set");
         s.set_decision_logging(true);
         for i in 0..12 {
             let a = s.assign(&fx.task(i), &fx.ctx());
             s.task_finished(&fx.task(i), a, measured_for(a.version));
         }
-        // Every version got tried at least once (UCB1 unexplored-first)...
+        // Every version got tried at least once (one observation each)...
         for v in 0..3u16 {
             assert!(s.profiles().count(fx.tpl, 2048, VersionId(v)) >= 1);
         }
-        // ...and with the counts in, UCB1 converges on the fastest.
+        // ...and with the counts in, the auction over the one fastest
+        // version settles on it.
         let a = s.assign(&fx.task(100), &fx.ctx());
         assert_eq!(a.version, VersionId(0), "CUBLAS has the best mean");
     }

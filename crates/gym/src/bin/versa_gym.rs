@@ -32,14 +32,14 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn load_ledger(path: &Path) -> Result<(String, replay::Ledger), String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let trace = Trace::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let ledger =
-        replay::Ledger::from_trace(&trace).map_err(|e| format!("{}: {e}", path.display()))?;
+/// Read, parse and ledger one trace file: `(file stem, engine, ledger)`.
+fn load_ledger(path: &Path) -> Result<(String, String, replay::Ledger), String> {
+    let at = |e: String| format!("{}: {e}", path.display());
+    let text = std::fs::read_to_string(path).map_err(|e| at(e.to_string()))?;
+    let trace = Trace::parse(&text).map_err(at)?;
+    let ledger = replay::Ledger::from_trace(&trace).map_err(at)?;
     let name = path.file_stem().map(|s| s.to_string_lossy().into_owned()).unwrap_or_default();
-    Ok((format!("{name} [{}]", trace.meta.engine), ledger))
+    Ok((name, trace.meta.engine, ledger))
 }
 
 fn cmd_record(args: &[String]) -> ExitCode {
@@ -108,7 +108,7 @@ fn cmd_replay(args: &[String]) -> ExitCode {
     let mut failed = false;
     for f in &files {
         let (name, ledger) = match load_ledger(f) {
-            Ok(l) => l,
+            Ok((stem, engine, ledger)) => (format!("{stem} [{engine}]"), ledger),
             Err(e) => {
                 eprintln!("versa-gym: {e}");
                 return ExitCode::FAILURE;
@@ -162,29 +162,14 @@ fn cmd_score(args: &[String]) -> ExitCode {
     }
     let mut scores = Vec::new();
     for f in &files {
-        let text = match std::fs::read_to_string(f) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("versa-gym: {}: {e}", f.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let trace = match Trace::parse(&text) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("versa-gym: {}: {e}", f.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let ledger = match replay::Ledger::from_trace(&trace) {
+        let (name, engine, ledger) = match load_ledger(f) {
             Ok(l) => l,
             Err(e) => {
-                eprintln!("versa-gym: {}: {e}", f.display());
+                eprintln!("versa-gym: {e}");
                 return ExitCode::FAILURE;
             }
         };
-        let name = f.file_stem().map(|s| s.to_string_lossy().into_owned()).unwrap_or_default();
-        scores.push(score::score_workload(&name, &trace.meta.engine, &ledger));
+        scores.push(score::score_workload(&name, &engine, &ledger));
     }
     print!("{}", score::gym_report(&scores));
     if let Some(path) = out {

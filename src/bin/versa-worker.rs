@@ -1,9 +1,9 @@
 //! `versa-worker` — a remote worker process for a versa cluster.
 //!
-//! Dials a coordinator (`versa-cluster` or `versa-run --listen`),
-//! advertises its SMP workers, registers the same matmul kernels the
-//! coordinator registered, then serves tile shipments and task
-//! dispatches until the coordinator shuts the cluster down:
+//! Dials a `versa-cluster` coordinator, advertises its SMP workers,
+//! registers the same matmul kernels the coordinator registered, then
+//! serves tile shipments and task dispatches until the coordinator shuts
+//! the cluster down:
 //!
 //! ```text
 //! versa-worker --connect 127.0.0.1:7070 --name node-a --workers 2

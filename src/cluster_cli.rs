@@ -1,10 +1,10 @@
 //! Shared driver code for the cluster binaries.
 //!
-//! `versa-cluster`, `versa-worker`, and `versa-run --listen/--connect`
-//! all speak the same job: a native-engine tiled matmul whose
-//! coordinator accepts remote worker processes before submitting, runs
-//! the graph across local + remote workers, verifies the result against
-//! a serial recompute, and gossips its learned profile at shutdown.
+//! `versa-cluster` and `versa-worker` speak the same job: a
+//! native-engine tiled matmul whose coordinator accepts remote worker
+//! processes before submitting, runs the graph across local + remote
+//! workers, verifies the result against a serial recompute, and gossips
+//! its learned profile at shutdown.
 //! Keeping the driver here (rather than in each `src/bin/*.rs`) means
 //! the CLIs, the CI smoke job, and `cluster_bench` cannot drift apart
 //! on registration order or verification policy.
