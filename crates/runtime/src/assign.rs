@@ -5,9 +5,66 @@
 //! scheduler's reliable phase) or held in a central pool and handed out
 //! one at a time as workers run dry (the versioning scheduler's learning
 //! phase — see [`Scheduler::eager`](versa_core::Scheduler::eager)).
+//! [`Wave::dispatch`] is the head of both engines' dispatch step: it
+//! pools what became ready, then drains the pool within the run's
+//! dispatch budget.
 
 use crate::Runtime;
+use std::sync::Arc;
 use versa_core::{Assignment, SchedCtx, TaskId};
+use versa_trace::{TraceEvent, TraceSink, Ts};
+
+/// One `run()`'s dispatch budget, and the assignments of its latest
+/// drain.
+pub(crate) struct Wave {
+    /// Dispatch budget of this run (`u64::MAX` = unbounded).
+    budget: u64,
+    /// Tasks dispatched so far.
+    dispatched: u64,
+    /// The assignments of the latest drain (reused from drain to drain).
+    pub(crate) assigned: Vec<(TaskId, Assignment)>,
+}
+
+impl Wave {
+    /// A run that may dispatch `max_dispatch` tasks (`None` = all).
+    pub(crate) fn new(max_dispatch: Option<u64>) -> Wave {
+        Wave { budget: max_dispatch.unwrap_or(u64::MAX), dispatched: 0, assigned: Vec::new() }
+    }
+
+    /// Whether the run has dispatched its whole budget.
+    pub(crate) fn spent(&self) -> bool {
+        self.dispatched >= self.budget
+    }
+
+    /// Pool the newly ready tasks (recording `TaskReady` at `now`), then,
+    /// while the budget lasts, order the pool fairly and drain it:
+    /// `assigned` holds what this call dispatched, and the scheduler's
+    /// decisions go to the trace. The pool lives in the runtime, so
+    /// tasks a bounded wave could not dispatch carry over to the next.
+    pub(crate) fn dispatch(&mut self, rt: &mut Runtime, sink: &Option<Arc<TraceSink>>, now: Ts) {
+        for tid in rt.graph.drain_newly_ready() {
+            if let Some(sink) = sink {
+                sink.record(sink.coordinator(), TraceEvent::TaskReady { time: now, task: tid });
+            }
+            rt.pending.push_back(tid);
+        }
+        self.assigned.clear();
+        let remaining = self.budget - self.dispatched;
+        if remaining == 0 {
+            return;
+        }
+        if rt.config.fair_scheduling {
+            rt.fair.order(&mut rt.pending, &rt.graph);
+        }
+        let limit = (self.budget != u64::MAX).then_some(remaining as usize);
+        drain_pool(rt, limit, &mut self.assigned);
+        self.dispatched += self.assigned.len() as u64;
+        crate::tracing::drain_decisions(rt, sink, now);
+        if rt.config.fair_scheduling {
+            rt.fair.note_dispatched(&rt.graph, self.assigned.iter().map(|(t, _)| t));
+        }
+    }
+}
 
 /// Move as many pooled ready tasks as possible onto worker queues.
 ///

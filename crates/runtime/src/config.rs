@@ -37,7 +37,9 @@ pub struct RuntimeConfig {
     /// after a failed execution attempt before the run aborts with a
     /// [`RunError`](crate::RunError). Both engines honour it: kernel
     /// panics in the native engine and injected faults in the simulated
-    /// one count against the same budget.
+    /// one count against the same budget. In both engines a `NodeLost`
+    /// attempt (the task's node died under it) advances the attempt
+    /// number but never counts against the budget.
     pub max_task_retries: u32,
     /// Reorder the ready pool with weighted start-time fair queuing over
     /// job tags before each dispatch round, so concurrently submitted

@@ -13,11 +13,12 @@
 //! scheduler are wall-clock kernel times, so the versioning scheduler
 //! learns real device speed ratios.
 
-use crate::assign::drain_pool;
+use crate::assign::Wave;
 use crate::lanepool::LanePool;
-use crate::remote::{RemoteAccess, RemoteError, RemoteExec, RemoteNode, ShipTicket};
-use crate::report::{FailureReport, RunError, TaskFailure, WorkerTransferStats};
+use crate::remote::{RemoteAccess, RemoteError, RemoteExec, RemoteNode, RemotePlan, ShipTicket};
+use crate::report::{Abort, Attempts, RunError, RunTally};
 use crate::runtime::{EngineKind, NativeFn};
+use crate::tracing::record_transfer;
 use crate::{RunReport, Runtime};
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -25,7 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-use versa_core::{FailureKind, TaskId, TemplateId, VersionId, WorkerId};
+use versa_core::{Assignment, FailureKind, TaskId, TemplateId, VersionId, WorkerId};
 use versa_kernels::chunk_ranges;
 use versa_kernels::exec::{LaneExec, SerialExec};
 use versa_mem::{
@@ -36,7 +37,12 @@ use versa_trace::{TraceEvent, TraceSink, Ts};
 
 /// Wall-clock offset from the run's epoch as a trace timestamp.
 fn ts(wall0: Instant) -> Ts {
-    Ts(wall0.elapsed().as_nanos() as u64)
+    at(wall0.elapsed())
+}
+
+/// An offset from the run's epoch as a trace timestamp.
+fn at(offset: Duration) -> Ts {
+    Ts(offset.as_nanos() as u64)
 }
 
 /// Native-engine sizing.
@@ -258,6 +264,7 @@ impl<'a> KernelCtx<'a> {
     }
 }
 
+/// One execution attempt of a task, as the coordinator planned it.
 struct WorkItem {
     task: TaskId,
     kernel: NativeFn,
@@ -337,20 +344,7 @@ fn writeback_loop(
         arena.perform(&t);
         throttle_link(link_bandwidth, t.bytes, wall0.elapsed() - start);
         let end = wall0.elapsed();
-        if let Some(sink) = &sink {
-            sink.record(
-                sink.coordinator(),
-                TraceEvent::Transfer {
-                    start: Ts(start.as_nanos() as u64),
-                    end: Ts(end.as_nanos() as u64),
-                    data: t.data,
-                    from: t.from,
-                    to: t.to,
-                    bytes: t.bytes,
-                    by: None,
-                },
-            );
-        }
+        record_transfer(&sink, None, &t, (at(start), at(end)), None);
         samples.push((t.to, t.bytes, end - start));
     }
     samples
@@ -477,22 +471,19 @@ enum StageOp {
 
 /// A planned task travelling through one worker's staging pipeline.
 struct StagedItem {
-    task: TaskId,
-    kernel: NativeFn,
-    accesses: Vec<(Region, AccessMode)>,
-    ops: Vec<StageOp>,
-    /// Trace identity of this execution attempt (see [`WorkItem`]).
-    version: VersionId,
-    template: TemplateId,
-    attempt: u32,
+    work: WorkItem,
+    ops: StageOps,
 }
+
+/// A staged item's pre-kernel steps.
+struct StageOps(Vec<StageOp>);
 
 /// If an item is dropped without being staged (coordinator unwound with
 /// the item still in an outbox), its publish cells must resolve — a
 /// stager on another worker may be blocked waiting on one.
-impl Drop for StagedItem {
+impl Drop for StageOps {
     fn drop(&mut self) {
-        for op in &self.ops {
+        for op in &self.0 {
             if let StageOp::Copy { publish, .. } = op {
                 publish.publish_failed_if_pending("staged item dropped before execution");
             }
@@ -507,19 +498,13 @@ enum StageMsg {
 
 enum ExecMsg {
     Run {
-        task: TaskId,
-        kernel: NativeFn,
-        accesses: Vec<(Region, AccessMode)>,
+        work: WorkItem,
         /// Total staging time, ns.
         stage_ns: u64,
         /// Per-copy `(start, end)` offsets from the run's epoch, ns.
         stage_spans: Vec<(u64, u64)>,
         /// Per-copy `(bytes, ns)` bandwidth samples.
         samples: Vec<(u64, u64)>,
-        /// Trace identity of this execution attempt (see [`WorkItem`]).
-        version: VersionId,
-        template: TemplateId,
-        attempt: u32,
     },
     Failed {
         task: TaskId,
@@ -552,6 +537,9 @@ enum Outcome {
     /// The kernel never ran; `charge` as in [`ExecMsg::Failed`].
     StageFailed { msg: String, charge: Option<FailureKind> },
 }
+
+/// One task's outcome, as its worker's exec thread reports it.
+type Reported = (WorkerId, TaskId, Outcome);
 
 /// The remote node a lane pair fronts: the stager ships what it stages
 /// there, the exec thread forwards tasks instead of running kernels.
@@ -623,6 +611,19 @@ enum Rollback {
     Restore(DataId, HandleState),
 }
 
+/// What a worker's two lane threads share: its memory space and trace
+/// identity, the run's epoch and tracer, and the remote node it may
+/// front.
+#[derive(Clone)]
+struct LaneCtx {
+    arena: Arc<Arena>,
+    space: MemSpace,
+    wid: WorkerId,
+    wall0: Instant,
+    sink: Option<Arc<TraceSink>>,
+    remote: Option<RemoteLane>,
+}
+
 /// The staging lane of one worker: executes `StageOp`s in plan order,
 /// then forwards the item to the exec thread (or a failure notice, so
 /// per-worker completion order stays FIFO).
@@ -633,47 +634,24 @@ enum Rollback {
 /// together — and before it is forwarded, so the node holds every input
 /// before it is asked to execute. A copy's destination cell is
 /// published only when its acknowledgement arrived.
-#[allow(clippy::too_many_arguments)]
 fn stager_loop(
     rx: mpsc::Receiver<StageMsg>,
     tx: mpsc::Sender<ExecMsg>,
-    arena: Arc<Arena>,
-    space: MemSpace,
+    ctx: LaneCtx,
     link_bandwidth: Option<u64>,
     copy_out: &CopyOut,
-    wall0: Instant,
-    wid: WorkerId,
-    sink: Option<Arc<TraceSink>>,
-    remote: Option<RemoteLane>,
 ) {
+    let LaneCtx { arena, space, wid, wall0, sink, remote } = ctx;
     // Every planned `Copy` gets exactly one Transfer event — a real span
     // on success, a truncated (or empty) span when the copy faults or is
     // abandoned — so traced bytes reconcile with plan-time TransferStats.
     let record_copy = |t: &Transfer, start: Duration, end: Duration| {
-        if let Some(sink) = &sink {
-            sink.record(
-                wid.index(),
-                TraceEvent::Transfer {
-                    start: Ts(start.as_nanos() as u64),
-                    end: Ts(end.as_nanos() as u64),
-                    data: t.data,
-                    from: t.from,
-                    to: t.to,
-                    bytes: t.bytes,
-                    by: Some(wid),
-                },
-            );
-        }
+        record_transfer(&sink, Some(wid.index()), t, (at(start), at(end)), Some(wid));
     };
-    while let Ok(StageMsg::Work(mut item)) = rx.recv() {
-        let task = item.task;
-        let kernel = item.kernel.clone();
-        let accesses = std::mem::take(&mut item.accesses);
-        let (version, template, attempt) = (item.version, item.template, item.attempt);
-        // Taking the ops out disarms StagedItem's drop guard; from here
-        // every cell is resolved explicitly.
-        let mut ops = std::mem::take(&mut item.ops).into_iter();
-        drop(item);
+    while let Ok(StageMsg::Work(StagedItem { work, mut ops })) = rx.recv() {
+        // Taking the ops out disarms their drop guard; from here every
+        // cell is resolved explicitly.
+        let mut ops = std::mem::take(&mut ops.0).into_iter();
 
         let mut stage_ns = 0u64;
         let mut stage_spans: Vec<(u64, u64)> = Vec::new();
@@ -775,19 +753,9 @@ fn stager_loop(
                         record_copy(t, now, now);
                     }
                 }
-                tx.send(ExecMsg::Failed { task, msg, charge })
+                tx.send(ExecMsg::Failed { task: work.task, msg, charge })
             }
-            None => tx.send(ExecMsg::Run {
-                task,
-                kernel,
-                accesses,
-                stage_ns,
-                stage_spans,
-                samples,
-                version,
-                template,
-                attempt,
-            }),
+            None => tx.send(ExecMsg::Run { work, stage_ns, stage_spans, samples }),
         };
         if sent.is_err() {
             return; // exec thread gone: coordinator is unwinding
@@ -800,19 +768,9 @@ fn stager_loop(
 /// data — on this worker's lanes, or on the node a remote lane fronts —
 /// forwards staging failures unchanged (keeping completion order FIFO),
 /// reports outcomes with wall-clock spans for overlap accounting.
-#[allow(clippy::too_many_arguments)]
-fn exec_loop(
-    rx: mpsc::Receiver<ExecMsg>,
-    done: mpsc::Sender<(WorkerId, TaskId, Outcome)>,
-    arena: Arc<Arena>,
-    space: MemSpace,
-    lanes: usize,
-    wid: WorkerId,
-    wall0: Instant,
-    sink: Option<Arc<TraceSink>>,
-    remote: Option<RemoteLane>,
-) {
-    let pool = (lanes > 1).then(|| LanePool::new(lanes));
+fn exec_loop(rx: mpsc::Receiver<ExecMsg>, tx: mpsc::Sender<Reported>, ctx: LaneCtx, cores: usize) {
+    let LaneCtx { arena, space, wid, wall0, sink, remote } = ctx;
+    let pool = (cores > 1).then(|| LanePool::new(cores));
     let exec: &dyn LaneExec = match &pool {
         Some(pool) => pool,
         None => &SerialExec,
@@ -821,42 +779,32 @@ fn exec_loop(
         let (task, outcome) = match msg {
             ExecMsg::Stop => break,
             ExecMsg::Failed { task, msg, charge } => (task, Outcome::StageFailed { msg, charge }),
-            ExecMsg::Run {
-                task,
-                kernel,
-                accesses,
-                stage_ns,
-                stage_spans,
-                samples,
-                version,
-                template,
-                attempt,
-            } => {
+            ExecMsg::Run { work, stage_ns, stage_spans, samples } => {
+                let (task, version, attempt) = (work.task, work.version, work.attempt);
                 let start = wall0.elapsed();
                 if let Some(sink) = &sink {
                     sink.record(
                         wid.index(),
                         TraceEvent::TaskStart {
-                            time: Ts(start.as_nanos() as u64),
+                            time: at(start),
                             task,
                             worker: wid,
                             version,
-                            template,
+                            template: work.template,
                             attempt,
                         },
                     );
                 }
-                let item = WorkItem { task, kernel, accesses, version, template, attempt };
                 let res = match &remote {
-                    Some(lane) => lane.execute(&item, &arena, space),
+                    Some(lane) => lane.execute(&work, &arena, space),
                     None => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        execute_item(item, &arena, space, exec)
+                        execute_item(work, &arena, space, exec)
                     }))
                     .map_err(|payload| (panic_message(payload), FailureKind::Panic)),
                 };
                 let end = wall0.elapsed();
                 if let Some(sink) = &sink {
-                    let time = Ts(end.as_nanos() as u64);
+                    let time = at(end);
                     let ev = match &res {
                         Ok(kernel) => TraceEvent::TaskEnd {
                             time,
@@ -883,7 +831,7 @@ fn exec_loop(
                 (task, outcome)
             }
         };
-        done.send((wid, task, outcome)).expect("coordinator hung up");
+        tx.send((wid, task, outcome)).expect("coordinator hung up");
     }
 }
 
@@ -901,22 +849,324 @@ enum NodeLoss {
     Stamped,
 }
 
-/// Record `NodeLost` for every draining node with nothing left in flight.
-fn stamp_drained_losses(
-    node_loss: &mut [NodeLoss],
-    node_inflight: &[usize],
-    sink: &Option<Arc<TraceSink>>,
+/// The coordinator's end of one worker's lane pair.
+struct LaneEnd {
+    tx: mpsc::Sender<StageMsg>,
+    /// Planned items not yet admitted to the lane.
+    outbox: VecDeque<StagedItem>,
+    /// Items admitted and not yet completed (at most `inflight_cap`).
+    busy: usize,
+    /// The node the worker runs on (0 = this process).
+    node: u16,
+    /// Whether the lane fronts a remote node, which binds its own kernels.
+    remote: bool,
+    /// Wall-clock kernel and staging spans, for the overlap accounting.
+    kernel_spans: Vec<(u64, u64)>,
+    stage_spans: Vec<(u64, u64)>,
+}
+
+/// The coordinator of one native run: it plans every transfer and makes
+/// every directory transition, single-threaded and in plan order, while
+/// the lanes move the bytes and run the kernels.
+struct NativeRun {
+    tally: RunTally,
+    wave: Wave,
     wall0: Instant,
-) {
-    for (node, loss) in node_loss.iter_mut().enumerate() {
-        if *loss == NodeLoss::Draining && node_inflight[node] == 0 {
-            *loss = NodeLoss::Stamped;
-            if let Some(sink) = sink {
-                let node = node as u16;
-                sink.record(sink.coordinator(), TraceEvent::NodeLost { time: ts(wall0), node });
+    /// Transfer accounting, counted at plan time in plan order, so the
+    /// totals depend neither on lane timing nor on `lookahead_depth`.
+    stats: TransferStats,
+    ledger: StagingLedger,
+    /// The directory undo log of every planned, unfinished task.
+    rollbacks: IdMap<TaskId, Vec<Rollback>>,
+    /// The attempts record of every task that failed in this run.
+    attempts: IdMap<TaskId, Attempts>,
+    lanes: Vec<LaneEnd>,
+    /// The running task plus `lookahead_depth` staging successors.
+    inflight_cap: usize,
+    /// Planned tasks that have not reported back, in all and per node.
+    in_flight: usize,
+    node_inflight: Vec<usize>,
+    node_loss: Vec<NodeLoss>,
+    /// The write-back lane, in runs that may end with the flush.
+    writeback: Option<mpsc::Sender<Transfer>>,
+    /// Whether a datum goes home as soon as no unfinished task uses it.
+    write_behind: bool,
+}
+
+impl NativeRun {
+    /// Plan, then account each outcome and replan, until everything is
+    /// done, the wave budget is spent and drained, or a task exhausts
+    /// its retries.
+    fn drive(&mut self, rt: &mut Runtime, done: &mpsc::Receiver<Reported>) -> Option<Abort> {
+        self.plan(rt);
+        while !rt.graph.all_done() {
+            if self.in_flight == 0 && self.wave.spent() {
+                break; // wave budget spent, everything dispatched drained
+            }
+            assert!(
+                self.in_flight > 0,
+                "native engine stalled with {} live tasks and {} pooled tasks",
+                rt.graph.live_tasks(),
+                rt.pending.len()
+            );
+            let abort = self.on_outcome(rt, done.recv().expect("all workers died"));
+            if abort.is_some() {
+                return abort;
+            }
+            self.stamp_drained_losses();
+            self.plan(rt);
+        }
+        None
+    }
+
+    /// Plan everything currently assignable within the wave budget, then
+    /// admit queued items to each lane up to the lookahead cap.
+    fn plan(&mut self, rt: &mut Runtime) {
+        self.ledger.prune();
+        self.wave.dispatch(rt, &self.tally.sink, ts(self.wall0));
+        for i in 0..self.wave.assigned.len() {
+            let (tid, a) = self.wave.assigned[i];
+            self.plan_task(rt, tid, a);
+        }
+        for lane in &mut self.lanes {
+            while lane.busy < self.inflight_cap {
+                let Some(item) = lane.outbox.pop_front() else { break };
+                lane.tx.send(StageMsg::Work(item)).expect("staging lane died");
+                lane.busy += 1;
             }
         }
     }
+
+    /// Plan one assigned task: perform its directory transitions, record
+    /// their undo log, and queue its `StagedItem` — no byte movement.
+    fn plan_task(&mut self, rt: &mut Runtime, tid: TaskId, a: Assignment) {
+        let wi = a.worker.index();
+        let space = rt.workers[wi].info.space;
+        let accesses = rt.graph.node(tid).instance.accesses.clone();
+        let mut ops: Vec<StageOp> = Vec::new();
+        let mut rb: Vec<Rollback> = Vec::new();
+        for (region, mode) in &accesses {
+            let data = region.data;
+            if mode.writes() {
+                if let Some(snap) = rt.directory.snapshot(data) {
+                    rb.push(Rollback::Restore(data, snap));
+                }
+            }
+            if let Some(t) = rt.directory.acquire(data, space, *mode) {
+                if !mode.writes() {
+                    // A pure read copy-in rolls back by retraction; a
+                    // write's snapshot (above) already covers its transfer.
+                    rb.push(Rollback::Retract(data, space));
+                }
+                let (wait_src, publish) = self.ledger.plan_copy(&t);
+                let inject_fault = rt.take_stage_fault(data);
+                self.stats.record(t.kind(), t.bytes);
+                let wt = &mut self.tally.worker_transfers[wi];
+                wt.staged_bytes += t.bytes;
+                wt.staged_count += 1;
+                ops.push(StageOp::Copy { t, wait_src, publish, inject_fault });
+            } else if mode.reads() {
+                if let Some(cell) = self.ledger.pending(data, space) {
+                    ops.push(StageOp::WaitLocal(cell));
+                }
+            }
+            if mode.writes() {
+                // Plan-order invariant: a writer's datum has no pending
+                // cells (the graph serialized all prior accessors); drop
+                // stale failed cells so they stop gating future readers.
+                self.ledger.note_write(data);
+                ops.push(StageOp::Ensure { data, len: rt.directory.bytes(data) as usize });
+            }
+        }
+        self.rollbacks.insert(tid, rb);
+        let template = rt.graph.node(tid).instance.template;
+        let lane = &mut self.lanes[wi];
+        let kernel = if lane.remote {
+            // The kernel runs on the node, which binds its own.
+            Arc::new(|_: &mut KernelCtx<'_>| {}) as NativeFn
+        } else {
+            rt.kernels
+                .get(&(template, a.version))
+                .unwrap_or_else(|| {
+                    panic!(
+                        "no native kernel bound for ({:?}, {:?})",
+                        rt.templates.get(template).name,
+                        a.version
+                    )
+                })
+                .clone()
+        };
+        rt.graph.mark_running(tid);
+        let attempt = self.attempts.get(&tid).map_or(1, |n| n.made + 1);
+        let work = WorkItem { task: tid, kernel, accesses, version: a.version, template, attempt };
+        lane.outbox.push_back(StagedItem { work, ops: StageOps(ops) });
+        self.in_flight += 1;
+        self.node_inflight[lane.node as usize] += 1;
+    }
+
+    /// Plan a copy home on the write-back lane, counted at plan time like
+    /// a staged copy.
+    fn write_back(&mut self, t: Transfer) {
+        self.stats.record(t.kind(), t.bytes);
+        if let Some(tx) = &self.writeback {
+            // A dead lane surfaces its panic when it is joined.
+            let _ = tx.send(t);
+        }
+    }
+
+    /// Account one task's outcome: complete it (writing behind the data
+    /// no unfinished task uses), or undo what staging failed to do and
+    /// hand the failure to the shared failure path. Returns the abort
+    /// when that failure exhausted the task's retry budget.
+    fn on_outcome(&mut self, rt: &mut Runtime, (wid, tid, outcome): Reported) -> Option<Abort> {
+        self.in_flight -= 1;
+        let wi = wid.index();
+        let lane = &mut self.lanes[wi];
+        lane.busy -= 1;
+        self.node_inflight[lane.node as usize] -= 1;
+        let q = rt.workers[wi].start_next().expect("completion from a worker with an empty queue");
+        assert_eq!(q.task, tid, "worker completions must be FIFO");
+        rt.workers[wi].finish(tid);
+        let rollback = self.rollbacks.remove(&tid);
+
+        let (msg, charge, started) = match outcome {
+            Outcome::Done { kernel, kernel_span, stage_ns, stage_spans, samples } => {
+                self.tally.completed(rt, tid, wid, kernel);
+                let space = rt.workers[wi].info.space;
+                for (bytes, ns) in samples {
+                    rt.scheduler.transfer_done(space, bytes, Duration::from_nanos(ns));
+                }
+                self.tally.worker_transfers[wi].stage_time += Duration::from_nanos(stage_ns);
+                lane.kernel_spans.push(kernel_span);
+                lane.stage_spans.extend(stage_spans);
+                if self.write_behind {
+                    // Data no unfinished task uses goes home now, under
+                    // the remaining kernels, not after them.
+                    for (region, _) in &rt.graph.node(tid).instance.accesses {
+                        if !rt.graph.has_live_accessor(region.data) {
+                            if let Some(t) = rt.directory.flush_to_host(region.data) {
+                                self.write_back(t);
+                            }
+                        }
+                    }
+                }
+                return None;
+            }
+            // The execution failed after staging succeeded, so the
+            // directory's optimistic state is real — no rollback. (A
+            // remote node's outputs are only written back on success, so
+            // its mirror still holds the inputs.)
+            Outcome::Failed { msg, kind } => (msg, Some(kind), true),
+            Outcome::StageFailed { msg, charge } => {
+                // The kernel never ran: undo this task's optimistic
+                // directory updates (LIFO, so a same-task read copy-in
+                // preceding a write acquire of the same datum unwinds
+                // correctly), then requeue.
+                for op in rollback.into_iter().flatten().rev() {
+                    match op {
+                        Rollback::Retract(d, s) => rt.directory.retract(d, s),
+                        Rollback::Restore(d, st) => rt.directory.restore(d, st),
+                    }
+                }
+                (msg, charge, false)
+            }
+        };
+        let Some(kind) = charge else {
+            // Collateral of another task's failure: replan without
+            // charging this task an attempt (and without a trace event) —
+            // the origin task's retry budget, or the node's retirement,
+            // bounds the cascade.
+            rt.graph.requeue(tid);
+            return None;
+        };
+        // A staging failure never reached the exec thread, so no
+        // TaskStart exists: the coordinator records the terminal event
+        // (Failed-without-Start is legal).
+        let sink = self.tally.sink.as_ref().filter(|_| !started);
+        let stamp = sink.map(|sink| (sink.coordinator(), ts(self.wall0)));
+        let attempts = self.attempts.entry(tid).or_default();
+        let abort = self.tally.failed(rt, (tid, wid), (kind, msg), attempts, stamp);
+        let node = self.lanes[wi].node;
+        if kind == FailureKind::NodeLost && self.node_loss[node as usize] == NodeLoss::Alive {
+            // Charge the node, not the version: retire every worker the
+            // lost node hosted so the scheduler stops placing work there.
+            self.node_loss[node as usize] = NodeLoss::Draining;
+            for (w, lane) in rt.workers.iter_mut().zip(&self.lanes) {
+                if lane.node == node {
+                    w.retire();
+                }
+            }
+        }
+        abort
+    }
+
+    /// Record `NodeLost` for every draining node with nothing left in flight.
+    fn stamp_drained_losses(&mut self) {
+        for (node, loss) in self.node_loss.iter_mut().enumerate() {
+            if *loss == NodeLoss::Draining && self.node_inflight[node] == 0 {
+                *loss = NodeLoss::Stamped;
+                if let Some(sink) = &self.tally.sink {
+                    let (time, node) = (ts(self.wall0), node as u16);
+                    sink.record(sink.coordinator(), TraceEvent::NodeLost { time, node });
+                }
+            }
+        }
+    }
+
+    /// Stop planning: queue the `taskwait` flush unless the run aborted,
+    /// hand every lane what is left in its outbox, and stop the lanes.
+    fn close(&mut self, rt: &mut Runtime, aborted: bool) {
+        // Whatever is still device-only (data this run never touched, or
+        // every datum in a bounded wave) goes on the write-back lane
+        // behind the copies already planned there.
+        if !aborted && rt.config.flush_on_wait && rt.graph.all_done() {
+            for t in rt.directory.flush_all_to_host() {
+                self.write_back(t);
+            }
+        }
+        // Flush every outbox before stopping (reached on abort, or when a
+        // wave budget leaves planned items unadmitted): a queued item may
+        // hold the publish cell a blocked stager is waiting on. Items a
+        // dead lane refuses resolve their cells as they drop here.
+        for lane in &mut self.lanes {
+            while let Some(item) = lane.outbox.pop_front() {
+                if lane.tx.send(StageMsg::Work(item)).is_err() {
+                    lane.outbox.clear();
+                }
+            }
+        }
+        for lane in &self.lanes {
+            let _ = lane.tx.send(StageMsg::Stop);
+        }
+        self.writeback = None;
+    }
+}
+
+/// Each worker's remote lane, if a remote node hosts it: the node's
+/// transport, the template names the node resolves kernels by, and the
+/// `lost` flag all of the node's lanes share.
+fn remote_lanes(rt: &Runtime, plan: &RemotePlan, nodes: usize) -> Vec<Option<RemoteLane>> {
+    let names: Arc<IdMap<TemplateId, String>> = Arc::new(if plan.by_space.is_empty() {
+        IdMap::default()
+    } else {
+        rt.templates
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (TemplateId(i as u32), t.name.clone()))
+            .collect()
+    });
+    let lost: Vec<Arc<AtomicBool>> = (0..nodes).map(|_| Arc::new(AtomicBool::new(false))).collect();
+    rt.workers
+        .iter()
+        .zip(&plan.node_of_worker)
+        .map(|(w, &node)| {
+            plan.by_space.get(&w.info.space).map(|transport| RemoteLane {
+                node: Arc::clone(transport),
+                names: Arc::clone(&names),
+                lost: Arc::clone(&lost[node as usize]),
+            })
+        })
+        .collect()
 }
 
 /// Nanoseconds of `stage` spans that intersect any `kernel` span —
@@ -972,524 +1222,95 @@ pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<
     let EngineKind::Native { cfg, arena } = &rt.engine else {
         unreachable!("run_native on a non-native runtime")
     };
-    let cfg = cfg.clone();
-    let arena = Arc::clone(arena);
+    let (cfg, arena) = (cfg.clone(), Arc::clone(arena));
     let wall0 = Instant::now();
-    let n_workers = rt.workers.len();
-    // The running task plus `lookahead_depth` staging successors.
-    let inflight_cap = rt.config.lookahead_depth + 1;
-
-    let mut stats = TransferStats::default();
-    let mut version_counts: IdMap<(TemplateId, VersionId), u64> = IdMap::default();
-    let mut worker_counts = vec![0u64; n_workers];
-    let mut worker_busy = vec![Duration::ZERO; n_workers];
-    let mut worker_transfers = vec![WorkerTransferStats::default(); n_workers];
-    let mut kernel_spans: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n_workers];
-    let mut stage_spans: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n_workers];
-    let mut tasks_executed = 0u64;
-    let budget = max_dispatch.unwrap_or(u64::MAX);
-    let mut dispatched = 0u64;
-    let mut failures = FailureReport::default();
-    let mut attempts: IdMap<TaskId, u32> = IdMap::default();
-    let mut abort: Option<(TaskId, String)> = None;
-    let mut ledger = StagingLedger::new();
-    let mut rollbacks: IdMap<TaskId, Vec<Rollback>> = IdMap::default();
-
-    // Remote nodes: which lanes front one, and per node (0 = this
-    // process) how many planned tasks have not reported back yet.
+    // Remote nodes: which lanes front one, and which node hosts each
+    // worker (0 = this process).
     let plan = rt.remote_plan();
-    let node_count = plan.node_of_worker.iter().copied().max().map_or(1, |m| m as usize + 1);
-    let mut node_inflight = vec![0usize; node_count];
-    let mut node_loss = vec![NodeLoss::Alive; node_count];
-    // Attempts per task that ended in a node loss: not counted against
-    // `max_task_retries`.
-    let mut uncharged: IdMap<TaskId, u32> = IdMap::default();
-    let remote_lanes: Vec<Option<RemoteLane>> = {
-        let names: Arc<IdMap<TemplateId, String>> = Arc::new(if plan.by_space.is_empty() {
-            IdMap::default()
-        } else {
-            rt.templates
-                .iter()
-                .enumerate()
-                .map(|(i, t)| (TemplateId(i as u32), t.name.clone()))
-                .collect()
-        });
-        let lost: Vec<Arc<AtomicBool>> =
-            (0..node_count).map(|_| Arc::new(AtomicBool::new(false))).collect();
-        rt.workers
-            .iter()
-            .zip(&plan.node_of_worker)
-            .map(|(w, &node)| {
-                plan.by_space.get(&w.info.space).map(|transport| RemoteLane {
-                    node: Arc::clone(transport),
-                    names: Arc::clone(&names),
-                    lost: Arc::clone(&lost[node as usize]),
-                })
-            })
-            .collect()
-    };
-
-    let sink = TraceSink::from_config(&rt.config.tracing, n_workers);
-    let log_here = crate::tracing::begin_decision_log(rt, &sink);
-    crate::tracing::record_live_created(rt, &sink, ts(wall0));
-
+    let nodes = plan.node_of_worker.iter().copied().max().map_or(1, |m| m as usize + 1);
+    let remote_lanes = remote_lanes(rt, &plan, nodes);
+    let tally = RunTally::begin(rt, ts(wall0));
+    let sink = tally.sink.clone();
     let (done_tx, done_rx) = mpsc::channel();
     let copy_out = CopyOut::new(cfg.link_bandwidth, arena.space_count());
-    // Only a run that ends with the flush writes data back early, so the
-    // moved bytes are exactly the ones that flush would move.
-    let write_behind = rt.config.flush_on_wait && max_dispatch.is_none();
 
-    let writeback_samples = std::thread::scope(|scope| {
+    let (mut run, abort, writeback_samples) = std::thread::scope(|scope| {
         // Every sender lives inside the scope so a coordinator panic
-        // unwinds cleanly: dropping the outboxes
-        // resolves their cells (StagedItem's drop guard), dropping
-        // `stage_txs` stops the stagers, which drop their exec senders,
-        // which stops the exec threads.
-        let mut stage_txs: Vec<mpsc::Sender<StageMsg>> = Vec::with_capacity(n_workers);
-        for (w, remote) in rt.workers.iter().zip(&remote_lanes) {
+        // unwinds cleanly: dropping the outboxes resolves their cells
+        // (the `StageOps` drop guard), dropping the lane senders stops the
+        // stagers, which drop their exec senders, which stops the exec
+        // threads.
+        let mut lanes = Vec::with_capacity(rt.workers.len());
+        for ((w, remote), &node) in rt.workers.iter().zip(remote_lanes).zip(&plan.node_of_worker) {
             let (stage_tx, stage_rx) = mpsc::channel();
             let (exec_tx, exec_rx) = mpsc::channel();
-            stage_txs.push(stage_tx);
-            let info = w.info;
-            let lanes = if info.device.shares_host_memory() { 1 } else { cfg.gpu_lanes };
+            let (arena, sink) = (Arc::clone(&arena), sink.clone());
+            let ctx = LaneCtx { arena, space: w.info.space, wid: w.info.id, wall0, sink, remote };
+            lanes.push(LaneEnd {
+                tx: stage_tx,
+                outbox: VecDeque::new(),
+                busy: 0,
+                node,
+                remote: ctx.remote.is_some(),
+                kernel_spans: Vec::new(),
+                stage_spans: Vec::new(),
+            });
+            let (stager, link, copy_out) = (ctx.clone(), cfg.link_bandwidth, &copy_out);
+            scope.spawn(move || stager_loop(stage_rx, exec_tx, stager, link, copy_out));
+            let cores = if w.info.device.shares_host_memory() { 1 } else { cfg.gpu_lanes };
             let done = done_tx.clone();
-            let stager_arena = Arc::clone(&arena);
-            let exec_arena = Arc::clone(&arena);
-            let link = cfg.link_bandwidth;
-            let stager_sink = sink.clone();
-            let exec_sink = sink.clone();
-            let (stager_remote, exec_remote) = (remote.clone(), remote.clone());
-            let copy_out = &copy_out;
-            scope.spawn(move || {
-                stager_loop(
-                    stage_rx,
-                    exec_tx,
-                    stager_arena,
-                    info.space,
-                    link,
-                    copy_out,
-                    wall0,
-                    info.id,
-                    stager_sink,
-                    stager_remote,
-                )
-            });
-            scope.spawn(move || {
-                exec_loop(
-                    exec_rx,
-                    done,
-                    exec_arena,
-                    info.space,
-                    lanes,
-                    info.id,
-                    wall0,
-                    exec_sink,
-                    exec_remote,
-                )
-            });
+            scope.spawn(move || exec_loop(exec_rx, done, ctx, cores));
         }
         drop(done_tx);
-        // The write-back lane, in runs that may end with the flush.
-        let (writeback_tx, writeback_rx) = mpsc::channel();
-        let writeback = rt.config.flush_on_wait.then(|| {
-            let (arena, copy_out, sink) = (&arena, &copy_out, sink.clone());
-            scope.spawn(move || {
-                writeback_loop(writeback_rx, arena, cfg.link_bandwidth, copy_out, wall0, sink)
+        let (writeback, writeback_lane) = rt
+            .config
+            .flush_on_wait
+            .then(|| {
+                let (tx, rx) = mpsc::channel();
+                let (arena, copy_out, sink) = (&arena, &copy_out, sink.clone());
+                let link = cfg.link_bandwidth;
+                (tx, scope.spawn(move || writeback_loop(rx, arena, link, copy_out, wall0, sink)))
             })
-        });
-        // Counted at plan time, like staged copies.
-        let write_back = |t: Transfer, stats: &mut TransferStats| {
-            stats.record(t.kind(), t.bytes);
-            // A dead lane surfaces its panic when it is joined.
-            let _ = writeback_tx.send(t);
+            .unzip();
+        let mut run = NativeRun {
+            tally,
+            wave: Wave::new(max_dispatch),
+            wall0,
+            stats: TransferStats::default(),
+            ledger: StagingLedger::new(),
+            rollbacks: IdMap::default(),
+            attempts: IdMap::default(),
+            lanes,
+            inflight_cap: rt.config.lookahead_depth + 1,
+            in_flight: 0,
+            node_inflight: vec![0; nodes],
+            node_loss: vec![NodeLoss::Alive; nodes],
+            writeback,
+            // Only a run that ends with the flush writes data back early,
+            // so the moved bytes are exactly the ones that flush would move.
+            write_behind: rt.config.flush_on_wait && max_dispatch.is_none(),
         };
-
-        // Planned items not yet admitted to a lane, and the number
-        // admitted and not yet completed (bounded by `inflight_cap`).
-        let mut outbox: Vec<VecDeque<StagedItem>> =
-            (0..n_workers).map(|_| VecDeque::new()).collect();
-        let mut lane_busy = vec![0usize; n_workers];
-        let mut in_flight = 0usize;
-        // The assignments of the latest drain (reused from wave to wave).
-        let mut assigned = Vec::new();
-
-        // Plan everything currently assignable within the wave budget:
-        // run the scheduler, perform directory transitions, record the
-        // rollback ledger, and queue `StagedItem`s — no byte movement.
-        let mut plan_wave = |rt: &mut Runtime,
-                         in_flight: &mut usize,
-                         node_inflight: &mut Vec<usize>,
-                         dispatched: &mut u64,
-                    stats: &mut TransferStats,
-                    worker_transfers: &mut Vec<WorkerTransferStats>,
-                    ledger: &mut StagingLedger,
-                    rollbacks: &mut IdMap<TaskId, Vec<Rollback>>,
-                    outbox: &mut Vec<VecDeque<StagedItem>>,
-                    attempts: &IdMap<TaskId, u32>| {
-            for tid in rt.graph.drain_newly_ready() {
-                if let Some(sink) = &sink {
-                    sink.record(
-                        sink.coordinator(),
-                        TraceEvent::TaskReady { time: ts(wall0), task: tid },
-                    );
-                }
-                rt.pending.push_back(tid);
-            }
-            let remaining = budget - *dispatched;
-            if remaining == 0 {
-                return;
-            }
-            if rt.config.fair_scheduling {
-                rt.fair.order(&mut rt.pending, &rt.graph);
-            }
-            drain_pool(rt, (budget != u64::MAX).then_some(remaining as usize), &mut assigned);
-            *dispatched += assigned.len() as u64;
-            if rt.config.fair_scheduling {
-                rt.fair.note_dispatched(&rt.graph, assigned.iter().map(|(t, _)| t));
-            }
-            crate::tracing::drain_decisions(rt, &sink, ts(wall0));
-            for &(tid, a) in &assigned {
-                let wi = a.worker.index();
-                let space = rt.workers[wi].info.space;
-                let accesses = rt.graph.node(tid).instance.accesses.clone();
-                let mut ops: Vec<StageOp> = Vec::new();
-                let mut rb: Vec<Rollback> = Vec::new();
-                for (region, mode) in &accesses {
-                    let data = region.data;
-                    if mode.writes() {
-                        if let Some(snap) = rt.directory.snapshot(data) {
-                            rb.push(Rollback::Restore(data, snap));
-                        }
-                    }
-                    if let Some(t) = rt.directory.acquire(data, space, *mode) {
-                        if !mode.writes() {
-                            // A pure read copy-in rolls back by
-                            // retraction; a write's snapshot (above)
-                            // already covers its transfer.
-                            rb.push(Rollback::Retract(data, space));
-                        }
-                        let (wait_src, publish) = ledger.plan_copy(&t);
-                        let inject_fault = rt.take_stage_fault(data);
-                        // Counted at plan time, in plan order, so the
-                        // totals do not depend on lane timing or on
-                        // `lookahead_depth`.
-                        stats.record(t.kind(), t.bytes);
-                        let wt = &mut worker_transfers[wi];
-                        wt.staged_bytes += t.bytes;
-                        wt.staged_count += 1;
-                        ops.push(StageOp::Copy { t, wait_src, publish, inject_fault });
-                    } else if mode.reads() {
-                        if let Some(cell) = ledger.pending(data, space) {
-                            ops.push(StageOp::WaitLocal(cell));
-                        }
-                    }
-                    if mode.writes() {
-                        // Plan-order invariant: a writer's datum has no
-                        // pending cells (the graph serialized all prior
-                        // accessors); drop stale failed cells so they
-                        // stop gating future readers.
-                        ledger.note_write(data);
-                        ops.push(StageOp::Ensure {
-                            data,
-                            len: rt.directory.bytes(data) as usize,
-                        });
-                    }
-                }
-                rollbacks.insert(tid, rb);
-                let template = rt.graph.node(tid).instance.template;
-                let kernel = if remote_lanes[wi].is_some() {
-                    // The kernel runs on the node, which binds its own.
-                    Arc::new(|_: &mut KernelCtx<'_>| {}) as NativeFn
-                } else {
-                    rt.kernels
-                        .get(&(template, a.version))
-                        .unwrap_or_else(|| {
-                            panic!(
-                                "no native kernel bound for ({:?}, {:?})",
-                                rt.templates.get(template).name,
-                                a.version
-                            )
-                        })
-                        .clone()
-                };
-                rt.graph.mark_running(tid);
-                outbox[wi].push_back(StagedItem {
-                    task: tid,
-                    kernel,
-                    accesses,
-                    ops,
-                    version: a.version,
-                    template,
-                    attempt: attempts.get(&tid).copied().unwrap_or(0) + 1,
-                });
-                *in_flight += 1;
-                node_inflight[plan.node_of_worker[wi] as usize] += 1;
-            }
-        };
-
-        // Admit queued items to each lane up to the lookahead cap.
-        let pump = |outbox: &mut Vec<VecDeque<StagedItem>>, lane_busy: &mut Vec<usize>| {
-            for wi in 0..n_workers {
-                while lane_busy[wi] < inflight_cap {
-                    let Some(item) = outbox[wi].pop_front() else { break };
-                    stage_txs[wi].send(StageMsg::Work(item)).expect("staging lane died");
-                    lane_busy[wi] += 1;
-                }
-            }
-        };
-
-        plan_wave(
-            rt,
-            &mut in_flight,
-            &mut node_inflight,
-            &mut dispatched,
-            &mut stats,
-            &mut worker_transfers,
-            &mut ledger,
-            &mut rollbacks,
-            &mut outbox,
-            &attempts,
-        );
-        pump(&mut outbox, &mut lane_busy);
-
-        while !rt.graph.all_done() {
-            if in_flight == 0 && dispatched >= budget {
-                break; // wave budget spent, everything dispatched drained
-            }
-            assert!(
-                in_flight > 0,
-                "native engine stalled with {} live tasks and {} pooled tasks",
-                rt.graph.live_tasks(),
-                rt.pending.len()
-            );
-            let (wid, tid, outcome) = done_rx.recv().expect("all workers died");
-            in_flight -= 1;
-            let wi = wid.index();
-            lane_busy[wi] -= 1;
-            node_inflight[plan.node_of_worker[wi] as usize] -= 1;
-
-            let q = rt.workers[wi]
-                .start_next()
-                .expect("completion from a worker with an empty queue");
-            assert_eq!(q.task, tid, "worker completions must be FIFO");
-            rt.workers[wi].finish(tid);
-
-            // A failure to account: message, what the task is charged
-            // with (`None` = collateral), whether its kernel was started.
-            let mut failed: Option<(String, Option<FailureKind>, bool)> = None;
-            match outcome {
-                Outcome::Done { kernel, kernel_span, stage_ns, stage_spans: spans, samples } => {
-                    rollbacks.remove(&tid);
-                    rt.graph.complete(tid, wid);
-                    if write_behind {
-                        // Data no unfinished task uses goes home now,
-                        // under the remaining kernels, not after them.
-                        for (region, _) in &rt.graph.node(tid).instance.accesses {
-                            if !rt.graph.has_live_accessor(region.data) {
-                                if let Some(t) = rt.directory.flush_to_host(region.data) {
-                                    write_back(t, &mut stats);
-                                }
-                            }
-                        }
-                    }
-                    let assignment =
-                        rt.graph.node(tid).assignment.expect("completed task was assigned");
-                    rt.scheduler.task_finished(&rt.graph.node(tid).instance, assignment, kernel);
-                    let space = rt.workers[wi].info.space;
-                    for (bytes, ns) in samples {
-                        rt.scheduler.transfer_done(space, bytes, Duration::from_nanos(ns));
-                    }
-                    *version_counts
-                        .entry((rt.graph.node(tid).instance.template, assignment.version))
-                        .or_insert(0) += 1;
-                    worker_counts[wi] += 1;
-                    worker_busy[wi] += kernel;
-                    let wt = &mut worker_transfers[wi];
-                    wt.compute_time += kernel;
-                    wt.stage_time += Duration::from_nanos(stage_ns);
-                    kernel_spans[wi].push(kernel_span);
-                    stage_spans[wi].extend(spans);
-                    tasks_executed += 1;
-                }
-                Outcome::Failed { msg, kind } => {
-                    // The execution failed after staging succeeded, so the
-                    // directory's optimistic state is real — no rollback.
-                    // (A remote node's outputs are only written back on
-                    // success, so its mirror still holds the inputs.)
-                    rollbacks.remove(&tid);
-                    failed = Some((msg, Some(kind), true));
-                }
-                Outcome::StageFailed { msg, charge } => {
-                    // The kernel never ran: undo this task's optimistic
-                    // directory updates (LIFO, so a same-task read
-                    // copy-in preceding a write acquire of the same
-                    // datum unwinds correctly), then requeue.
-                    if let Some(rb) = rollbacks.remove(&tid) {
-                        for op in rb.into_iter().rev() {
-                            match op {
-                                Rollback::Retract(d, s) => rt.directory.retract(d, s),
-                                Rollback::Restore(d, st) => rt.directory.restore(d, st),
-                            }
-                        }
-                    }
-                    failed = Some((msg, charge, false));
-                }
-            }
-
-            match failed {
-                None => {}
-                // Collateral of another task's failure: replan without
-                // charging this task an attempt (and without a trace
-                // event) — the origin task's retry budget, or the
-                // node's retirement, bounds the cascade.
-                Some((_, None, _)) => rt.graph.requeue(tid),
-                Some((msg, Some(kind), started)) => {
-                    let assignment =
-                        rt.graph.node(tid).assignment.expect("failed task was assigned");
-                    let attempt = {
-                        let n = attempts.entry(tid).or_insert(0);
-                        *n += 1;
-                        *n
-                    };
-                    // A staging failure never reached the exec thread, so
-                    // no TaskStart exists — record the terminal event here
-                    // (Failed-without-Start is legal).
-                    if let (false, Some(sink)) = (started, &sink) {
-                        sink.record(
-                            sink.coordinator(),
-                            TraceEvent::TaskFailed {
-                                time: ts(wall0),
-                                task: tid,
-                                worker: wid,
-                                version: assignment.version,
-                                attempt,
-                            },
-                        );
-                    }
-                    failures.events.push(TaskFailure {
-                        task: tid,
-                        template: rt.graph.node(tid).instance.template,
-                        version: assignment.version,
-                        worker: wid,
-                        kind,
-                        message: msg.clone(),
-                        attempt,
-                    });
-                    rt.scheduler.task_failed(&rt.graph.node(tid).instance, assignment, kind);
-                    if kind == FailureKind::NodeLost {
-                        // Charge the node, not the version: retire every
-                        // worker the lost node hosted so the scheduler
-                        // stops placing work there, and requeue
-                        // unconditionally — node loss never burns the
-                        // task's retry budget (the attempt number still
-                        // advances: it names the attempt in the trace).
-                        *uncharged.entry(tid).or_insert(0) += 1;
-                        let node = plan.node_of_worker[wi];
-                        if node_loss[node as usize] == NodeLoss::Alive {
-                            node_loss[node as usize] = NodeLoss::Draining;
-                            for (w, &n) in rt.workers.iter_mut().zip(&plan.node_of_worker) {
-                                if n == node {
-                                    w.retire();
-                                }
-                            }
-                        }
-                    } else if attempt - uncharged.get(&tid).copied().unwrap_or(0)
-                        > rt.config.max_task_retries
-                    {
-                        abort = Some((tid, msg));
-                        break;
-                    }
-                    rt.graph.requeue(tid);
-                    failures.retries += 1;
-                }
-            }
-
-            stamp_drained_losses(&mut node_loss, &node_inflight, &sink, wall0);
-
-            ledger.prune();
-            plan_wave(
-                rt,
-                &mut in_flight,
-                &mut node_inflight,
-                &mut dispatched,
-                &mut stats,
-                &mut worker_transfers,
-                &mut ledger,
-                &mut rollbacks,
-                &mut outbox,
-                &attempts,
-            );
-            pump(&mut outbox, &mut lane_busy);
-        }
-
-        // The `taskwait` flush: whatever is still device-only (data this
-        // run never touched, or every datum in a bounded wave) goes on
-        // the write-back lane behind the copies already planned there.
-        if abort.is_none() && rt.config.flush_on_wait && rt.graph.all_done() {
-            for t in rt.directory.flush_all_to_host() {
-                write_back(t, &mut stats);
-            }
-        }
-
-        // Flush every outbox before stopping (reached on abort, or when
-        // a wave budget leaves planned items unadmitted): a queued item
-        // may hold the publish cell a blocked stager is waiting on.
-        for (wi, q) in outbox.iter_mut().enumerate() {
-            while let Some(item) = q.pop_front() {
-                if stage_txs[wi].send(StageMsg::Work(item)).is_err() {
-                    break;
-                }
-            }
-        }
-        for tx in &stage_txs {
-            let _ = tx.send(StageMsg::Stop);
-        }
-        drop(writeback_tx);
-        writeback.map_or_else(Vec::new, |lane| {
+        let abort = run.drive(rt, &done_rx);
+        run.close(rt, abort.is_some());
+        let samples = writeback_lane.map_or_else(Vec::new, |lane| {
             lane.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-        })
+        });
+        (run, abort, samples)
     });
 
     // An abort or spent wave budget can leave a loss unstamped; the lane
     // threads have joined by now, so a stamp taken here postdates every
     // start they recorded.
-    node_inflight.fill(0);
-    stamp_drained_losses(&mut node_loss, &node_inflight, &sink, wall0);
-
+    run.node_inflight.fill(0);
+    run.stamp_drained_losses();
     for (to, bytes, took) in writeback_samples {
         rt.scheduler.transfer_done(to, bytes, took);
     }
-
-    for wi in 0..n_workers {
-        worker_transfers[wi].overlap_time =
-            Duration::from_nanos(overlap_ns(&mut kernel_spans[wi], &stage_spans[wi]));
+    for (wt, lane) in run.tally.worker_transfers.iter_mut().zip(&mut run.lanes) {
+        wt.overlap_time =
+            Duration::from_nanos(overlap_ns(&mut lane.kernel_spans, &lane.stage_spans));
     }
-
-    crate::tracing::end_decision_log(rt, log_here);
-    failures.quarantined = rt.quarantined_versions();
-    let report = RunReport {
-        scheduler: rt.scheduler.name().to_string(),
-        makespan: wall0.elapsed(),
-        tasks_executed,
-        transfers: stats,
-        version_counts: version_counts.into_iter().collect(),
-        worker_task_counts: worker_counts,
-        worker_busy,
-        worker_transfers,
-        completed: rt.graph.all_done(),
-        profile_table: rt
-            .scheduler
-            .as_versioning()
-            .map(|v| v.profiles().render_table(&rt.templates)),
-        trace: sink.map(|s| s.drain(crate::tracing::trace_meta(rt, "native"))),
-        failures,
-    };
-    match abort {
-        Some((task, message)) => {
-            Err(RunError { task, kind: FailureKind::Panic, message, report: Box::new(report) })
-        }
-        None => Ok(report),
-    }
+    run.tally.finish(rt, "native", wall0.elapsed(), run.stats, abort)
 }
 
 #[cfg(test)]

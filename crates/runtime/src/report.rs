@@ -1,14 +1,18 @@
 //! Run reports: everything the paper's evaluation section measures,
 //! plus the failure/retry accounting added by the fault-tolerance
-//! subsystem.
+//! subsystem — and [`RunTally`], the one copy of the per-run
+//! bookkeeping both engines feed them from.
 
+use crate::Runtime;
 // `RunReport::version_counts` is a public std map.
 #[allow(clippy::disallowed_types)]
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 use versa_core::{BucketKey, FailureKind, TaskId, TemplateId, TemplateRegistry, VersionId, WorkerId};
-use versa_mem::TransferStats;
+use versa_mem::{IdMap, TransferStats};
+use versa_trace::{TraceEvent, TraceSink, Ts};
 
 /// One failed task execution attempt.
 #[derive(Clone, Debug)]
@@ -264,6 +268,169 @@ impl RunReport {
             let _ = writeln!(out);
         }
         out
+    }
+}
+
+/// One task's execution attempts in this run.
+#[derive(Default)]
+pub(crate) struct Attempts {
+    /// Failed attempts so far; the next one is attempt `made + 1`.
+    pub(crate) made: u32,
+    /// How many of those were lost with their node: they advance the
+    /// attempt number but never count against the retry budget.
+    pub(crate) uncharged: u32,
+}
+
+/// Why a run stops early: the task that exhausted its retry budget,
+/// the kind of its last failure, and that failure's message.
+pub(crate) type Abort = (TaskId, FailureKind, String);
+
+/// The per-run bookkeeping both engines share: the trace sink, the
+/// completion tally, the failure path and the report. An engine opens
+/// one per `run()` and hands it every completion and every failed
+/// attempt; the clock, byte movement, how work reaches a worker and
+/// node retirement stay in the engine.
+pub(crate) struct RunTally {
+    /// The unified tracer (`None` = tracing off; see `crate::tracing`).
+    /// Worker events go to lane `worker.index()`, everything the
+    /// coordinator does to the coordinator lane.
+    pub(crate) sink: Option<Arc<TraceSink>>,
+    /// Whether this run turned scheduler decision logging on (and must
+    /// turn it off again).
+    log_here: bool,
+    version_counts: IdMap<(TemplateId, VersionId), u64>,
+    worker_counts: Vec<u64>,
+    worker_busy: Vec<Duration>,
+    /// Per-worker staging and compute accounting; the engines add the
+    /// staging side.
+    pub(crate) worker_transfers: Vec<WorkerTransferStats>,
+    tasks_executed: u64,
+    failures: FailureReport,
+}
+
+impl RunTally {
+    /// Open a run: create its trace sink, turn decision logging on if
+    /// it is traced, and announce every live task at `now`.
+    pub(crate) fn begin(rt: &mut Runtime, now: Ts) -> RunTally {
+        let n = rt.workers.len();
+        let sink = TraceSink::from_config(&rt.config.tracing, n);
+        let log_here = crate::tracing::begin_decision_log(rt, &sink);
+        crate::tracing::record_live_created(rt, &sink, now);
+        RunTally {
+            sink,
+            log_here,
+            version_counts: IdMap::default(),
+            worker_counts: vec![0; n],
+            worker_busy: vec![Duration::ZERO; n],
+            worker_transfers: vec![WorkerTransferStats::default(); n],
+            tasks_executed: 0,
+            failures: FailureReport::default(),
+        }
+    }
+
+    /// `tid` completed on `wid` after `kernel` of compute: release its
+    /// successors and feed the measured time to the scheduler's profile.
+    pub(crate) fn completed(
+        &mut self,
+        rt: &mut Runtime,
+        tid: TaskId,
+        wid: WorkerId,
+        kernel: Duration,
+    ) {
+        rt.graph.complete(tid, wid);
+        let node = rt.graph.node(tid);
+        let assignment = node.assignment.expect("completed task had an assignment");
+        rt.scheduler.task_finished(&node.instance, assignment, kernel);
+        *self.version_counts.entry((node.instance.template, assignment.version)).or_insert(0) += 1;
+        let wi = wid.index();
+        self.worker_counts[wi] += 1;
+        self.worker_busy[wi] += kernel;
+        self.worker_transfers[wi].compute_time += kernel;
+        self.tasks_executed += 1;
+    }
+
+    /// An attempt of `tid` on `wid` failed with `kind`: number it,
+    /// record it (plus its `TaskFailed` trace event at `stamp` =
+    /// `(lane, time)`, unless the engine's worker already recorded one),
+    /// tell the scheduler, and requeue the task. A `NodeLost` attempt is
+    /// charged to the node: it advances the attempt number but never
+    /// checks the retry budget. Any other kind that exhausts
+    /// [`max_task_retries`](crate::RuntimeConfig::max_task_retries)
+    /// returns the abort instead of requeueing.
+    #[must_use]
+    pub(crate) fn failed(
+        &mut self,
+        rt: &mut Runtime,
+        (tid, wid): (TaskId, WorkerId),
+        (kind, message): (FailureKind, String),
+        attempts: &mut Attempts,
+        stamp: Option<(usize, Ts)>,
+    ) -> Option<Abort> {
+        attempts.made += 1;
+        let attempt = attempts.made;
+        let node = rt.graph.node(tid);
+        let assignment = node.assignment.expect("failed task had an assignment");
+        let version = assignment.version;
+        if let (Some(sink), Some((lane, time))) = (&self.sink, stamp) {
+            let (task, worker) = (tid, wid);
+            sink.record(lane, TraceEvent::TaskFailed { time, task, worker, version, attempt });
+        }
+        self.failures.events.push(TaskFailure {
+            task: tid,
+            template: node.instance.template,
+            version,
+            worker: wid,
+            kind,
+            message: message.clone(),
+            attempt,
+        });
+        rt.scheduler.task_failed(&node.instance, assignment, kind);
+        if kind == FailureKind::NodeLost {
+            attempts.uncharged += 1;
+        } else if attempt - attempts.uncharged > rt.config.max_task_retries {
+            return Some((tid, kind, message));
+        }
+        rt.graph.requeue(tid);
+        self.failures.retries += 1;
+        None
+    }
+
+    /// Close the run: turn decision logging back off, note what is left
+    /// quarantined, and assemble the report — the run's result, or the
+    /// partial report of the [`RunError`] that `abort` names.
+    pub(crate) fn finish(
+        mut self,
+        rt: &mut Runtime,
+        engine: &str,
+        makespan: Duration,
+        transfers: TransferStats,
+        abort: Option<Abort>,
+    ) -> Result<RunReport, RunError> {
+        crate::tracing::end_decision_log(rt, self.log_here);
+        self.failures.quarantined = rt.quarantined_versions();
+        let report = RunReport {
+            scheduler: rt.scheduler.name().to_string(),
+            makespan,
+            tasks_executed: self.tasks_executed,
+            transfers,
+            version_counts: self.version_counts.into_iter().collect(),
+            worker_task_counts: self.worker_counts,
+            worker_busy: self.worker_busy,
+            worker_transfers: self.worker_transfers,
+            completed: rt.graph.all_done(),
+            profile_table: rt
+                .scheduler
+                .as_versioning()
+                .map(|v| v.profiles().render_table(&rt.templates)),
+            trace: self.sink.map(|sink| sink.drain(crate::tracing::trace_meta(rt, engine))),
+            failures: self.failures,
+        };
+        match abort {
+            Some((task, kind, message)) => {
+                Err(RunError { task, kind, message, report: Box::new(report) })
+            }
+            None => Ok(report),
+        }
     }
 }
 

@@ -6,24 +6,30 @@
 //! transfer/compute overlap and data prefetch. The scheduler only ever
 //! observes assignments and measured durations, never the cost table.
 //!
+//! The engine owns only what virtual time changes: the clock (an event
+//! queue), byte movement (the `TransferEngine`'s modelled links), how
+//! work reaches a worker, and node retirement. Dispatch
+//! ([`Wave::dispatch`]) and the completion, failure and report
+//! bookkeeping ([`RunTally`]) are the same code the native engine runs.
+//!
 //! Failures: the platform's [`FaultPlan`](versa_sim::FaultPlan) may mark
-//! task executions as failed. A failed attempt occupies its worker for
-//! the sampled duration, produces nothing, is reported to the scheduler
-//! via [`Scheduler::task_failed`](versa_core::Scheduler::task_failed),
-//! and re-enters the ready pool — until the task exhausts
+//! task executions as failed, and its node rules may drop whole remote
+//! nodes. A failed attempt occupies its worker for the sampled duration,
+//! produces nothing, and goes through [`RunTally::failed`]: the scheduler
+//! hears of it and the task re-enters the ready pool — until it exhausts
 //! [`RuntimeConfig::max_task_retries`](crate::RuntimeConfig), which
 //! aborts the run with a [`RunError`] carrying the partial report.
 
-use crate::assign::drain_pool;
-use crate::report::{FailureReport, RunError, TaskFailure, WorkerTransferStats};
+use crate::assign::Wave;
+use crate::report::{Abort, Attempts, RunError, RunTally};
 use crate::runtime::EngineKind;
+use crate::tracing::record_transfer;
 use crate::{RunReport, Runtime};
-use std::sync::Arc;
 use std::time::Duration;
-use versa_core::{Assignment, FailureKind, TaskId, TemplateId, VersionId, WorkerId};
-use versa_mem::{IdMap, Transfer};
+use versa_core::{FailureKind, TaskId, WorkerId};
+use versa_mem::IdMap;
 use versa_sim::{EventQueue, FaultInjector, NodeFaultKind, NoiseModel, SimTime, TransferEngine};
-use versa_trace::{TraceEvent, TraceSink, Ts};
+use versa_trace::{TraceEvent, Ts};
 
 /// Virtual-time heartbeat timeout: how much later than its fault time a
 /// [`NodeFaultKind::HeartbeatTimeout`] loss is *detected* (the simulated
@@ -51,47 +57,29 @@ struct InFlight {
     /// It was running on a node when the node was lost: its queued
     /// completion event is reinterpreted as a `NodeLost` failure.
     lost: bool,
-    /// Failed attempts so far.
-    attempts: u32,
+    attempts: Attempts,
 }
 
 struct SimState {
     xfer: TransferEngine,
     noise: NoiseModel,
     events: EventQueue<(WorkerId, TaskId)>,
-    /// Dispatch budget of this wave (`u64::MAX` = unbounded).
-    budget: u64,
-    /// Tasks dispatched so far this wave.
-    dispatched: u64,
+    wave: Wave,
     /// Per-GPU LRU residency trackers when device memory is finite.
     caches: Option<Vec<versa_mem::DeviceCache>>,
     /// Per-worker kernel-duration multipliers (mixed-generation GPUs).
     speed: Vec<f64>,
     /// Every dispatched, not yet completed task.
     tasks: IdMap<TaskId, InFlight>,
-    /// The assignments of the latest drain (reused from pump to pump).
-    assigned: Vec<(TaskId, Assignment)>,
     injector: FaultInjector,
     /// Scheduled node losses still to fire: `(detection time, node)`,
     /// sorted by time. Detection lags the fault by the heartbeat
     /// timeout for [`NodeFaultKind::HeartbeatTimeout`] rules.
     node_faults: Vec<(SimTime, u16)>,
-    failures: FailureReport,
-    /// The unified tracer (`None` = tracing off; see `crate::tracing`).
-    /// Worker events go to lane `worker.index()`, everything the
-    /// coordinator does to the coordinator lane.
-    sink: Option<Arc<TraceSink>>,
-    /// Whether this run turned scheduler decision logging on (and must
-    /// turn it off again).
-    log_here: bool,
-    version_counts: IdMap<(TemplateId, VersionId), u64>,
-    worker_counts: Vec<u64>,
-    worker_busy: Vec<Duration>,
-    /// Per-worker copy-in accounting (virtual time). `overlap_time`
-    /// stays zero here: the simulator models overlap via link/engine
-    /// occupancy rather than measuring wall-clock intersections.
-    worker_transfers: Vec<WorkerTransferStats>,
-    tasks_executed: u64,
+    /// Completions, failures and the report. Its `overlap_time`s stay
+    /// zero here: the simulator models overlap via link/engine occupancy
+    /// rather than measuring wall-clock intersections.
+    tally: RunTally,
 }
 
 /// Run tasks in virtual time: all of them (`max_dispatch = None`), or at
@@ -108,8 +96,7 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
         xfer: TransferEngine::new(&platform),
         noise: NoiseModel::new(rt.config.noise_sigma, platform.seed.wrapping_add(rt.run_count)),
         events: EventQueue::new(),
-        budget: max_dispatch.unwrap_or(u64::MAX),
-        dispatched: 0,
+        wave: Wave::new(max_dispatch),
         // Device residency state survives across waves/runs, so a later
         // job still sees what an earlier one left on the GPUs.
         caches: stored_caches.or_else(|| {
@@ -126,7 +113,6 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
             })
             .collect(),
         tasks: IdMap::default(),
-        assigned: Vec::new(),
         injector: FaultInjector::new(platform.faults.clone(), platform.seed),
         node_faults: {
             let mut f: Vec<(SimTime, u16)> = platform
@@ -144,17 +130,8 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
             f.sort_unstable();
             f
         },
-        failures: FailureReport::default(),
-        sink: TraceSink::from_config(&rt.config.tracing, rt.workers.len()),
-        log_here: false,
-        version_counts: IdMap::default(),
-        worker_counts: vec![0; rt.workers.len()],
-        worker_busy: vec![Duration::ZERO; rt.workers.len()],
-        worker_transfers: vec![WorkerTransferStats::default(); rt.workers.len()],
-        tasks_executed: 0,
+        tally: RunTally::begin(rt, Ts::ZERO),
     };
-    st.log_here = crate::tracing::begin_decision_log(rt, &st.sink);
-    crate::tracing::record_live_created(rt, &st.sink, Ts::ZERO);
 
     let mut now = SimTime::ZERO;
     pump(rt, &mut st, now);
@@ -167,17 +144,9 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
         // a result.
         fire_node_faults(rt, &mut st, now);
         let t = &st.tasks[&tid];
-        if t.lost {
-            on_node_lost(rt, &mut st, now, wid, tid);
-        } else if t.doomed {
+        if t.lost || t.doomed {
             if let Some(abort) = on_failure(rt, &mut st, now, wid, tid) {
-                let report = finish_report(rt, st, now.as_duration());
-                return Err(RunError {
-                    task: abort.0,
-                    kind: FailureKind::Fault,
-                    message: abort.1,
-                    report: Box::new(report),
-                });
+                return finish(rt, st, now, Some(abort));
             }
         } else {
             on_completion(rt, &mut st, now, wid, tid);
@@ -202,64 +171,40 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
     if rt.config.flush_on_wait && rt.graph.all_done() {
         for t in rt.directory.flush_all_to_host() {
             let done = st.xfer.schedule(&t, now);
-            record_transfers(&st.sink, std::slice::from_ref(&t), now, done, None);
+            record_transfer(&st.tally.sink, None, &t, (now.into(), done.into()), None);
             end = end.max(done);
         }
     }
 
-    Ok(finish_report(rt, st, end.as_duration()))
+    finish(rt, st, end, None)
 }
 
-/// Assemble the report from the accumulated state (complete or partial)
-/// and hand persistent device-cache state back to the runtime.
-fn finish_report(rt: &mut Runtime, mut st: SimState, makespan: Duration) -> RunReport {
+/// Hand persistent device-cache state back to the runtime and close
+/// the run at virtual time `end` (complete, or partial on `abort`).
+fn finish(
+    rt: &mut Runtime,
+    mut st: SimState,
+    end: SimTime,
+    abort: Option<Abort>,
+) -> Result<RunReport, RunError> {
     if let EngineKind::Sim { caches, .. } = &mut rt.engine {
         *caches = st.caches.take();
     }
-    crate::tracing::end_decision_log(rt, st.log_here);
-    st.failures.quarantined = rt.quarantined_versions();
-    RunReport {
-        scheduler: rt.scheduler.name().to_string(),
-        makespan,
-        tasks_executed: st.tasks_executed,
-        transfers: *st.xfer.stats(),
-        version_counts: st.version_counts.into_iter().collect(),
-        worker_task_counts: st.worker_counts,
-        worker_busy: st.worker_busy,
-        worker_transfers: st.worker_transfers,
-        completed: rt.graph.all_done(),
-        profile_table: rt
-            .scheduler
-            .as_versioning()
-            .map(|v| v.profiles().render_table(&rt.templates)),
-        trace: st.sink.take().map(|sink| sink.drain(crate::tracing::trace_meta(rt, "sim"))),
-        failures: st.failures,
-    }
+    st.tally.finish(rt, "sim", end.as_duration(), *st.xfer.stats(), abort)
 }
 
 /// Handle one task completion at virtual time `now`.
 fn on_completion(rt: &mut Runtime, st: &mut SimState, now: SimTime, wid: WorkerId, tid: TaskId) {
     rt.workers[wid.index()].finish(tid);
-    rt.graph.complete(tid, wid);
-
+    let measured = st.tasks.remove(&tid).expect("completed task was in flight").duration;
+    st.tally.completed(rt, tid, wid, measured);
     let space = rt.workers[wid.index()].info.space;
-    let assignment = rt.graph.node(tid).assignment.expect("completed task had an assignment");
     for (region, mode) in &rt.graph.node(tid).instance.accesses {
         if mode.writes() {
             st.xfer.mark_produced(region.data, space, now);
         }
     }
-    let measured = st.tasks.remove(&tid).expect("completed task was in flight").duration;
-    rt.scheduler.task_finished(&rt.graph.node(tid).instance, assignment, measured);
-    st.worker_transfers[wid.index()].compute_time += measured;
-
-    *st.version_counts
-        .entry((rt.graph.node(tid).instance.template, assignment.version))
-        .or_insert(0) += 1;
-    st.worker_counts[wid.index()] += 1;
-    st.worker_busy[wid.index()] += measured;
-    st.tasks_executed += 1;
-    if let Some(sink) = &st.sink {
+    if let Some(sink) = &st.tally.sink {
         sink.record(
             wid.index(),
             TraceEvent::TaskEnd {
@@ -272,65 +217,34 @@ fn on_completion(rt: &mut Runtime, st: &mut SimState, now: SimTime, wid: WorkerI
     }
 }
 
-/// Close a task's failed attempt in the in-flight table (the task stays
-/// in it, to be dispatched again) and return the attempt's number.
-fn end_attempt(st: &mut SimState, tid: TaskId) -> u32 {
-    let t = st.tasks.get_mut(&tid).expect("failed task was in flight");
-    t.attempts += 1;
-    t.doomed = false;
-    t.lost = false;
-    t.attempts
-}
-
-/// Handle one failed attempt at virtual time `now`. The worker is freed,
-/// the task produces nothing and goes back to the ready frontier, and the
-/// scheduler hears about the failure (quarantine accounting). Returns
-/// abort info when the task has exhausted its retry budget.
+/// Handle one failed attempt at virtual time `now`: an injected fault,
+/// or the queued completion event of a task whose node died while it
+/// ran. The worker is freed, the task produces nothing, and
+/// [`RunTally::failed`] takes it from there — the native engine's
+/// failure path, so a `NodeLost` attempt is charged to the node and
+/// never to the task's retry budget. Returns the abort when a fault
+/// exhausted that budget.
 fn on_failure(
     rt: &mut Runtime,
     st: &mut SimState,
     now: SimTime,
     wid: WorkerId,
     tid: TaskId,
-) -> Option<(TaskId, String)> {
-    rt.workers[wid.index()].finish(tid);
-    let attempt = end_attempt(st, tid);
-
-    let assignment = rt.graph.node(tid).assignment.expect("failed task had an assignment");
-    let message = format!(
-        "injected fault (rule matched {:?} {:?} on {wid:?})",
-        rt.templates.get(rt.graph.node(tid).instance.template).name,
-        assignment.version
-    );
-    if let Some(sink) = &st.sink {
-        sink.record(
-            wid.index(),
-            TraceEvent::TaskFailed {
-                time: now.into(),
-                task: tid,
-                worker: wid,
-                version: assignment.version,
-                attempt,
-            },
-        );
-    }
-    st.failures.events.push(TaskFailure {
-        task: tid,
-        template: rt.graph.node(tid).instance.template,
-        version: assignment.version,
-        worker: wid,
-        kind: FailureKind::Fault,
-        message: message.clone(),
-        attempt,
-    });
-    rt.scheduler.task_failed(&rt.graph.node(tid).instance, assignment, FailureKind::Fault);
-
-    if attempt > rt.config.max_task_retries {
-        return Some((tid, message));
-    }
-    rt.graph.requeue(tid);
-    st.failures.retries += 1;
-    None
+) -> Option<Abort> {
+    let t = st.tasks.get_mut(&tid).expect("failed task was in flight");
+    let failure = if std::mem::take(&mut t.lost) {
+        rt.workers[wid.index()].abandon_running();
+        (FailureKind::NodeLost, format!("node {} lost mid-task", rt.node_of_worker(wid)))
+    } else {
+        rt.workers[wid.index()].finish(tid);
+        let node = rt.graph.node(tid);
+        let version = node.assignment.expect("failed task had an assignment").version;
+        let name = &rt.templates.get(node.instance.template).name;
+        let message = format!("injected fault (rule matched {name:?} {version:?} on {wid:?})");
+        (FailureKind::Fault, message)
+    };
+    t.doomed = false;
+    st.tally.failed(rt, (tid, wid), failure, &mut t.attempts, Some((wid.index(), now.into())))
 }
 
 /// Fire every scheduled node loss whose detection time has passed:
@@ -365,76 +279,18 @@ fn fire_node_faults(rt: &mut Runtime, st: &mut SimState, now: SimTime) {
                 stamp = stamp.max(t.start);
             }
         }
-        if let Some(sink) = &st.sink {
+        if let Some(sink) = &st.tally.sink {
             sink.record(sink.coordinator(), TraceEvent::NodeLost { time: stamp.into(), node });
         }
     }
 }
 
-/// Handle the queued completion event of a task whose node died while it
-/// ran. Mirrors the native engine's `NodeLost` path: the failure is
-/// charged to the node (no version strike — the versioning scheduler
-/// ignores `NodeLost`), the attempt counter advances for trace
-/// coherence, but the retry *budget* is never checked, so node loss
-/// alone cannot abort a run.
-fn on_node_lost(rt: &mut Runtime, st: &mut SimState, now: SimTime, wid: WorkerId, tid: TaskId) {
-    rt.workers[wid.index()].abandon_running();
-    let attempt = end_attempt(st, tid);
-
-    let assignment = rt.graph.node(tid).assignment.expect("lost task had an assignment");
-    let message = format!("node {} lost mid-task", rt.node_of_worker(wid));
-    if let Some(sink) = &st.sink {
-        sink.record(
-            wid.index(),
-            TraceEvent::TaskFailed {
-                time: now.into(),
-                task: tid,
-                worker: wid,
-                version: assignment.version,
-                attempt,
-            },
-        );
-    }
-    st.failures.events.push(TaskFailure {
-        task: tid,
-        template: rt.graph.node(tid).instance.template,
-        version: assignment.version,
-        worker: wid,
-        kind: FailureKind::NodeLost,
-        message,
-        attempt,
-    });
-    rt.scheduler.task_failed(&rt.graph.node(tid).instance, assignment, FailureKind::NodeLost);
-    rt.graph.requeue(tid);
-    st.failures.retries += 1;
-}
-
-/// Assign newly-ready and pooled tasks; prefetch their data if enabled.
-/// The pool lives in the runtime, so tasks a bounded wave could not
-/// dispatch carry over to the next wave.
+/// Dispatch what the wave budget allows ([`Wave::dispatch`]), then
+/// prefetch the assigned tasks' data if enabled.
 fn pump(rt: &mut Runtime, st: &mut SimState, now: SimTime) {
-    for tid in rt.graph.drain_newly_ready() {
-        if let Some(sink) = &st.sink {
-            sink.record(sink.coordinator(), TraceEvent::TaskReady { time: now.into(), task: tid });
-        }
-        rt.pending.push_back(tid);
-    }
-    let remaining = st.budget - st.dispatched;
-    if remaining == 0 {
-        return;
-    }
-    if rt.config.fair_scheduling {
-        rt.fair.order(&mut rt.pending, &rt.graph);
-    }
-    let limit = (st.budget != u64::MAX).then_some(remaining as usize);
-    drain_pool(rt, limit, &mut st.assigned);
-    st.dispatched += st.assigned.len() as u64;
-    crate::tracing::drain_decisions(rt, &st.sink, now.into());
-    if rt.config.fair_scheduling {
-        rt.fair.note_dispatched(&rt.graph, st.assigned.iter().map(|(t, _)| t));
-    }
-    for i in 0..st.assigned.len() {
-        let (tid, a) = st.assigned[i];
+    st.wave.dispatch(rt, &st.tally.sink, now.into());
+    for i in 0..st.wave.assigned.len() {
+        let (tid, a) = st.wave.assigned[i];
         let deadline = rt.config.prefetch.then(|| stage_task_data(rt, st, tid, a.worker, now));
         st.tasks.entry(tid).or_default().deadline = deadline;
     }
@@ -488,7 +344,7 @@ fn stage_task_data(
                         .flush_to_host(victim)
                         .expect("sole device copy needs a write-back");
                     let end = st.xfer.schedule(&wb, now);
-                    record_transfers(&st.sink, std::slice::from_ref(&wb), now, end, None);
+                    record_transfer(&st.tally.sink, None, &wb, (now.into(), end.into()), None);
                     deadline = deadline.max(end);
                 }
                 rt.directory.invalidate(victim, space);
@@ -507,40 +363,15 @@ fn stage_task_data(
             let t_end = st.xfer.schedule(&t, now);
             let elapsed = t_end.as_duration().saturating_sub(now.as_duration());
             rt.scheduler.transfer_done(t.to, t.bytes, elapsed);
-            let wt = &mut st.worker_transfers[worker.index()];
+            let wt = &mut st.tally.worker_transfers[worker.index()];
             wt.staged_bytes += t.bytes;
             wt.staged_count += 1;
             wt.stage_time += elapsed;
-            record_transfers(&st.sink, std::slice::from_ref(&t), now, t_end, Some(worker));
+            record_transfer(&st.tally.sink, None, &t, (now.into(), t_end.into()), Some(worker));
             end = end.max(t_end);
         }
     }
     deadline.max(end)
-}
-
-fn record_transfers(
-    sink: &Option<Arc<TraceSink>>,
-    transfers: &[Transfer],
-    start: SimTime,
-    end: SimTime,
-    by: Option<WorkerId>,
-) {
-    let Some(sink) = sink else { return };
-    let lane = sink.coordinator();
-    for t in transfers {
-        sink.record(
-            lane,
-            TraceEvent::Transfer {
-                start: start.into(),
-                end: end.into(),
-                data: t.data,
-                from: t.from,
-                to: t.to,
-                bytes: t.bytes,
-                by,
-            },
-        );
-    }
 }
 
 /// Let every idle worker begin its next queued task.
@@ -589,9 +420,9 @@ fn start_idle_workers(rt: &mut Runtime, st: &mut SimState, now: SimTime) {
         t.doomed = doomed;
         t.start = start;
         t.duration = duration;
-        let attempt = t.attempts + 1;
+        let attempt = t.attempts.made + 1;
         st.events.push(end, (wid, tid));
-        if let Some(sink) = &st.sink {
+        if let Some(sink) = &st.tally.sink {
             sink.record(
                 wi,
                 TraceEvent::TaskStart {

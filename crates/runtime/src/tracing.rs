@@ -12,7 +12,8 @@ use crate::graph::TaskState;
 use crate::Runtime;
 use std::sync::Arc;
 use versa_core::scheduler::{Decision, DecisionPhase};
-use versa_core::WorkerInfo;
+use versa_core::{WorkerId, WorkerInfo};
+use versa_mem::Transfer;
 use versa_trace::{
     Bid, CandidateRecord, DecisionRecord, Phase, TraceEvent, TraceMeta, TraceSink, Ts,
     WorkerSnapRecord,
@@ -135,6 +136,22 @@ pub(crate) fn record_live_created(rt: &Runtime, sink: &Option<Arc<TraceSink>>, n
     for &tid in &rt.pending {
         sink.record(lane, TraceEvent::TaskReady { time: now, task: tid });
     }
+}
+
+/// Record one copy's `Transfer` span on `lane` (`None` = the
+/// coordinator's). `by` names the worker the copy was staged for,
+/// `None` for a copy home.
+pub(crate) fn record_transfer(
+    sink: &Option<Arc<TraceSink>>,
+    lane: Option<usize>,
+    t: &Transfer,
+    (start, end): (Ts, Ts),
+    by: Option<WorkerId>,
+) {
+    let Some(sink) = sink else { return };
+    let lane = lane.unwrap_or_else(|| sink.coordinator());
+    let (data, from, to, bytes) = (t.data, t.from, t.to, t.bytes);
+    sink.record(lane, TraceEvent::Transfer { start, end, data, from, to, bytes, by });
 }
 
 /// The run's trace metadata (worker + template name tables).

@@ -9,7 +9,7 @@ use std::time::Duration;
 use versa_core::{DeviceKind, FailureKind, SchedulerKind, VersionId, WorkerId};
 use versa_mem::DataId;
 use versa_runtime::{Runtime, RuntimeConfig};
-use versa_sim::{NodeFaultRule, PlatformConfig, SimNode, TraceEvent};
+use versa_sim::{FaultRule, NodeFaultRule, PlatformConfig, SimNode, TraceEvent};
 use versa_trace::TraceConfig;
 
 const TASKS: usize = 48;
@@ -147,6 +147,46 @@ fn heartbeat_timeout_is_detected_late_but_handled_identically() {
     );
     let violations = versa_trace::invariants::check(trace);
     assert!(violations.is_empty(), "trace invariants violated: {violations:?}");
+}
+
+#[test]
+fn node_loss_does_not_spend_the_retry_budget() {
+    // One local worker (w0) and a one-worker node (w1) that drops at
+    // 0.5 ms. Task `b` is lost with its node, then faults once on w0:
+    // with a budget of one retry it must still complete, because the
+    // node loss was charged to the node, not to the task.
+    let mut platform = PlatformConfig::minotauro(1, 0);
+    platform.nodes = vec![SimNode::new(1)];
+    let config = RuntimeConfig { max_task_retries: 1, ..RuntimeConfig::default() };
+    let mut rt = Runtime::simulated(config, platform);
+    let a = rt.template("a").main("a_smp", &[DeviceKind::Smp]).register();
+    let b = rt.template("b").main("b_smp", &[DeviceKind::Smp]).register();
+    for tpl in [a, b] {
+        rt.bind_cost(tpl, VersionId(0), |_| Duration::from_millis(1));
+        let d = rt.alloc_bytes(TILE);
+        rt.task(tpl).read_write(d).submit();
+    }
+    rt.set_fault_plan(versa_sim::FaultPlan {
+        rules: vec![FaultRule {
+            template: Some(b),
+            version: None,
+            worker: Some(WorkerId(0)),
+            probability: 1.0,
+            max_failures: Some(1),
+        }],
+        node_rules: vec![NodeFaultRule::drop_node(1, Duration::from_micros(500))],
+    });
+
+    let report = rt.run().expect("a node loss must not spend the retry budget");
+    assert!(report.completed);
+    assert_eq!(report.tasks_executed, 2);
+    let failures: Vec<(FailureKind, u32, WorkerId)> =
+        report.failures.events.iter().map(|f| (f.kind, f.attempt, f.worker)).collect();
+    assert_eq!(
+        failures,
+        [(FailureKind::NodeLost, 1, WorkerId(1)), (FailureKind::Fault, 2, WorkerId(0))]
+    );
+    assert_eq!(report.failures.retries, 2);
 }
 
 #[test]

@@ -105,6 +105,10 @@ fn unrecoverable_fault_aborts_with_partial_report() {
         .filter(|f| f.task == err.task)
         .count();
     assert_eq!(exhausted, 4, "1 attempt + 3 retries for the aborting task");
+    let own: Vec<_> = err.report.failures.events.iter().filter(|f| f.task == err.task).collect();
+    let attempts: Vec<u32> = own.iter().map(|f| f.attempt).collect();
+    assert_eq!(attempts, [1, 2, 3, 4], "attempts are numbered from 1 in order");
+    assert_eq!(err.kind, own[own.len() - 1].kind, "the abort carries its last failure's kind");
 }
 
 #[test]

@@ -111,6 +111,10 @@ fn retry_exhaustion_yields_coherent_partial_report() {
     assert_eq!(report.failures.failure_count(), 4, "1 attempt + 3 retries");
     assert_eq!(report.failures.retries, 3);
     assert!(report.failures.events.iter().all(|f| f.task == bad_task));
+    let attempts: Vec<u32> = report.failures.events.iter().map(|f| f.attempt).collect();
+    assert_eq!(attempts, [1, 2, 3, 4], "attempts are numbered from 1 in order");
+    let last = report.failures.events.last().expect("the abort's failures are recorded");
+    assert_eq!(err.kind, last.kind, "the abort carries its last failure's kind");
     let _ = good_task;
 }
 
