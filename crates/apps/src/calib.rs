@@ -20,69 +20,69 @@ use std::time::Duration;
 
 /// Sustained f64 GEMM rate of the emulated GPU running CUBLAS (FLOP/s).
 /// 2·1024³ FLOP in ≈ 7 ms.
-pub const GPU_DGEMM_CUBLAS: f64 = 306.0e9;
+pub(crate) const GPU_DGEMM_CUBLAS: f64 = 306.0e9;
 
 /// Sustained f64 GEMM rate of the hand-coded CUDA kernel (FLOP/s);
 /// clearly slower than CUBLAS so the versioning scheduler abandons it
 /// after the learning phase (paper Fig. 8).
-pub const GPU_DGEMM_CUDA: f64 = 214.0e9;
+pub(crate) const GPU_DGEMM_CUDA: f64 = 214.0e9;
 
 /// Sustained f64 GEMM rate of one SMP core running CBLAS (FLOP/s);
 /// ≈ 60× slower than CUBLAS per tile.
-pub const SMP_DGEMM_CBLAS: f64 = 5.1e9;
+pub(crate) const SMP_DGEMM_CBLAS: f64 = 5.1e9;
 
 /// Sustained f64 GEMM rate of one SMP core running the explicit-SIMD
 /// packed kernel (the `mm-wide` variant's extra CPU version): ~4× the
 /// CBLAS stand-in — mirroring the measured avx512-vs-scalar gap of the
 /// native kernels — yet still ~15× off CUBLAS, so a learning scheduler
 /// should prefer it over CBLAS without ever preferring it over the GPU.
-pub const SMP_DGEMM_SIMD: f64 = 20.4e9;
+pub(crate) const SMP_DGEMM_SIMD: f64 = 20.4e9;
 
 /// Sustained f64 GEMM rate of one SMP core running the naive triple
 /// loop — the deliberately bad version in the `mm-wide` version space;
 /// a scheduler that can't learn pays ~190× per task for picking it.
-pub const SMP_DGEMM_NAIVE: f64 = 1.6e9;
+pub(crate) const SMP_DGEMM_NAIVE: f64 = 1.6e9;
 
 /// Sustained f32 GEMM rate of the GPU (CUBLAS sgemm).
-pub const GPU_SGEMM: f64 = 550.0e9;
+pub(crate) const GPU_SGEMM: f64 = 550.0e9;
 
 /// Sustained f32 SYRK rate of the GPU (CUBLAS ssyrk).
-pub const GPU_SSYRK: f64 = 460.0e9;
+pub(crate) const GPU_SSYRK: f64 = 460.0e9;
 
 /// Sustained f32 TRSM rate of the GPU (CUBLAS strsm).
-pub const GPU_STRSM: f64 = 380.0e9;
+pub(crate) const GPU_STRSM: f64 = 380.0e9;
 
 /// Sustained f32 POTRF rate of the GPU (MAGMA spotrf) — much lower than
 /// GEMM-class kernels: the panel factorization is poorly suited to GPUs.
-pub const GPU_SPOTRF: f64 = 100.0e9;
+pub(crate) const GPU_SPOTRF: f64 = 100.0e9;
 
 /// Sustained f32 POTRF rate of one SMP core (reference CBLAS spotrf, no
 /// vendor tuning) — slow enough that the GPU stays the earliest executor
 /// for potrf even behind a queue of trailing updates (paper Fig. 11).
-pub const SMP_SPOTRF: f64 = 2.0e9;
+pub(crate) const SMP_SPOTRF: f64 = 2.0e9;
 
 /// PBPI loop-1 (partial propagation) GPU throughput in sites/second.
 /// The propagation is dense 4×4 linear algebra — very GPU-friendly, so
 /// the versioning scheduler sends loop 1 "most of the times to the GPU"
 /// (paper Fig. 14).
-pub const GPU_PBPI_LOOP1: f64 = 180.0e6;
+pub(crate) const GPU_PBPI_LOOP1: f64 = 180.0e6;
 
 /// PBPI loop-1 SMP throughput.
-pub const SMP_PBPI_LOOP1: f64 = 36.0e6;
+pub(crate) const SMP_PBPI_LOOP1: f64 = 36.0e6;
 
 /// PBPI loop-2 (partial combination) GPU throughput in sites/second.
-pub const GPU_PBPI_LOOP2: f64 = 160.0e6;
+pub(crate) const GPU_PBPI_LOOP2: f64 = 160.0e6;
 
 /// PBPI loop-2 SMP throughput (≈ 3.5× slower).
-pub const SMP_PBPI_LOOP2: f64 = 46.0e6;
+pub(crate) const SMP_PBPI_LOOP2: f64 = 46.0e6;
 
 /// PBPI loop-3 (log-likelihood reduction) SMP throughput in
 /// sites/second.
-pub const SMP_PBPI_LOOP3: f64 = 120.0e6;
+pub(crate) const SMP_PBPI_LOOP3: f64 = 120.0e6;
 
 /// Duration of `flops` floating-point operations at `rate` FLOP/s (also
 /// used for site-rate models).
-pub fn duration_at(flops: f64, rate: f64) -> Duration {
+pub(crate) fn duration_at(flops: f64, rate: f64) -> Duration {
     Duration::from_secs_f64(flops / rate)
 }
 

@@ -70,7 +70,7 @@ impl CholeskyConfig {
     }
 
     /// Bytes of one f32 tile.
-    pub fn tile_bytes(&self) -> u64 {
+    pub(crate) fn tile_bytes(&self) -> u64 {
         (self.bs * self.bs * 4) as u64
     }
 
@@ -231,7 +231,7 @@ pub fn run_sim_with(
 /// version, since a version with no native kernel fails a native run.
 /// `ctx.exec()` carries the emulated GPU's persistent lane pool; read
 /// arguments are borrowed in place (no copies).
-pub fn bind_native(
+pub(crate) fn bind_native(
     rt: &mut Runtime,
     (potrf_t, trsm_t, syrk_t, gemm_t): (TemplateId, TemplateId, TemplateId, TemplateId),
     variant: CholeskyVariant,

@@ -219,32 +219,3 @@ pub fn tiny_axpy_job(elems: usize, seed: u64) -> JobSpec {
         finish
     })
 }
-
-/// A simulated hybrid matmul job (cost models, no data contents): the
-/// sim-engine counterpart of [`matmul_native_job`], for driving a
-/// service on the virtual platform. Frees its tiles at completion.
-pub fn matmul_sim_job(config: matmul::MatmulConfig) -> JobSpec {
-    let name = format!("matmul-sim-{}x{}", config.n, config.bs);
-    JobSpec::new(name, move |rt| {
-        let template = rt
-            .templates()
-            .by_name("matmul_tile")
-            .unwrap_or_else(|| matmul::register(rt, matmul::MatmulVariant::Hybrid));
-        let nb = config.nb();
-        let bytes = config.tile_bytes();
-        let mk = |rt: &mut Runtime| -> Vec<DataId> {
-            (0..nb * nb).map(|_| rt.alloc_bytes(bytes)).collect()
-        };
-        let a = mk(rt);
-        let b = mk(rt);
-        let c = mk(rt);
-        matmul::submit_tasks(rt, template, nb, &a, &b, &c);
-        let finish: FinishFn = Box::new(move |rt| {
-            for id in a.iter().chain(&b).chain(&c) {
-                rt.free(*id);
-            }
-            Ok(())
-        });
-        finish
-    })
-}

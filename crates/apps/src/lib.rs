@@ -10,7 +10,7 @@
 //!   `potrf-gpu`, `potrf-hyb`).
 //! * [`pbpi`] — Bayesian phylogenetic inference by MCMC (`pbpi-smp`,
 //!   `pbpi-gpu`, `pbpi-hyb`).
-//! * [`calib`] — the simulated-platform cost calibration (device rates
+//! * `calib` — the simulated-platform cost calibration (device rates
 //!   matched to the ratios the paper reports).
 //! * [`jobs`] — the applications as reusable `versa-serve` job
 //!   factories (idempotent template registration, verify-and-free
@@ -18,7 +18,7 @@
 
 #![warn(missing_docs)]
 
-pub mod calib;
+pub(crate) mod calib;
 pub mod cholesky;
 pub mod jobs;
 pub mod matmul;

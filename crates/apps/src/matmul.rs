@@ -41,15 +41,6 @@ impl MatmulVariant {
             MatmulVariant::Wide => "mm-wide",
         }
     }
-
-    /// Number of task versions the variant registers.
-    pub fn version_count(self) -> usize {
-        match self {
-            MatmulVariant::Gpu => 1,
-            MatmulVariant::Hybrid => 3,
-            MatmulVariant::Wide => 5,
-        }
-    }
 }
 
 /// Problem dimensions.
@@ -374,9 +365,6 @@ mod tests {
         assert_eq!(MatmulVariant::Gpu.label(), "mm-gpu");
         assert_eq!(MatmulVariant::Hybrid.label(), "mm-hyb");
         assert_eq!(MatmulVariant::Wide.label(), "mm-wide");
-        assert_eq!(MatmulVariant::Gpu.version_count(), 1);
-        assert_eq!(MatmulVariant::Hybrid.version_count(), 3);
-        assert_eq!(MatmulVariant::Wide.version_count(), 5);
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl PbpiConfig {
     }
 
     /// Bytes of one chunk's partial array (4 f64 states per site).
-    pub fn chunk_bytes(&self) -> u64 {
+    pub(crate) fn chunk_bytes(&self) -> u64 {
         (self.sites_per_chunk * kern::STATES * 8) as u64
     }
 
@@ -129,7 +129,10 @@ fn hybrid_template(
 /// Register the five templates and bind simulation costs (site
 /// throughputs from [`calib`], with sites recovered from each task's
 /// data set size).
-pub fn register(rt: &mut Runtime, variant: PbpiVariant) -> (TemplateId, TemplateId, TemplateId, TemplateId, TemplateId) {
+pub(crate) fn register(
+    rt: &mut Runtime,
+    variant: PbpiVariant,
+) -> (TemplateId, TemplateId, TemplateId, TemplateId, TemplateId) {
     let update = rt
         .template("pbpi_update")
         .main("pbpi_update_smp", &[DeviceKind::Smp])

@@ -50,14 +50,14 @@ pub struct SweepPoint {
 
 impl SweepPoint {
     /// Label in the figures, e.g. `2G/4S`.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         format!("{}G/{}S", self.gpus, self.smp)
     }
 }
 
 /// The paper's full resource sweep: {1, 2} GPUs × {1, 2, 4, 8} SMP
 /// workers.
-pub fn sweep() -> Vec<SweepPoint> {
+pub(crate) fn sweep() -> Vec<SweepPoint> {
     let mut out = Vec::new();
     for gpus in [1usize, 2] {
         for smp in [1usize, 2, 4, 8] {

@@ -19,7 +19,7 @@ impl Cell {
     }
 
     /// Numeric cell with one decimal.
-    pub fn num(v: f64) -> Cell {
+    pub(crate) fn num(v: f64) -> Cell {
         Cell::Num(v, 1)
     }
 
@@ -77,44 +77,6 @@ impl FigureResult {
     pub fn note(&mut self, s: impl Into<String>) {
         self.notes.push(s.into());
     }
-
-    /// Numeric value at `(row, col)`.
-    ///
-    /// # Panics
-    /// Panics if the cell is not numeric.
-    pub fn num(&self, row: usize, col: usize) -> f64 {
-        match &self.rows[row][col] {
-            Cell::Num(v, _) => *v,
-            Cell::Text(t) => panic!("cell ({row}, {col}) of {} is text {t:?}", self.id),
-        }
-    }
-
-    /// Index of the row whose first cell is the given label.
-    ///
-    /// # Panics
-    /// Panics if no such row exists.
-    pub fn row_by_label(&self, label: &str) -> usize {
-        self.rows
-            .iter()
-            .position(|r| matches!(&r[0], Cell::Text(t) if t == label))
-            .unwrap_or_else(|| panic!("{} has no row labelled {label:?}", self.id))
-    }
-
-    /// Index of a column by header name.
-    ///
-    /// # Panics
-    /// Panics if no such column exists.
-    pub fn col(&self, header: &str) -> usize {
-        self.headers
-            .iter()
-            .position(|h| h == header)
-            .unwrap_or_else(|| panic!("{} has no column {header:?}", self.id))
-    }
-
-    /// Numeric value at `(row labelled `label`, column named `header`)`.
-    pub fn value(&self, label: &str, header: &str) -> f64 {
-        self.num(self.row_by_label(label), self.col(header))
-    }
 }
 
 impl fmt::Display for FigureResult {
@@ -167,15 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn accessors_find_cells() {
-        let r = sample();
-        assert_eq!(r.num(0, 1), 302.0);
-        assert_eq!(r.value("2G/8S", "a"), 641.5);
-        assert_eq!(r.col("b"), 2);
-        assert_eq!(r.row_by_label("1G/1S"), 0);
-    }
-
-    #[test]
     fn display_renders_aligned_table() {
         let s = sample().to_string();
         assert!(s.contains("== figX — sample =="));
@@ -189,12 +142,5 @@ mod tests {
     fn arity_checked() {
         let mut r = FigureResult::new("figY", "t", &["a", "b"]);
         r.push_row(vec![Cell::num(1.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "is text")]
-    fn num_on_text_panics() {
-        let r = sample();
-        let _ = r.num(0, 0);
     }
 }

@@ -49,7 +49,7 @@ impl SizeBucketPolicy {
 
     /// A human-readable label for a group key (used when printing the
     /// Table I-style profile dump).
-    pub fn describe(&self, key: BucketKey) -> String {
+    pub(crate) fn describe(&self, key: BucketKey) -> String {
         match *self {
             SizeBucketPolicy::Exact => format_bytes(key.0),
             SizeBucketPolicy::RelativeRange { tolerance } => {

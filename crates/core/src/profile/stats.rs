@@ -33,25 +33,20 @@ pub struct RunningMean {
 }
 
 impl RunningMean {
-    /// No executions recorded yet.
-    pub fn new() -> RunningMean {
-        RunningMean::default()
-    }
-
     /// A pre-seeded statistic (profile hints / warm start).
-    pub fn seeded(mean: Duration, count: u64) -> RunningMean {
+    pub(crate) fn seeded(mean: Duration, count: u64) -> RunningMean {
         RunningMean { count, mean_ns: mean.as_nanos() as f64 }
     }
 
     /// Number of recorded executions.
     #[inline]
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Mean execution time, or `None` if nothing was recorded.
     #[inline]
-    pub fn mean(&self) -> Option<Duration> {
+    pub(crate) fn mean(&self) -> Option<Duration> {
         if self.count == 0 {
             None
         } else {
@@ -60,7 +55,7 @@ impl RunningMean {
     }
 
     /// Record one execution time.
-    pub fn record(&mut self, sample: Duration, policy: MeanPolicy) {
+    pub(crate) fn record(&mut self, sample: Duration, policy: MeanPolicy) {
         let sample_ns = sample.as_nanos() as f64;
         self.count += 1;
         match policy {
@@ -90,14 +85,14 @@ mod tests {
 
     #[test]
     fn empty_mean_is_none() {
-        let m = RunningMean::new();
+        let m = RunningMean::default();
         assert_eq!(m.count(), 0);
         assert_eq!(m.mean(), None);
     }
 
     #[test]
     fn arithmetic_mean_matches_definition() {
-        let mut m = RunningMean::new();
+        let mut m = RunningMean::default();
         for sample in [10, 20, 30, 40] {
             m.record(ms(sample), MeanPolicy::Arithmetic);
         }
@@ -108,8 +103,8 @@ mod tests {
 
     #[test]
     fn ewma_tracks_recent_samples() {
-        let mut arith = RunningMean::new();
-        let mut ewma = RunningMean::new();
+        let mut arith = RunningMean::default();
+        let mut ewma = RunningMean::default();
         // 50 slow runs then 50 fast runs: the EWMA should end much closer
         // to the fast regime than the arithmetic mean.
         for _ in 0..50 {
@@ -128,7 +123,7 @@ mod tests {
 
     #[test]
     fn ewma_first_sample_initializes() {
-        let mut m = RunningMean::new();
+        let mut m = RunningMean::default();
         m.record(ms(42), MeanPolicy::Ewma { alpha: 0.1 });
         assert_eq!(m.mean().unwrap(), ms(42));
     }
@@ -143,7 +138,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "alpha")]
     fn invalid_alpha_panics() {
-        let mut m = RunningMean::new();
+        let mut m = RunningMean::default();
         m.record(ms(1), MeanPolicy::Ewma { alpha: 0.0 });
     }
 }

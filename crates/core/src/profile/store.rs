@@ -10,52 +10,34 @@ use versa_mem::IdMap;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct VersionStats {
     mean: RunningMean,
-    min: Option<Duration>,
-    max: Option<Duration>,
 }
 
 impl VersionStats {
     /// Number of recorded executions.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.mean.count()
     }
 
     /// Mean execution time, if any execution was recorded.
-    pub fn mean(&self) -> Option<Duration> {
+    pub(crate) fn mean(&self) -> Option<Duration> {
         self.mean.mean()
-    }
-
-    /// Fastest observed execution.
-    pub fn min(&self) -> Option<Duration> {
-        self.min
-    }
-
-    /// Slowest observed execution.
-    pub fn max(&self) -> Option<Duration> {
-        self.max
     }
 
     fn record(&mut self, sample: Duration, policy: MeanPolicy) {
         self.mean.record(sample, policy);
-        self.min = Some(self.min.map_or(sample, |m| m.min(sample)));
-        self.max = Some(self.max.map_or(sample, |m| m.max(sample)));
     }
 
     fn seed(&mut self, mean: Duration, count: u64) {
         self.mean = RunningMean::seeded(mean, count);
-        self.min.get_or_insert(mean);
-        self.max.get_or_insert(mean);
     }
 }
 
 /// Per-(task, size-group) profile: one statistics slot per version, plus
-/// the round-robin cursor the learning phase uses and per-version
-/// failure/quarantine bookkeeping.
+/// per-version assignment counts and failure/quarantine bookkeeping.
 #[derive(Clone, Debug)]
 pub struct GroupProfile {
     versions: Vec<VersionStats>,
     scheduled: Vec<u64>,
-    rr_cursor: usize,
     failures: Vec<u64>,
     quarantined: Vec<bool>,
     probation_credit: Vec<u64>,
@@ -66,7 +48,6 @@ impl GroupProfile {
         GroupProfile {
             versions: vec![VersionStats::default(); n_versions],
             scheduled: vec![0; n_versions],
-            rr_cursor: 0,
             failures: vec![0; n_versions],
             quarantined: vec![false; n_versions],
             probation_credit: vec![0; n_versions],
@@ -88,47 +69,37 @@ impl GroupProfile {
     /// still queued. The learning round-robin counts assignments so that
     /// a flood of ready tasks cannot over-commit a slow version whose
     /// first λ instances are still waiting in a queue.
-    pub fn scheduled(&self, v: VersionId) -> u64 {
+    pub(crate) fn scheduled(&self, v: VersionId) -> u64 {
         self.scheduled[v.index()]
     }
 
     /// Statistics of one version.
-    pub fn version(&self, v: VersionId) -> &VersionStats {
+    pub(crate) fn version(&self, v: VersionId) -> &VersionStats {
         &self.versions[v.index()]
     }
 
     /// Consecutive failures recorded for a version since its last
     /// successful execution in this group.
-    pub fn failures(&self, v: VersionId) -> u64 {
+    pub(crate) fn failures(&self, v: VersionId) -> u64 {
         self.failures[v.index()]
     }
 
     /// Whether a version is currently quarantined in this group.
-    pub fn is_quarantined(&self, v: VersionId) -> bool {
+    pub(crate) fn is_quarantined(&self, v: VersionId) -> bool {
         self.quarantined[v.index()]
     }
 
     /// Whether a version is excluded from scheduling in this group:
     /// quarantined and not (yet) due for a retrial after `probation` peer
     /// successes (`None`: quarantine holds).
-    pub fn is_excluded(&self, v: VersionId, probation: Option<u64>) -> bool {
+    pub(crate) fn is_excluded(&self, v: VersionId, probation: Option<u64>) -> bool {
         self.quarantined[v.index()]
             && probation.is_none_or(|p| self.probation_credit[v.index()] < p)
     }
 
     /// Statistics of every version, in version order.
-    pub fn versions(&self) -> &[VersionStats] {
+    pub(crate) fn versions(&self) -> &[VersionStats] {
         &self.versions
-    }
-
-    /// The fastest version among `candidates` by mean execution time
-    /// (the group's *fastest executor*, paper §IV-B). Versions with no
-    /// recorded executions are skipped.
-    pub fn fastest_version(&self, candidates: &[VersionId]) -> Option<(VersionId, Duration)> {
-        candidates
-            .iter()
-            .filter_map(|&v| self.versions[v.index()].mean().map(|m| (v, m)))
-            .min_by_key(|&(v, m)| (m, v))
     }
 }
 
@@ -202,11 +173,6 @@ impl ProfileStore {
         ProfileStore::new(SizeBucketPolicy::Exact, MeanPolicy::Arithmetic, 3)
     }
 
-    /// The learning threshold λ.
-    pub fn lambda(&self) -> u64 {
-        self.lambda
-    }
-
     /// Configure failure quarantine: after `threshold` consecutive
     /// failures a (template, version, size-group) entry is quarantined
     /// and excluded from learning/bidding. With `probation = Some(p)`,
@@ -214,34 +180,29 @@ impl ProfileStore {
     /// executions of other versions in the same group; with `None`,
     /// quarantine is permanent until the version succeeds (which can
     /// only happen through probation or an all-quarantined fallback).
-    pub fn set_quarantine(&mut self, threshold: u64, probation: Option<u64>) {
+    pub(crate) fn set_quarantine(&mut self, threshold: u64, probation: Option<u64>) {
         assert!(threshold > 0, "quarantine threshold must be at least 1");
         self.quarantine_threshold = threshold;
         self.probation = probation;
     }
 
-    /// The configured quarantine threshold K.
-    pub fn quarantine_threshold(&self) -> u64 {
-        self.quarantine_threshold
-    }
-
     /// The configured probation period, if any.
-    pub fn probation(&self) -> Option<u64> {
+    pub(crate) fn probation(&self) -> Option<u64> {
         self.probation
     }
 
     /// The active size-grouping policy.
-    pub fn bucket_policy(&self) -> SizeBucketPolicy {
+    pub(crate) fn bucket_policy(&self) -> SizeBucketPolicy {
         self.bucket_policy
     }
 
     /// The active mean-update policy.
-    pub fn mean_policy(&self) -> MeanPolicy {
+    pub(crate) fn mean_policy(&self) -> MeanPolicy {
         self.mean_policy
     }
 
     /// Group key for a data set size.
-    pub fn bucket(&self, data_set_size: u64) -> BucketKey {
+    pub(crate) fn bucket(&self, data_set_size: u64) -> BucketKey {
         self.bucket_policy.bucket(data_set_size)
     }
 
@@ -254,7 +215,7 @@ impl ProfileStore {
 
     /// The group for `(template, size)`, if any execution was recorded or
     /// seeded for it.
-    pub fn group(&self, template: TemplateId, size: u64) -> Option<&GroupProfile> {
+    pub(crate) fn group(&self, template: TemplateId, size: u64) -> Option<&GroupProfile> {
         self.groups.get(&(template, self.bucket_policy.bucket(size)))
     }
 
@@ -286,7 +247,7 @@ impl ProfileStore {
     /// Record one failed execution. After the configured threshold of
     /// consecutive failures the version is quarantined in this size
     /// group.
-    pub fn record_failure(
+    pub(crate) fn record_failure(
         &mut self,
         template: TemplateId,
         n_versions: usize,
@@ -419,59 +380,13 @@ impl ProfileStore {
         }
     }
 
-    /// Whether the learning round-robin still has versions to hand out:
-    /// some candidate has been *scheduled* fewer than λ times. Distinct
-    /// from [`ProfileStore::is_reliable`], which requires λ *completed*
-    /// executions — in between, assignments flow through the
-    /// partial-information path.
-    pub fn needs_training(&self, template: TemplateId, size: u64, candidates: &[VersionId]) -> bool {
-        match self.group(template, size) {
-            None => !candidates.is_empty(),
-            Some(g) => candidates.iter().any(|&v| g.scheduled(v) < self.lambda),
-        }
-    }
-
-    /// Pick (and account) the next version to train during the learning
-    /// phase: versions with fewer than λ *assignments*, visited
-    /// round-robin (paper §IV-B: "picking task versions from ready tasks
-    /// in a Round-Robin fashion"). The pick's scheduled count is
-    /// incremented, so a burst of ready tasks trains each version exactly
-    /// λ times even before any of them completes.
-    ///
-    /// Returns `None` when every candidate has λ assignments (the group
-    /// leaves the learning round-robin).
-    pub fn next_learning_version(
-        &mut self,
-        template: TemplateId,
-        n_versions: usize,
-        size: u64,
-        candidates: &[VersionId],
-    ) -> Option<VersionId> {
-        let lambda = self.lambda;
-        let group = self.group_mut(template, n_versions, size);
-        if candidates.is_empty() {
-            return None;
-        }
-        for step in 0..candidates.len() {
-            let idx = (group.rr_cursor + step) % candidates.len();
-            let v = candidates[idx];
-            if group.scheduled[v.index()] < lambda {
-                group.rr_cursor = idx + 1;
-                group.scheduled[v.index()] += 1;
-                return Some(v);
-            }
-        }
-        None
-    }
-
     /// Account a learning-phase assignment of `version` chosen by a
     /// decision policy: ensures the group exists and increments the
-    /// version's scheduled count — exactly the accounting
-    /// [`ProfileStore::next_learning_version`] performs on its own pick,
-    /// and deliberately *without* [`ProfileStore::mark_scheduled`]'s
+    /// version's scheduled count, deliberately *without*
+    /// [`ProfileStore::mark_scheduled`]'s
     /// probation-credit spend (a learning assignment is training, not a
     /// quarantine retrial).
-    pub fn note_learning(
+    pub(crate) fn note_learning(
         &mut self,
         template: TemplateId,
         n_versions: usize,
@@ -487,7 +402,7 @@ impl ProfileStore {
     /// quarantined version spends its probation credit: the retrial is
     /// this one assignment, and another failure re-quarantines it for a
     /// full probation period.
-    pub fn mark_scheduled(
+    pub(crate) fn mark_scheduled(
         &mut self,
         template: TemplateId,
         n_versions: usize,
@@ -504,7 +419,7 @@ impl ProfileStore {
     /// Iterate over all `(template, bucket, group)` entries, sorted for
     /// deterministic output: the table, the hints file and every other
     /// reader go through here, never through the map's own order.
-    pub fn iter(&self) -> impl Iterator<Item = (TemplateId, BucketKey, &GroupProfile)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (TemplateId, BucketKey, &GroupProfile)> {
         let mut keys: Vec<&(TemplateId, BucketKey)> = self.groups.keys().collect();
         keys.sort_unstable();
         keys.into_iter().map(move |k| (k.0, k.1, &self.groups[k]))
@@ -550,11 +465,6 @@ impl ProfileStore {
         let _ = writeln!(out, "({} size groups, λ = {})", self.group_count(), self.lambda);
         out
     }
-
-    /// Total bytes of the group descriptions — convenience for tests.
-    pub fn describe_bucket(&self, key: BucketKey) -> String {
-        self.bucket_policy.describe(key)
-    }
 }
 
 #[cfg(test)]
@@ -573,7 +483,6 @@ mod tests {
     const TPL: TemplateId = TemplateId(0);
     const V0: VersionId = VersionId(0);
     const V1: VersionId = VersionId(1);
-    const V2: VersionId = VersionId(2);
 
     #[test]
     fn record_and_query_roundtrip() {
@@ -613,79 +522,9 @@ mod tests {
     }
 
     #[test]
-    fn learning_round_robin_cycles_versions() {
-        let mut s = ProfileStore::new(SizeBucketPolicy::Exact, MeanPolicy::Arithmetic, 2);
-        let candidates = [V0, V1, V2];
-        let mut picks = Vec::new();
-        for _ in 0..6 {
-            let v = s.next_learning_version(TPL, 3, 100, &candidates).unwrap();
-            picks.push(v);
-            s.record(TPL, 3, 100, v, ms(5));
-        }
-        assert_eq!(picks, vec![V0, V1, V2, V0, V1, V2]);
-        assert!(s.next_learning_version(TPL, 3, 100, &candidates).is_none());
-        assert!(s.is_reliable(TPL, 100, &candidates));
-    }
-
-    #[test]
-    fn learning_skips_fully_scheduled_versions() {
-        let mut s = ProfileStore::new(SizeBucketPolicy::Exact, MeanPolicy::Arithmetic, 1);
-        let candidates = [V0, V1];
-        // V0 gets its λ = 1 assignment...
-        assert_eq!(s.next_learning_version(TPL, 2, 100, &candidates), Some(V0));
-        // ...so the round-robin must move on to V1, even though V0 has
-        // not *completed* yet (scheduled counts gate the hand-out).
-        assert_eq!(s.next_learning_version(TPL, 2, 100, &candidates), Some(V1));
-        assert_eq!(s.next_learning_version(TPL, 2, 100, &candidates), None);
-        assert!(!s.needs_training(TPL, 100, &candidates));
-        // Execution-based reliability still waits for completions.
-        assert!(!s.is_reliable(TPL, 100, &candidates));
-        s.record(TPL, 2, 100, V0, ms(5));
-        s.record(TPL, 2, 100, V1, ms(5));
-        assert!(s.is_reliable(TPL, 100, &candidates));
-    }
-
-    #[test]
-    fn scheduled_counts_track_assignments() {
-        let mut s = ProfileStore::with_defaults();
-        let candidates = [V0, V1];
-        for _ in 0..6 {
-            let v = s.next_learning_version(TPL, 2, 100, &candidates).unwrap();
-            let _ = v;
-        }
-        let g = s.group(TPL, 100).unwrap();
-        assert_eq!(g.scheduled(V0), 3);
-        assert_eq!(g.scheduled(V1), 3);
-        assert!(s.next_learning_version(TPL, 2, 100, &candidates).is_none());
-    }
-
-    #[test]
     fn no_candidates_means_nothing_to_learn() {
-        let mut s = store();
-        assert_eq!(s.next_learning_version(TPL, 3, 100, &[]), None);
+        let s = store();
         assert!(s.is_reliable(TPL, 100, &[]));
-    }
-
-    #[test]
-    fn fastest_version_ignores_unmeasured() {
-        let mut s = store();
-        s.record(TPL, 3, 100, V1, ms(18));
-        s.record(TPL, 3, 100, V0, ms(30));
-        let group = s.group(TPL, 100).unwrap();
-        let (v, m) = group.fastest_version(&[V0, V1, V2]).unwrap();
-        assert_eq!(v, V1);
-        assert_eq!(m, ms(18));
-    }
-
-    #[test]
-    fn min_max_tracked() {
-        let mut s = store();
-        s.record(TPL, 1, 100, V0, ms(30));
-        s.record(TPL, 1, 100, V0, ms(10));
-        s.record(TPL, 1, 100, V0, ms(20));
-        let stats = s.group(TPL, 100).unwrap().version(V0);
-        assert_eq!(stats.min().unwrap(), ms(10));
-        assert_eq!(stats.max().unwrap(), ms(30));
     }
 
     #[test]

@@ -15,9 +15,10 @@ use std::time::Duration;
 /// one GPU that steals tasks from the other one and this increases the
 /// number of memory transfers" (§V-B2) — a starving worker steals: if the
 /// minimum-transfer worker's queue exceeds the least-loaded compatible
-/// worker's queue by more than [`AffinityScheduler::steal_threshold`]
-/// tasks, the task goes to the least-loaded worker instead. Only the
-/// **main** implementation is ever used (paper footnote 1).
+/// worker's queue by more than the steal threshold
+/// ([`AffinityScheduler::with_steal_threshold`]) tasks, the task goes to
+/// the least-loaded worker instead. Only the **main** implementation is
+/// ever used (paper footnote 1).
 #[derive(Debug)]
 pub struct AffinityScheduler {
     steal_threshold: usize,
@@ -33,7 +34,7 @@ const MAIN: VersionId = VersionId(0);
 
 impl AffinityScheduler {
     /// Scheduler with the default steal threshold (4 queued tasks).
-    pub fn new() -> AffinityScheduler {
+    pub(crate) fn new() -> AffinityScheduler {
         AffinityScheduler::default()
     }
 
@@ -41,11 +42,6 @@ impl AffinityScheduler {
     /// stealing entirely (pure minimum-transfer affinity).
     pub fn with_steal_threshold(steal_threshold: usize) -> AffinityScheduler {
         AffinityScheduler { steal_threshold }
-    }
-
-    /// The imbalance (in queued tasks) tolerated before stealing.
-    pub fn steal_threshold(&self) -> usize {
-        self.steal_threshold
     }
 }
 

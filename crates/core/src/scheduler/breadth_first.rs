@@ -13,13 +13,13 @@ use std::time::Duration;
 /// First-come, first-served to the least-loaded compatible worker; main
 /// version only (like every pre-`implements` Nanos++ policy).
 #[derive(Default, Debug)]
-pub struct BreadthFirstScheduler {
+pub(crate) struct BreadthFirstScheduler {
     _private: (),
 }
 
 impl BreadthFirstScheduler {
     /// Create the scheduler.
-    pub fn new() -> BreadthFirstScheduler {
+    pub(crate) fn new() -> BreadthFirstScheduler {
         BreadthFirstScheduler::default()
     }
 }

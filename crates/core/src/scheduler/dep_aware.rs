@@ -19,7 +19,7 @@ use std::time::Duration;
 /// every pre-existing Nanos++ scheduler, it only ever runs the **main**
 /// implementation (paper footnote 1).
 #[derive(Debug)]
-pub struct DepAwareScheduler {
+pub(crate) struct DepAwareScheduler {
     balance_threshold: usize,
 }
 
@@ -32,14 +32,8 @@ impl Default for DepAwareScheduler {
 impl DepAwareScheduler {
     /// Create the scheduler with the default balance threshold (2
     /// queued tasks of imbalance tolerated before leaving the chain).
-    pub fn new() -> DepAwareScheduler {
+    pub(crate) fn new() -> DepAwareScheduler {
         DepAwareScheduler::default()
-    }
-
-    /// Custom balance threshold; `usize::MAX` follows chains
-    /// unconditionally.
-    pub fn with_balance_threshold(balance_threshold: usize) -> DepAwareScheduler {
-        DepAwareScheduler { balance_threshold }
     }
 }
 

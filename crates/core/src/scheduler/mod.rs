@@ -3,7 +3,7 @@
 //! Three policies from the paper's evaluation (§V-A), plus the
 //! locality-aware extension of §VII:
 //!
-//! * [`DepAwareScheduler`] — "tries to find chains of dependencies and
+//! * `DepAwareScheduler` — "tries to find chains of dependencies and
 //!   schedule consecutive tasks of the same chain to the same device. Its
 //!   decisions are fast, but in some cases cannot fully exploit data
 //!   locality."
@@ -25,12 +25,12 @@
 mod affinity;
 mod breadth_first;
 mod dep_aware;
-pub mod policy;
+pub(crate) mod policy;
 mod versioning;
 
 pub use affinity::AffinityScheduler;
-pub use breadth_first::BreadthFirstScheduler;
-pub use dep_aware::DepAwareScheduler;
+pub(crate) use breadth_first::BreadthFirstScheduler;
+pub(crate) use dep_aware::DepAwareScheduler;
 pub use policy::{
     CandidateStats, Policy, PolicyChoice, PolicyCtx, PolicyKind, RepresentativeSet,
     RoundRobinLearning, WorkerSnap,
@@ -267,7 +267,7 @@ pub(crate) mod testutil {
     use versa_mem::{AccessMode, DataId, Directory, MemSpace, Region};
 
     /// 2 SMP workers (w0, w1) + 2 GPU workers (w2, w3).
-    pub fn workers_2smp_2gpu() -> Vec<WorkerState> {
+    pub(crate) fn workers_2smp_2gpu() -> Vec<WorkerState> {
         let mut out = Vec::new();
         for i in 0..2u16 {
             out.push(WorkerState::new(WorkerInfo {
@@ -288,7 +288,7 @@ pub(crate) mod testutil {
 
     /// A registry with a hybrid template (CUBLAS main on CUDA, hand-CUDA
     /// alt, CBLAS alt on SMP) registered as `"matmul_tile"`.
-    pub fn hybrid_registry() -> (TemplateRegistry, TemplateId) {
+    pub(crate) fn hybrid_registry() -> (TemplateRegistry, TemplateId) {
         let mut reg = TemplateRegistry::new();
         let id = reg
             .template("matmul_tile")
@@ -300,7 +300,7 @@ pub(crate) mod testutil {
     }
 
     /// A task reading `a` and writing `c`, both of `bytes` bytes.
-    pub fn task(
+    pub(crate) fn task(
         id: u64,
         template: TemplateId,
         a: DataId,
@@ -315,7 +315,7 @@ pub(crate) mod testutil {
     }
 
     /// A directory with `a` and `c` registered on the host.
-    pub fn directory(a: DataId, c: DataId, bytes: u64) -> Directory {
+    pub(crate) fn directory(a: DataId, c: DataId, bytes: u64) -> Directory {
         let dir = Directory::new();
         dir.register(a, bytes, MemSpace::HOST);
         dir.register(c, bytes, MemSpace::HOST);

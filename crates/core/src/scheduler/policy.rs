@@ -62,7 +62,7 @@ pub struct WorkerSnap {
 
 impl WorkerSnap {
     /// Whether this worker can run `version`.
-    pub fn can_run(&self, version: VersionId) -> bool {
+    pub(crate) fn can_run(&self, version: VersionId) -> bool {
         self.runnable.contains(&version)
     }
 }
@@ -197,14 +197,13 @@ pub(crate) fn earliest_executor(
 /// in `versa-gym`).
 #[derive(Debug, Default)]
 pub struct RoundRobinLearning {
-    /// Per-(template, bucket) round-robin cursor — the same arithmetic
-    /// the profile store's learning cursor used before the extraction.
+    /// Per-(template, bucket) round-robin cursor over the candidates.
     cursors: IdMap<(TemplateId, BucketKey), usize>,
 }
 
 impl RoundRobinLearning {
     /// New policy with all cursors at zero.
-    pub fn new() -> RoundRobinLearning {
+    pub(crate) fn new() -> RoundRobinLearning {
         RoundRobinLearning::default()
     }
 }
@@ -250,7 +249,7 @@ pub struct RepresentativeSet {
 
 impl RepresentativeSet {
     /// New pruning policy keeping the `k` fastest versions (k ≥ 1).
-    pub fn new(k: usize) -> RepresentativeSet {
+    pub(crate) fn new(k: usize) -> RepresentativeSet {
         RepresentativeSet { k: k.max(1) }
     }
 }

@@ -219,7 +219,7 @@ pub struct VersioningScheduler {
 
 impl VersioningScheduler {
     /// Create a scheduler from a configuration.
-    pub fn new(config: VersioningConfig) -> VersioningScheduler {
+    pub(crate) fn new(config: VersioningConfig) -> VersioningScheduler {
         let mut profiles =
             ProfileStore::new(config.bucket_policy, config.mean_policy, config.lambda);
         profiles.set_quarantine(config.quarantine_threshold, config.probation);
@@ -242,11 +242,6 @@ impl VersioningScheduler {
     /// The active configuration.
     pub fn config(&self) -> &VersioningConfig {
         &self.config
-    }
-
-    /// Name of the active decision policy.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// The learned profile store (paper Table I), e.g. for rendering or
@@ -564,6 +559,11 @@ mod tests {
             counts[a.version.index()] += 1;
         }
         assert_eq!(counts, [3, 3, 3]);
+        // Every learning pick was accounted through `note_learning`.
+        let group = s.profiles().group(fx.tpl, 2048).unwrap();
+        for v in 0..3 {
+            assert_eq!(group.scheduled(VersionId(v)), 3);
+        }
         assert!(s.profiles().is_reliable(
             fx.tpl,
             2048,
@@ -973,7 +973,7 @@ mod tests {
             policy: PolicyKind::RepresentativeSet { k: 1 },
             ..Default::default()
         });
-        assert_eq!(s.policy_name(), "representative-set");
+        assert_eq!(s.policy.name(), "representative-set");
         s.set_decision_logging(true);
         for i in 0..12 {
             let a = s.assign(&fx.task(i), &fx.ctx());

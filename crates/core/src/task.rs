@@ -27,7 +27,7 @@ pub struct TaskVersion {
 impl TaskVersion {
     /// Whether this version can execute on a worker of kind `device`.
     #[inline]
-    pub fn runs_on(&self, device: DeviceKind) -> bool {
+    pub(crate) fn runs_on(&self, device: DeviceKind) -> bool {
         self.devices.contains(&device)
     }
 }
@@ -48,7 +48,7 @@ pub struct TaskTemplate {
 
 impl TaskTemplate {
     /// The main implementation (always version 0).
-    pub fn main_version(&self) -> &TaskVersion {
+    pub(crate) fn main_version(&self) -> &TaskVersion {
         &self.versions[0]
     }
 
@@ -183,16 +183,6 @@ impl TemplateRegistry {
     pub fn iter(&self) -> impl Iterator<Item = &TaskTemplate> {
         self.templates.iter()
     }
-
-    /// Number of templates.
-    pub fn len(&self) -> usize {
-        self.templates.len()
-    }
-
-    /// Whether no templates are registered.
-    pub fn is_empty(&self) -> bool {
-        self.templates.is_empty()
-    }
 }
 
 /// Job/tenant tag attached to a task instance by a serving layer.
@@ -212,13 +202,6 @@ pub struct JobTag {
     pub class: u8,
     /// Weighted-round-robin share *within* a class (must be >= 1).
     pub weight: u32,
-}
-
-impl JobTag {
-    /// Tag with default class/weight (class 1 "normal", weight 1).
-    pub fn new(job: u64, tenant: u32) -> JobTag {
-        JobTag { job, tenant, class: 1, weight: 1 }
-    }
 }
 
 /// A dynamic task instance: one invocation of an annotated task function.
@@ -298,7 +281,7 @@ mod tests {
         let (reg, id) = registry_with_matmul();
         assert_eq!(reg.by_name("matmul_tile"), Some(id));
         assert_eq!(reg.by_name("nope"), None);
-        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.templates.len(), 1);
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub struct WorkerState {
     queue: VecDeque<QueuedTask>,
     running: Option<QueuedTask>,
     busy: Duration,
-    executed: u64,
     retired: bool,
 }
 
@@ -61,7 +60,6 @@ impl WorkerState {
             queue: VecDeque::new(),
             running: None,
             busy: Duration::ZERO,
-            executed: 0,
             retired: false,
         }
     }
@@ -90,8 +88,8 @@ impl WorkerState {
         drained
     }
 
-    /// Abandon the running task without counting it as executed (node
-    /// lost mid-task). Returns the abandoned entry, if any.
+    /// Abandon the running task (node lost mid-task). Returns the
+    /// abandoned entry, if any.
     pub fn abandon_running(&mut self) -> Option<QueuedTask> {
         let running = self.running.take()?;
         self.busy = self.busy.saturating_sub(running.estimate);
@@ -101,7 +99,7 @@ impl WorkerState {
     /// Estimated time for this worker to drain its queue (running task
     /// included at its full estimate).
     #[inline]
-    pub fn estimated_busy(&self) -> Duration {
+    pub(crate) fn estimated_busy(&self) -> Duration {
         self.busy
     }
 
@@ -113,7 +111,7 @@ impl WorkerState {
 
     /// Number of queued (not yet started) tasks.
     #[inline]
-    pub fn queue_len(&self) -> usize {
+    pub(crate) fn queue_len(&self) -> usize {
         self.queue.len()
     }
 
@@ -121,17 +119,6 @@ impl WorkerState {
     #[inline]
     pub fn running(&self) -> Option<&QueuedTask> {
         self.running.as_ref()
-    }
-
-    /// Tasks waiting in the queue, front first.
-    pub fn queued(&self) -> impl Iterator<Item = &QueuedTask> {
-        self.queue.iter()
-    }
-
-    /// Total tasks this worker has finished (for reports).
-    #[inline]
-    pub fn executed_count(&self) -> u64 {
-        self.executed
     }
 
     /// Enqueue an assigned task; its estimate is added to the busy time.
@@ -162,7 +149,6 @@ impl WorkerState {
         let running = self.running.take().expect("finish with no running task");
         assert_eq!(running.task, task, "finish of a task that is not running");
         self.busy = self.busy.saturating_sub(running.estimate);
-        self.executed += 1;
     }
 }
 
@@ -184,7 +170,6 @@ mod tests {
         assert!(w.is_idle());
         assert_eq!(w.estimated_busy(), Duration::ZERO);
         assert_eq!(w.queue_len(), 0);
-        assert_eq!(w.executed_count(), 0);
     }
 
     #[test]
@@ -211,7 +196,7 @@ mod tests {
     }
 
     #[test]
-    fn finish_releases_estimate_and_counts() {
+    fn finish_releases_estimate() {
         let mut w = worker();
         w.enqueue(TaskId(1), VersionId(0), Duration::from_millis(30));
         w.start_next();
@@ -219,7 +204,6 @@ mod tests {
         assert_eq!(w.estimated_busy(), Duration::from_millis(30));
         w.finish(TaskId(1));
         assert_eq!(w.estimated_busy(), Duration::ZERO);
-        assert_eq!(w.executed_count(), 1);
         assert!(w.is_idle());
     }
 
@@ -230,7 +214,7 @@ mod tests {
         assert_eq!(w.estimated_busy(), Duration::ZERO);
         w.start_next();
         w.finish(TaskId(1));
-        assert_eq!(w.executed_count(), 1);
+        assert!(w.is_idle());
     }
 
     #[test]

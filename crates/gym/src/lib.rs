@@ -25,4 +25,3 @@ pub mod replay;
 pub mod score;
 
 pub use replay::{Ledger, Mismatch, Oracle, Replay, ReplayStep, Score};
-pub use score::{gym_report, to_json, WorkloadScores};

@@ -58,28 +58,18 @@ pub struct Oracle {
 
 impl Oracle {
     /// Mean duration of `version` for `(template, bucket)`, if known.
-    pub fn duration(&self, t: TemplateId, b: BucketKey, v: VersionId) -> Option<Duration> {
+    pub(crate) fn duration(&self, t: TemplateId, b: BucketKey, v: VersionId) -> Option<Duration> {
         self.means.get(&(t, b, v)).copied()
     }
 
     /// Worst known mean across versions of `(template, bucket)` — the
     /// pessimistic price for a choice the oracle has no data on.
-    pub fn worst(&self, t: TemplateId, b: BucketKey) -> Option<Duration> {
+    pub(crate) fn worst(&self, t: TemplateId, b: BucketKey) -> Option<Duration> {
         self.means
             .iter()
             .filter(|((mt, mb, _), _)| *mt == t && *mb == b)
             .map(|(_, &d)| d)
             .max()
-    }
-
-    /// Number of `(template, bucket, version)` entries.
-    pub fn len(&self) -> usize {
-        self.means.len()
-    }
-
-    /// Whether the oracle knows nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.means.is_empty()
     }
 }
 

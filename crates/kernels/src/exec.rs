@@ -6,7 +6,7 @@
 //! implementations:
 //!
 //! * [`SerialExec`] — runs jobs inline; what SMP workers use.
-//! * [`ScopedExec`] — a `std::thread::scope` per batch; keeps the legacy
+//! * `ScopedExec` — a `std::thread::scope` per batch; keeps the legacy
 //!   `(…, lanes)` kernel signatures working for callers without a pool.
 //! * `LanePool` (in `versa-runtime`) — persistent parked lane threads
 //!   owned by an emulated-GPU worker; batches reuse the same threads, so
@@ -56,13 +56,13 @@ impl LaneExec for SerialExec {
 /// the first one is re-thrown after the batch is fully drained, so
 /// borrowed state is never left aliased.
 #[derive(Clone, Copy, Debug)]
-pub struct ScopedExec {
+pub(crate) struct ScopedExec {
     lanes: usize,
 }
 
 impl ScopedExec {
     /// Executor claiming `lanes` lanes (clamped to ≥ 1).
-    pub fn new(lanes: usize) -> ScopedExec {
+    pub(crate) fn new(lanes: usize) -> ScopedExec {
         ScopedExec { lanes: lanes.max(1) }
     }
 }

@@ -74,8 +74,6 @@ pub(crate) type DriveFn<T> = unsafe fn(
 /// The packing layer uses `mr`/`nr` to shape the micro-panels, so a
 /// [`PackedB`] is only valid for drivers using the same `nr`.
 pub(crate) struct MicroKernel<T: Pooled> {
-    /// Dispatch-tier name (`"scalar"`, `"avx2"`, `"avx512"`).
-    pub name: &'static str,
     /// Micro-tile height (rows of `A` per register tile).
     pub mr: usize,
     /// Micro-tile width (columns of `B` per register tile).
@@ -246,11 +244,11 @@ make_driver!(f32, drive_scalar_f32, micro_scalar_f32, 8, 16);
 /// The portable scalar `f64` kernel — the pre-SIMD packed tier, kept as
 /// the fallback and as its own task version.
 pub(crate) static SCALAR_F64: MicroKernel<f64> =
-    MicroKernel { name: "scalar", mr: MR_F64, nr: NR_F64, drive: drive_scalar_f64 };
+    MicroKernel { mr: MR_F64, nr: NR_F64, drive: drive_scalar_f64 };
 
 /// The portable scalar `f32` kernel.
 pub(crate) static SCALAR_F32: MicroKernel<f32> =
-    MicroKernel { name: "scalar", mr: MR_F32, nr: NR_F32, drive: drive_scalar_f32 };
+    MicroKernel { mr: MR_F32, nr: NR_F32, drive: drive_scalar_f32 };
 
 /// Packed-block driver entry point: `C[rows × ncols] ±= A[rows × k] · B`,
 /// where `B` is prepacked (`pb`, logical `k × ≥ncols`, packed with `mk`'s

@@ -262,7 +262,14 @@ impl<T: Pooled> PackedB<T> {
     /// # Panics
     /// Panics if `nr` is not the width of one of the micro-tiles (4, 8,
     /// 16 or 32).
-    pub fn pack(b: &[T], ldb: usize, trans: bool, k: usize, n: usize, nr: usize) -> PackedB<T> {
+    pub(crate) fn pack(
+        b: &[T],
+        ldb: usize,
+        trans: bool,
+        k: usize,
+        n: usize,
+        nr: usize,
+    ) -> PackedB<T> {
         let pack_panel = match nr {
             4 => pack_b::<T, 4>,
             8 => pack_b::<T, 8>,
@@ -284,7 +291,7 @@ impl<T: Pooled> PackedB<T> {
     /// The packed panel covering depth `p0..p0 + kc` (`p0` a multiple of
     /// `KC`). Within it, the micro-panel for columns `jr..jr + nr` starts
     /// at `(jr / nr) * (kc * nr)`.
-    pub fn panel(&self, p0: usize, kc: usize) -> &[T] {
+    pub(crate) fn panel(&self, p0: usize, kc: usize) -> &[T] {
         debug_assert!(p0.is_multiple_of(KC) && kc <= KC);
         &self.data[p0 * self.n_round..(p0 + kc) * self.n_round]
     }

@@ -26,7 +26,7 @@ use crate::exec::{LaneExec, ScopedExec};
 pub const STATES: usize = 4;
 
 /// A 4×4 transition-probability matrix for one branch (row-major).
-pub type TransitionMatrix = [f64; STATES * STATES];
+pub(crate) type TransitionMatrix = [f64; STATES * STATES];
 
 /// Build a Jukes–Cantor-style transition matrix for branch length `t`.
 /// Rows sum to 1 for any `t ≥ 0`.

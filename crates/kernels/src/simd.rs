@@ -166,13 +166,6 @@ pub(crate) fn kernel_f32() -> &'static MicroKernel<f32> {
     ACTIVE.get_or_init(|| kernel_f32_for(active_tier()).unwrap_or(&SCALAR_F32))
 }
 
-/// One-line description of the active dispatch, e.g.
-/// `"avx512 (f64 8x16, f32 8x32)"` — used by benches and diagnostics.
-pub fn active_description() -> String {
-    let (k64, k32) = (kernel_f64(), kernel_f32());
-    format!("{} (f64 {}x{}, f32 {}x{})", k64.name, k64.mr, k64.nr, k32.mr, k32.nr)
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! The explicit x86-64 micro-kernels.
@@ -280,7 +273,7 @@ mod x86 {
             make_driver!($t, $driver, $micro, $mr, $nr);
 
             pub(crate) static $kernel: MicroKernel<$t> =
-                MicroKernel { name: $tier, mr: $mr, nr: $nr, drive: $driver };
+                MicroKernel { mr: $mr, nr: $nr, drive: $driver };
         };
     }
 
@@ -322,7 +315,6 @@ mod tests {
     fn scalar_kernel_is_always_available() {
         assert!(kernel_f64_for(Tier::Scalar).is_some());
         assert!(kernel_f32_for(Tier::Scalar).is_some());
-        assert!(active_description().contains(kernel_f64().name));
     }
 
     /// Every available tier must produce *bitwise* the same result as the

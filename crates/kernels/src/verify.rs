@@ -65,7 +65,8 @@ pub fn max_abs_diff_f64(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// `f32` variant of [`max_abs_diff_f64`].
-pub fn max_abs_diff_f32(a: &[f32], b: &[f32]) -> f32 {
+#[cfg(test)]
+pub(crate) fn max_abs_diff_f32(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "length mismatch");
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f32::max)
 }
@@ -81,7 +82,8 @@ pub fn assert_close_f64(a: &[f64], b: &[f64], tol: f64) {
 }
 
 /// `f32` variant of [`assert_close_f64`].
-pub fn assert_close_f32(a: &[f32], b: &[f32], tol: f32) {
+#[cfg(test)]
+pub(crate) fn assert_close_f32(a: &[f32], b: &[f32], tol: f32) {
     let d = max_abs_diff_f32(a, b);
     assert!(d <= tol, "max abs diff {d} exceeds tolerance {tol}");
 }

@@ -192,7 +192,8 @@ impl Arena {
     }
 
     /// Whether `data` has a buffer in `space`.
-    pub fn has(&self, data: DataId, space: MemSpace) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has(&self, data: DataId, space: MemSpace) -> bool {
         self.with_shard(space, data, |sp| sp.contains_key(&data))
     }
 
@@ -210,7 +211,13 @@ impl Arena {
     ///
     /// # Panics
     /// Panics if no buffer exists there.
-    pub fn with_mut<R>(&self, data: DataId, space: MemSpace, f: impl FnOnce(&mut [u8]) -> R) -> R {
+    #[cfg(test)]
+    pub(crate) fn with_mut<R>(
+        &self,
+        data: DataId,
+        space: MemSpace,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> R {
         self.with_shard(space, data, |sp| {
             let arc = sp
                 .get_mut(&data)

@@ -40,29 +40,9 @@ impl DeviceCache {
         DeviceCache { capacity, used: 0, bytes: IdMap::default(), order: Vec::new() }
     }
 
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Bytes currently resident.
     pub fn used(&self) -> u64 {
         self.used
-    }
-
-    /// Whether `data` is resident.
-    pub fn contains(&self, data: DataId) -> bool {
-        self.bytes.contains_key(&data)
-    }
-
-    /// Number of resident allocations.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Whether nothing is resident.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
     }
 
     fn refresh(&mut self, data: DataId) {
@@ -92,7 +72,7 @@ impl DeviceCache {
     }
 
     /// Drop `data` from the residency set (evicted or freed).
-    pub fn remove(&mut self, data: DataId) {
+    pub(crate) fn remove(&mut self, data: DataId) {
         if let Some(b) = self.bytes.remove(&data) {
             self.used -= b;
             if let Some(pos) = self.order.iter().position(|&d| d == data) {
@@ -146,8 +126,8 @@ mod tests {
         c.insert(d(0), 40);
         c.insert(d(1), 30);
         assert_eq!(c.used(), 70);
-        assert!(c.contains(d(0)));
-        assert_eq!(c.len(), 2);
+        assert!(c.bytes.contains_key(&d(0)));
+        assert_eq!(c.bytes.len(), 2);
         // Re-inserting the same datum does not double-count.
         c.insert(d(0), 40);
         assert_eq!(c.used(), 70);
@@ -180,7 +160,7 @@ mod tests {
         let victims = c.evict_to_capacity(&[]);
         assert_eq!(victims, vec![d(1)]);
         assert_eq!(c.used(), 80);
-        assert!(!c.contains(d(1)));
+        assert!(!c.bytes.contains_key(&d(1)));
     }
 
     #[test]
@@ -190,7 +170,7 @@ mod tests {
         c.insert(d(1), 60);
         let victims = c.evict_to_capacity(&[d(0)]);
         assert_eq!(victims, vec![d(1)], "LRU d0 is pinned, so d1 goes");
-        assert!(c.contains(d(0)));
+        assert!(c.bytes.contains_key(&d(0)));
     }
 
     #[test]
@@ -210,7 +190,7 @@ mod tests {
         c.insert(d(0), 70);
         c.remove(d(0));
         assert_eq!(c.used(), 0);
-        assert!(c.is_empty());
+        assert!(c.bytes.is_empty());
         c.remove(d(0)); // idempotent
     }
 

@@ -305,16 +305,6 @@ impl Directory {
         }
         total
     }
-
-    /// Number of registered allocations.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("directory shard poisoned").len()).sum()
-    }
-
-    /// Whether the directory is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -510,9 +500,8 @@ mod tests {
     #[test]
     fn unregister_forgets_the_allocation() {
         let dir = dir_with(DataId(0), 1);
-        assert_eq!(dir.len(), 1);
+        assert!(dir.valid_in(DataId(0), MemSpace::HOST));
         dir.unregister(DataId(0));
-        assert!(dir.is_empty());
         assert!(!dir.valid_in(DataId(0), MemSpace::HOST));
     }
 }

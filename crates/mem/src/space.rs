@@ -26,12 +26,6 @@ impl MemSpace {
         self.0 == 0
     }
 
-    /// Whether this is a device space.
-    #[inline]
-    pub fn is_device(self) -> bool {
-        self.0 != 0
-    }
-
     /// The 0-based device index, if this is a device space.
     #[inline]
     pub fn device_index(self) -> Option<u16> {
@@ -68,7 +62,6 @@ mod tests {
     #[test]
     fn host_is_space_zero() {
         assert!(MemSpace::HOST.is_host());
-        assert!(!MemSpace::HOST.is_device());
         assert_eq!(MemSpace::HOST.index(), 0);
         assert_eq!(MemSpace::HOST.device_index(), None);
     }
@@ -77,7 +70,7 @@ mod tests {
     fn device_spaces_are_one_based() {
         let d0 = MemSpace::device(0);
         let d1 = MemSpace::device(1);
-        assert!(d0.is_device());
+        assert!(!d0.is_host());
         assert_eq!(d0.device_index(), Some(0));
         assert_eq!(d1.device_index(), Some(1));
         assert_eq!(d0.index(), 1);

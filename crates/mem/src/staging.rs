@@ -114,7 +114,7 @@ impl ReadyCell {
     }
 
     /// Non-blocking probe: `true` once the copy landed successfully.
-    pub fn is_ready(&self) -> bool {
+    pub(crate) fn is_ready(&self) -> bool {
         *self.state.lock().expect("ReadyCell mutex poisoned") == CellState::Ready
     }
 
@@ -189,19 +189,6 @@ impl StagingLedger {
     pub fn note_write(&mut self, data: DataId) {
         self.cells.retain(|(d, _), _| *d != data);
     }
-
-    /// The allocation was freed: forget all staging state for it so a
-    /// recycled `DataId` cannot observe stale cells or epochs.
-    pub fn forget(&mut self, data: DataId) {
-        self.cells.retain(|(d, _), _| *d != data);
-        self.epochs.retain(|(d, _), _| *d != data);
-    }
-
-    /// Number of cells not yet resolved successfully (pending or
-    /// failed) — diagnostic.
-    pub fn unresolved(&self) -> usize {
-        self.cells.values().filter(|c| !c.is_ready()).count()
-    }
 }
 
 #[cfg(test)]
@@ -271,19 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn forget_clears_cells_and_epochs() {
-        let mut ledger = StagingLedger::new();
-        let (_, cell) = ledger.plan_copy(&tx(0, MemSpace::HOST, MemSpace::device(0)));
-        cell.publish_ok();
-        ledger.forget(DataId(0));
-        assert_eq!(ledger.epoch(DataId(0), MemSpace::device(0)), 0);
-        assert!(ledger.pending(DataId(0), MemSpace::device(0)).is_none());
-        // A recycled id starts a fresh epoch sequence.
-        let (_, fresh) = ledger.plan_copy(&tx(0, MemSpace::HOST, MemSpace::device(0)));
-        assert_eq!(fresh.epoch(), 1);
-    }
-
-    #[test]
     fn publish_failed_after_ok_is_a_noop() {
         let mut ledger = StagingLedger::new();
         let (_, cell) = ledger.plan_copy(&tx(0, MemSpace::HOST, MemSpace::device(0)));
@@ -298,7 +272,7 @@ mod tests {
         let (_, a) = ledger.plan_copy(&tx(0, MemSpace::HOST, MemSpace::device(0)));
         let (_, _b) = ledger.plan_copy(&tx(1, MemSpace::HOST, MemSpace::device(0)));
         a.publish_ok();
-        assert_eq!(ledger.unresolved(), 1);
+        assert_eq!(ledger.cells.values().filter(|c| !c.is_ready()).count(), 1);
         ledger.prune();
         assert!(ledger.pending(DataId(0), MemSpace::device(0)).is_none());
         assert!(ledger.pending(DataId(1), MemSpace::device(0)).is_some());

@@ -91,15 +91,6 @@ impl TransferStats {
         self.input_count + self.output_count + self.device_count
     }
 
-    /// Bytes moved in one category.
-    pub fn bytes(&self, kind: TransferKind) -> u64 {
-        match kind {
-            TransferKind::Input => self.input_bytes,
-            TransferKind::Output => self.output_bytes,
-            TransferKind::Device => self.device_bytes,
-        }
-    }
-
     /// Merge another stats record into this one.
     pub fn merge(&mut self, other: &TransferStats) {
         self.input_bytes += other.input_bytes;
@@ -172,13 +163,5 @@ mod tests {
         assert_eq!(a.input_bytes, 15);
         assert_eq!(a.input_count, 2);
         assert_eq!(a.device_bytes, 3);
-    }
-
-    #[test]
-    fn bytes_accessor_matches_fields() {
-        let mut s = TransferStats::default();
-        s.record(TransferKind::Output, 42);
-        assert_eq!(s.bytes(TransferKind::Output), 42);
-        assert_eq!(s.bytes(TransferKind::Input), 0);
     }
 }

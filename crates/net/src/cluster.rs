@@ -47,14 +47,14 @@ pub struct Membership {
 impl Membership {
     /// Record a join; returns `true` when the node enters on probation
     /// (it has prior losses on record).
-    pub fn on_join(&mut self, name: &str) -> bool {
+    pub(crate) fn on_join(&mut self, name: &str) -> bool {
         let rec = self.records.entry(name.to_string()).or_default();
         rec.joins += 1;
         rec.losses > 0
     }
 
     /// Record a loss.
-    pub fn on_loss(&mut self, name: &str) {
+    pub(crate) fn on_loss(&mut self, name: &str) {
         self.records.entry(name.to_string()).or_default().losses += 1;
     }
 
@@ -83,7 +83,6 @@ pub struct JoinInfo {
 /// One attached node, coordinator-side.
 struct ClusterNode {
     name: String,
-    node_id: u16,
     transport: Arc<TcpRemoteNode>,
     /// Set once this node's loss has been recorded (reap idempotence).
     reaped: bool,
@@ -93,7 +92,6 @@ struct ClusterNode {
 /// attached nodes.
 pub struct Cluster {
     listener: TcpListener,
-    heartbeat: Option<HeartbeatConfig>,
     /// Join/loss history across reconnects.
     pub membership: Membership,
     nodes: Vec<ClusterNode>,
@@ -103,18 +101,7 @@ impl Cluster {
     /// Bind the coordinator's listening socket.
     pub fn listen(addr: &str) -> Result<Cluster, ProtoError> {
         let listener = TcpListener::bind(addr)?;
-        Ok(Cluster {
-            listener,
-            heartbeat: Some(HeartbeatConfig::default()),
-            membership: Membership::default(),
-            nodes: Vec::new(),
-        })
-    }
-
-    /// Override the heartbeat cadence (`None` disables liveness probing
-    /// — deterministic tests drive loss by dropping connections).
-    pub fn set_heartbeat(&mut self, hb: Option<HeartbeatConfig>) {
-        self.heartbeat = hb;
+        Ok(Cluster { listener, membership: Membership::default(), nodes: Vec::new() })
     }
 
     /// The bound address (port 0 resolves here).
@@ -148,13 +135,13 @@ impl Cluster {
         write_frame(&mut stream, &Frame::Welcome { node_id, hints: welcome_hints }, tag)?;
 
         let caps = RemoteCaps { name: name.clone(), smp_workers: smp_workers as usize, simd_tier };
-        let mux = Mux::spawn(stream, self.heartbeat)?;
+        let mux = Mux::spawn(stream, Some(HeartbeatConfig::default()))?;
         let transport = Arc::new(TcpRemoteNode::new(caps, mux));
         let attached = rt.attach_remote_node(transport.clone());
         debug_assert_eq!(attached, node_id, "cluster and runtime node ids must agree");
 
         let probation = self.membership.on_join(&name);
-        self.nodes.push(ClusterNode { name: name.clone(), node_id, transport, reaped: false });
+        self.nodes.push(ClusterNode { name: name.clone(), transport, reaped: false });
         Ok(JoinInfo {
             name,
             node_id,
@@ -162,16 +149,6 @@ impl Cluster {
             probation,
             hints_applied,
         })
-    }
-
-    /// Number of attached nodes (alive or lost).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether no node ever attached.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Record losses for nodes whose links died since the last call.
@@ -198,10 +175,5 @@ impl Cluster {
             }
         }
         self.reap();
-    }
-
-    /// The node id attached for `name`, if any.
-    pub fn node_id(&self, name: &str) -> Option<u16> {
-        self.nodes.iter().find(|n| n.name == name).map(|n| n.node_id)
     }
 }

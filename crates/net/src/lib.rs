@@ -13,25 +13,24 @@
 //!
 //! * [`protocol`] — the versioned, checksummed wire format (pure
 //!   encode/decode; property-tested against malformed input).
-//! * [`link`] — [`Mux`]: one TCP connection multiplexed by request tag,
+//! * `link` — [`Mux`]: one TCP connection multiplexed by request tag,
 //!   with a heartbeat thread for liveness.
-//! * [`node`] — [`TcpRemoteNode`]: the coordinator-side
+//! * `node` — `TcpRemoteNode`: the coordinator-side
 //!   [`versa_runtime::RemoteNode`] transport.
-//! * [`cluster`] — coordinator membership: listen, handshake, profile
-//!   gossip, loss accounting with rejoin probation.
-//! * [`worker`] — the remote worker process: serve loop, kernel
+//! * `cluster` — [`Cluster`]: coordinator membership: listen, handshake,
+//!   profile gossip, loss accounting with rejoin probation.
+//! * `worker` — [`run_worker`]: the remote worker process: serve loop, kernel
 //!   execution, hint caching.
 
 #![warn(missing_docs)]
 
-pub mod cluster;
-pub mod link;
-pub mod node;
+pub(crate) mod cluster;
+pub(crate) mod link;
+pub(crate) mod node;
 pub mod protocol;
-pub mod worker;
+pub(crate) mod worker;
 
 pub use cluster::{Cluster, JoinInfo, Membership, NodeRecord};
 pub use link::{HeartbeatConfig, Mux};
-pub use node::TcpRemoteNode;
 pub use protocol::{decode_frame, encode_frame, Frame, ProtoError, WireAccess};
 pub use worker::{run_worker, WorkerConfig, WorkerReport};

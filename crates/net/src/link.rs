@@ -133,7 +133,7 @@ impl Mux {
     }
 
     /// Whether the link is still up.
-    pub fn is_alive(&self) -> bool {
+    pub(crate) fn is_alive(&self) -> bool {
         self.shared.alive.load(Ordering::SeqCst)
     }
 
@@ -173,16 +173,6 @@ impl Mux {
         timeout: Option<Duration>,
     ) -> Result<Frame, ProtoError> {
         self.shared.wait(pending, timeout)
-    }
-
-    /// Fire-and-forget send (best-effort; used for `Shutdown` when the
-    /// caller won't wait).
-    pub fn send(&self, frame: &Frame) -> Result<(), ProtoError> {
-        if !self.is_alive() {
-            return Err(ProtoError::Io("link is down".into()));
-        }
-        let tag = self.shared.next_tag.fetch_add(1, Ordering::SeqCst);
-        self.shared.write(&WireFrame::new(frame, tag))
     }
 
     /// Tear the link down: shut the socket, fail every pending request,

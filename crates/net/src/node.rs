@@ -20,26 +20,26 @@ use versa_runtime::{
 };
 
 /// A remote worker process reached over TCP.
-pub struct TcpRemoteNode {
+pub(crate) struct TcpRemoteNode {
     caps: RemoteCaps,
     mux: Arc<Mux>,
 }
 
 impl TcpRemoteNode {
     /// Wrap an established, handshaken link.
-    pub fn new(caps: RemoteCaps, mux: Arc<Mux>) -> TcpRemoteNode {
+    pub(crate) fn new(caps: RemoteCaps, mux: Arc<Mux>) -> TcpRemoteNode {
         TcpRemoteNode { caps, mux }
     }
 
     /// Whether the link to the node is still up.
-    pub fn is_alive(&self) -> bool {
+    pub(crate) fn is_alive(&self) -> bool {
         self.mux.is_alive()
     }
 
     /// Clean shutdown carrying the coordinator's final profile hints
     /// (the worker caches them for a warm rejoin). Waits briefly for the
     /// ack, then tears the link down either way.
-    pub fn shutdown_with_hints(&self, hints: &str) {
+    pub(crate) fn shutdown_with_hints(&self, hints: &str) {
         let _ = self.mux.request_timeout(
             &Frame::Shutdown { hints: hints.to_string() },
             Some(Duration::from_secs(2)),

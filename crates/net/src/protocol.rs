@@ -177,7 +177,7 @@ const TYPE_EXEC_OK: u8 = 6;
 
 impl Frame {
     /// The frame's wire type byte.
-    pub fn type_byte(&self) -> u8 {
+    pub(crate) fn type_byte(&self) -> u8 {
         match self {
             Frame::Hello { .. } => 1,
             Frame::Welcome { .. } => 2,
@@ -236,12 +236,12 @@ pub(crate) struct Crc32(u32);
 
 impl Crc32 {
     /// The checksum of zero bytes so far.
-    pub const fn new() -> Crc32 {
+    pub(crate) const fn new() -> Crc32 {
         Crc32(0xFFFF_FFFF)
     }
 
     /// Fold `bytes` into the checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         #[cfg(target_arch = "x86_64")]
         if bytes.len() >= clmul::MIN_LEN
             && std::arch::is_x86_feature_detected!("pclmulqdq")
@@ -289,7 +289,7 @@ impl Crc32 {
     }
 
     /// The checksum of everything fed so far.
-    pub fn finish(self) -> u32 {
+    pub(crate) fn finish(self) -> u32 {
         self.0 ^ 0xFFFF_FFFF
     }
 }
@@ -305,7 +305,7 @@ mod clmul {
     use std::arch::x86_64::*;
 
     /// Shortest input [`fold`] accepts; shorter pieces take the tables.
-    pub const MIN_LEN: usize = 128;
+    pub(crate) const MIN_LEN: usize = 128;
 
     // x^n mod P(x) for the fold distances, bit-reflected (the paper's
     // constants for the IEEE 802.3 polynomial).
@@ -334,7 +334,7 @@ mod clmul {
     /// # Panics
     /// Panics if `data` is shorter than [`MIN_LEN`].
     #[target_feature(enable = "pclmulqdq", enable = "sse2", enable = "sse4.1")]
-    pub unsafe fn fold(state: u32, data: &[u8]) -> (u32, &[u8]) {
+    pub(crate) unsafe fn fold(state: u32, data: &[u8]) -> (u32, &[u8]) {
         assert!(data.len() >= MIN_LEN, "clmul fold needs at least {MIN_LEN} bytes");
         let (blocks, tail) = data.as_chunks::<16>();
         // SAFETY: `b` is a reference to 16 readable bytes; the load is
@@ -568,18 +568,18 @@ impl<'a> WireFrame<'a> {
     }
 
     /// Lay out any frame; `Ship`/`ExecOk` bodies are borrowed from it.
-    pub fn new(frame: &'a Frame, tag: u64) -> WireFrame<'a> {
+    pub(crate) fn new(frame: &'a Frame, tag: u64) -> WireFrame<'a> {
         WireFrame::build(frame.type_byte(), tag, |g| encode_payload(frame, g))
     }
 
     /// A [`Frame::Ship`] whose bytes are borrowed from the caller.
-    pub fn ship(data: u32, bytes: &'a [u8], tag: u64) -> WireFrame<'a> {
+    pub(crate) fn ship(data: u32, bytes: &'a [u8], tag: u64) -> WireFrame<'a> {
         WireFrame::build(TYPE_SHIP, tag, |g| put_ship(g, data, bytes))
     }
 
     /// A [`Frame::ExecOk`] whose written buffers are borrowed from the
     /// caller.
-    pub fn exec_ok(kernel_ns: u64, writes: &[(u32, &'a [u8])], tag: u64) -> WireFrame<'a> {
+    pub(crate) fn exec_ok(kernel_ns: u64, writes: &[(u32, &'a [u8])], tag: u64) -> WireFrame<'a> {
         WireFrame::build(TYPE_EXEC_OK, tag, |g| put_exec_ok(g, kernel_ns, writes.iter().copied()))
     }
 
@@ -603,7 +603,7 @@ impl<'a> WireFrame<'a> {
 
     /// Write the frame with vectored writes — the borrowed bodies go to
     /// the stream straight from where they live — and flush.
-    pub fn write_to(&self, stream: &mut impl std::io::Write) -> Result<(), ProtoError> {
+    pub(crate) fn write_to(&self, stream: &mut impl std::io::Write) -> Result<(), ProtoError> {
         if self.bulk.is_empty() {
             stream.write_all(&self.small)?;
         } else {

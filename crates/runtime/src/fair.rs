@@ -42,7 +42,7 @@ fn tag_of(graph: &TaskGraph, tid: TaskId) -> JobTag {
 impl FairState {
     /// Stable-reorder the ready pool: priority class descending, then
     /// weighted virtual start position, then original pool order.
-    pub fn order(&self, pool: &mut VecDeque<TaskId>, graph: &TaskGraph) {
+    pub(crate) fn order(&self, pool: &mut VecDeque<TaskId>, graph: &TaskGraph) {
         if pool.len() < 2 {
             return;
         }
@@ -66,12 +66,12 @@ impl FairState {
 
     /// Forget a finished job's dispatch account (it has no tasks left,
     /// so its share can never be consulted again).
-    pub fn forget_job(&mut self, job: u64) {
+    pub(crate) fn forget_job(&mut self, job: u64) {
         self.dispatched.remove(&job);
     }
 
     /// Account dispatched tasks against their jobs' shares.
-    pub fn note_dispatched<'a>(
+    pub(crate) fn note_dispatched<'a>(
         &mut self,
         graph: &TaskGraph,
         tids: impl Iterator<Item = &'a TaskId>,

@@ -45,18 +45,6 @@ pub struct TaskNode {
     remaining_deps: usize,
 }
 
-impl TaskNode {
-    /// Tasks that depend on this one.
-    pub fn successors(&self) -> &[TaskId] {
-        &self.successors
-    }
-
-    /// Unsatisfied dependency count.
-    pub fn remaining_deps(&self) -> usize {
-        self.remaining_deps
-    }
-}
-
 #[derive(Default, Debug)]
 struct RegionLog {
     /// Live writers of ranges of one allocation.
@@ -104,7 +92,7 @@ impl TaskGraph {
     }
 
     /// Number of submitted-but-unfinished tasks.
-    pub fn live_tasks(&self) -> usize {
+    pub(crate) fn live_tasks(&self) -> usize {
         self.live
     }
 
@@ -127,14 +115,14 @@ impl TaskGraph {
     }
 
     /// Mutable node access (for engines storing assignments).
-    pub fn node_mut(&mut self, id: TaskId) -> &mut TaskNode {
+    pub(crate) fn node_mut(&mut self, id: TaskId) -> &mut TaskNode {
         let i = self.idx(id);
         &mut self.nodes[i]
     }
 
     /// Whether a task finished — pruned tasks count as done (only `Done`
     /// tasks are ever pruned).
-    pub fn is_done(&self, id: TaskId) -> bool {
+    pub(crate) fn is_done(&self, id: TaskId) -> bool {
         match id.index().checked_sub(self.base) {
             None => true,
             Some(i) => self.nodes[i].state == TaskState::Done,
@@ -163,7 +151,7 @@ impl TaskGraph {
     /// can never order future tasks.
     ///
     /// [`Runtime::try_free`]: crate::Runtime::try_free
-    pub fn forget_data(&mut self, data: DataId) {
+    pub(crate) fn forget_data(&mut self, data: DataId) {
         self.logs.remove(&data);
     }
 
@@ -239,7 +227,7 @@ impl TaskGraph {
 
     /// [`TaskGraph::take_newly_ready`] in place: the buffer keeps its
     /// storage, so the engines' per-event drain allocates nothing.
-    pub fn drain_newly_ready(&mut self) -> std::vec::Drain<'_, TaskId> {
+    pub(crate) fn drain_newly_ready(&mut self) -> std::vec::Drain<'_, TaskId> {
         self.newly_ready.drain(..)
     }
 
@@ -302,8 +290,8 @@ impl TaskGraph {
     /// Whether any unfinished task (pending, ready, or running) has an
     /// access clause over `data`: `live_users(data) > 0`, answered from
     /// the allocation's dependence log instead of a scan of the window.
-    /// The gate behind [`Runtime::try_free`](crate::Runtime::try_free)
-    /// and the native engine's early write-back.
+    /// The gate behind `Runtime::free` and the native engine's early
+    /// write-back.
     /// The log can miss an unfinished accessor only when a later write
     /// covering its region superseded it — and that writer depends on
     /// it, so it is unfinished too; following the chain always ends at
@@ -332,7 +320,7 @@ impl TaskGraph {
     }
 
     /// Iterate over all nodes (for reports).
-    pub fn nodes(&self) -> impl Iterator<Item = &TaskNode> {
+    pub(crate) fn nodes(&self) -> impl Iterator<Item = &TaskNode> {
         self.nodes.iter()
     }
 }
@@ -367,7 +355,7 @@ mod tests {
         let w = g.submit(instance(0, vec![(whole(0), AccessMode::Out)]));
         let r = g.submit(instance(1, vec![(whole(0), AccessMode::In)]));
         assert_eq!(g.take_newly_ready(), vec![w]);
-        assert_eq!(g.node(r).remaining_deps(), 1);
+        assert_eq!(g.node(r).remaining_deps, 1);
         g.mark_running(w);
         g.complete(w, WorkerId(3));
         assert_eq!(g.take_newly_ready(), vec![r]);
@@ -394,7 +382,7 @@ mod tests {
         let r = g.submit(instance(1, vec![(whole(0), AccessMode::In)]));
         let w1 = g.submit(instance(2, vec![(whole(0), AccessMode::Out)]));
         // w1 must wait for the reader (and transitively the first writer).
-        assert!(g.node(w1).remaining_deps() >= 1);
+        assert!(g.node(w1).remaining_deps >= 1);
         g.take_newly_ready();
         g.mark_running(w0);
         g.complete(w0, WorkerId(0));
@@ -409,7 +397,7 @@ mod tests {
         let mut g = TaskGraph::new();
         let w0 = g.submit(instance(0, vec![(whole(0), AccessMode::Out)]));
         let w1 = g.submit(instance(1, vec![(whole(0), AccessMode::Out)]));
-        assert_eq!(g.node(w1).remaining_deps(), 1);
+        assert_eq!(g.node(w1).remaining_deps, 1);
         g.take_newly_ready();
         g.mark_running(w0);
         g.complete(w0, WorkerId(0));
@@ -445,7 +433,7 @@ mod tests {
         let mut g = TaskGraph::new();
         let _a = g.submit(instance(0, vec![(Region::range(DataId(0), 0, 48), AccessMode::Out)]));
         let b = g.submit(instance(1, vec![(Region::range(DataId(0), 32, 32), AccessMode::In)]));
-        assert_eq!(g.node(b).remaining_deps(), 1);
+        assert_eq!(g.node(b).remaining_deps, 1);
     }
 
     #[test]
@@ -461,8 +449,8 @@ mod tests {
             1,
             vec![(whole(0), AccessMode::In), (whole(1), AccessMode::In)],
         ));
-        assert_eq!(g.node(r).remaining_deps(), 1);
-        assert_eq!(g.node(w).successors(), &[r]);
+        assert_eq!(g.node(r).remaining_deps, 1);
+        assert_eq!(g.node(w).successors, [r]);
     }
 
     #[test]
@@ -512,7 +500,7 @@ mod tests {
         assert_eq!(g.take_newly_ready(), vec![a]);
         assert_eq!(g.live_tasks(), 2, "a failed task is still live");
         // Successors were never released.
-        assert_eq!(g.node(b).remaining_deps(), 1);
+        assert_eq!(g.node(b).remaining_deps, 1);
         // The retry can run and complete normally.
         g.mark_running(a);
         g.complete(a, WorkerId(0));
@@ -540,7 +528,7 @@ mod tests {
         // New submissions continue in order and see the right deps.
         let t = g.submit(instance(10, vec![(whole(7), AccessMode::In)]));
         assert_eq!(t, TaskId(10));
-        assert_eq!(g.node(t).remaining_deps(), 1, "depends on live writer 7");
+        assert_eq!(g.node(t).remaining_deps, 1, "depends on live writer 7");
     }
 
     #[test]
@@ -582,7 +570,7 @@ mod tests {
         // The log still names task 0 as writer of data 0; the dependence
         // is dropped because pruned tasks are done by construction.
         let r = g.submit(instance(1, vec![(whole(0), AccessMode::In)]));
-        assert_eq!(g.node(r).remaining_deps(), 0);
+        assert_eq!(g.node(r).remaining_deps, 0);
         assert_eq!(g.take_newly_ready(), vec![r]);
     }
 

@@ -54,7 +54,7 @@ struct Shared {
 ///
 /// Constructed once per emulated-GPU worker with the device's lane count;
 /// every subsequent kernel batch reuses the same OS threads.
-pub struct LanePool {
+pub(crate) struct LanePool {
     shared: Arc<Shared>,
     lanes: usize,
     workers: Vec<JoinHandle<()>>,
@@ -64,7 +64,7 @@ impl LanePool {
     /// Build a pool presenting `lanes` lanes (clamped to ≥ 1). The calling
     /// thread participates in every batch, so only `lanes − 1` OS threads
     /// are spawned — these are the only spawns the pool ever performs.
-    pub fn new(lanes: usize) -> LanePool {
+    pub(crate) fn new(lanes: usize) -> LanePool {
         let lanes = lanes.max(1);
         let shared = Arc::new(Shared {
             state: Mutex::new(State::default()),
@@ -81,13 +81,6 @@ impl LanePool {
             })
             .collect();
         LanePool { shared, lanes, workers }
-    }
-
-    /// Number of OS threads the pool owns (`lanes − 1`; the caller is the
-    /// remaining lane). Exposed so tests can assert the pool's thread
-    /// count never grows with the number of batches executed.
-    pub fn worker_threads(&self) -> usize {
-        self.workers.len()
     }
 
     /// Run one erased job, capturing any panic message into the state.
@@ -213,7 +206,7 @@ mod tests {
     fn runs_every_job_in_the_batch() {
         let pool = LanePool::new(4);
         assert_eq!(pool.lanes(), 4);
-        assert_eq!(pool.worker_threads(), 3);
+        assert_eq!(pool.workers.len(), 3);
         assert_eq!(batch_sum(&pool, 10), 55);
         assert_eq!(batch_sum(&pool, 1), 1);
         assert_eq!(batch_sum(&pool, 0), 0);
@@ -222,7 +215,7 @@ mod tests {
     #[test]
     fn single_lane_pool_spawns_nothing() {
         let pool = LanePool::new(1);
-        assert_eq!(pool.worker_threads(), 0);
+        assert_eq!(pool.workers.len(), 0);
         assert_eq!(batch_sum(&pool, 5), 15);
         assert_eq!(LanePool::new(0).lanes(), 1);
     }
@@ -246,7 +239,7 @@ mod tests {
         // may ever appear: the pool spawns nothing per batch.
         let ids = seen.lock().unwrap();
         assert!(ids.len() <= pool.lanes());
-        assert!(ids.contains(&std::thread::current().id()) || pool.worker_threads() > 0);
+        assert!(ids.contains(&std::thread::current().id()) || !pool.workers.is_empty());
     }
 
     #[test]

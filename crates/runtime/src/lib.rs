@@ -24,9 +24,9 @@ mod assign;
 mod config;
 mod fair;
 pub mod graph;
-pub mod lanepool;
+pub(crate) mod lanepool;
 mod native;
-pub mod remote;
+pub(crate) mod remote;
 mod report;
 mod runtime;
 mod sim_engine;
@@ -34,7 +34,6 @@ mod tracing;
 
 pub use config::RuntimeConfig;
 pub use graph::{TaskGraph, TaskNode, TaskState};
-pub use lanepool::LanePool;
 pub use native::{KernelCtx, NativeConfig};
 pub use remote::{
     RemoteAccess, RemoteCaps, RemoteDone, RemoteError, RemoteExec, RemoteNode, ShipTicket,
@@ -42,4 +41,4 @@ pub use remote::{
 pub use report::{
     FailureReport, QuarantinedVersion, RunError, RunReport, TaskFailure, WorkerTransferStats,
 };
-pub use runtime::{DetachedExecutor, FreeError, NativeFn, Runtime, TaskSubmitter};
+pub use runtime::{DetachedExecutor, Runtime, TaskSubmitter};

@@ -73,10 +73,9 @@ impl NativeConfig {
     }
 
     /// Validate the configuration. Shape problems (no workers, zero-lane
-    /// GPUs) are errors; oversubscription is only a [`warning`].
-    ///
-    /// [`warning`]: NativeConfig::warnings
-    pub fn validate(&self) -> Result<(), String> {
+    /// GPUs) are errors; oversubscription is allowed (lanes are ordinary
+    /// OS threads that time-share cores).
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.smp_workers + self.gpus == 0 {
             return Err("native config has no workers".into());
         }
@@ -87,24 +86,6 @@ impl NativeConfig {
             return Err("link_bandwidth must be positive (use None for unthrottled)".into());
         }
         Ok(())
-    }
-
-    /// Non-fatal configuration diagnostics. Asking one emulated GPU for
-    /// more lanes than the machine has hardware threads still runs
-    /// correctly (lanes are ordinary OS threads) — it just can't speed
-    /// anything up, so it is reported here rather than rejected by
-    /// [`validate`](NativeConfig::validate).
-    pub fn warnings(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        let avail = std::thread::available_parallelism().map_or(1, |p| p.get());
-        if self.gpus > 0 && self.gpu_lanes > avail {
-            out.push(format!(
-                "gpu_lanes = {} exceeds available parallelism ({avail}); \
-                 lanes will time-share cores",
-                self.gpu_lanes
-            ));
-        }
-        out
     }
 }
 
@@ -137,12 +118,6 @@ pub struct KernelCtx<'a> {
 }
 
 impl<'a> KernelCtx<'a> {
-    /// Cores this kernel may use (1 on SMP workers, `gpu_lanes` on
-    /// emulated GPUs).
-    pub fn lanes(&self) -> usize {
-        self.exec.lanes()
-    }
-
     /// The executor carrying this worker's parallelism: a persistent
     /// lane pool on emulated GPUs, serial on SMP workers. Hand it to the
     /// `_on` kernel entry points.
@@ -168,7 +143,7 @@ impl<'a> KernelCtx<'a> {
     }
 
     /// Raw bytes of argument `i`.
-    pub fn bytes(&self, i: usize) -> &[u8] {
+    pub(crate) fn bytes(&self, i: usize) -> &[u8] {
         match &self.slots[i] {
             Slot::Owned { buf, range, .. } => &self.bufs[*buf].as_bytes()[range.clone()],
             Slot::Shared(b, range) => &b.as_bytes()[range.clone()],
@@ -179,7 +154,7 @@ impl<'a> KernelCtx<'a> {
     ///
     /// # Panics
     /// Panics if access `i` is an `input` (read-only) clause.
-    pub fn bytes_mut(&mut self, i: usize) -> &mut [u8] {
+    pub(crate) fn bytes_mut(&mut self, i: usize) -> &mut [u8] {
         match &self.slots[i] {
             Slot::Owned { buf, range, writable: true } => {
                 &mut self.bufs[*buf].as_bytes_mut()[range.clone()]
@@ -203,7 +178,7 @@ impl<'a> KernelCtx<'a> {
     }
 
     /// Argument `i` as `f32`s.
-    pub fn f32(&self, i: usize) -> &[f32] {
+    pub(crate) fn f32(&self, i: usize) -> &[f32] {
         let (pre, mid, post) = unsafe { self.bytes(i).align_to::<f32>() };
         assert!(pre.is_empty() && post.is_empty(), "argument {i} is not f32-aligned");
         mid
@@ -1341,13 +1316,9 @@ mod tests {
     }
 
     #[test]
-    fn oversubscription_warns_but_validates() {
+    fn oversubscription_validates() {
         let c = NativeConfig { gpu_lanes: 100_000, ..NativeConfig::new(1, 1) };
         assert!(c.validate().is_ok());
-        assert!(!c.warnings().is_empty());
-        // No GPUs → lane count is irrelevant, no warning either.
-        let smp_only = NativeConfig { gpu_lanes: 100_000, ..NativeConfig::new(2, 0) };
-        assert!(smp_only.warnings().is_empty());
     }
 
     #[test]
@@ -1359,7 +1330,7 @@ mod tests {
             Slot::Shared(shared, 0..8),
         ];
         let mut ctx = KernelCtx { bufs: &mut bufs, slots, exec: &SerialExec };
-        assert_eq!(ctx.lanes(), 1);
+        assert_eq!(ctx.exec.lanes(), 1);
         assert_eq!(ctx.arg_count(), 2);
         let (reads, out) = ctx.f64_reads_and_mut(&[1], 0);
         assert_eq!(reads[0], &[7.0]);

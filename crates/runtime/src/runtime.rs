@@ -21,7 +21,7 @@ use versa_mem::{
 use versa_sim::{CostTable, PlatformConfig};
 
 /// A task implementation body for native execution.
-pub type NativeFn = Arc<dyn Fn(&mut KernelCtx<'_>) + Send + Sync>;
+pub(crate) type NativeFn = Arc<dyn Fn(&mut KernelCtx<'_>) + Send + Sync>;
 
 pub(crate) enum EngineKind {
     /// Virtual-time execution on a simulated heterogeneous node. The
@@ -43,7 +43,7 @@ pub(crate) enum EngineKind {
 /// 2. bind execution costs ([`Runtime::bind_cost`], simulated runs) and/or
 ///    kernel bodies ([`Runtime::bind_native`], native runs);
 /// 3. allocate data ([`Runtime::alloc_bytes`], [`Runtime::alloc_from_f64`], …);
-/// 4. submit tasks ([`Runtime::task`] / [`Runtime::submit`]);
+/// 4. submit tasks ([`Runtime::task`]);
 /// 5. [`Runtime::run`] — the `taskwait`: executes everything submitted so
 ///    far and returns a [`RunReport`].
 ///
@@ -217,8 +217,9 @@ impl Runtime {
 
     /// Attach a remote node: its advertised workers become schedulable
     /// like local ones, against a fresh *mirror space* in the native
-    /// arena (see [`crate::remote`] for the data plane). Returns the
-    /// node's dense 1-based id (0 is the coordinator process itself).
+    /// arena (see [`RemoteNode`](crate::RemoteNode) for the data
+    /// plane). Returns the node's dense 1-based id (0 is the coordinator
+    /// process itself).
     ///
     /// Tiles ship from the node's staging lanes, never from the
     /// coordinator thread.
@@ -286,33 +287,11 @@ impl Runtime {
 
     /// The native arena, when this is a native runtime — the worker
     /// process side of `versa-net` executes kernels against it directly.
-    pub fn arena(&self) -> Option<Arc<Arena>> {
+    pub(crate) fn arena(&self) -> Option<Arc<Arena>> {
         match &self.engine {
             EngineKind::Native { arena, .. } => Some(Arc::clone(arena)),
             EngineKind::Sim { .. } => None,
         }
-    }
-
-    /// Execute a bound kernel by template *name* against host-space data,
-    /// outside the engines — the remote worker process path: no graph, no
-    /// scheduler, panic-safe. Returns the measured kernel time.
-    pub fn execute_bound_kernel(
-        &self,
-        template: &str,
-        version: VersionId,
-        accesses: &[(Region, AccessMode)],
-    ) -> Result<std::time::Duration, String> {
-        let arena = self.arena().ok_or("execute_bound_kernel requires a native runtime")?;
-        let tpl = self
-            .templates
-            .by_name(template)
-            .ok_or_else(|| format!("unknown template {template:?}"))?;
-        let kernel = self
-            .kernels
-            .get(&(tpl, version))
-            .ok_or_else(|| format!("no native kernel bound for ({template:?}, {version})"))?
-            .clone();
-        crate::native::execute_detached(kernel, accesses.to_vec(), &arena, MemSpace::HOST)
     }
 
     /// Snapshot the bound native kernels and arena into a standalone,
@@ -413,17 +392,12 @@ impl Runtime {
         id
     }
 
-    /// Size of an allocation in bytes.
-    pub fn data_bytes(&self, id: DataId) -> u64 {
-        self.directory.bytes(id)
-    }
-
     /// Free a runtime-managed allocation: the directory forgets it and
     /// (in native mode) every copy is dropped.
     ///
     /// # Panics
     /// Panics if tasks touching the allocation are still pending or in
-    /// flight (use [`Runtime::try_free`] for a recoverable check).
+    /// flight.
     pub fn free(&mut self, id: DataId) {
         self.try_free(id).unwrap_or_else(|e| panic!("{e}"));
     }
@@ -436,7 +410,7 @@ impl Runtime {
     /// # Errors
     /// Returns a description of the conflict when unfinished tasks still
     /// reference the allocation; the allocation is left untouched.
-    pub fn try_free(&mut self, id: DataId) -> Result<(), FreeError> {
+    pub(crate) fn try_free(&mut self, id: DataId) -> Result<(), FreeError> {
         if self.graph.has_live_accessor(id) {
             return Err(FreeError { data: id, live_users: self.graph.live_users(id) });
         }
@@ -547,7 +521,11 @@ impl Runtime {
     }
 
     /// Submit a task instance with explicit accesses.
-    pub fn submit(&mut self, template: TemplateId, accesses: Vec<(Region, AccessMode)>) -> TaskId {
+    pub(crate) fn submit(
+        &mut self,
+        template: TemplateId,
+        accesses: Vec<(Region, AccessMode)>,
+    ) -> TaskId {
         for (region, _) in &accesses {
             let bytes = self.directory.bytes(region.data);
             assert!(
@@ -672,7 +650,7 @@ impl Runtime {
 
     /// Versions currently quarantined by the versioning scheduler
     /// (empty for other policies).
-    pub fn quarantined_versions(&self) -> Vec<QuarantinedVersion> {
+    pub(crate) fn quarantined_versions(&self) -> Vec<QuarantinedVersion> {
         self.scheduler
             .as_versioning()
             .map(|v| v.profiles().quarantined().into_iter().map(Into::into).collect())
@@ -744,12 +722,6 @@ impl TaskSubmitter<'_> {
         self
     }
 
-    /// An explicit sub-range access (array-section dependence).
-    pub fn region(mut self, region: Region, mode: AccessMode) -> Self {
-        self.accesses.push((region, mode));
-        self
-    }
-
     /// Create the task.
     pub fn submit(self) -> TaskId {
         let TaskSubmitter { rt, template, accesses } = self;
@@ -759,7 +731,7 @@ impl TaskSubmitter<'_> {
 
 /// Why [`Runtime::try_free`] refused to free an allocation.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FreeError {
+pub(crate) struct FreeError {
     /// The allocation that could not be freed.
     pub data: DataId,
     /// How many unfinished tasks still reference it.
@@ -805,9 +777,9 @@ mod tests {
     fn alloc_registers_in_directory() {
         let mut rt = sim_runtime();
         let a = rt.alloc_bytes(1024);
-        assert_eq!(rt.data_bytes(a), 1024);
+        assert_eq!(rt.directory.bytes(a), 1024);
         let b = rt.alloc_from_f64(&[1.0, 2.0, 3.0]);
-        assert_eq!(rt.data_bytes(b), 24);
+        assert_eq!(rt.directory.bytes(b), 24);
         assert_ne!(a, b);
     }
 
@@ -831,10 +803,9 @@ mod tests {
         let mut rt = sim_runtime();
         let tpl = rt.template("t").main("smp", &[DeviceKind::Smp]).register();
         let a = rt.alloc_bytes(10);
-        let _ = rt
-            .task(tpl)
-            .region(Region::range(a, 0, 20), AccessMode::In)
-            .submit();
+        let mut submitter = rt.task(tpl);
+        submitter.accesses.push((Region::range(a, 0, 20), AccessMode::In));
+        let _ = submitter.submit();
     }
 
     #[test]

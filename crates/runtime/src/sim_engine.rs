@@ -355,8 +355,7 @@ fn stage_task_data(
     let mut end = now;
     for (region, mode) in accesses {
         if let Some(t) = rt.directory.acquire(region.data, space, *mode) {
-            // Per-transfer scheduling (same fold `schedule_all` does, so
-            // virtual-time results are unchanged) lets the scheduler
+            // Scheduling each transfer on its own lets the scheduler
             // observe each copy's modelled duration — feeding the same
             // per-space bandwidth EWMA the native engine trains — and
             // attributes the copy to the destination worker.

@@ -29,16 +29,6 @@ impl JobClass {
         JobClass { priority: 1, weight: 1 }
     }
 
-    /// Below-normal priority — runs only when nothing normal is ready.
-    pub fn batch() -> JobClass {
-        JobClass { priority: 0, weight: 1 }
-    }
-
-    /// Above-normal priority — preempts normal dispatch order.
-    pub fn interactive() -> JobClass {
-        JobClass { priority: 2, weight: 1 }
-    }
-
     /// Same priority, different proportional share.
     pub fn with_weight(self, weight: u32) -> JobClass {
         JobClass { weight: weight.max(1), ..self }
@@ -61,7 +51,7 @@ pub type FinishFn = Box<dyn FnOnce(&mut Runtime) -> Result<(), String> + Send>;
 /// so repeated jobs share one template and its learned profile),
 /// allocates data and submits the job's task DAG, then returns the
 /// [`FinishFn`] to run at completion.
-pub type BuildFn = Box<dyn FnOnce(&mut Runtime) -> FinishFn + Send>;
+pub(crate) type BuildFn = Box<dyn FnOnce(&mut Runtime) -> FinishFn + Send>;
 
 /// Everything the service needs to admit and run one job.
 pub struct JobSpec {
@@ -106,12 +96,6 @@ impl JobSpec {
             build(rt);
             Box::new(|_| Ok(()))
         })
-    }
-
-    /// Set the tenant id.
-    pub fn tenant(mut self, tenant: u32) -> Self {
-        self.tenant = tenant;
-        self
     }
 
     /// Set the scheduling class.

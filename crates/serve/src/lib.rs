@@ -62,8 +62,7 @@ mod metrics;
 mod service;
 
 pub use job::{
-    BuildFn, FinishFn, JobClass, JobId, JobReport, JobSpec, JobTicket, RejectReason,
-    SubmitOutcome,
+    FinishFn, JobClass, JobId, JobReport, JobSpec, JobTicket, RejectReason, SubmitOutcome,
 };
 pub use metrics::MetricsSnapshot;
 pub use service::{Client, ServeConfig, Service};

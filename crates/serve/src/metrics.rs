@@ -91,7 +91,7 @@ pub(crate) struct DecisionLog {
 }
 
 impl Shared {
-    pub fn new(workers: usize) -> Shared {
+    pub(crate) fn new(workers: usize) -> Shared {
         Shared {
             submitted: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
@@ -118,7 +118,7 @@ impl Shared {
         }
     }
 
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         let version_counts =
             self.version_counts.lock().expect("version-count metrics poisoned").clone();
         let mut worker_busy = Vec::with_capacity(self.workers);

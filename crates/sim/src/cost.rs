@@ -14,7 +14,7 @@ use versa_mem::IdMap;
 
 /// Duration model of one task version: data set size (bytes) → base
 /// execution time.
-pub type CostFn = Arc<dyn Fn(u64) -> Duration + Send + Sync>;
+pub(crate) type CostFn = Arc<dyn Fn(u64) -> Duration + Send + Sync>;
 
 /// Per-(template, version) execution-time models for the simulated
 /// platform. The scheduler never reads this table; it is the simulator's
@@ -40,11 +40,6 @@ impl CostTable {
         self.entries.insert((template, version), Arc::new(f));
     }
 
-    /// Register a size-independent duration.
-    pub fn set_fixed(&mut self, template: TemplateId, version: VersionId, d: Duration) {
-        self.set_fn(template, version, move |_| d);
-    }
-
     /// Base (noise-free) duration of one execution.
     ///
     /// # Panics
@@ -56,21 +51,6 @@ impl CostTable {
             .get(&(template, version))
             .unwrap_or_else(|| panic!("no cost model for ({template:?}, {version:?})"));
         f(size)
-    }
-
-    /// Whether a model is registered for the pair.
-    pub fn has(&self, template: TemplateId, version: VersionId) -> bool {
-        self.entries.contains_key(&(template, version))
-    }
-
-    /// Number of registered models.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -96,11 +76,6 @@ impl NoiseModel {
     pub fn new(sigma: f64, seed: u64) -> NoiseModel {
         assert!((0.0..1.0).contains(&sigma), "sigma must be in [0, 1)");
         NoiseModel { sigma, state: seed }
-    }
-
-    /// Noise-free model (useful for exact-value tests).
-    pub fn none() -> NoiseModel {
-        NoiseModel::new(0.0, 0)
     }
 
     /// Sample a concrete duration for one execution.
@@ -131,13 +106,11 @@ mod tests {
     #[test]
     fn fixed_and_fn_models() {
         let mut t = CostTable::new();
-        t.set_fixed(TPL, V0, Duration::from_millis(7));
+        t.set_fn(TPL, V0, |_| Duration::from_millis(7));
         t.set_fn(TPL, V1, |size| Duration::from_nanos(size * 2));
         assert_eq!(t.duration(TPL, V0, 123), Duration::from_millis(7));
         assert_eq!(t.duration(TPL, V1, 500), Duration::from_micros(1));
-        assert!(t.has(TPL, V0));
-        assert!(!t.has(TemplateId(9), V0));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.entries.len(), 2);
     }
 
     #[test]
@@ -172,7 +145,7 @@ mod tests {
 
     #[test]
     fn zero_sigma_is_exact() {
-        let mut n = NoiseModel::none();
+        let mut n = NoiseModel::new(0.0, 0);
         assert_eq!(n.sample(Duration::from_millis(3)), Duration::from_millis(3));
     }
 

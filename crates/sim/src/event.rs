@@ -72,21 +72,6 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.heap.pop().map(|Reverse(e)| (e.time, e.payload))
     }
-
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -114,18 +99,6 @@ mod tests {
         for i in 0..100 {
             assert_eq!(q.pop(), Some((SimTime(5), i)));
         }
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let mut q = EventQueue::new();
-        q.push(SimTime(7), ());
-        assert_eq!(q.peek_time(), Some(SimTime(7)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        q.pop();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

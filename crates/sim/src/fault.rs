@@ -128,11 +128,6 @@ impl FaultPlan {
         FaultPlan { rules: vec![rule], ..FaultPlan::default() }
     }
 
-    /// Whether the plan can never fire.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty() && self.node_rules.is_empty()
-    }
-
     /// Validate rule probabilities and that node rules target one of
     /// the platform's `node_count` remote nodes (ids are 1-based).
     pub fn validate(&self, node_count: usize) -> Result<(), String> {
@@ -173,20 +168,6 @@ impl FaultInjector {
         // same platform seed.
         let rng = seed ^ 0x9e37_79b9_7f4a_7c15;
         FaultInjector { plan, fired, rng }
-    }
-
-    /// Whether any rule could still fire.
-    pub fn armed(&self) -> bool {
-        self.plan
-            .rules
-            .iter()
-            .zip(&self.fired)
-            .any(|(r, &n)| r.probability > 0.0 && r.max_failures.is_none_or(|m| n < m))
-    }
-
-    /// Total failures injected so far.
-    pub fn total_fired(&self) -> u64 {
-        self.fired.iter().sum()
     }
 
     /// Decide whether this execution fails. Deterministic: the RNG
@@ -246,11 +227,10 @@ mod tests {
     #[test]
     fn empty_plan_never_fires() {
         let mut inj = FaultInjector::new(FaultPlan::none(), 42);
-        assert!(!inj.armed());
         for _ in 0..100 {
             assert!(!inj.should_fail(TPL, V0, W0));
         }
-        assert_eq!(inj.total_fired(), 0);
+        assert_eq!(inj.fired.iter().sum::<u64>(), 0);
     }
 
     #[test]
@@ -259,7 +239,7 @@ mod tests {
         assert!(inj.should_fail(TPL, V0, W0));
         assert!(inj.should_fail(TPL, V0, W1));
         assert!(!inj.should_fail(TPL, V1, W0));
-        assert_eq!(inj.total_fired(), 2);
+        assert_eq!(inj.fired.iter().sum::<u64>(), 2);
     }
 
     #[test]
@@ -270,7 +250,6 @@ mod tests {
         assert!(inj.should_fail(TPL, V0, W0));
         assert!(inj.should_fail(TPL, V0, W0));
         assert!(!inj.should_fail(TPL, V0, W0), "rule exhausted");
-        assert!(!inj.armed());
     }
 
     #[test]
@@ -301,7 +280,6 @@ mod tests {
         use std::time::Duration;
         let mut plan = FaultPlan::none();
         plan.node_rules.push(NodeFaultRule::drop_node(1, Duration::from_millis(5)));
-        assert!(!plan.is_empty());
         assert!(plan.validate(0).is_err(), "no remote nodes configured");
         assert!(plan.validate(1).is_ok());
         plan.node_rules.push(NodeFaultRule::heartbeat_timeout(0, Duration::ZERO));

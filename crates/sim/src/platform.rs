@@ -19,7 +19,7 @@ pub struct LinkConfig {
 
 impl LinkConfig {
     /// Time for one transfer of `bytes` bytes over this link.
-    pub fn transfer_time(&self, bytes: u64) -> Duration {
+    pub(crate) fn transfer_time(&self, bytes: u64) -> Duration {
         self.latency + Duration::from_secs_f64(bytes as f64 / self.bandwidth)
     }
 }
@@ -121,31 +121,14 @@ impl PlatformConfig {
         PlatformConfig { smp_workers, gpus, ..PlatformConfig::default() }
     }
 
-    /// MinoTauro with the M2090's real 6 GB device memories enforced
-    /// (LRU-managed).
-    pub fn minotauro_finite(smp_workers: usize, gpus: usize) -> PlatformConfig {
-        PlatformConfig {
-            gpu_mem_capacity: Some(6 * 1024 * 1024 * 1024),
-            ..PlatformConfig::minotauro(smp_workers, gpus)
-        }
-    }
-
     /// Total worker count (SMP + one per GPU + remote-node workers).
-    pub fn worker_count(&self) -> usize {
+    pub(crate) fn worker_count(&self) -> usize {
         self.smp_workers + self.gpus + self.remote_worker_count()
     }
 
     /// Workers contributed by remote nodes only.
-    pub fn remote_worker_count(&self) -> usize {
+    pub(crate) fn remote_worker_count(&self) -> usize {
         self.nodes.iter().map(|n| n.smp_workers).sum()
-    }
-
-    /// Aggregate peak in GFLOP/s for the configured worker mix
-    /// (remote-node cores count like local SMP cores).
-    pub fn peak_gflops(&self) -> f64 {
-        self.gpus as f64 * self.gpu_peak_gflops
-            + (self.smp_workers + self.remote_worker_count()) as f64
-                * self.smp_core_peak_gflops
     }
 
     /// Speed multiplier of the `i`-th GPU (1.0 when not configured).
@@ -209,7 +192,8 @@ mod tests {
         assert_eq!(p.gpus, 2);
         assert!(p.validate().is_ok());
         // Paper §V-B1: one SMP core < 1% of peak, one GPU ≈ 45%.
-        let peak = p.peak_gflops();
+        let peak =
+            p.gpus as f64 * p.gpu_peak_gflops + p.smp_workers as f64 * p.smp_core_peak_gflops;
         assert!(p.smp_core_peak_gflops / peak < 0.01);
         let gpu_share = p.gpu_peak_gflops / peak;
         assert!(gpu_share > 0.40 && gpu_share < 0.50, "gpu share {gpu_share}");
@@ -231,13 +215,6 @@ mod tests {
         assert_eq!(t1, Duration::from_micros(1010));
         let t0 = link.transfer_time(0);
         assert_eq!(t0, Duration::from_micros(10), "latency-only for empty transfer");
-    }
-
-    #[test]
-    fn finite_preset_sets_m2090_capacity() {
-        let p = PlatformConfig::minotauro_finite(4, 2);
-        assert_eq!(p.gpu_mem_capacity, Some(6 * 1024 * 1024 * 1024));
-        assert_eq!(PlatformConfig::minotauro(4, 2).gpu_mem_capacity, None);
     }
 
     #[test]

@@ -33,7 +33,7 @@ impl SimTime {
     /// # Panics
     /// Panics if `earlier` is later than `self`.
     #[inline]
-    pub fn since(self, earlier: SimTime) -> Duration {
+    pub(crate) fn since(self, earlier: SimTime) -> Duration {
         assert!(earlier <= self, "time went backwards: {earlier:?} > {self:?}");
         Duration::from_nanos(self.0 - earlier.0)
     }

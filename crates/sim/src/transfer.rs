@@ -143,12 +143,6 @@ impl TransferEngine {
         self.stats.record(kind, t.bytes);
         end
     }
-
-    /// Schedule a batch of transfers for one task, returning the time by
-    /// which all of them have completed (`now` if the batch is empty).
-    pub fn schedule_all(&mut self, transfers: &[Transfer], now: SimTime) -> SimTime {
-        transfers.iter().fold(now, |deadline, t| deadline.max(self.schedule(t, now)))
-    }
 }
 
 #[cfg(test)]
@@ -248,18 +242,6 @@ mod tests {
         let end =
             e.schedule(&tx(0, MemSpace::device(0), MemSpace::device(1), 1_000_000), SimTime::ZERO);
         assert_eq!(end, SimTime(1_000_000));
-    }
-
-    #[test]
-    fn schedule_all_returns_batch_deadline() {
-        let mut e = engine();
-        let transfers = [
-            tx(0, HOST, MemSpace::device(0), 1_000_000),
-            tx(1, HOST, MemSpace::device(0), 2_000_000),
-        ];
-        let done = e.schedule_all(&transfers, SimTime::ZERO);
-        assert_eq!(done, SimTime(3_000_000), "serialized on one upload engine");
-        assert_eq!(e.schedule_all(&[], SimTime(42)), SimTime(42));
     }
 
     #[test]

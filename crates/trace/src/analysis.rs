@@ -57,17 +57,12 @@ pub struct PhaseMix {
 
 impl PhaseMix {
     /// Count one decision.
-    pub fn count(&mut self, phase: Phase) {
+    pub(crate) fn count(&mut self, phase: Phase) {
         match phase {
             Phase::Learning => self.learning += 1,
             Phase::Reliable => self.reliable += 1,
             Phase::ReliableFallback => self.fallback += 1,
         }
-    }
-
-    /// Total decisions.
-    pub fn total(&self) -> u64 {
-        self.learning + self.reliable + self.fallback
     }
 }
 
@@ -205,7 +200,7 @@ impl TraceAnalysis {
     }
 
     /// Fraction of the trace span a worker spent computing (0..=1).
-    pub fn utilization(&self, worker: WorkerId) -> f64 {
+    pub(crate) fn utilization(&self, worker: WorkerId) -> f64 {
         if self.span == Ts::ZERO {
             return 0.0;
         }
@@ -558,7 +553,6 @@ mod tests {
         ));
         let mix = &a.phase_mix[&(TemplateId(0), BucketKey(3))];
         assert_eq!((mix.learning, mix.reliable, mix.fallback), (2, 1, 0));
-        assert_eq!(mix.total(), 3);
         assert_eq!(a.decisions.len(), 3);
         let report = a.phase_report(&TraceMeta::default());
         assert!(report.contains("tpl0"));

@@ -65,7 +65,7 @@ impl Phase {
     }
 
     /// Inverse of [`Phase::label`].
-    pub fn from_label(s: &str) -> Option<Phase> {
+    pub(crate) fn from_label(s: &str) -> Option<Phase> {
         match s {
             "learning" => Some(Phase::Learning),
             "reliable" => Some(Phase::Reliable),
@@ -268,7 +268,7 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// The event's (primary) timestamp, for ordering.
-    pub fn time(&self) -> Ts {
+    pub(crate) fn time(&self) -> Ts {
         match self {
             TraceEvent::TaskCreated { time, .. }
             | TraceEvent::TaskReady { time, .. }
@@ -339,20 +339,6 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Lifecycle events concerning one task (transfers and job events
-    /// excluded).
-    pub fn task_events(&self, task: TaskId) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| match e {
-            TraceEvent::TaskCreated { task: t, .. }
-            | TraceEvent::TaskReady { task: t, .. }
-            | TraceEvent::TaskStart { task: t, .. }
-            | TraceEvent::TaskEnd { task: t, .. }
-            | TraceEvent::TaskFailed { task: t, .. } => *t == task,
-            TraceEvent::Decision(d) => d.task == task,
-            _ => false,
-        })
-    }
-
     /// The scheduler decision ledger, in time order.
     pub fn decisions(&self) -> impl Iterator<Item = &DecisionRecord> {
         self.events.iter().filter_map(|e| match e {
@@ -392,23 +378,6 @@ mod tests {
         assert!(matches!(tr.events()[1], TraceEvent::TaskStart { task: TaskId(1), .. }));
         assert!(matches!(tr.events()[2], TraceEvent::TaskEnd { .. }));
         assert!(matches!(tr.events()[3], TraceEvent::TaskStart { task: TaskId(2), .. }));
-    }
-
-    #[test]
-    fn task_events_filters_by_task() {
-        let tr = Trace::new(
-            TraceMeta::default(),
-            vec![
-                start(0, 1, 0),
-                start(0, 2, 1),
-                TraceEvent::TaskEnd { time: Ts(5), task: TaskId(1), worker: WorkerId(0), kernel_ns: 5 },
-            ],
-            0,
-        );
-        assert_eq!(tr.task_events(TaskId(1)).count(), 2);
-        assert_eq!(tr.task_events(TaskId(3)).count(), 0);
-        assert_eq!(tr.len(), 3);
-        assert!(!tr.is_empty());
     }
 
     #[test]

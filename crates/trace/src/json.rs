@@ -33,7 +33,7 @@ impl JsonValue {
     }
 
     /// The array elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
+    pub(crate) fn as_arr(&self) -> Option<&[JsonValue]> {
         match self {
             JsonValue::Arr(v) => Some(v),
             _ => None,
@@ -41,7 +41,7 @@ impl JsonValue {
     }
 
     /// The string contents, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             JsonValue::Str(s) => Some(s),
             _ => None,

@@ -86,7 +86,7 @@ impl TraceMeta {
     }
 
     /// The template's name, or `tpl{n}` if unknown.
-    pub fn template_name(&self, t: TemplateId) -> String {
+    pub(crate) fn template_name(&self, t: TemplateId) -> String {
         self.templates
             .iter()
             .find(|m| m.id == t)
@@ -95,7 +95,7 @@ impl TraceMeta {
     }
 
     /// The version's name, or `v{n}` if unknown.
-    pub fn version_name(&self, t: TemplateId, v: VersionId) -> String {
+    pub(crate) fn version_name(&self, t: TemplateId, v: VersionId) -> String {
         self.templates
             .iter()
             .find(|m| m.id == t)
@@ -104,7 +104,7 @@ impl TraceMeta {
     }
 
     /// A short worker label like `w2:cuda`.
-    pub fn worker_label(&self, w: WorkerId) -> String {
+    pub(crate) fn worker_label(&self, w: WorkerId) -> String {
         match self.workers.iter().find(|m| m.id == w) {
             Some(m) => format!("{w}:{}", m.device),
             None => format!("{w}"),
