@@ -502,6 +502,7 @@ mod tests {
         let dir = dir_with(DataId(0), 1);
         assert!(dir.valid_in(DataId(0), MemSpace::HOST));
         dir.unregister(DataId(0));
+        assert!(dir.state(DataId(0)).is_none());
         assert!(!dir.valid_in(DataId(0), MemSpace::HOST));
     }
 }
