@@ -434,8 +434,8 @@ pub fn table1(scale: Scale) -> String {
         let cm: Vec<_> = (0..nb * nb).map(|_| rt.alloc_bytes(bytes)).collect();
         matmul::submit_tasks(&mut rt, template, nb, &a, &b, &cm);
     }
-    let report = rt.run().expect("run failed");
-    report.profile_table.expect("versioning scheduler renders Table I")
+    rt.run().expect("run failed");
+    rt.versioning().expect("versioning scheduler").profiles().render_table(rt.templates())
 }
 
 /// Fig. 5 — an earliest-executor decision narrative: the GPU is the

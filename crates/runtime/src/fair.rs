@@ -33,6 +33,10 @@ const UNTAGGED: JobTag = JobTag { job: u64::MAX, tenant: u32::MAX, class: 1, wei
 pub(crate) struct FairState {
     /// Tasks dispatched so far per job id.
     dispatched: IdMap<u64, u64>,
+    /// Scratch of [`FairState::order`], kept so a wave allocates nothing:
+    /// pooled tasks per job so far, and the sort keys.
+    pending: IdMap<u64, u64>,
+    keyed: Vec<(u8, u128, usize, TaskId)>,
 }
 
 fn tag_of(graph: &TaskGraph, tid: TaskId) -> JobTag {
@@ -42,26 +46,25 @@ fn tag_of(graph: &TaskGraph, tid: TaskId) -> JobTag {
 impl FairState {
     /// Stable-reorder the ready pool: priority class descending, then
     /// weighted virtual start position, then original pool order.
-    pub(crate) fn order(&self, pool: &mut VecDeque<TaskId>, graph: &TaskGraph) {
+    pub(crate) fn order(&mut self, pool: &mut VecDeque<TaskId>, graph: &TaskGraph) {
         if pool.len() < 2 {
             return;
         }
-        let mut pending: IdMap<u64, u64> = IdMap::default();
-        let mut keyed: Vec<(u8, u128, usize, TaskId)> = pool
-            .iter()
-            .enumerate()
-            .map(|(seq, &tid)| {
-                let tag = tag_of(graph, tid);
-                let k = pending.entry(tag.job).or_insert(0);
-                let base = self.dispatched.get(&tag.job).copied().unwrap_or(0);
-                let vstart = u128::from(base + *k) * SCALE / u128::from(tag.weight.max(1));
-                *k += 1;
-                (tag.class, vstart, seq, tid)
-            })
-            .collect();
-        keyed.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        let Self { dispatched, pending, keyed } = self;
+        pending.clear();
+        keyed.extend(pool.iter().enumerate().map(|(seq, &tid)| {
+            let tag = tag_of(graph, tid);
+            let k = pending.entry(tag.job).or_insert(0);
+            let base = dispatched.get(&tag.job).copied().unwrap_or(0);
+            let vstart = u128::from(base + *k) * SCALE / u128::from(tag.weight.max(1));
+            *k += 1;
+            (tag.class, vstart, seq, tid)
+        }));
+        // Pool order `seq` makes every key distinct, so an unstable sort
+        // (no scratch buffer) orders exactly as a stable one.
+        keyed.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
         pool.clear();
-        pool.extend(keyed.into_iter().map(|(_, _, _, tid)| tid));
+        pool.extend(keyed.drain(..).map(|(_, _, _, tid)| tid));
     }
 
     /// Forget a finished job's dispatch account (it has no tasks left,

@@ -189,8 +189,6 @@ pub struct RunReport {
     /// bounded wave ([`run_bounded`](crate::Runtime::run_bounded)) may
     /// return with work still outstanding.
     pub completed: bool,
-    /// Rendered Table I-style profile dump (versioning scheduler only).
-    pub profile_table: Option<String>,
     /// The structured execution trace, when
     /// [`RuntimeConfig::tracing`](crate::RuntimeConfig::tracing) was
     /// enabled (both engines). Analyze with
@@ -418,10 +416,6 @@ impl RunTally {
             worker_busy: self.worker_busy,
             worker_transfers: self.worker_transfers,
             completed: rt.graph.all_done(),
-            profile_table: rt
-                .scheduler
-                .as_versioning()
-                .map(|v| v.profiles().render_table(&rt.templates)),
             trace: self.sink.map(|sink| sink.drain(crate::tracing::trace_meta(rt, engine))),
             failures: self.failures,
         };
@@ -452,7 +446,6 @@ mod tests {
             worker_busy: vec![Duration::ZERO; 4],
             worker_transfers: vec![WorkerTransferStats::default(); 4],
             completed: true,
-            profile_table: None,
             trace: None,
             failures: FailureReport::default(),
         }

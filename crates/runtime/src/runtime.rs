@@ -4,6 +4,7 @@ use crate::fair::FairState;
 use crate::graph::TaskGraph;
 use crate::native::{KernelCtx, NativeConfig};
 use crate::report::QuarantinedVersion;
+use crate::sim_engine::InFlight;
 use crate::{RunError, RunReport, RuntimeConfig};
 // `DetachedExecutor` looks kernels up by template name.
 #[allow(clippy::disallowed_types)]
@@ -26,8 +27,13 @@ pub(crate) type NativeFn = Arc<dyn Fn(&mut KernelCtx<'_>) + Send + Sync>;
 pub(crate) enum EngineKind {
     /// Virtual-time execution on a simulated heterogeneous node. The
     /// device caches persist across runs/waves so residency decisions
-    /// made for one job carry over to the next.
-    Sim { platform: PlatformConfig, caches: Option<Vec<DeviceCache>> },
+    /// made for one job carry over to the next; the in-flight table is
+    /// empty between runs and kept only so a wave does not allocate it.
+    Sim {
+        platform: PlatformConfig,
+        caches: Option<Vec<DeviceCache>>,
+        in_flight: IdMap<TaskId, InFlight>,
+    },
     /// Real execution on OS threads with emulated accelerator devices.
     Native { cfg: NativeConfig, arena: Arc<Arena> },
 }
@@ -152,7 +158,7 @@ impl Runtime {
             scheduler,
             costs: CostTable::new(),
             kernels: IdMap::default(),
-            engine: EngineKind::Sim { platform, caches: None },
+            engine: EngineKind::Sim { platform, caches: None, in_flight: IdMap::default() },
             run_count: 0,
             pending: VecDeque::new(),
             fair: FairState::default(),

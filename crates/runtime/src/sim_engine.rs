@@ -41,7 +41,7 @@ const SIM_HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(2);
 /// What the engine tracks about one dispatched task of this run, from its
 /// dispatch until it completes.
 #[derive(Default)]
-struct InFlight {
+pub(crate) struct InFlight {
     /// Completion time of its prefetch transfers, until it starts.
     deadline: Option<SimTime>,
     /// TaskStart stamp of the running attempt. A task may start *later*
@@ -86,11 +86,11 @@ struct SimState {
 /// most a bounded wave of dispatches, leaving the rest pooled in the
 /// runtime for the next wave.
 pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunReport, RunError> {
-    let (platform, stored_caches) = {
-        let EngineKind::Sim { platform, caches } = &mut rt.engine else {
+    let (platform, stored_caches, tasks) = {
+        let EngineKind::Sim { platform, caches, in_flight } = &mut rt.engine else {
             unreachable!("run_sim on a non-simulated runtime")
         };
-        (platform.clone(), caches.take())
+        (platform.clone(), caches.take(), std::mem::take(in_flight))
     };
     let mut st = SimState {
         xfer: TransferEngine::new(&platform),
@@ -112,7 +112,7 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
                 None => 1.0,
             })
             .collect(),
-        tasks: IdMap::default(),
+        tasks,
         injector: FaultInjector::new(platform.faults.clone(), platform.seed),
         node_faults: {
             let mut f: Vec<(SimTime, u16)> = platform
@@ -179,16 +179,18 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
     finish(rt, st, end, None)
 }
 
-/// Hand persistent device-cache state back to the runtime and close
-/// the run at virtual time `end` (complete, or partial on `abort`).
+/// Hand the device caches and the emptied in-flight table back to the
+/// runtime and close the run at virtual time `end` (partial on `abort`).
 fn finish(
     rt: &mut Runtime,
     mut st: SimState,
     end: SimTime,
     abort: Option<Abort>,
 ) -> Result<RunReport, RunError> {
-    if let EngineKind::Sim { caches, .. } = &mut rt.engine {
+    if let EngineKind::Sim { caches, in_flight, .. } = &mut rt.engine {
         *caches = st.caches.take();
+        *in_flight = std::mem::take(&mut st.tasks);
+        in_flight.clear();
     }
     st.tally.finish(rt, "sim", end.as_duration(), *st.xfer.stats(), abort)
 }

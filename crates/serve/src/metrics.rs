@@ -58,9 +58,9 @@ pub(crate) struct Shared {
     /// Decision ledger tail, per-(job, phase) histogram and trace drop
     /// counter (populated only when the runtime traces its waves).
     pub decisions: Mutex<DecisionLog>,
-    /// Last [`JOB_EVENT_TAIL`] job admission/completion events. Jobs
-    /// accumulate their events privately and publish them here in one
-    /// lock acquisition when they complete.
+    /// Last [`JOB_EVENT_TAIL`] job admission/completion events. A job
+    /// publishes both here in one lock acquisition when it completes,
+    /// its `JobAdmitted` carrying the stamp taken at admission.
     pub job_events: Mutex<VecDeque<TraceEvent>>,
     /// Latest profile-hints snapshot published by the serve loop (only
     /// with `ServeConfig::gossip_hints`): lets a cluster coordinator
@@ -222,9 +222,10 @@ pub struct MetricsSnapshot {
     pub trace_dropped: u64,
     /// Recent job admission/completion events
     /// ([`TraceEvent::JobAdmitted`] / [`TraceEvent::JobCompleted`]),
-    /// stamped with offsets from service start. Each job accumulates its
-    /// events privately and publishes them when it completes, so a job
-    /// still in flight is visible through `active_jobs`, not here.
+    /// stamped with offsets from service start. Both events of a job are
+    /// published when it completes, `JobAdmitted` first and stamped at
+    /// admission, so a job still in flight is visible through
+    /// `active_jobs`, not here.
     pub job_events: Vec<TraceEvent>,
 }
 

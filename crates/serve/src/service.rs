@@ -20,11 +20,15 @@ fn service_ts(shared: &Shared) -> Ts {
     Ts(shared.started.elapsed().as_nanos() as u64)
 }
 
-/// Publish a job's accumulated lifecycle events into the shared ring in
-/// one lock acquisition, keeping the ring bounded.
-fn publish_job_events(shared: &Shared, events: Vec<TraceEvent>) {
+/// Publish a finished job's `JobAdmitted` (stamped at admission) and
+/// `JobCompleted` (stamped now) into the shared ring in one lock
+/// acquisition, keeping the ring bounded.
+fn publish_job_events(shared: &Shared, job: &ActiveJob, ok: bool) {
+    let tasks = job.range.end - job.range.start;
+    let admitted = TraceEvent::JobAdmitted { time: job.admitted_ts, job: job.id, tasks };
+    let completed = TraceEvent::JobCompleted { time: service_ts(shared), job: job.id, ok };
     let mut ring = shared.job_events.lock().expect("job-event ring poisoned");
-    for ev in events {
+    for ev in [admitted, completed] {
         if ring.len() >= JOB_EVENT_TAIL {
             ring.pop_front();
         }
@@ -76,7 +80,7 @@ struct Submission {
     id: u64,
     spec: JobSpec,
     submitted: Instant,
-    report_tx: mpsc::Sender<JobReport>,
+    report_tx: mpsc::SyncSender<JobReport>,
 }
 
 struct ActiveJob {
@@ -86,12 +90,12 @@ struct ActiveJob {
     finish: Option<FinishFn>,
     submitted: Instant,
     admitted: Instant,
-    admitted_wave: u64,
-    report_tx: mpsc::Sender<JobReport>,
-    /// Lifecycle events accumulated privately by the service thread and
-    /// published to the shared ring when the job completes — metrics
+    /// Service-epoch stamp of admission, for the `JobAdmitted` event
+    /// published (with `JobCompleted`) when the job completes — metrics
     /// recording never takes a shared lock per event.
-    events: Vec<TraceEvent>,
+    admitted_ts: Ts,
+    admitted_wave: u64,
+    report_tx: mpsc::SyncSender<JobReport>,
 }
 
 /// A cloneable submission handle. Clones share the same queue and
@@ -126,7 +130,9 @@ impl Client {
             }
         }
         let id = self.shared.next_job.fetch_add(1, Ordering::Relaxed);
-        let (report_tx, report_rx) = mpsc::channel();
+        // One slot for the one report: the client allocates it here, and
+        // the service's single send into it never blocks or allocates.
+        let (report_tx, report_rx) = mpsc::sync_channel(1);
         let sub = Submission { id, spec, submitted: Instant::now(), report_tx };
         // Count the queue slot *before* offering the submission: the
         // service thread decrements on admission, and an increment after
@@ -268,37 +274,28 @@ fn serve_loop(
                 // driven further. Fail every in-flight job and stop.
                 note_wave(&shared, &err.report);
                 let msg = err.to_string();
-                for mut job in active.drain(..) {
+                for job in active.drain(..) {
                     shared.active_jobs.fetch_sub(1, Ordering::Relaxed);
                     shared.failed.fetch_add(1, Ordering::Relaxed);
-                    let mut events = std::mem::take(&mut job.events);
-                    events.push(TraceEvent::JobCompleted {
-                        time: service_ts(&shared),
-                        job: job.id,
-                        ok: false,
-                    });
-                    publish_job_events(&shared, events);
+                    publish_job_events(&shared, &job, false);
                     let mut report = JobReport::service_gone(JobId(job.id));
                     report.name = job.name;
                     report.outcome = Err(format!("service aborted: {msg}"));
-                    let _ = job.report_tx.send(report);
+                    let _ = job.report_tx.try_send(report);
                 }
                 shared.accepting.store(false, Ordering::Release);
                 break;
             }
         }
 
-        let mut still = Vec::with_capacity(active.len());
-        for job in active.drain(..) {
-            if job_done(&rt, &job.range) {
-                let id = job.id;
+        active.retain_mut(|job| {
+            let done = job_done(&rt, &job.range);
+            if done {
                 finalize(&mut rt, job, &shared, wave);
-                rt.forget_job(id);
-            } else {
-                still.push(job);
+                rt.forget_job(job.id);
             }
-        }
-        active = still;
+            !done
+        });
         // Everything below the earliest still-active job is finalized
         // and safe to recycle: steady-state admission allocates O(active
         // jobs), not O(jobs ever served).
@@ -345,13 +342,9 @@ fn admit(
         finish: Some(finish),
         submitted,
         admitted,
+        admitted_ts: service_ts(shared),
         admitted_wave: wave,
         report_tx,
-        events: vec![TraceEvent::JobAdmitted {
-            time: service_ts(shared),
-            job: id,
-            tasks: after - before,
-        }],
     });
 }
 
@@ -432,7 +425,7 @@ fn job_done(rt: &Runtime, range: &Range<u64>) -> bool {
     range.clone().all(|i| rt.graph().node(TaskId(i)).state == TaskState::Done)
 }
 
-fn finalize(rt: &mut Runtime, mut job: ActiveJob, shared: &Shared, wave: u64) {
+fn finalize(rt: &mut Runtime, job: &mut ActiveJob, shared: &Shared, wave: u64) {
     let mut version_counts = HashMap::new();
     let mut worker_task_counts = vec![0u64; shared.workers];
     for i in job.range.clone() {
@@ -451,16 +444,10 @@ fn finalize(rt: &mut Runtime, mut job: ActiveJob, shared: &Shared, wave: u64) {
         Err(_) => shared.failed.fetch_add(1, Ordering::Relaxed),
     };
     let finished = Instant::now();
-    let mut events = std::mem::take(&mut job.events);
-    events.push(TraceEvent::JobCompleted {
-        time: service_ts(shared),
-        job: job.id,
-        ok: outcome.is_ok(),
-    });
-    publish_job_events(shared, events);
+    publish_job_events(shared, job, outcome.is_ok());
     let report = JobReport {
         job: JobId(job.id),
-        name: job.name,
+        name: std::mem::take(&mut job.name),
         tasks: job.range.end - job.range.start,
         wait: job.admitted.duration_since(job.submitted),
         exec: finished.duration_since(job.admitted),
@@ -471,6 +458,7 @@ fn finalize(rt: &mut Runtime, mut job: ActiveJob, shared: &Shared, wave: u64) {
         worker_task_counts,
         outcome,
     };
-    // The client may have dropped its ticket; that is fine.
-    let _ = job.report_tx.send(report);
+    // The only send into a one-slot channel cannot find it full. The
+    // client may have dropped its ticket; that is fine.
+    let _ = job.report_tx.try_send(report);
 }

@@ -6,7 +6,7 @@ use versa_core::{DeviceKind, SchedulerKind, VersionId};
 use versa_runtime::{NativeConfig, Runtime, RuntimeConfig};
 use versa_serve::{JobSpec, RejectReason, ServeConfig, Service, SubmitOutcome};
 use versa_sim::PlatformConfig;
-use versa_trace::TraceEvent;
+use versa_trace::{TraceEvent, Ts};
 
 /// Simulated runtime with a 3-version template: fast GPU main (1 ms),
 /// slower GPU alternate (2 ms), slow SMP fallback (20 ms). The alternate
@@ -445,4 +445,117 @@ fn traced_service_exposes_decision_ledger_and_job_events() {
     assert!(admitted, "missing JobAdmitted: {:?}", m.job_events);
     assert!(completed, "missing JobCompleted: {:?}", m.job_events);
     service.shutdown();
+}
+
+/// The `JobAdmitted`/`JobCompleted` pair of `job` in a job-event ring,
+/// as `(admitted time, tasks, completed time, ok)`. Panics unless the
+/// job has exactly these two events, admission first.
+fn job_event_pair(events: &[TraceEvent], job: u64) -> (Ts, u64, Ts, bool) {
+    let mine: Vec<&TraceEvent> = events
+        .iter()
+        .filter(|ev| match ev {
+            TraceEvent::JobAdmitted { job: j, .. } | TraceEvent::JobCompleted { job: j, .. } => {
+                *j == job
+            }
+            _ => false,
+        })
+        .collect();
+    match mine[..] {
+        [
+            &TraceEvent::JobAdmitted { time: admitted, tasks, .. },
+            &TraceEvent::JobCompleted { time: completed, ok, .. },
+        ] => (admitted, tasks, completed, ok),
+        _ => panic!("job {job}: expected JobAdmitted then JobCompleted, got {mine:?}"),
+    }
+}
+
+/// A native runtime with one `sleepy` template whose kernel bumps its
+/// datum and sleeps `kernel_ms`, or panics when `kernel_ms` is 0.
+fn sleepy_runtime(kernel_ms: u64, max_task_retries: u32) -> (Runtime, versa_core::TemplateId) {
+    let mut rc = RuntimeConfig::with_scheduler(SchedulerKind::DepAware);
+    rc.max_task_retries = max_task_retries;
+    let mut rt = Runtime::native(
+        rc,
+        NativeConfig { smp_workers: 2, gpus: 0, gpu_lanes: 1, link_bandwidth: None },
+    );
+    let tpl = rt.template("sleepy").main("sleepy_smp", &[DeviceKind::Smp]).register();
+    rt.bind_native(tpl, VersionId(0), move |ctx| {
+        assert!(kernel_ms > 0, "injected kernel failure");
+        ctx.f64_mut(0)[0] += 1.0;
+        std::thread::sleep(Duration::from_millis(kernel_ms));
+    });
+    (rt, tpl)
+}
+
+#[test]
+fn job_events_pair_up_with_admission_stamps() {
+    const KERNEL_MS: u64 = 15;
+    let (rt, tpl) = sleepy_runtime(KERNEL_MS, 3);
+    let service = Service::start(rt, ServeConfig { wave_dispatch: 4, ..ServeConfig::default() });
+    let client = service.client();
+    let tickets: Vec<_> = (1..=4)
+        .map(|tasks| client.submit(sleepy_job(tpl, tasks, KERNEL_MS)).accepted().unwrap())
+        .collect();
+    let reports: Vec<_> = tickets.into_iter().map(|t| t.wait()).collect();
+
+    let events = service.metrics().job_events;
+    assert_eq!(events.len(), 2 * reports.len());
+    for r in &reports {
+        assert!(r.outcome.is_ok(), "job failed: {:?}", r.outcome);
+        let (admitted, tasks, completed, ok) = job_event_pair(&events, r.job.0);
+        assert!(ok);
+        assert_eq!(tasks, r.tasks, "JobAdmitted carries the job's task count");
+        // Stamped at admission, not at completion: the job's kernels
+        // ran in between.
+        assert!(
+            completed - admitted >= Duration::from_millis(KERNEL_MS),
+            "job {}: admitted {admitted:?}, completed {completed:?}",
+            r.job.0
+        );
+    }
+    service.shutdown();
+}
+
+#[test]
+fn aborted_jobs_still_publish_both_events() {
+    // Every attempt panics and there are no retries: the first wave
+    // aborts the service, failing the job in flight.
+    let (rt, tpl) = sleepy_runtime(0, 0);
+    let service = Service::start(rt, ServeConfig::default());
+    let report = service.client().submit(sleepy_job(tpl, 2, 0)).accepted().unwrap().wait();
+    assert!(report.outcome.as_ref().is_err_and(|e| e.starts_with("service aborted")));
+
+    let m = service.metrics();
+    assert_eq!(m.failed, 1);
+    let (_, tasks, _, ok) = job_event_pair(&m.job_events, report.job.0);
+    assert_eq!(tasks, 2);
+    assert!(!ok, "an aborted job completes with ok: false");
+    service.shutdown();
+}
+
+#[test]
+fn dropped_tickets_never_stall_the_service() {
+    // Each report goes into a one-slot channel whose receiver is gone
+    // by the time the job completes: the one send must not block.
+    let (rt, tpl) = sim_runtime();
+    let service = Service::start(
+        rt,
+        ServeConfig { queue_capacity: 128, wave_dispatch: 8, ..ServeConfig::default() },
+    );
+    let client = service.client();
+    let tickets: Vec<_> =
+        (0..96).filter_map(|_| client.submit(sim_job(tpl, 2)).accepted()).collect();
+    let accepted = tickets.len() as u64;
+    assert!(accepted >= 64, "only {accepted} of 96 submissions accepted");
+    drop(tickets);
+    service.shutdown();
+
+    let m = client.metrics();
+    assert_eq!(m.accepted, accepted);
+    assert_eq!(m.completed, accepted, "every accepted job completed");
+    assert_eq!(
+        m.submitted,
+        m.accepted + m.rejected_queue_full + m.rejected_shutdown + m.shed_deadline,
+        "a submission fell off the books: {m:?}"
+    );
 }

@@ -48,5 +48,6 @@ fn main() {
         report.worker_task_counts.len()
     );
     println!("\nlearned profile (paper Table I):");
-    println!("{}", report.profile_table.expect("versioning scheduler was active"));
+    let versioning = rt.versioning().expect("versioning scheduler was active");
+    println!("{}", versioning.profiles().render_table(rt.templates()));
 }

@@ -157,7 +157,8 @@ fn finish(report: &RunReport, rt: &Runtime, flops: Option<f64>, trace_out: Optio
             println!("\ntrace written to {path} (inspect with versa-analyze)");
         }
     }
-    if let Some(table) = &report.profile_table {
+    if let Some(v) = rt.versioning() {
+        let table = v.profiles().render_table(rt.templates());
         println!("\nlearned profile (paper Table I):\n{table}");
     }
 }

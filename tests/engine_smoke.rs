@@ -59,7 +59,7 @@ fn sim_engine_versioning_learns_and_prefers_gpu() {
     assert_eq!(gpu + smp, 100);
     assert!(gpu > 80, "GPU should dominate (100x faster), got {gpu}");
     assert!(smp >= 3, "learning phase must run the SMP version λ times, got {smp}");
-    assert!(report.profile_table.is_some());
+    assert!(rt.versioning().map(|v| v.profiles().render_table(rt.templates())).is_some());
 }
 
 #[test]
