@@ -15,31 +15,13 @@
 //! the instants a transfer briefly holds a second reference.
 
 use crate::{AlignedBuf, DataId, IdMap, MemSpace, Transfer};
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 type SpaceMap = IdMap<DataId, Arc<AlignedBuf>>;
 
-/// Number of lock stripes per space. Buffer operations are keyed to a
-/// stripe by data id, so concurrent kernels, stagers, and admissions
-/// touching different allocations in the same space never serialize on
-/// one map-wide lock. Power of two so the modulo compiles to a mask.
-const SHARDS: usize = 16;
-
-/// One space's buffer pool, lock-striped by data id.
-struct SpaceShards {
-    shards: Vec<Mutex<SpaceMap>>,
-}
-
-impl SpaceShards {
-    fn new() -> SpaceShards {
-        SpaceShards { shards: (0..SHARDS).map(|_| Mutex::new(SpaceMap::default())).collect() }
-    }
-
-    /// The stripe holding `data`'s buffer.
-    fn shard(&self, data: DataId) -> MutexGuard<'_, SpaceMap> {
-        self.shards[data.0 as usize % SHARDS].lock().expect("arena lock poisoned")
-    }
-}
+/// One space's buffer pool.
+type Space = Arc<Mutex<SpaceMap>>;
 
 /// Per-space buffer pools for native execution.
 ///
@@ -48,23 +30,23 @@ impl SpaceShards {
 /// move whole allocations (matching the [`Directory`](crate::Directory)'s
 /// handle-granularity coherence).
 ///
-/// Each space's map is lock-striped by data id ([`SHARDS`] stripes), so
-/// operations on different allocations in the same space proceed
-/// concurrently.
+/// Each space's map sits behind one lock. The stagers, the exec lanes
+/// and the write-back lane share it, but transfers copy and kernels run
+/// outside it; only [`Arena::write`] copies bytes under it. No method
+/// panics while it holds the lock, so a caught misuse panic leaves the
+/// space usable.
 ///
 /// The space list can grow after construction ([`Arena::add_spaces`]) so
 /// remote nodes attached mid-setup get local mirror spaces; existing
 /// spaces are never removed or renumbered.
 pub struct Arena {
-    spaces: RwLock<Vec<Arc<SpaceShards>>>,
+    spaces: RwLock<Vec<Space>>,
 }
 
 impl Arena {
     /// An arena covering the host plus `devices` device spaces.
     pub fn new(devices: usize) -> Arena {
-        Arena {
-            spaces: RwLock::new((0..devices + 1).map(|_| Arc::new(SpaceShards::new())).collect()),
-        }
+        Arena { spaces: RwLock::new((0..devices + 1).map(|_| Space::default()).collect()) }
     }
 
     /// Number of spaces (host + devices).
@@ -76,26 +58,20 @@ impl Arena {
     /// Existing space indices are unaffected.
     pub fn add_spaces(&self, n: usize) {
         let mut spaces = self.spaces.write().expect("arena lock poisoned");
-        for _ in 0..n {
-            spaces.push(Arc::new(SpaceShards::new()));
-        }
+        let len = spaces.len() + n;
+        spaces.resize_with(len, Space::default);
     }
 
-    fn space_arc(&self, s: MemSpace) -> Arc<SpaceShards> {
+    fn space(&self, s: MemSpace) -> Space {
         let spaces = self.spaces.read().expect("arena lock poisoned");
-        spaces
-            .get(s.index())
-            .cloned()
-            .unwrap_or_else(|| panic!("space {s} not present in arena"))
+        spaces.get(s.index()).cloned().unwrap_or_else(|| panic!("space {s} not present in arena"))
     }
 
-    /// Run `f` holding the stripe of `data` in space `s`. The outer space
-    /// list lock is released before `f` runs, so `add_spaces` never
-    /// deadlocks against in-flight buffer operations.
-    fn with_shard<R>(&self, s: MemSpace, data: DataId, f: impl FnOnce(&mut SpaceMap) -> R) -> R {
-        let arc = self.space_arc(s);
-        let mut guard = arc.shard(data);
-        f(&mut guard)
+    /// Run `f` holding the lock of space `s`. The outer space list lock
+    /// is released before `f` runs, so `add_spaces` never deadlocks
+    /// against in-flight buffer operations. `f` must not panic.
+    fn with_space<R>(&self, s: MemSpace, f: impl FnOnce(&mut SpaceMap) -> R) -> R {
+        f(&mut lock(&self.space(s)))
     }
 
     /// Create the host buffer for `data`, initialized from `init`.
@@ -111,26 +87,29 @@ impl Arena {
     /// # Panics
     /// Panics if `data` already has a host buffer.
     pub fn alloc_host_buf(&self, data: DataId, buf: AlignedBuf) {
-        self.with_shard(MemSpace::HOST, data, |host| {
-            let prev = host.insert(data, Arc::new(buf));
-            assert!(prev.is_none(), "{data:?} allocated twice on host");
-        })
+        let mut fresh = false;
+        self.with_space(MemSpace::HOST, |host| {
+            host.entry(data).or_insert_with(|| {
+                fresh = true;
+                Arc::new(buf)
+            });
+        });
+        assert!(fresh, "{data:?} allocated twice on host");
     }
 
     /// Create a zero-filled host buffer of `len` bytes for `data`.
+    ///
+    /// # Panics
+    /// Panics if `data` already has a host buffer.
     pub fn alloc_host_zeroed(&self, data: DataId, len: usize) {
-        self.with_shard(MemSpace::HOST, data, |host| {
-            let prev = host.insert(data, Arc::new(AlignedBuf::zeroed(len)));
-            assert!(prev.is_none(), "{data:?} allocated twice on host");
-        })
+        self.alloc_host_buf(data, AlignedBuf::zeroed(len));
     }
 
     /// Drop every buffer of `data` in every space.
     pub fn free(&self, data: DataId) {
-        let spaces: Vec<Arc<SpaceShards>> =
-            self.spaces.read().expect("arena lock poisoned").clone();
-        for s in &spaces {
-            s.shard(data).remove(&data);
+        for s in self.spaces.read().expect("arena lock poisoned").iter() {
+            // Bound to a name so the buffer is freed after the lock drops.
+            let _buf = lock(s).remove(&data);
         }
     }
 
@@ -141,18 +120,11 @@ impl Arena {
     /// Panics if the source buffer does not exist or sizes mismatch.
     pub fn perform(&self, t: &Transfer) {
         assert_ne!(t.from, t.to, "degenerate transfer");
-        let src = self.with_shard(t.from, t.data, |from| {
-            let buf = from
-                .get(&t.data)
-                .unwrap_or_else(|| panic!("{:?} has no buffer in {}", t.data, t.from));
-            assert_eq!(buf.len() as u64, t.bytes, "transfer size mismatch for {:?}", t.data);
-            Arc::clone(buf)
-        });
+        let src = self.read_arc(t.data, t.from);
+        assert_eq!(src.len() as u64, t.bytes, "transfer size mismatch for {:?}", t.data);
         // Deep copy outside the source lock: each space owns its bytes.
         let copy = Arc::new(AlignedBuf::clone(&src));
-        self.with_shard(t.to, t.data, |to| {
-            to.insert(t.data, copy);
-        });
+        self.with_space(t.to, |to| to.insert(t.data, copy));
     }
 
     /// Read the bytes of `data` in `space` (copies out).
@@ -169,11 +141,8 @@ impl Arena {
     /// # Panics
     /// Panics if no buffer exists there.
     pub fn read_arc(&self, data: DataId, space: MemSpace) -> Arc<AlignedBuf> {
-        self.with_shard(space, data, |sp| {
-            sp.get(&data)
-                .map(Arc::clone)
-                .unwrap_or_else(|| panic!("{data:?} has no buffer in {space}"))
-        })
+        let buf = self.with_space(space, |sp| sp.get(&data).map(Arc::clone));
+        buf.unwrap_or_else(|| panic!("{data:?} has no buffer in {space}"))
     }
 
     /// Overwrite the bytes of `data` in `space`.
@@ -181,20 +150,22 @@ impl Arena {
     /// # Panics
     /// Panics if no buffer exists there or the length differs.
     pub fn write(&self, data: DataId, space: MemSpace, bytes: &[u8]) {
-        self.with_shard(space, data, |sp| {
-            let arc = sp
-                .get_mut(&data)
-                .unwrap_or_else(|| panic!("{data:?} has no buffer in {space}"));
-            assert_eq!(arc.len(), bytes.len(), "write size mismatch for {data:?}");
-            // Clones only if a reader still holds the old version.
-            Arc::make_mut(arc).as_bytes_mut().copy_from_slice(bytes);
-        })
+        let len = self.with_space(space, |sp| {
+            let arc = sp.get_mut(&data)?;
+            if arc.len() == bytes.len() {
+                // Clones only if a reader still holds the old version.
+                Arc::make_mut(arc).as_bytes_mut().copy_from_slice(bytes);
+            }
+            Some(arc.len())
+        });
+        let len = len.unwrap_or_else(|| panic!("{data:?} has no buffer in {space}"));
+        assert_eq!(len, bytes.len(), "write size mismatch for {data:?}");
     }
 
     /// Whether `data` has a buffer in `space`.
     #[cfg(test)]
     pub(crate) fn has(&self, data: DataId, space: MemSpace) -> bool {
-        self.with_shard(space, data, |sp| sp.contains_key(&data))
+        self.with_space(space, |sp| sp.contains_key(&data))
     }
 
     /// Materialize a zero-filled buffer of `len` bytes for `data` in
@@ -202,28 +173,13 @@ impl Arena {
     /// devices: no copy-in happens, but the kernel still needs backing
     /// memory to write into.
     pub fn ensure(&self, data: DataId, space: MemSpace, len: usize) {
-        self.with_shard(space, data, |sp| {
-            sp.entry(data).or_insert_with(|| Arc::new(AlignedBuf::zeroed(len)));
-        })
-    }
-
-    /// Run `f` with mutable access to the buffer of `data` in `space`.
-    ///
-    /// # Panics
-    /// Panics if no buffer exists there.
-    #[cfg(test)]
-    pub(crate) fn with_mut<R>(
-        &self,
-        data: DataId,
-        space: MemSpace,
-        f: impl FnOnce(&mut [u8]) -> R,
-    ) -> R {
-        self.with_shard(space, data, |sp| {
-            let arc = sp
-                .get_mut(&data)
-                .unwrap_or_else(|| panic!("{data:?} has no buffer in {space}"));
-            f(Arc::make_mut(arc).as_bytes_mut())
-        })
+        if !self.with_space(space, |sp| sp.contains_key(&data)) {
+            // Zero-fill outside the lock; a racing `ensure` may insert first.
+            let buf = Arc::new(AlignedBuf::zeroed(len));
+            self.with_space(space, |sp| {
+                sp.entry(data).or_insert(buf);
+            });
+        }
     }
 
     /// Take the buffers of several allocations out of `space`, run `f`,
@@ -239,26 +195,29 @@ impl Arena {
     /// retried with the data still materialized.
     ///
     /// # Panics
-    /// Panics if any buffer is missing or an allocation is listed twice.
+    /// Panics if any buffer is missing or an allocation is listed twice;
+    /// the buffers already taken go back first, so the arena is unchanged.
     pub fn with_buffers<R>(
         &self,
         space: MemSpace,
         ids: &[DataId],
         f: impl FnOnce(&mut [AlignedBuf]) -> R,
     ) -> R {
-        // Take each buffer out of its own stripe: ids are distinct (a
-        // duplicate trips the panic below on its second removal), so the
-        // per-id locking order cannot deadlock.
-        let shards = self.space_arc(space);
-        let arcs: Vec<Arc<AlignedBuf>> = ids
-            .iter()
-            .map(|id| {
-                shards.shard(*id).remove(id).unwrap_or_else(|| {
-                    panic!("{id:?} has no buffer in {space} (or listed twice)")
-                })
-            })
-            .collect();
-        let bufs: Vec<AlignedBuf> = arcs
+        let sp = self.space(space);
+        let mut arcs: Vec<Arc<AlignedBuf>> = Vec::with_capacity(ids.len());
+        let mut map = lock(&sp);
+        for id in ids {
+            match map.remove(id) {
+                Some(arc) => arcs.push(arc),
+                None => {
+                    map.extend(ids.iter().copied().zip(arcs));
+                    drop(map);
+                    panic!("{id:?} has no buffer in {space} (or listed twice)");
+                }
+            }
+        }
+        drop(map);
+        let mut bufs: Vec<AlignedBuf> = arcs
             .into_iter()
             .map(|mut arc| loop {
                 match Arc::try_unwrap(arc) {
@@ -271,30 +230,17 @@ impl Arena {
             })
             .collect();
 
-        /// Re-inserts the taken-out buffers on scope exit, unwind
-        /// included — a panicking kernel must not leave the arena with
-        /// missing allocations.
-        struct Restore<'a> {
-            arena: &'a Arena,
-            space: MemSpace,
-            ids: &'a [DataId],
-            bufs: Vec<AlignedBuf>,
-        }
-        impl Drop for Restore<'_> {
-            fn drop(&mut self) {
-                let ids = self.ids;
-                let bufs = std::mem::take(&mut self.bufs);
-                for (id, buf) in ids.iter().zip(bufs) {
-                    self.arena.with_shard(self.space, *id, |sp| {
-                        sp.insert(*id, Arc::new(buf));
-                    });
-                }
-            }
-        }
-
-        let mut restore = Restore { arena: self, space, ids, bufs };
-        f(&mut restore.bufs)
+        // Put the buffers back even if `f` panics: a panicking kernel
+        // must not leave the arena with missing allocations.
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut bufs)));
+        lock(&sp).extend(ids.iter().copied().zip(bufs.into_iter().map(Arc::new)));
+        result.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     }
+}
+
+/// Lock one space's map.
+fn lock(space: &Mutex<SpaceMap>) -> MutexGuard<'_, SpaceMap> {
+    space.lock().expect("arena lock poisoned")
 }
 
 #[cfg(test)]
@@ -321,7 +267,7 @@ mod tests {
         a.perform(&transfer(DataId(0), MemSpace::HOST, MemSpace::device(0), 4));
         assert_eq!(a.read(DataId(0), MemSpace::device(0)), vec![9, 8, 7, 6]);
         // Mutate on device, copy back.
-        a.with_mut(DataId(0), MemSpace::device(0), |b| b[0] = 42);
+        a.write(DataId(0), MemSpace::device(0), &[42, 8, 7, 6]);
         a.perform(&transfer(DataId(0), MemSpace::device(0), MemSpace::HOST, 4));
         assert_eq!(a.read(DataId(0), MemSpace::HOST), vec![42, 8, 7, 6]);
     }
@@ -331,7 +277,7 @@ mod tests {
         let a = Arena::new(1);
         a.alloc_host(DataId(0), &[1, 2]);
         a.perform(&transfer(DataId(0), MemSpace::HOST, MemSpace::device(0), 2));
-        a.with_mut(DataId(0), MemSpace::device(0), |b| b[0] = 99);
+        a.write(DataId(0), MemSpace::device(0), &[99, 2]);
         // Host copy is unaffected: spaces own their bytes.
         assert_eq!(a.read(DataId(0), MemSpace::HOST), vec![1, 2]);
     }
@@ -399,6 +345,34 @@ mod tests {
     }
 
     #[test]
+    fn misuse_panics_put_back_what_they_took() {
+        let a = Arena::new(1);
+        a.alloc_host(DataId(0), &[1, 2]);
+        a.alloc_host(DataId(1), &[3, 4]);
+        let take = |ids: &[DataId]| a.with_buffers(MemSpace::HOST, ids, |_| unreachable!());
+        let too_long = transfer(DataId(0), MemSpace::HOST, MemSpace::device(0), 3);
+        let misuses: [(&dyn Fn(), &str); 8] = [
+            (&|| take(&[DataId(0), DataId(5)]), "no buffer"),
+            (&|| take(&[DataId(1), DataId(0), DataId(1)]), "listed twice"),
+            (&|| a.alloc_host(DataId(0), &[9]), "allocated twice"),
+            (&|| _ = a.read(DataId(7), MemSpace::HOST), "no buffer"),
+            (&|| a.write(DataId(0), MemSpace::HOST, &[9]), "size mismatch"),
+            (&|| a.write(DataId(7), MemSpace::HOST, &[9]), "no buffer"),
+            (&|| a.perform(&too_long), "size mismatch"),
+            (&|| _ = a.has(DataId(0), MemSpace::device(5)), "not present"),
+        ];
+        for (misuse, expected) in misuses {
+            let msg = crate::panic_message(misuse);
+            assert!(msg.contains(expected), "{msg}");
+        }
+        // Every buffer is back and no space lock is poisoned.
+        assert_eq!(a.read(DataId(0), MemSpace::HOST), vec![1, 2]);
+        assert_eq!(a.read(DataId(1), MemSpace::HOST), vec![3, 4]);
+        assert!(!a.has(DataId(0), MemSpace::device(0)));
+        a.alloc_host(DataId(21), &[5]);
+    }
+
+    #[test]
     fn free_drops_all_copies() {
         let a = Arena::new(1);
         a.alloc_host(DataId(0), &[5]);
@@ -416,21 +390,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "size mismatch")]
-    fn transfer_size_mismatch_panics() {
-        let a = Arena::new(1);
-        a.alloc_host(DataId(0), &[1, 2]);
-        a.perform(&transfer(DataId(0), MemSpace::HOST, MemSpace::device(0), 3));
-    }
-
-    #[test]
-    #[should_panic(expected = "no buffer")]
-    fn read_missing_buffer_panics() {
-        let a = Arena::new(0);
-        a.read(DataId(0), MemSpace::HOST);
-    }
-
-    #[test]
     fn add_spaces_grows_without_disturbing_existing_buffers() {
         let a = Arena::new(1);
         a.alloc_host(DataId(0), &[1, 2]);
@@ -441,12 +400,5 @@ mod tests {
         a.perform(&transfer(DataId(0), MemSpace::HOST, MemSpace::device(2), 2));
         assert_eq!(a.read(DataId(0), MemSpace::device(2)), vec![1, 2]);
         assert_eq!(a.read(DataId(0), MemSpace::HOST), vec![1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "not present")]
-    fn out_of_range_space_panics() {
-        let a = Arena::new(0);
-        a.has(DataId(0), MemSpace::device(5));
     }
 }

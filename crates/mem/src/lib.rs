@@ -49,3 +49,10 @@ pub use space::MemSpace;
 pub use staging::{ReadyCell, StagingLedger};
 pub use stats::{TransferKind, TransferStats};
 pub use transfer::Transfer;
+
+/// Runs `f`, which must panic, and returns its panic message.
+#[cfg(test)]
+fn panic_message(f: impl FnOnce()) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+    payload.downcast_ref::<String>().cloned().unwrap_or_default()
+}

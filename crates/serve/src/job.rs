@@ -167,7 +167,8 @@ impl JobTicket {
     /// reporting, a synthetic report with an `Err` outcome is returned.
     pub fn wait(self) -> JobReport {
         let id = self.id;
-        self.rx.recv().unwrap_or_else(|_| JobReport::service_gone(id))
+        let gone = "service shut down before the job completed";
+        self.rx.recv().unwrap_or_else(|_| JobReport::failed(id, String::new(), gone.into()))
     }
 
     /// The report, if the job already completed.
@@ -206,10 +207,11 @@ pub struct JobReport {
 }
 
 impl JobReport {
-    pub(crate) fn service_gone(id: JobId) -> JobReport {
+    /// The report of a job that never completed.
+    pub(crate) fn failed(id: JobId, name: String, why: String) -> JobReport {
         JobReport {
             job: id,
-            name: String::new(),
+            name,
             tasks: 0,
             wait: Duration::ZERO,
             exec: Duration::ZERO,
@@ -218,7 +220,7 @@ impl JobReport {
             completed_wave: 0,
             version_counts: HashMap::new(),
             worker_task_counts: Vec::new(),
-            outcome: Err("service shut down before the job completed".into()),
+            outcome: Err(why),
         }
     }
 

@@ -1,24 +1,23 @@
-//! Live service metrics: lock-free counters updated by the service
-//! thread and the clients, queryable at any time — including while jobs
+//! Live service metrics, queryable at any time — including while jobs
 //! are in flight.
 //!
-//! Non-scalar state is split into independent fine-grained locks — one
-//! per metric family, one per worker — so a snapshot reader never stalls
-//! the serve loop for longer than a single family's copy, and a panic
-//! while holding one lock poisons only that family, not every metric.
+//! The scalar counters are atomics: clients write some of them and read
+//! `live_tasks`, `ewma_task_ns` and `active_jobs` outside any snapshot.
+//! Everything else only the service thread writes, and it sits in one
+//! mutex-guarded [`Books`] that the service thread takes once per wave.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use versa_core::{TemplateId, VersionId};
-use versa_runtime::WorkerTransferStats;
+use versa_runtime::{RunReport, WorkerTransferStats};
 use versa_trace::{DecisionRecord, Phase, TraceEvent};
 
 /// How many recent scheduler decisions the service keeps for inspection.
-pub(crate) const DECISION_TAIL: usize = 64;
+const DECISION_TAIL: usize = 64;
 /// How many job admission/completion events the service keeps.
-pub(crate) const JOB_EVENT_TAIL: usize = 256;
+const JOB_EVENT_TAIL: usize = 256;
 
 /// State shared between the service thread and every client handle.
 pub(crate) struct Shared {
@@ -50,44 +49,67 @@ pub(crate) struct Shared {
     /// Service epoch — job events and decision tails are stamped with
     /// offsets from it, matching the trace timestamp convention.
     pub started: Instant,
-    /// Executions per (template, version) across all jobs.
-    pub version_counts: Mutex<HashMap<(TemplateId, VersionId), u64>>,
-    /// Per-worker accumulators, one lock per worker: wave merges touch
-    /// each worker's stripe independently of snapshot readers.
-    pub worker_stats: Vec<Mutex<WorkerStat>>,
-    /// Decision ledger tail, per-(job, phase) histogram and trace drop
-    /// counter (populated only when the runtime traces its waves).
-    pub decisions: Mutex<DecisionLog>,
-    /// Last [`JOB_EVENT_TAIL`] job admission/completion events. A job
-    /// publishes both here in one lock acquisition when it completes,
-    /// its `JobAdmitted` carrying the stamp taken at admission.
-    pub job_events: Mutex<VecDeque<TraceEvent>>,
-    /// Latest profile-hints snapshot published by the serve loop (only
-    /// with `ServeConfig::gossip_hints`): lets a cluster coordinator
-    /// gossip live warmth to joining workers mid-service. Held as an
-    /// `Arc` so readers clone a pointer, not the whole hints text, under
-    /// the lock.
-    pub hints: Mutex<Option<Arc<str>>>,
+    books: Mutex<Books>,
 }
 
-/// Per-worker accumulated execution statistics.
+/// The metrics only the service thread writes, named as in
+/// [`MetricsSnapshot`], with the two tails kept as rings. The service
+/// thread takes the lock once per wave, to merge the wave and publish
+/// the event pairs of the jobs the wave finished.
 #[derive(Default)]
-pub(crate) struct WorkerStat {
-    pub busy: Duration,
-    pub tasks: u64,
-    pub transfers: WorkerTransferStats,
+pub(crate) struct Books {
+    version_counts: HashMap<(TemplateId, VersionId), u64>,
+    worker_busy: Vec<Duration>,
+    worker_task_counts: Vec<u64>,
+    worker_transfers: Vec<WorkerTransferStats>,
+    last_decisions: VecDeque<DecisionRecord>,
+    decision_phases: HashMap<(Option<u64>, Phase), u64>,
+    trace_dropped: u64,
+    job_events: VecDeque<TraceEvent>,
+    /// Latest profile-hints snapshot (only with
+    /// `ServeConfig::gossip_hints`), for `Client::hints_snapshot`. An
+    /// `Arc`, so readers clone a pointer, not the hints text, under the
+    /// lock.
+    pub hints: Option<Arc<str>>,
 }
 
-/// Scheduler-decision telemetry harvested from wave traces.
-#[derive(Default)]
-pub(crate) struct DecisionLog {
-    /// Last [`DECISION_TAIL`] scheduler decisions observed in wave
-    /// traces (empty unless the runtime runs with tracing enabled).
-    pub tail: VecDeque<DecisionRecord>,
-    /// Decisions per (job, phase) across all traced waves.
-    pub phases: HashMap<(Option<u64>, Phase), u64>,
-    /// Trace events lost to ring overflow across all traced waves.
-    pub dropped: u64,
+impl Books {
+    /// Merge one wave's per-worker, per-version and trace-harvested
+    /// counts.
+    pub(crate) fn merge_wave(&mut self, report: &RunReport) {
+        for (key, n) in &report.version_counts {
+            *self.version_counts.entry(*key).or_insert(0) += n;
+        }
+        for (i, busy) in report.worker_busy.iter().enumerate() {
+            self.worker_busy[i] += *busy;
+            self.worker_task_counts[i] += report.worker_task_counts[i];
+            self.worker_transfers[i].merge(&report.worker_transfers[i]);
+        }
+        // The wave's trace, when the runtime records one, feeds the
+        // decision tail, the per-(job, phase) counts and the drop counter.
+        if let Some(trace) = &report.trace {
+            self.trace_dropped += trace.dropped;
+            for ev in trace.events() {
+                if let TraceEvent::Decision(d) = ev {
+                    *self.decision_phases.entry((d.job, d.phase)).or_insert(0) += 1;
+                    if self.last_decisions.len() >= DECISION_TAIL {
+                        self.last_decisions.pop_front();
+                    }
+                    self.last_decisions.push_back(d.clone());
+                }
+            }
+        }
+    }
+
+    /// Append job events, keeping the ring bounded.
+    pub(crate) fn push_job_events(&mut self, events: impl IntoIterator<Item = TraceEvent>) {
+        for ev in events {
+            if self.job_events.len() >= JOB_EVENT_TAIL {
+                self.job_events.pop_front();
+            }
+            self.job_events.push_back(ev);
+        }
+    }
 }
 
 impl Shared {
@@ -110,32 +132,21 @@ impl Shared {
             next_job: AtomicU64::new(0),
             workers,
             started: Instant::now(),
-            version_counts: Mutex::new(HashMap::new()),
-            worker_stats: (0..workers).map(|_| Mutex::new(WorkerStat::default())).collect(),
-            decisions: Mutex::new(DecisionLog::default()),
-            job_events: Mutex::new(VecDeque::new()),
-            hints: Mutex::new(None),
+            books: Mutex::new(Books {
+                worker_busy: vec![Duration::ZERO; workers],
+                worker_task_counts: vec![0; workers],
+                worker_transfers: vec![WorkerTransferStats::default(); workers],
+                ..Books::default()
+            }),
         }
     }
 
+    pub(crate) fn books(&self) -> MutexGuard<'_, Books> {
+        self.books.lock().expect("service metrics poisoned")
+    }
+
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        let version_counts =
-            self.version_counts.lock().expect("version-count metrics poisoned").clone();
-        let mut worker_busy = Vec::with_capacity(self.workers);
-        let mut worker_task_counts = Vec::with_capacity(self.workers);
-        let mut worker_transfers = Vec::with_capacity(self.workers);
-        for stat in &self.worker_stats {
-            let s = stat.lock().expect("worker metrics poisoned");
-            worker_busy.push(s.busy);
-            worker_task_counts.push(s.tasks);
-            worker_transfers.push(s.transfers.clone());
-        }
-        let (last_decisions, decision_phases, trace_dropped) = {
-            let log = self.decisions.lock().expect("decision metrics poisoned");
-            (log.tail.iter().cloned().collect(), log.phases.clone(), log.dropped)
-        };
-        let job_events =
-            self.job_events.lock().expect("job-event ring poisoned").iter().cloned().collect();
+        let books = self.books();
         MetricsSnapshot {
             submitted: self.submitted.load(Ordering::Relaxed),
             accepted: self.accepted.load(Ordering::Relaxed),
@@ -153,14 +164,14 @@ impl Shared {
                 let ns = self.ewma_task_ns.load(Ordering::Relaxed);
                 (ns > 0).then(|| Duration::from_nanos(ns))
             },
-            version_counts,
-            worker_busy,
-            worker_task_counts,
-            worker_transfers,
-            last_decisions,
-            decision_phases,
-            trace_dropped,
-            job_events,
+            version_counts: books.version_counts.clone(),
+            worker_busy: books.worker_busy.clone(),
+            worker_task_counts: books.worker_task_counts.clone(),
+            worker_transfers: books.worker_transfers.clone(),
+            last_decisions: books.last_decisions.iter().cloned().collect(),
+            decision_phases: books.decision_phases.clone(),
+            trace_dropped: books.trace_dropped,
+            job_events: books.job_events.iter().cloned().collect(),
         }
     }
 }

@@ -3,7 +3,7 @@
 //! admitted job through the shared scheduler.
 
 use crate::job::{FinishFn, JobId, JobReport, JobSpec, RejectReason, SubmitOutcome};
-use crate::metrics::{MetricsSnapshot, Shared, DECISION_TAIL, JOB_EVENT_TAIL};
+use crate::metrics::{MetricsSnapshot, Shared};
 use crate::JobTicket;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -18,22 +18,6 @@ use versa_trace::{TraceEvent, Ts};
 /// Offset from the service epoch as a trace timestamp.
 fn service_ts(shared: &Shared) -> Ts {
     Ts(shared.started.elapsed().as_nanos() as u64)
-}
-
-/// Publish a finished job's `JobAdmitted` (stamped at admission) and
-/// `JobCompleted` (stamped now) into the shared ring in one lock
-/// acquisition, keeping the ring bounded.
-fn publish_job_events(shared: &Shared, job: &ActiveJob, ok: bool) {
-    let tasks = job.range.end - job.range.start;
-    let admitted = TraceEvent::JobAdmitted { time: job.admitted_ts, job: job.id, tasks };
-    let completed = TraceEvent::JobCompleted { time: service_ts(shared), job: job.id, ok };
-    let mut ring = shared.job_events.lock().expect("job-event ring poisoned");
-    for ev in [admitted, completed] {
-        if ring.len() >= JOB_EVENT_TAIL {
-            ring.pop_front();
-        }
-        ring.push_back(ev);
-    }
 }
 
 /// Service knobs.
@@ -96,6 +80,32 @@ struct ActiveJob {
     admitted_ts: Ts,
     admitted_wave: u64,
     report_tx: mpsc::SyncSender<JobReport>,
+}
+
+impl ActiveJob {
+    /// Count the job out of the books and pair its `JobAdmitted` with a
+    /// `JobCompleted` stamped now. The report waits in `finished` for
+    /// the wave's one metrics publication.
+    fn finish(&self, shared: &Shared, report: JobReport, finished: &mut Vec<Finished>) {
+        shared.active_jobs.fetch_sub(1, Ordering::Relaxed);
+        let ok = report.outcome.is_ok();
+        let tally = if ok { &shared.completed } else { &shared.failed };
+        tally.fetch_add(1, Ordering::Relaxed);
+        let tasks = self.range.end - self.range.start;
+        let events = [
+            TraceEvent::JobAdmitted { time: self.admitted_ts, job: self.id, tasks },
+            TraceEvent::JobCompleted { time: service_ts(shared), job: self.id, ok },
+        ];
+        finished.push(Finished { events, report_tx: self.report_tx.clone(), report });
+    }
+}
+
+/// A job that left the runtime this wave: its events wait for the
+/// wave's metrics publication, and its report waits for its events.
+struct Finished {
+    events: [TraceEvent; 2],
+    report_tx: mpsc::SyncSender<JobReport>,
+    report: JobReport,
 }
 
 /// A cloneable submission handle. Clones share the same queue and
@@ -169,7 +179,7 @@ impl Client {
     /// `warm_start`. The `Arc` is swapped in whole by the publisher, so
     /// this clones a pointer — never the hints text — under the lock.
     pub fn hints_snapshot(&self) -> Option<Arc<str>> {
-        self.shared.hints.lock().expect("hints mutex poisoned").clone()
+        self.shared.books().hints.clone()
     }
 }
 
@@ -234,6 +244,9 @@ fn serve_loop(
     let mut seeded: HashSet<String> = HashSet::new();
     let mut active: Vec<ActiveJob> = Vec::new();
     let mut wave: u64 = 0;
+    // Reused every wave: the finished jobs whose reports wait for the
+    // wave's metrics publication.
+    let mut finished: Vec<Finished> = Vec::new();
 
     loop {
         while let Ok(sub) = rx.try_recv() {
@@ -254,48 +267,48 @@ fn serve_loop(
         }
 
         wave += 1;
-        match rt.run_bounded(Some(config.wave_dispatch)) {
-            Ok(report) => {
-                assert!(
-                    report.tasks_executed > 0 || report.completed,
-                    "service stalled: no task of the {} active job(s) can run on any worker",
-                    active.len()
-                );
-                note_wave(&shared, &report);
-                if config.gossip_hints {
-                    if let Some(hints) = rt.save_hints() {
-                        *shared.hints.lock().expect("hints mutex poisoned") =
-                            Some(Arc::from(hints));
-                    }
-                }
+        let result = rt.run_bounded(Some(config.wave_dispatch));
+        let report = match &result {
+            Ok(report) => report,
+            Err(err) => &err.report,
+        };
+        count_wave(&shared, report);
+        if let Err(err) = &result {
+            // A task exhausted its retries: the runtime cannot be driven
+            // further. Fail every admitted and queued job and stop; no
+            // task of theirs will run.
+            shared.accepting.store(false, Ordering::Release);
+            shared.live_tasks.store(0, Ordering::Relaxed);
+            let msg = format!("service aborted: {err}");
+            for job in active.drain(..) {
+                let report = JobReport::failed(JobId(job.id), job.name.clone(), msg.clone());
+                job.finish(&shared, report, &mut finished);
             }
-            Err(err) => {
-                // A task exhausted its retries: the runtime cannot be
-                // driven further. Fail every in-flight job and stop.
-                note_wave(&shared, &err.report);
-                let msg = err.to_string();
-                for job in active.drain(..) {
-                    shared.active_jobs.fetch_sub(1, Ordering::Relaxed);
-                    shared.failed.fetch_add(1, Ordering::Relaxed);
-                    publish_job_events(&shared, &job, false);
-                    let mut report = JobReport::service_gone(JobId(job.id));
-                    report.name = job.name;
-                    report.outcome = Err(format!("service aborted: {msg}"));
-                    let _ = job.report_tx.try_send(report);
-                }
-                shared.accepting.store(false, Ordering::Release);
-                break;
+            while let Ok(sub) = rx.try_recv() {
+                shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                shared.failed.fetch_add(1, Ordering::Relaxed);
+                let report = JobReport::failed(JobId(sub.id), sub.spec.name, msg.clone());
+                let _ = sub.report_tx.try_send(report);
             }
+            publish_wave(&shared, report, None, &mut finished);
+            break;
         }
-
+        assert!(
+            report.tasks_executed > 0 || report.completed,
+            "service stalled: no task of the {} active job(s) can run on any worker",
+            active.len()
+        );
+        let hints = if config.gossip_hints { rt.save_hints().map(Arc::from) } else { None };
         active.retain_mut(|job| {
             let done = job_done(&rt, &job.range);
             if done {
-                finalize(&mut rt, job, &shared, wave);
+                let report = finalize(&mut rt, job, shared.workers, wave);
                 rt.forget_job(job.id);
+                job.finish(&shared, report, &mut finished);
             }
             !done
         });
+        publish_wave(&shared, report, hints, &mut finished);
         // Everything below the earliest still-active job is finalized
         // and safe to recycle: steady-state admission allocates O(active
         // jobs), not O(jobs ever served).
@@ -380,7 +393,8 @@ fn seed_new_templates(rt: &mut Runtime, file: &HintsFile, seeded: &mut HashSet<S
     seeded.extend(fresh.into_iter().map(str::to_owned));
 }
 
-fn note_wave(shared: &Shared, report: &RunReport) {
+/// Count the wave into the atomic counters.
+fn count_wave(shared: &Shared, report: &RunReport) {
     shared.waves.fetch_add(1, Ordering::Relaxed);
     shared.tasks_executed.fetch_add(report.tasks_executed, Ordering::Relaxed);
     shared.live_tasks.fetch_sub(report.tasks_executed, Ordering::Relaxed);
@@ -391,33 +405,29 @@ fn note_wave(shared: &Shared, report: &RunReport) {
         let next = if old == 0 { mean_ns } else { (old * 7 + mean_ns) / 8 };
         shared.ewma_task_ns.store(next.max(1), Ordering::Relaxed);
     }
-    if !report.version_counts.is_empty() {
-        let mut counts = shared.version_counts.lock().expect("version-count metrics poisoned");
-        for (key, n) in &report.version_counts {
-            *counts.entry(*key).or_insert(0) += n;
+}
+
+/// Take the metrics lock once to merge the wave and publish the event
+/// pairs of the jobs it finished. Their reports go out only after that,
+/// so a client holding a report sees its job's events and counts.
+fn publish_wave(
+    shared: &Shared,
+    report: &RunReport,
+    hints: Option<Arc<str>>,
+    finished: &mut Vec<Finished>,
+) {
+    {
+        let mut books = shared.books();
+        books.merge_wave(report);
+        books.push_job_events(finished.iter().flat_map(|f| f.events.iter().cloned()));
+        if hints.is_some() {
+            books.hints = hints;
         }
     }
-    for (i, stat) in shared.worker_stats.iter().enumerate() {
-        let mut s = stat.lock().expect("worker metrics poisoned");
-        s.busy += report.worker_busy[i];
-        s.tasks += report.worker_task_counts[i];
-        s.transfers.merge(&report.worker_transfers[i]);
-    }
-    // Harvest the wave's trace, when the runtime records one: the
-    // decision ledger tail, per-(job, phase) decision counts, and ring
-    // drop counters all surface through `MetricsSnapshot`.
-    if let Some(trace) = &report.trace {
-        let mut log = shared.decisions.lock().expect("decision metrics poisoned");
-        log.dropped += trace.dropped;
-        for ev in trace.events() {
-            if let TraceEvent::Decision(d) = ev {
-                *log.phases.entry((d.job, d.phase)).or_insert(0) += 1;
-                if log.tail.len() >= DECISION_TAIL {
-                    log.tail.pop_front();
-                }
-                log.tail.push_back(d.clone());
-            }
-        }
+    for f in finished.drain(..) {
+        // The only send into a one-slot channel cannot find it full. The
+        // client may have dropped its ticket; that is fine.
+        let _ = f.report_tx.try_send(f.report);
     }
 }
 
@@ -425,9 +435,10 @@ fn job_done(rt: &Runtime, range: &Range<u64>) -> bool {
     range.clone().all(|i| rt.graph().node(TaskId(i)).state == TaskState::Done)
 }
 
-fn finalize(rt: &mut Runtime, job: &mut ActiveJob, shared: &Shared, wave: u64) {
+/// Run the job's finalizer and build its report.
+fn finalize(rt: &mut Runtime, job: &mut ActiveJob, workers: usize, wave: u64) -> JobReport {
     let mut version_counts = HashMap::new();
-    let mut worker_task_counts = vec![0u64; shared.workers];
+    let mut worker_task_counts = vec![0u64; workers];
     for i in job.range.clone() {
         let node = rt.graph().node(TaskId(i));
         let a = node.assignment.expect("done task has an assignment");
@@ -438,14 +449,8 @@ fn finalize(rt: &mut Runtime, job: &mut ActiveJob, shared: &Shared, wave: u64) {
         Some(f) => f(rt),
         None => Ok(()),
     };
-    shared.active_jobs.fetch_sub(1, Ordering::Relaxed);
-    match outcome {
-        Ok(()) => shared.completed.fetch_add(1, Ordering::Relaxed),
-        Err(_) => shared.failed.fetch_add(1, Ordering::Relaxed),
-    };
     let finished = Instant::now();
-    publish_job_events(shared, job, outcome.is_ok());
-    let report = JobReport {
+    JobReport {
         job: JobId(job.id),
         name: std::mem::take(&mut job.name),
         tasks: job.range.end - job.range.start,
@@ -457,8 +462,5 @@ fn finalize(rt: &mut Runtime, job: &mut ActiveJob, shared: &Shared, wave: u64) {
         version_counts,
         worker_task_counts,
         outcome,
-    };
-    // The only send into a one-slot channel cannot find it full. The
-    // client may have dropped its ticket; that is fine.
-    let _ = job.report_tx.try_send(report);
+    }
 }

@@ -1,6 +1,8 @@
 //! Integration tests: admission control, multi-job interleaving on both
 //! engines, cross-job profile warmth, warm start, and live metrics.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use versa_core::{DeviceKind, SchedulerKind, VersionId};
 use versa_runtime::{NativeConfig, Runtime, RuntimeConfig};
@@ -518,18 +520,47 @@ fn job_events_pair_up_with_admission_stamps() {
 
 #[test]
 fn aborted_jobs_still_publish_both_events() {
-    // Every attempt panics and there are no retries: the first wave
-    // aborts the service, failing the job in flight.
-    let (rt, tpl) = sleepy_runtime(0, 0);
+    // Every attempt panics once the gate opens and there are no retries:
+    // the first wave aborts the service, failing the job in flight and
+    // the one queued behind it while that wave ran.
+    let [entered, gate] = [(); 2].map(|_| Arc::new(AtomicBool::new(false)));
+    let mut rc = RuntimeConfig::with_scheduler(SchedulerKind::DepAware);
+    rc.max_task_retries = 0;
+    let native = NativeConfig { smp_workers: 2, gpus: 0, gpu_lanes: 1, link_bandwidth: None };
+    let mut rt = Runtime::native(rc, native);
+    let tpl = rt.template("sleepy").main("sleepy_smp", &[DeviceKind::Smp]).register();
+    let (kernel_entered, kernel_gate) = (Arc::clone(&entered), Arc::clone(&gate));
+    rt.bind_native(tpl, VersionId(0), move |_| {
+        kernel_entered.store(true, Ordering::Release);
+        while !kernel_gate.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        panic!("injected kernel failure");
+    });
     let service = Service::start(rt, ServeConfig::default());
-    let report = service.client().submit(sleepy_job(tpl, 2, 0)).accepted().unwrap().wait();
-    assert!(report.outcome.as_ref().is_err_and(|e| e.starts_with("service aborted")));
+    let client = service.client();
+    let running = client.submit(sleepy_job(tpl, 2, 0)).accepted().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !entered.load(Ordering::Acquire) {
+        assert!(Instant::now() < deadline, "the first wave never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The service thread is inside the wave: this job stays queued.
+    let queued = client.submit(sleepy_job(tpl, 3, 0)).accepted().unwrap();
+    gate.store(true, Ordering::Release);
+    let report = running.wait();
+    for r in [&report, &queued.wait()] {
+        assert!(r.outcome.as_ref().is_err_and(|e| e.starts_with("service aborted")), "{r:?}");
+    }
 
     let m = service.metrics();
-    assert_eq!(m.failed, 1);
+    assert_eq!(m.failed, 2);
+    assert_eq!(m.accepted, m.completed + m.failed);
+    assert_eq!((m.queue_depth, m.active_jobs, m.live_tasks), (0, 0, 0), "{m:?}");
     let (_, tasks, _, ok) = job_event_pair(&m.job_events, report.job.0);
     assert_eq!(tasks, 2);
     assert!(!ok, "an aborted job completes with ok: false");
+    assert_eq!(m.job_events.len(), 2, "the queued job was never admitted");
     service.shutdown();
 }
 
