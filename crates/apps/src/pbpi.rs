@@ -19,6 +19,7 @@
 
 use crate::calib;
 use versa_core::{DeviceKind, SchedulerKind, TemplateId, VersionId};
+use versa_kernels::exec::SerialExec;
 use versa_kernels::pbpi as kern;
 use versa_mem::DataId;
 use versa_runtime::{NativeConfig, RunReport, Runtime, RuntimeConfig};
@@ -308,9 +309,9 @@ pub fn native_reference_ll(config: PbpiConfig) -> f64 {
     }
     let p = kern::jukes_cantor(0.1);
     let mut part = vec![0.0; sites * kern::STATES];
-    kern::loop1_propagate(&p, &tip, &mut part, sites, 1);
+    kern::loop1_propagate_on(&SerialExec, &p, &tip, &mut part, sites);
     let mut comb = vec![0.0; sites * kern::STATES];
-    kern::loop2_combine(&part, &part, &mut comb, sites, 1);
+    kern::loop2_combine_on(&SerialExec, &part, &part, &mut comb, sites);
     let per_chunk = kern::loop3_loglik(&comb, sites);
     per_chunk * config.chunks as f64
 }

@@ -105,7 +105,8 @@ pub fn ablate_bucketing(scale: Scale) -> FigureResult {
 /// Arithmetic mean vs EWMA (paper footnote 3) under a behaviour shift:
 /// how fast does the learned mean track a 20× slowdown?
 ///
-/// Deterministic decision-quality study on the [`ProfileStore`] itself:
+/// Deterministic decision-quality study on the
+/// [`ProfileStore`](versa_core::ProfileStore) itself:
 /// 100 samples at 7 ms, then a shift to 140 ms; after each post-shift
 /// sample the store's mean is compared against the new truth, and
 /// against the 28 ms SMP alternative (how many samples until the

@@ -41,8 +41,9 @@ use std::time::Instant;
 use versa_apps::cholesky::{self, CholeskyConfig, CholeskyVariant};
 use versa_apps::matmul::{self, MatmulConfig, MatmulVariant};
 use versa_core::SchedulerKind;
+use versa_kernels::exec::LanePool;
 use versa_kernels::gemm::{
-    dgemm_naive, dgemm_packed, dgemm_packed_scalar, dgemm_packed_tier, dgemm_parallel,
+    dgemm_naive, dgemm_packed, dgemm_packed_scalar, dgemm_packed_tier, dgemm_parallel_on,
 };
 use versa_kernels::simd::{self, Tier};
 use versa_kernels::verify::{random_matrix_f32, random_matrix_f64, spd_matrix_f32};
@@ -482,9 +483,10 @@ fn main() {
         });
     }
     specs.push(TierSpec { name: "packed".into(), f: Box::new(dgemm_packed) });
+    let pool = LanePool::new(4);
     specs.push(TierSpec {
         name: "packed_4lanes".into(),
-        f: Box::new(|a, b, c, n| dgemm_parallel(a, b, c, n, 4)),
+        f: Box::new(move |a, b, c, n| dgemm_parallel_on(&pool, a, b, c, n)),
     });
     specs.extend(fma_peak(simd::active_tier()));
     let mut tiers = measure_tiers(&specs, n, reps);

@@ -162,7 +162,6 @@ mod tests {
         let ctx =
             SchedCtx { templates: &reg, workers: &workers, directory: &dir, chain_hint: None };
         let mut s = AffinityScheduler::new();
-        assert!(!s.supports_versions());
         assert_eq!(s.assign(&t, &ctx).version, VersionId(0));
     }
 }

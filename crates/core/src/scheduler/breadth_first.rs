@@ -81,7 +81,6 @@ mod tests {
         let workers = workers_2smp_2gpu();
         let dir = directory(DataId(0), DataId(1), 64);
         let mut s = BreadthFirstScheduler::new();
-        assert!(!s.supports_versions());
         let t = task(0, tpl, DataId(0), DataId(1), 64);
         let ctx =
             SchedCtx { templates: &reg, workers: &workers, directory: &dir, chain_hint: None };

@@ -133,7 +133,6 @@ mod tests {
         let (reg, tpl, workers) = ctx_fixture();
         let dir = directory(DataId(0), DataId(1), 64);
         let mut s = DepAwareScheduler::new();
-        assert!(!s.supports_versions());
         for i in 0..16 {
             let t = task(i, tpl, DataId(0), DataId(1), 64);
             let ctx = SchedCtx {

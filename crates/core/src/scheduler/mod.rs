@@ -9,7 +9,7 @@
 //!   locality."
 //! * [`AffinityScheduler`] — "for each task, it evaluates the amount of
 //!   data that should be transferred to a certain device in order to
-//!   execute the task [and] chooses the device where the minimum amount
+//!   execute the task \[and\] chooses the device where the minimum amount
 //!   of data must be transferred."
 //! * [`VersioningScheduler`] — the paper's contribution (§IV): learns
 //!   per-version execution times and assigns each task to its *earliest
@@ -135,11 +135,6 @@ pub trait Scheduler: Send {
     /// fail repeatedly so subsequent assignments route around them.
     fn task_failed(&mut self, task: &TaskInstance, assignment: Assignment, kind: FailureKind) {
         let _ = (task, assignment, kind);
-    }
-
-    /// Whether this policy can exploit alternative (non-main) versions.
-    fn supports_versions(&self) -> bool {
-        false
     }
 
     /// Mark the start of a batch of [`Scheduler::assign`] /

@@ -72,7 +72,7 @@ impl Default for VersioningConfig {
 }
 
 /// Which phase produced a decision (paper §IV-B).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DecisionPhase {
     /// Initial learning phase: round-robin over under-trained versions.
     Learning,
@@ -84,10 +84,31 @@ pub enum DecisionPhase {
     ReliableFallback,
 }
 
+impl DecisionPhase {
+    /// Stable one-word label (the trace's text format and reports).
+    pub fn label(self) -> &'static str {
+        match self {
+            DecisionPhase::Learning => "learning",
+            DecisionPhase::Reliable => "reliable",
+            DecisionPhase::ReliableFallback => "fallback",
+        }
+    }
+
+    /// Inverse of [`DecisionPhase::label`].
+    pub fn from_label(s: &str) -> Option<DecisionPhase> {
+        match s {
+            "learning" => Some(DecisionPhase::Learning),
+            "reliable" => Some(DecisionPhase::Reliable),
+            "fallback" => Some(DecisionPhase::ReliableFallback),
+            _ => None,
+        }
+    }
+}
+
 /// One worker's bid during an earliest-executor decision: the version it
 /// would run, its mean execution time, and the resulting finish estimate.
 /// Captured for the paper's Fig. 5-style decision traces.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkerBid {
     /// The bidding worker.
     pub worker: WorkerId,
@@ -160,8 +181,10 @@ fn candidate_stats(group: Option<&GroupProfile>, version: VersionId) -> Candidat
 }
 
 /// A recorded scheduling decision (optional; see
-/// [`VersioningScheduler::set_decision_logging`]).
-#[derive(Clone, Debug)]
+/// [`VersioningScheduler::set_decision_logging`]). The trace's decision
+/// ledger stores these as they are, so a traced decision and the
+/// policy input that replays it are one value.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Decision {
     /// The task being placed.
     pub task: TaskId,
@@ -173,10 +196,12 @@ pub struct Decision {
     pub job: Option<u64>,
     /// Phase the group was in.
     pub phase: DecisionPhase,
+    /// Chosen worker.
+    pub worker: WorkerId,
+    /// Chosen version.
+    pub version: VersionId,
     /// All bids considered (empty for learning-phase decisions).
     pub bids: Vec<WorkerBid>,
-    /// The chosen assignment.
-    pub assignment: Assignment,
     /// Candidate versions with their profile statistics as seen *before*
     /// this decision's bookkeeping — together with `workers`, the full
     /// policy input, so recorded decisions replay offline as a pure
@@ -401,8 +426,9 @@ impl Scheduler for VersioningScheduler {
                 bucket,
                 job: task.job.map(|j| j.job),
                 phase: choice.phase,
+                worker: choice.worker,
+                version: choice.version,
                 bids: self.bufs.bids.clone(),
-                assignment,
                 candidates: self.bufs.candidates.clone(),
                 workers: self.bufs.workers.clone(),
             });
@@ -460,10 +486,6 @@ impl Scheduler for VersioningScheduler {
         );
     }
 
-    fn supports_versions(&self) -> bool {
-        true
-    }
-
     fn eager(&self, task: &TaskInstance, ctx: &SchedCtx<'_>) -> bool {
         // `ProfileStore::is_reliable` over the candidates, without
         // collecting them.
@@ -494,6 +516,15 @@ mod tests {
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)
+    }
+
+    #[test]
+    fn phase_labels_round_trip() {
+        use DecisionPhase::*;
+        for p in [Learning, Reliable, ReliableFallback] {
+            assert_eq!(DecisionPhase::from_label(p.label()), Some(p));
+        }
+        assert_eq!(DecisionPhase::from_label("bogus"), None);
     }
 
     struct Fixture {
@@ -697,7 +728,7 @@ mod tests {
         // 4 workers, all with a runnable trained version → 4 bids.
         assert_eq!(last.bids.len(), 4);
         let winner = last.bids.iter().min_by_key(|b| (b.finish, b.worker)).unwrap();
-        assert_eq!(winner.worker, last.assignment.worker);
+        assert_eq!(winner.worker, last.worker);
     }
 
     #[test]

@@ -24,4 +24,4 @@ pub mod record;
 pub mod replay;
 pub mod score;
 
-pub use replay::{Ledger, Mismatch, Oracle, Replay, ReplayStep, Score};
+pub use replay::{Ledger, Mismatch, Oracle, Replay, Score};

@@ -4,44 +4,23 @@
 //! per-candidate profile statistics and per-worker load snapshots,
 //! captured immediately before any bookkeeping — so a policy can be
 //! re-run over the ledger as a pure function, decision by decision, with
-//! no runtime in the loop. The identity policy (`round-robin`, the
-//! shipped scheduler behavior) must agree with the recording on every
+//! no runtime in the loop. The trace stores the scheduler's own
+//! [`Decision`], so the replay feeds the policy the recorded values
+//! themselves. The identity policy (`round-robin`, the shipped
+//! scheduler behavior) must agree with the recording on every
 //! decision; alternative policies diverge and get scored on what their
 //! divergence would have cost ([`Score`]).
+//!
+//! [`Policy`]: versa_core::Policy
 
 use std::collections::HashMap;
 use std::time::Duration;
-use versa_core::scheduler::DecisionPhase;
-use versa_core::{
-    BucketKey, CandidateStats, PolicyCtx, PolicyKind, TaskId, TemplateId, VersionId, WorkerId,
-    WorkerSnap,
-};
-use versa_trace::{Phase, Trace, TraceEvent};
+use versa_core::scheduler::{Decision, DecisionPhase};
+use versa_core::{BucketKey, PolicyCtx, PolicyKind, TaskId, TemplateId, VersionId, WorkerId};
+use versa_trace::{Trace, TraceEvent};
 
 /// Default λ for traces recorded before the meta carried it.
 const DEFAULT_LAMBDA: u64 = 3;
-
-/// One recorded decision, lifted into the scheduler's own policy-input
-/// types so it can be fed straight to [`Policy::decide`].
-///
-/// [`Policy::decide`]: versa_core::Policy::decide
-#[derive(Debug, Clone)]
-pub struct ReplayStep {
-    /// Task the decision was for.
-    pub task: TaskId,
-    /// Task's template.
-    pub template: TemplateId,
-    /// Profile size bucket the task fell into.
-    pub bucket: BucketKey,
-    /// Owning job, when the task came in through the serving layer.
-    pub job: Option<u64>,
-    /// Per-candidate profile statistics at decision time.
-    pub candidates: Vec<CandidateStats>,
-    /// Per-worker load snapshots at decision time.
-    pub workers: Vec<WorkerSnap>,
-    /// What the live scheduler chose.
-    pub recorded: (Phase, VersionId, WorkerId),
-}
 
 /// Per-`(template, bucket, version)` mean kernel durations mined from the
 /// trace, used to price replayed choices.
@@ -73,73 +52,40 @@ impl Oracle {
     }
 }
 
-/// A parsed decision ledger: the replayable steps plus everything needed
-/// to score a replay.
+/// A parsed decision ledger: the recorded decisions plus everything
+/// needed to score a replay.
 #[derive(Debug)]
 pub struct Ledger {
     /// λ in effect during the recording (learning threshold).
     pub lambda: u64,
     /// The decisions, in the order the live scheduler made them.
-    pub steps: Vec<ReplayStep>,
+    pub decisions: Vec<Decision>,
     /// Duration oracle mined from the same trace.
     pub oracle: Oracle,
 }
 
 impl Ledger {
-    /// Lift a trace's decision ledger into replayable form.
+    /// Take a trace's decision ledger for replay.
     ///
     /// Fails when the trace has no decisions at all, or when any decision
     /// lacks the recorded policy inputs (traces recorded before the
     /// ledger carried candidate/worker snapshots can't be replayed).
     pub fn from_trace(trace: &Trace) -> Result<Ledger, String> {
         let lambda = trace.meta.lambda.unwrap_or(DEFAULT_LAMBDA);
-        let mut steps = Vec::new();
-        let mut bare = 0usize;
-        for d in trace.decisions() {
-            if d.candidates.is_empty() || d.workers.is_empty() {
-                bare += 1;
-                continue;
-            }
-            steps.push(ReplayStep {
-                task: d.task,
-                template: d.template,
-                bucket: d.bucket,
-                job: d.job,
-                candidates: d
-                    .candidates
-                    .iter()
-                    .map(|c| CandidateStats {
-                        version: c.version,
-                        scheduled: c.scheduled,
-                        count: c.count,
-                        mean: c.mean,
-                    })
-                    .collect(),
-                workers: d
-                    .workers
-                    .iter()
-                    .map(|w| WorkerSnap {
-                        worker: w.worker,
-                        pressure: w.pressure,
-                        busy: w.busy,
-                        transfer: w.transfer,
-                        runnable: w.runnable.clone(),
-                    })
-                    .collect(),
-                recorded: (d.phase, d.version, d.worker),
-            });
-        }
+        let decisions: Vec<Decision> = trace.decisions().cloned().collect();
+        let bare =
+            decisions.iter().filter(|d| d.candidates.is_empty() || d.workers.is_empty()).count();
         if bare > 0 {
             return Err(format!(
                 "{bare} decision(s) lack recorded policy inputs — \
                  re-record the trace with a current build"
             ));
         }
-        if steps.is_empty() {
+        if decisions.is_empty() {
             return Err("trace has no decision ledger (was decision logging on?)".into());
         }
-        let oracle = build_oracle(trace, &steps);
-        Ok(Ledger { lambda, steps, oracle })
+        let oracle = build_oracle(trace, &decisions);
+        Ok(Ledger { lambda, decisions, oracle })
     }
 }
 
@@ -147,12 +93,12 @@ impl Ledger {
 /// the `(template, bucket)` each task's decision recorded, then back-fill
 /// versions the run never executed from the best-trained recorded
 /// candidate means.
-fn build_oracle(trace: &Trace, steps: &[ReplayStep]) -> Oracle {
+fn build_oracle(trace: &Trace, decisions: &[Decision]) -> Oracle {
     // Task -> (template, bucket) from its decision (re-decisions of a
     // retried task keep the same key, so last-wins is fine).
     let mut task_key: HashMap<TaskId, (TemplateId, BucketKey)> = HashMap::new();
-    for s in steps {
-        task_key.insert(s.task, (s.template, s.bucket));
+    for d in decisions {
+        task_key.insert(d.task, (d.template, d.bucket));
     }
 
     // Join starts to ends to collect measured samples per (t, b, v).
@@ -180,10 +126,10 @@ fn build_oracle(trace: &Trace, steps: &[ReplayStep]) -> Oracle {
     // without a measured mean, use the recorded mean with the highest
     // sample count anywhere in the ledger.
     let mut best: HashMap<(TemplateId, BucketKey, VersionId), (u64, Duration)> = HashMap::new();
-    for s in steps {
-        for c in &s.candidates {
+    for d in decisions {
+        for c in &d.candidates {
             if let Some(m) = c.mean {
-                let k = (s.template, s.bucket, c.version);
+                let k = (d.template, d.bucket, c.version);
                 let e = best.entry(k).or_insert((c.count, m));
                 if c.count > e.0 {
                     *e = (c.count, m);
@@ -205,9 +151,9 @@ pub struct Mismatch {
     /// Task the decision was for.
     pub task: TaskId,
     /// What the live scheduler chose: `(phase, version, worker)`.
-    pub recorded: (Phase, VersionId, WorkerId),
+    pub recorded: (DecisionPhase, VersionId, WorkerId),
     /// What the replayed policy chose.
-    pub replayed: (Phase, VersionId, WorkerId),
+    pub replayed: (DecisionPhase, VersionId, WorkerId),
 }
 
 impl std::fmt::Display for Mismatch {
@@ -261,14 +207,6 @@ pub struct Replay {
     pub score: Score,
 }
 
-fn trace_phase(p: DecisionPhase) -> Phase {
-    match p {
-        DecisionPhase::Learning => Phase::Learning,
-        DecisionPhase::Reliable => Phase::Reliable,
-        DecisionPhase::ReliableFallback => Phase::ReliableFallback,
-    }
-}
-
 /// Replay every decision in `ledger` through a fresh instance of `kind`.
 pub fn replay(ledger: &Ledger, kind: PolicyKind) -> Replay {
     let mut policy = kind.build();
@@ -280,7 +218,7 @@ pub fn replay(ledger: &Ledger, kind: PolicyKind) -> Replay {
     let mut regret = Duration::ZERO;
     let mut bids = Vec::new();
 
-    for (i, step) in ledger.steps.iter().enumerate() {
+    for (i, step) in ledger.decisions.iter().enumerate() {
         let ctx = PolicyCtx {
             template: step.template,
             bucket: step.bucket,
@@ -291,20 +229,16 @@ pub fn replay(ledger: &Ledger, kind: PolicyKind) -> Replay {
         };
         bids.clear();
         let choice = policy.decide(&ctx, &mut bids);
-        let replayed = (trace_phase(choice.phase), choice.version, choice.worker);
-        if replayed == step.recorded {
+        let recorded = (step.phase, step.version, step.worker);
+        let replayed = (choice.phase, choice.version, choice.worker);
+        if replayed == recorded {
             version_agree += 1;
             placement_agree += 1;
         } else {
-            if choice.version == step.recorded.1 {
+            if choice.version == step.version {
                 version_agree += 1;
             }
-            mismatches.push(Mismatch {
-                index: i,
-                task: step.task,
-                recorded: step.recorded,
-                replayed,
-            });
+            mismatches.push(Mismatch { index: i, task: step.task, recorded, replayed });
         }
         if choice.phase == DecisionPhase::Learning {
             learning += 1;
@@ -326,7 +260,7 @@ pub fn replay(ledger: &Ledger, kind: PolicyKind) -> Replay {
         *clocks.entry(choice.worker).or_default() += dur + transfer;
     }
 
-    let n = ledger.steps.len();
+    let n = ledger.decisions.len();
     Replay {
         policy: kind.label().to_string(),
         mismatches,
@@ -361,7 +295,8 @@ pub fn check_identity(ledger: &Ledger) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use versa_trace::{CandidateRecord, DecisionRecord, TraceMeta, Ts, WorkerSnapRecord};
+    use versa_core::{CandidateStats, WorkerSnap};
+    use versa_trace::{TraceMeta, Ts};
 
     fn ms(n: u64) -> Duration {
         Duration::from_millis(n)
@@ -369,33 +304,35 @@ mod tests {
 
     fn decision(
         i: u64,
-        phase: Phase,
+        phase: DecisionPhase,
         version: VersionId,
         worker: WorkerId,
-        candidates: Vec<CandidateRecord>,
-        workers: Vec<WorkerSnapRecord>,
+        candidates: Vec<CandidateStats>,
+        workers: Vec<WorkerSnap>,
     ) -> TraceEvent {
-        TraceEvent::Decision(DecisionRecord {
+        TraceEvent::Decision {
             time: Ts(i),
-            task: TaskId(i),
-            template: TemplateId(0),
-            bucket: BucketKey(0),
-            job: None,
-            phase,
-            worker,
-            version,
-            bids: Vec::new(),
-            candidates,
-            workers,
-        })
+            decision: Decision {
+                task: TaskId(i),
+                template: TemplateId(0),
+                bucket: BucketKey(0),
+                job: None,
+                phase,
+                worker,
+                version,
+                bids: Vec::new(),
+                candidates,
+                workers,
+            },
+        }
     }
 
-    fn cand(v: u16, scheduled: u64, count: u64, mean: Option<Duration>) -> CandidateRecord {
-        CandidateRecord { version: VersionId(v), scheduled, count, mean }
+    fn cand(v: u16, scheduled: u64, count: u64, mean: Option<Duration>) -> CandidateStats {
+        CandidateStats { version: VersionId(v), scheduled, count, mean }
     }
 
-    fn snap(w: u16, pressure: u64, busy: Duration, runnable: &[u16]) -> WorkerSnapRecord {
-        WorkerSnapRecord {
+    fn snap(w: u16, pressure: u64, busy: Duration, runnable: &[u16]) -> WorkerSnap {
+        WorkerSnap {
             worker: WorkerId(w),
             pressure,
             busy,
@@ -413,10 +350,10 @@ mod tests {
         };
         let snaps = |b0: u64, b1: u64| vec![snap(0, 0, ms(b0), &[0, 1]), snap(1, 0, ms(b1), &[1])];
         let events = vec![
-            decision(0, Phase::Learning, VersionId(0), WorkerId(0), both(0, 0, None, 0, 0, None), snaps(0, 0)),
+            decision(0, DecisionPhase::Learning, VersionId(0), WorkerId(0), both(0, 0, None, 0, 0, None), snaps(0, 0)),
             decision(
                 1,
-                Phase::Learning,
+                DecisionPhase::Learning,
                 VersionId(1),
                 WorkerId(0),
                 both(1, 0, None, 0, 0, None),
@@ -424,7 +361,7 @@ mod tests {
             ),
             decision(
                 2,
-                Phase::Reliable,
+                DecisionPhase::Reliable,
                 VersionId(0),
                 WorkerId(0),
                 both(1, 1, Some(ms(4)), 1, 1, Some(ms(9))),
@@ -489,7 +426,7 @@ mod tests {
         let meta = TraceMeta { lambda: Some(1), ..TraceMeta::default() };
         let trace = Trace::new(
             meta,
-            vec![decision(0, Phase::Learning, VersionId(0), WorkerId(0), Vec::new(), Vec::new())],
+            vec![decision(0, DecisionPhase::Learning, VersionId(0), WorkerId(0), Vec::new(), Vec::new())],
             0,
         );
         let err = Ledger::from_trace(&trace).unwrap_err();

@@ -2,15 +2,19 @@
 //!
 //! Kernels never spawn OS threads themselves. Each parallel kernel splits
 //! its work into independent closures ("jobs", typically one per row
-//! band) and hands them to a [`LaneExec`]. The trait has three
+//! band) and hands them to a [`LaneExec`]. The trait has two
 //! implementations:
 //!
 //! * [`SerialExec`] — runs jobs inline; what SMP workers use.
-//! * `ScopedExec` — a `std::thread::scope` per batch; keeps the legacy
-//!   `(…, lanes)` kernel signatures working for callers without a pool.
-//! * `LanePool` (in `versa-runtime`) — persistent parked lane threads
-//!   owned by an emulated-GPU worker; batches reuse the same threads, so
-//!   a kernel call costs a wake-up instead of a `thread::spawn`.
+//! * [`LanePool`] — persistent parked lane threads, owned by an
+//!   emulated-GPU worker (or any caller that wants lanes); batches reuse
+//!   the same threads, so a kernel call costs a wake-up instead of a
+//!   `thread::spawn`.
+
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 
 /// An executor that runs a batch of independent jobs across lanes.
 ///
@@ -45,67 +49,166 @@ impl LaneExec for SerialExec {
     }
 }
 
-/// Spawns a fresh `std::thread::scope` per batch.
-///
-/// This is the no-pool fallback, kept for the legacy `(…, lanes)` kernel
-/// entry points and for callers outside the native engine. A batch may
-/// hold many more jobs than lanes (kernels enqueue `MC`-granular bands so
-/// pools can load-balance them), so the scope spawns at most `lanes − 1`
-/// threads that drain a shared queue — never one thread per job. The
-/// calling thread drains alongside them; panics are captured per job and
-/// the first one is re-thrown after the batch is fully drained, so
-/// borrowed state is never left aliased.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ScopedExec {
-    lanes: usize,
+type Job = Box<dyn FnOnce() + Send + 'static>;
+
+#[derive(Default)]
+struct State {
+    /// FIFO so `MC`-granular kernel bands execute in submission order —
+    /// adjacent bands stream adjacent rows of `A`/`C`, which keeps the
+    /// shared cache warm when lanes pick up consecutive bands.
+    queue: VecDeque<Job>,
+    /// Jobs currently executing on some thread (pool lane or caller).
+    active: usize,
+    /// Panic messages captured from jobs; re-thrown by the draining caller.
+    panics: Vec<String>,
+    shutdown: bool,
 }
 
-impl ScopedExec {
-    /// Executor claiming `lanes` lanes (clamped to ≥ 1).
-    pub(crate) fn new(lanes: usize) -> ScopedExec {
-        ScopedExec { lanes: lanes.max(1) }
+struct Shared {
+    state: Mutex<State>,
+    /// Signaled when the queue gains jobs (or shutdown is requested).
+    work: Condvar,
+    /// Signaled when the last in-flight job of a batch finishes.
+    done: Condvar,
+}
+
+/// A fixed set of persistent lane threads executing kernel job batches.
+///
+/// Created once (per emulated-GPU worker, in the native engine) and kept
+/// for the whole run: its lane threads park on a condvar between
+/// batches, so a multi-lane kernel costs a wake-up instead of
+/// `lanes − 1` `thread::spawn` calls. A batch may hold many more jobs
+/// than lanes (kernels enqueue `MC`-granular bands so the queue
+/// load-balances them).
+///
+/// # Why the lifetime erasure is sound
+/// [`LaneExec::run_batch`] accepts jobs borrowing caller state
+/// (`'scope`). Queueing them on long-lived threads requires erasing that
+/// lifetime to `'static`, which is sound only because `run_batch` does
+/// not return until every queued job has run to completion: the calling
+/// frame — and everything the jobs borrow — strictly outlives every
+/// execution. The caller participates in draining the queue, and waits
+/// on a second condvar until the in-flight count reaches zero.
+pub struct LanePool {
+    shared: Arc<Shared>,
+    lanes: usize,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl LanePool {
+    /// Build a pool presenting `lanes` lanes (clamped to ≥ 1). The calling
+    /// thread participates in every batch, so only `lanes − 1` OS threads
+    /// are spawned — these are the only spawns the pool ever performs.
+    pub fn new(lanes: usize) -> LanePool {
+        let lanes = lanes.max(1);
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State::default()),
+            work: Condvar::new(),
+            done: Condvar::new(),
+        });
+        let workers = (1..lanes)
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("lane-{i}"))
+                    .spawn(move || lane_loop(&shared))
+                    .expect("spawn lane thread")
+            })
+            .collect();
+        LanePool { shared, lanes, workers }
     }
 }
 
-impl LaneExec for ScopedExec {
+/// Execute `job`, appending its panic message to `shared` if it unwinds.
+fn run_captured(shared: &Shared, job: Job) {
+    let result = catch_unwind(AssertUnwindSafe(job));
+    let mut state = shared.state.lock().unwrap();
+    if let Err(payload) = result {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "lane job panicked".to_string());
+        state.panics.push(msg);
+    }
+    state.active -= 1;
+    if state.active == 0 && state.queue.is_empty() {
+        shared.done.notify_all();
+    }
+    drop(state);
+}
+
+fn lane_loop(shared: &Shared) {
+    loop {
+        let job = {
+            let mut state = shared.state.lock().unwrap();
+            loop {
+                if let Some(job) = state.queue.pop_front() {
+                    state.active += 1;
+                    break job;
+                }
+                if state.shutdown {
+                    return;
+                }
+                state = shared.work.wait(state).unwrap();
+            }
+        };
+        run_captured(shared, job);
+    }
+}
+
+impl LaneExec for LanePool {
     fn lanes(&self) -> usize {
         self.lanes
     }
 
     fn run_batch<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
-        use std::collections::VecDeque;
-        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-        use std::sync::Mutex;
-
-        if jobs.len() <= 1 {
-            for job in jobs {
-                job();
-            }
+        if jobs.is_empty() {
             return;
         }
-        let helpers = (self.lanes - 1).min(jobs.len() - 1);
-        let queue: Mutex<VecDeque<Box<dyn FnOnce() + Send + 'scope>>> =
-            Mutex::new(jobs.into_iter().collect());
-        let first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let drain = |queue: &Mutex<VecDeque<Box<dyn FnOnce() + Send + 'scope>>>| {
-            loop {
-                let Some(job) = queue.lock().unwrap().pop_front() else { break };
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(job)) {
-                    let mut slot = first_panic.lock().unwrap();
-                    if slot.is_none() {
-                        *slot = Some(payload);
-                    }
-                }
+        let jobs: Vec<Job> = jobs
+            .into_iter()
+            // SAFETY: only the lifetime changes, and no job outlives
+            // `'scope`: the loop below returns only once the queue is
+            // empty and no job is active, and a job that panics is caught
+            // and counted finished (see the type's docs).
+            .map(|job| unsafe {
+                std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(job)
+            })
+            .collect();
+        {
+            let mut state = self.shared.state.lock().unwrap();
+            state.queue.extend(jobs);
+            self.shared.work.notify_all();
+        }
+        // Participate as the last lane, then wait out the stragglers.
+        let panics = loop {
+            let mut state = self.shared.state.lock().unwrap();
+            if let Some(job) = state.queue.pop_front() {
+                state.active += 1;
+                drop(state);
+                run_captured(&self.shared, job);
+            } else if state.active > 0 {
+                let _unused = self.shared.done.wait(state).unwrap();
+            } else {
+                break std::mem::take(&mut state.panics);
             }
         };
-        std::thread::scope(|scope| {
-            for _ in 0..helpers {
-                scope.spawn(|| drain(&queue));
-            }
-            drain(&queue);
-        });
-        if let Some(payload) = first_panic.into_inner().unwrap() {
-            resume_unwind(payload);
+        if let Some(first) = panics.into_iter().next() {
+            panic!("{first}");
+        }
+    }
+}
+
+impl Drop for LanePool {
+    fn drop(&mut self) {
+        {
+            let mut state = self.shared.state.lock().unwrap();
+            state.shutdown = true;
+            self.shared.work.notify_all();
+        }
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
@@ -113,9 +216,11 @@ impl LaneExec for ScopedExec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread::ThreadId;
 
-    fn sum_with(exec: &dyn LaneExec, jobs: usize) -> usize {
+    fn batch_sum(exec: &dyn LaneExec, jobs: usize) -> usize {
         let hits = AtomicUsize::new(0);
         let batch: Vec<Box<dyn FnOnce() + Send + '_>> = (0..jobs)
             .map(|i| {
@@ -131,64 +236,102 @@ mod tests {
 
     #[test]
     fn serial_runs_everything() {
-        assert_eq!(sum_with(&SerialExec, 5), 15);
+        assert_eq!(batch_sum(&SerialExec, 5), 15);
         assert_eq!(SerialExec.lanes(), 1);
     }
 
     #[test]
-    fn scoped_runs_everything() {
-        let exec = ScopedExec::new(4);
-        assert_eq!(exec.lanes(), 4);
-        assert_eq!(sum_with(&exec, 7), 28);
-        assert_eq!(sum_with(&exec, 1), 1);
-        assert_eq!(sum_with(&exec, 0), 0);
+    fn runs_every_job_in_the_batch() {
+        let pool = LanePool::new(4);
+        assert_eq!(pool.lanes(), 4);
+        assert_eq!(pool.workers.len(), 3);
+        assert_eq!(batch_sum(&pool, 10), 55);
+        assert_eq!(batch_sum(&pool, 7), 28);
+        assert_eq!(batch_sum(&pool, 1), 1);
+        assert_eq!(batch_sum(&pool, 0), 0);
     }
 
     #[test]
-    fn zero_lanes_clamps_to_one() {
-        assert_eq!(ScopedExec::new(0).lanes(), 1);
+    fn single_lane_pool_spawns_nothing() {
+        // A zero-lane request clamps to one lane, like an explicit one.
+        for lanes in [0, 1] {
+            let pool = LanePool::new(lanes);
+            assert_eq!(pool.lanes(), 1);
+            assert_eq!(pool.workers.len(), 0);
+            assert_eq!(batch_sum(&pool, 5), 15);
+        }
+    }
+
+    #[test]
+    fn reuses_the_same_threads_across_batches() {
+        let pool = LanePool::new(3);
+        let seen: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
+        for _ in 0..50 {
+            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..6)
+                .map(|_| {
+                    let seen = &seen;
+                    Box::new(move || {
+                        seen.lock().unwrap().insert(std::thread::current().id());
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            pool.run_batch(jobs);
+        }
+        // 300 jobs, but only the caller + the pool's fixed worker threads
+        // may ever appear: the pool spawns nothing per batch.
+        let ids = seen.lock().unwrap();
+        assert!(ids.len() <= pool.lanes());
+        assert!(ids.contains(&std::thread::current().id()) || !pool.workers.is_empty());
     }
 
     #[test]
     fn jobs_may_borrow_mutable_disjoint_state() {
-        let mut data = vec![0u64; 8];
-        let exec = ScopedExec::new(2);
-        let (lo, hi) = data.split_at_mut(4);
-        exec.run_batch(vec![
-            Box::new(move || lo.iter_mut().for_each(|v| *v = 1)),
-            Box::new(move || hi.iter_mut().for_each(|v| *v = 2)),
+        let pool = LanePool::new(2);
+        let mut data = vec![0u8; 6];
+        let (lo, hi) = data.split_at_mut(3);
+        pool.run_batch(vec![
+            Box::new(move || lo.fill(1)),
+            Box::new(move || hi.fill(2)),
         ]);
-        assert_eq!(data, [1, 1, 1, 1, 2, 2, 2, 2]);
+        assert_eq!(data, [1, 1, 1, 2, 2, 2]);
     }
 
     #[test]
-    fn scoped_never_uses_more_threads_than_lanes() {
-        use std::collections::HashSet;
-        use std::sync::Mutex;
-        let exec = ScopedExec::new(3);
-        let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..24)
-            .map(|_| {
-                let seen = &seen;
-                Box::new(move || {
-                    seen.lock().unwrap().insert(std::thread::current().id());
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        exec.run_batch(jobs);
-        // 24 jobs over 3 lanes: at most 3 distinct threads ever touch them.
-        assert!(seen.lock().unwrap().len() <= 3);
+    #[should_panic(expected = "lane exploded")]
+    fn propagates_job_panics_after_draining() {
+        let pool = LanePool::new(2);
+        let survivor = AtomicUsize::new(0);
+        pool.run_batch(vec![
+            Box::new(|| panic!("lane exploded")),
+            Box::new(|| {
+                survivor.fetch_add(1, Ordering::Relaxed);
+            }),
+        ]);
     }
 
     #[test]
-    #[should_panic(expected = "lane job failed")]
-    fn scoped_propagates_panics() {
-        let exec = ScopedExec::new(2);
-        // The first job runs inline on the caller, so its panic payload
-        // unwinds through `run_batch` unchanged.
-        exec.run_batch(vec![
-            Box::new(|| panic!("lane job failed")),
-            Box::new(|| {}),
-        ]);
+    fn pool_survives_a_panicked_batch() {
+        let pool = LanePool::new(2);
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run_batch(vec![Box::new(|| panic!("first batch dies"))]);
+        }));
+        assert!(outcome.is_err());
+        // Lanes are still alive and the panic buffer was drained.
+        assert_eq!(batch_sum(&pool, 4), 10);
+    }
+
+    #[test]
+    fn drive_a_real_kernel_through_the_pool() {
+        use crate::gemm::{dgemm_blocked, dgemm_parallel_on};
+        use crate::verify::{assert_close_f64, random_matrix_f64};
+        let pool = LanePool::new(4);
+        let n = 160;
+        let a = random_matrix_f64(n, 1);
+        let b = random_matrix_f64(n, 2);
+        let mut c1 = random_matrix_f64(n, 3);
+        let mut c2 = c1.clone();
+        dgemm_blocked(&a, &b, &mut c1, n);
+        dgemm_parallel_on(&pool, &a, &b, &mut c2, n);
+        assert_close_f64(&c1, &c2, 1e-12);
     }
 }

@@ -6,12 +6,12 @@
 //! 1. **naive** (`dgemm_naive`) — a straightforward triple loop; the
 //!    "CBLAS on one core" stand-in and the small-tile dispatch target.
 //! 2. **packed scalar** (`dgemm_packed_scalar`) — the portable
-//!    register-blocked, panel-packed core from [`crate::microkernel`],
+//!    register-blocked, panel-packed core from the `microkernel` module,
 //!    preserved bit-for-bit as the pre-SIMD tier.
 //! 3. **packed SIMD** (`dgemm_blocked` / `dgemm_packed`) — the same core
 //!    driven by the [`crate::simd`] runtime-dispatched AVX2/AVX-512
 //!    micro-kernel (scalar where unavailable).
-//! 4. **packed multi-lane** (`dgemm_parallel` / `dgemm_parallel_on`) —
+//! 4. **packed multi-lane** (`dgemm_parallel_on`) —
 //!    the same core with its `MC` loop parallelized over a [`LaneExec`]'s
 //!    lanes: `B` is packed once and shared, each lane packs the `A`
 //!    panels of its own row band, and bands are `MC`-granular so the lane
@@ -21,7 +21,7 @@
 //! identical (see `crate::microkernel`'s bitwise contract), so every
 //! packed variant agrees **bitwise** with every other.
 
-use crate::exec::{LaneExec, ScopedExec};
+use crate::exec::LaneExec;
 use crate::microkernel::{drive, par_bands};
 use crate::pack::PackedB;
 use crate::simd::{self, Tier};
@@ -38,7 +38,7 @@ const PAR_MIN_N: usize = 128;
 
 macro_rules! gemm_impls {
     ($t:ty, $naive:ident, $blocked:ident, $packed:ident, $packed_scalar:ident,
-     $packed_tier:ident, $parallel:ident, $parallel_on:ident, $kernel:path, $kernel_for:path) => {
+     $packed_tier:ident, $parallel_on:ident, $kernel:path, $kernel_for:path) => {
         /// `C += A · B`, naive i-k-j triple loop.
         ///
         /// # Panics
@@ -145,15 +145,6 @@ macro_rules! gemm_impls {
             }
             exec.run_batch(jobs);
         }
-
-        /// `C += A · B` over `lanes` ad-hoc scoped threads — the legacy
-        /// entry point for callers without a persistent lane pool.
-        ///
-        /// # Panics
-        /// Panics if any slice is shorter than `n * n`.
-        pub fn $parallel(a: &[$t], b: &[$t], c: &mut [$t], n: usize, lanes: usize) {
-            $parallel_on(&ScopedExec::new(lanes), a, b, c, n)
-        }
     };
 }
 
@@ -164,7 +155,6 @@ gemm_impls!(
     dgemm_packed,
     dgemm_packed_scalar,
     dgemm_packed_tier,
-    dgemm_parallel,
     dgemm_parallel_on,
     simd::kernel_f64,
     simd::kernel_f64_for
@@ -176,14 +166,13 @@ gemm_impls!(
     sgemm_packed,
     sgemm_packed_scalar,
     sgemm_packed_tier,
-    sgemm_parallel,
     sgemm_parallel_on,
     simd::kernel_f32,
     simd::kernel_f32_for
 );
 
 macro_rules! gemm_nt_sub_impls {
-    ($t:ty, $serial:ident, $packed:ident, $par:ident, $par_on:ident, $rect:ident,
+    ($t:ty, $serial:ident, $packed:ident, $par_on:ident, $rect:ident,
      $kernel:path) => {
         /// Rectangular dot-product core: `C[rows×n] −= A[rows×n] · Bᵀ`.
         fn $rect(a: &[$t], b: &[$t], c: &mut [$t], rows: usize, n: usize) {
@@ -249,14 +238,6 @@ macro_rules! gemm_nt_sub_impls {
             }
             exec.run_batch(jobs);
         }
-
-        /// Multi-lane NT update over `lanes` ad-hoc scoped threads.
-        ///
-        /// # Panics
-        /// Panics if any slice is shorter than `n * n`.
-        pub fn $par(a: &[$t], b: &[$t], c: &mut [$t], n: usize, lanes: usize) {
-            $par_on(&ScopedExec::new(lanes), a, b, c, n)
-        }
     };
 }
 
@@ -264,7 +245,6 @@ gemm_nt_sub_impls!(
     f32,
     sgemm_nt_sub,
     sgemm_nt_sub_packed,
-    sgemm_nt_sub_par,
     sgemm_nt_sub_par_on,
     sgemm_nt_rect,
     simd::kernel_f32
@@ -273,7 +253,6 @@ gemm_nt_sub_impls!(
     f64,
     dgemm_nt_sub,
     dgemm_nt_sub_packed,
-    dgemm_nt_sub_par,
     dgemm_nt_sub_par_on,
     dgemm_nt_rect,
     simd::kernel_f64
@@ -282,6 +261,7 @@ gemm_nt_sub_impls!(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::LanePool;
     use crate::verify::{assert_close_f32, assert_close_f64, random_matrix_f32, random_matrix_f64};
 
     #[test]
@@ -348,7 +328,7 @@ mod tests {
             let mut c1 = random_matrix_f64(n, 6);
             let mut c2 = c1.clone();
             dgemm_naive(&a, &b, &mut c1, n);
-            dgemm_parallel(&a, &b, &mut c2, n, lanes);
+            dgemm_parallel_on(&LanePool::new(lanes), &a, &b, &mut c2, n);
             assert_close_f64(&c1, &c2, 1e-10);
         }
     }
@@ -364,7 +344,7 @@ mod tests {
             let mut c1 = random_matrix_f64(n, 42);
             let mut c2 = c1.clone();
             dgemm_packed(&a, &b, &mut c1, n);
-            dgemm_parallel(&a, &b, &mut c2, n, lanes);
+            dgemm_parallel_on(&LanePool::new(lanes), &a, &b, &mut c2, n);
             assert_eq!(c1, c2, "n={n} lanes={lanes}");
         }
     }
@@ -407,7 +387,7 @@ mod tests {
         let mut c1 = vec![0.5f32; n * n];
         let mut c2 = vec![0.5f32; n * n];
         sgemm_naive(&a, &b, &mut c1, n);
-        sgemm_parallel(&a, &b, &mut c2, n, 4);
+        sgemm_parallel_on(&LanePool::new(4), &a, &b, &mut c2, n);
         assert_close_f32(&c1, &c2, 1e-3);
     }
 
@@ -432,7 +412,7 @@ mod tests {
         dgemm_blocked(&[], &[], &mut c, 0);
         dgemm_packed(&[], &[], &mut c, 0);
         dgemm_packed_scalar(&[], &[], &mut c, 0);
-        dgemm_parallel(&[], &[], &mut c, 0, 4);
+        dgemm_parallel_on(&LanePool::new(4), &[], &[], &mut c, 0);
     }
 
     #[test]
@@ -469,7 +449,7 @@ mod tests {
         let mut c1 = random_matrix_f64(n, 25);
         let mut c2 = c1.clone();
         dgemm_nt_sub(&a, &b, &mut c1, n);
-        dgemm_nt_sub_par(&a, &b, &mut c2, n, 5);
+        dgemm_nt_sub_par_on(&LanePool::new(5), &a, &b, &mut c2, n);
         assert_close_f64(&c1, &c2, 1e-12);
         // f32 variant smoke.
         let af: Vec<f32> = a.iter().map(|&v| v as f32).collect();
@@ -477,7 +457,7 @@ mod tests {
         let mut cf1 = vec![0.0f32; n * n];
         let mut cf2 = vec![0.0f32; n * n];
         sgemm_nt_sub(&af, &bf, &mut cf1, n);
-        sgemm_nt_sub_par(&af, &bf, &mut cf2, n, 3);
+        sgemm_nt_sub_par_on(&LanePool::new(3), &af, &bf, &mut cf2, n);
         crate::verify::assert_close_f32(&cf1, &cf2, 1e-4);
     }
 

@@ -11,16 +11,16 @@
 //! drives the paper's result — loop 3 consumes loop 2's output on the
 //! host every generation, forcing data back from the GPU:
 //!
-//! 1. [`loop1_propagate`] — per-site conditional-likelihood propagation
+//! 1. [`loop1_propagate_on`] — per-site conditional-likelihood propagation
 //!    along a branch: each site's 4-state vector is multiplied by a 4×4
 //!    transition matrix.
-//! 2. [`loop2_combine`] — pointwise combination of two children's
+//! 2. [`loop2_combine_on`] — pointwise combination of two children's
 //!    partials into the parent's partial.
 //! 3. [`loop3_loglik`] — log-likelihood reduction over sites (the paper's
 //!    SMP-only loop): `Σ log(Σ_s π_s · partial[site][s])`.
 
 use crate::chunk_ranges;
-use crate::exec::{LaneExec, ScopedExec};
+use crate::exec::LaneExec;
 
 /// Number of nucleotide states.
 pub const STATES: usize = 4;
@@ -82,21 +82,6 @@ pub fn loop1_propagate_on(
     exec.run_batch(jobs);
 }
 
-/// Loop 1 over `lanes` ad-hoc scoped threads — the legacy entry point for
-/// callers without a persistent lane pool.
-///
-/// # Panics
-/// Panics if slices are shorter than `sites * STATES`.
-pub fn loop1_propagate(
-    p: &TransitionMatrix,
-    input: &[f64],
-    out: &mut [f64],
-    sites: usize,
-    lanes: usize,
-) {
-    loop1_propagate_on(&ScopedExec::new(lanes), p, input, out, sites)
-}
-
 /// Loop 2: combine two children's partials into the parent:
 /// `out[site][s] = left[site][s] · right[site][s]`, banded over `exec`'s
 /// lanes.
@@ -135,15 +120,6 @@ pub fn loop2_combine_on(
     exec.run_batch(jobs);
 }
 
-/// Loop 2 over `lanes` ad-hoc scoped threads — the legacy entry point for
-/// callers without a persistent lane pool.
-///
-/// # Panics
-/// Panics if slices are shorter than `sites * STATES`.
-pub fn loop2_combine(left: &[f64], right: &[f64], out: &mut [f64], sites: usize, lanes: usize) {
-    loop2_combine_on(&ScopedExec::new(lanes), left, right, out, sites)
-}
-
 /// Loop 3: log-likelihood reduction over sites with uniform stationary
 /// frequencies: `Σ_site ln(0.25 · Σ_s partial[site][s])`. Sites whose
 /// likelihood underflows to zero are clamped to `f64::MIN_POSITIVE`.
@@ -164,6 +140,7 @@ pub fn loop3_loglik(partial: &[f64], sites: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{LanePool, SerialExec};
 
     fn uniform_partials(sites: usize) -> Vec<f64> {
         vec![0.25; sites * STATES]
@@ -186,7 +163,7 @@ mod tests {
         let m = jukes_cantor(0.0);
         let input: Vec<f64> = (0..8).map(|i| i as f64 / 10.0).collect();
         let mut out = vec![0.0; 8];
-        loop1_propagate(&m, &input, &mut out, 2, 1);
+        loop1_propagate_on(&SerialExec, &m, &input, &mut out, 2);
         for i in 0..8 {
             assert!((out[i] - input[i]).abs() < 1e-12);
         }
@@ -197,7 +174,7 @@ mod tests {
         let m = jukes_cantor(1000.0);
         let input = [1.0, 0.0, 0.0, 0.0]; // site certainly in state A
         let mut out = [0.0; 4];
-        loop1_propagate(&m, &input, &mut out, 1, 1);
+        loop1_propagate_on(&SerialExec, &m, &input, &mut out, 1);
         for (s, &v) in out.iter().enumerate() {
             assert!((v - 0.25).abs() < 1e-6, "state {s}: {v}");
         }
@@ -210,8 +187,8 @@ mod tests {
         let input: Vec<f64> = (0..sites * STATES).map(|i| ((i * 37) % 100) as f64 / 100.0).collect();
         let mut a = vec![0.0; sites * STATES];
         let mut b = vec![0.0; sites * STATES];
-        loop1_propagate(&m, &input, &mut a, sites, 1);
-        loop1_propagate(&m, &input, &mut b, sites, 4);
+        loop1_propagate_on(&SerialExec, &m, &input, &mut a, sites);
+        loop1_propagate_on(&LanePool::new(4), &m, &input, &mut b, sites);
         assert_eq!(a, b);
     }
 
@@ -221,7 +198,7 @@ mod tests {
         let l: Vec<f64> = (1..=12).map(|i| i as f64).collect();
         let r = vec![2.0; 12];
         let mut out = vec![0.0; 12];
-        loop2_combine(&l, &r, &mut out, sites, 1);
+        loop2_combine_on(&SerialExec, &l, &r, &mut out, sites);
         for i in 0..12 {
             assert_eq!(out[i], l[i] * 2.0);
         }
@@ -234,8 +211,8 @@ mod tests {
         let r: Vec<f64> = (0..sites * STATES).map(|i| (i % 7) as f64).collect();
         let mut a = vec![0.0; sites * STATES];
         let mut b = vec![0.0; sites * STATES];
-        loop2_combine(&l, &r, &mut a, sites, 1);
-        loop2_combine(&l, &r, &mut b, sites, 6);
+        loop2_combine_on(&SerialExec, &l, &r, &mut a, sites);
+        loop2_combine_on(&LanePool::new(6), &l, &r, &mut b, sites);
         assert_eq!(a, b);
     }
 
@@ -265,10 +242,10 @@ mod tests {
             let m = jukes_cantor(t);
             let mut left = vec![0.0; sites * STATES];
             let mut right = vec![0.0; sites * STATES];
-            loop1_propagate(&m, &tip, &mut left, sites, 1);
-            loop1_propagate(&m, &tip, &mut right, sites, 1);
+            loop1_propagate_on(&SerialExec, &m, &tip, &mut left, sites);
+            loop1_propagate_on(&SerialExec, &m, &tip, &mut right, sites);
             let mut parent = vec![0.0; sites * STATES];
-            loop2_combine(&left, &right, &mut parent, sites, 1);
+            loop2_combine_on(&SerialExec, &left, &right, &mut parent, sites);
             loop3_loglik(&parent, sites)
         };
         let ll = eval(0.1);

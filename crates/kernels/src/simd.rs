@@ -1,11 +1,11 @@
 //! Runtime SIMD feature dispatch and the explicit `std::arch`
 //! micro-kernels.
 //!
-//! The packed GEMM core (see [`crate::microkernel`]) is driven through a
-//! [`MicroKernel`] chosen **once per process** and cached: the first call
-//! probes the CPU with `is_x86_feature_detected!` (honoring the override
-//! knobs below) and every subsequent call costs one atomic load. Three
-//! tiers exist:
+//! The packed GEMM core (the private `microkernel` module) is driven
+//! through a `MicroKernel` chosen **once per process** and cached: the
+//! first call probes the CPU with `is_x86_feature_detected!` (honoring
+//! the override knobs below) and every subsequent call costs one atomic
+//! load. Three tiers exist:
 //!
 //! | tier | f64 tile | f32 tile | requires |
 //! |---|---|---|---|
@@ -22,7 +22,7 @@
 //! and store per accumulator; only a ragged corner spills to a row
 //! buffer. Each tile prefetches the rows of its `C` tile on entry, so
 //! the write-back does not stall on a `C` that lives in L3 or DRAM.
-//! Every tier preserves the bitwise contract of [`crate::microkernel`]:
+//! Every tier preserves the bitwise contract of the `microkernel` module:
 //! per-element fused multiply-add in ascending `k` order, so **all tiers
 //! produce bitwise-identical results** and tests can compare them with
 //! `==`.

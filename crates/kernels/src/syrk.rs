@@ -8,7 +8,7 @@
 //! computed region is the lower trapezoid rounded up to band boundaries,
 //! and a final mirror pass restores the full-symmetric-tile contract.
 
-use crate::exec::{LaneExec, ScopedExec, SerialExec};
+use crate::exec::{LaneExec, SerialExec};
 use crate::microkernel::{drive, par_bands};
 use crate::pack::PackedB;
 
@@ -19,7 +19,7 @@ use crate::pack::PackedB;
 const PACK_MIN_N: usize = 16;
 
 macro_rules! syrk_impl {
-    ($t:ty, $name:ident, $par:ident, $par_on:ident, $legacy:ident, $kernel:path) => {
+    ($t:ty, $name:ident, $par_on:ident, $legacy:ident, $kernel:path) => {
         /// Dot-product rank-k update of the lower triangle (small tiles).
         fn $legacy(a: &[$t], c: &mut [$t], n: usize) {
             for i in 0..n {
@@ -90,24 +90,16 @@ macro_rules! syrk_impl {
                 }
             }
         }
-
-        /// Multi-lane variant over `lanes` ad-hoc scoped threads — the
-        /// legacy entry point for callers without a persistent lane pool.
-        ///
-        /// # Panics
-        /// Panics if either slice is shorter than `n * n`.
-        pub fn $par(a: &[$t], c: &mut [$t], n: usize, lanes: usize) {
-            $par_on(&ScopedExec::new(lanes), a, c, n)
-        }
     };
 }
 
-syrk_impl!(f32, ssyrk_lower, ssyrk_lower_par, ssyrk_lower_par_on, ssyrk_rows, crate::simd::kernel_f32);
-syrk_impl!(f64, dsyrk_lower, dsyrk_lower_par, dsyrk_lower_par_on, dsyrk_rows, crate::simd::kernel_f64);
+syrk_impl!(f32, ssyrk_lower, ssyrk_lower_par_on, ssyrk_rows, crate::simd::kernel_f32);
+syrk_impl!(f64, dsyrk_lower, dsyrk_lower_par_on, dsyrk_rows, crate::simd::kernel_f64);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::LanePool;
     use crate::verify::{assert_close_f64, random_matrix_f64};
 
     /// Reference: full `C − A·Aᵀ` via gemm with B = Aᵀ.
@@ -155,7 +147,7 @@ mod tests {
         let mut c1 = c0.clone();
         let mut c2 = c0.clone();
         dsyrk_lower(&a, &mut c1, n);
-        dsyrk_lower_par(&a, &mut c2, n, 4);
+        dsyrk_lower_par_on(&LanePool::new(4), &a, &mut c2, n);
         assert_close_f64(&c1, &c2, 1e-12);
         // Banding must not change per-element accumulation order.
         assert_eq!(c1, c2);

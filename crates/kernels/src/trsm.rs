@@ -38,7 +38,7 @@
 //! written.
 
 use crate::chunk_ranges;
-use crate::exec::{LaneExec, ScopedExec, SerialExec};
+use crate::exec::{LaneExec, SerialExec};
 use crate::microkernel::{drive, MicroKernel};
 use crate::pack::{PackedB, Pooled, MC};
 use crate::simd::{self, Tier};
@@ -232,7 +232,7 @@ fn solve_on<T: Real>(exec: &dyn LaneExec, mk: &MicroKernel<T>, l: &[T], a: &mut 
 }
 
 macro_rules! trsm_impl {
-    ($t:ty, $name:ident, $par:ident, $par_on:ident, $tier:ident, $unblocked:ident,
+    ($t:ty, $name:ident, $par_on:ident, $tier:ident, $unblocked:ident,
      $kernel:path, $kernel_for:path) => {
         /// Solve `X · Lᵀ = A` in place (`A ← A · L⁻ᵀ`) for a row-major
         /// `n × n` tile `A` and lower-triangular `L`: the blocked solve
@@ -253,15 +253,6 @@ macro_rules! trsm_impl {
         /// As the serial variant.
         pub fn $par_on(exec: &dyn LaneExec, l: &[$t], a: &mut [$t], n: usize) {
             solve_on(exec, $kernel(), l, a, n)
-        }
-
-        /// Multi-lane solve over `lanes` ad-hoc scoped threads — the
-        /// legacy entry point for callers without a persistent lane pool.
-        ///
-        /// # Panics
-        /// As the serial variant.
-        pub fn $par(l: &[$t], a: &mut [$t], n: usize, lanes: usize) {
-            $par_on(&ScopedExec::new(lanes), l, a, n)
         }
 
         /// The serial solve on an explicitly chosen SIMD tier. Returns
@@ -298,7 +289,6 @@ macro_rules! trsm_impl {
 trsm_impl!(
     f32,
     strsm_right_lower_trans,
-    strsm_right_lower_trans_par,
     strsm_right_lower_trans_par_on,
     strsm_right_lower_trans_tier,
     strsm_right_lower_trans_unblocked,
@@ -308,7 +298,6 @@ trsm_impl!(
 trsm_impl!(
     f64,
     dtrsm_right_lower_trans,
-    dtrsm_right_lower_trans_par,
     dtrsm_right_lower_trans_par_on,
     dtrsm_right_lower_trans_tier,
     dtrsm_right_lower_trans_unblocked,
@@ -319,6 +308,7 @@ trsm_impl!(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::LanePool;
     use crate::verify::{assert_close_f64, random_matrix_f64, spd_matrix_f64};
     use crate::potrf::dpotrf;
 
@@ -375,7 +365,7 @@ mod tests {
         let mut x1 = a.clone();
         let mut x2 = a.clone();
         dtrsm_right_lower_trans(&l, &mut x1, n);
-        dtrsm_right_lower_trans_par(&l, &mut x2, n, 4);
+        dtrsm_right_lower_trans_par_on(&LanePool::new(4), &l, &mut x2, n);
         assert_close_f64(&x1, &x2, 1e-12);
     }
 
@@ -422,7 +412,7 @@ mod tests {
             let a0 = random_matrix_f64(n, 15);
             let mut a = a0.clone();
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                dtrsm_right_lower_trans_par(&l, &mut a, n, 2)
+                dtrsm_right_lower_trans_par_on(&LanePool::new(2), &l, &mut a, n)
             }));
             let msg = caught.expect_err("zero pivot must panic");
             assert!(msg.downcast_ref::<&str>().is_some_and(|m| m.contains("singular")));

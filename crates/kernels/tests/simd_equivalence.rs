@@ -22,17 +22,18 @@
 //! properties with dispatch pinned to the portable fallback.
 
 use proptest::prelude::*;
+use versa_kernels::exec::LanePool;
 use versa_kernels::gemm::{
     dgemm_blocked, dgemm_naive, dgemm_packed, dgemm_packed_scalar, dgemm_packed_tier,
-    dgemm_parallel, sgemm_naive, sgemm_packed, sgemm_packed_scalar, sgemm_packed_tier,
+    dgemm_parallel_on, sgemm_naive, sgemm_packed, sgemm_packed_scalar, sgemm_packed_tier,
 };
 use versa_kernels::potrf::{
     dpotrf, dpotrf_tier, dpotrf_unblocked, spotrf, spotrf_tier, spotrf_unblocked,
 };
 use versa_kernels::simd::{self, Tier};
 use versa_kernels::trsm::{
-    dtrsm_right_lower_trans, dtrsm_right_lower_trans_par, dtrsm_right_lower_trans_tier,
-    dtrsm_right_lower_trans_unblocked, strsm_right_lower_trans, strsm_right_lower_trans_par,
+    dtrsm_right_lower_trans, dtrsm_right_lower_trans_par_on, dtrsm_right_lower_trans_tier,
+    dtrsm_right_lower_trans_unblocked, strsm_right_lower_trans, strsm_right_lower_trans_par_on,
     strsm_right_lower_trans_tier, strsm_right_lower_trans_unblocked,
 };
 use versa_kernels::verify::{random_matrix_f32, random_matrix_f64, spd_matrix_f32, spd_matrix_f64};
@@ -171,7 +172,7 @@ proptest! {
         let mut serial = c0.clone();
         dgemm_blocked(&a, &b, &mut serial, n);
         let mut par = c0.clone();
-        dgemm_parallel(&a, &b, &mut par, n, lanes);
+        dgemm_parallel_on(&LanePool::new(lanes), &a, &b, &mut par, n);
         prop_assert_eq!(&serial, &par, "banding over {} lanes diverged at n={}", lanes, n);
     }
 }
@@ -273,11 +274,12 @@ fn panel_trsm_is_bitwise_identical_at_any_lane_count() {
         let mut serial32 = b32.clone();
         strsm_right_lower_trans(&l32, &mut serial32, n);
         for lanes in 1..=4 {
+            let pool = LanePool::new(lanes);
             let mut par = b64.clone();
-            dtrsm_right_lower_trans_par(&l64, &mut par, n, lanes);
+            dtrsm_right_lower_trans_par_on(&pool, &l64, &mut par, n);
             assert_eq!(serial64, par, "dtrsm over {lanes} lanes diverged at n={n}");
             let mut par = b32.clone();
-            strsm_right_lower_trans_par(&l32, &mut par, n, lanes);
+            strsm_right_lower_trans_par_on(&pool, &l32, &mut par, n);
             assert_eq!(serial32, par, "strsm over {lanes} lanes diverged at n={n}");
         }
     }

@@ -3,6 +3,7 @@
 //! the numerical foundation the Cholesky application rests on.
 
 use proptest::prelude::*;
+use versa_kernels::exec::LanePool;
 use versa_kernels::verify::{assert_close_f64, max_abs_diff_f64, spd_matrix_f64};
 use versa_kernels::{gemm, potrf, syrk, trsm};
 
@@ -118,7 +119,7 @@ proptest! {
         let mut c3 = c0.clone();
         gemm::dgemm_naive(&a, &b, &mut c1, n);
         gemm::dgemm_blocked(&a, &b, &mut c2, n);
-        gemm::dgemm_parallel(&a, &b, &mut c3, n, 3);
+        gemm::dgemm_parallel_on(&LanePool::new(3), &a, &b, &mut c3, n);
         prop_assert!(max_abs_diff_f64(&c1, &c2) < 1e-10);
         prop_assert!(max_abs_diff_f64(&c1, &c3) < 1e-10);
     }

@@ -30,9 +30,6 @@ pub struct RuntimeConfig {
     /// to pre-tracing builds. The resulting [`versa_trace::Trace`] lands
     /// in [`RunReport::trace`](crate::RunReport::trace).
     pub tracing: TraceConfig,
-    /// Relative half-width of the simulated execution-time noise
-    /// (e.g. `0.05` = ±5%); ignored by the native engine.
-    pub noise_sigma: f64,
     /// How many times one task may be re-entered into the ready pool
     /// after a failed execution attempt before the run aborts with a
     /// [`RunError`](crate::RunError). Both engines honour it: kernel
@@ -70,7 +67,6 @@ impl Default for RuntimeConfig {
             prefetch: true,
             flush_on_wait: true,
             tracing: TraceConfig::default(),
-            noise_sigma: 0.05,
             max_task_retries: 3,
             fair_scheduling: false,
             lookahead_depth: 2,

@@ -24,7 +24,6 @@ mod assign;
 mod config;
 mod fair;
 pub mod graph;
-pub(crate) mod lanepool;
 mod native;
 pub(crate) mod remote;
 mod report;

@@ -5,16 +5,16 @@
 //! worker whose kernels may parallelize over [`NativeConfig::gpu_lanes`]
 //! cores and whose memory is a separate arena space — it genuinely cannot
 //! read host buffers, so the coherence machinery is exercised for real.
-//! Each emulated-GPU worker owns a persistent [`LanePool`]: its lane
-//! threads are spawned once when the worker starts and parked between
-//! kernels, so running a multi-lane kernel never spawns an OS thread.
+//! Each emulated-GPU worker owns a persistent [`LanePool`] (the kernels
+//! crate's one multi-lane executor): its lane threads are spawned once
+//! when the worker starts and parked between kernels, so running a
+//! multi-lane kernel never spawns an OS thread.
 //! Kernels reach the pool through [`KernelCtx::exec`] (or the
 //! [`KernelCtx::par_bands`] convenience). Task durations reported to the
 //! scheduler are wall-clock kernel times, so the versioning scheduler
 //! learns real device speed ratios.
 
 use crate::assign::Wave;
-use crate::lanepool::LanePool;
 use crate::remote::{RemoteAccess, RemoteError, RemoteExec, RemoteNode, RemotePlan, ShipTicket};
 use crate::report::{Abort, Attempts, RunError, RunTally};
 use crate::runtime::{EngineKind, NativeFn};
@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use versa_core::{Assignment, FailureKind, TaskId, TemplateId, VersionId, WorkerId};
 use versa_kernels::chunk_ranges;
-use versa_kernels::exec::{LaneExec, SerialExec};
+use versa_kernels::exec::{LaneExec, LanePool, SerialExec};
 use versa_mem::{
     AccessMode, AlignedBuf, Arena, DataId, HandleState, IdMap, MemSpace, ReadyCell, Region,
     StagingLedger, Transfer, TransferStats,

@@ -28,7 +28,7 @@ use crate::{RunReport, Runtime};
 use std::time::Duration;
 use versa_core::{FailureKind, TaskId, WorkerId};
 use versa_mem::IdMap;
-use versa_sim::{EventQueue, FaultInjector, NodeFaultKind, NoiseModel, SimTime, TransferEngine};
+use versa_sim::{EventQueue, FaultInjector, NodeFaultKind, NoiseModel, TransferEngine};
 use versa_trace::{TraceEvent, Ts};
 
 /// Virtual-time heartbeat timeout: how much later than its fault time a
@@ -38,17 +38,21 @@ use versa_trace::{TraceEvent, Ts};
 /// `ExecOk` frame racing the reaper on a real cluster.
 const SIM_HEARTBEAT_TIMEOUT: Duration = Duration::from_millis(2);
 
+/// Relative half-width of the seeded noise on every simulated kernel
+/// duration (±5%).
+const NOISE_SIGMA: f64 = 0.05;
+
 /// What the engine tracks about one dispatched task of this run, from its
 /// dispatch until it completes.
 #[derive(Default)]
 pub(crate) struct InFlight {
     /// Completion time of its prefetch transfers, until it starts.
-    deadline: Option<SimTime>,
+    deadline: Option<Ts>,
     /// TaskStart stamp of the running attempt. A task may start *later*
     /// than the current event-loop time (it waits on transfers), so the
     /// `NodeLost` trace event must be stamped no earlier than any start
     /// already recorded on that node.
-    start: SimTime,
+    start: Ts,
     /// Sampled compute duration of the running attempt.
     duration: Duration,
     /// The running attempt will fail on completion (an injected-fault
@@ -75,7 +79,7 @@ struct SimState {
     /// Scheduled node losses still to fire: `(detection time, node)`,
     /// sorted by time. Detection lags the fault by the heartbeat
     /// timeout for [`NodeFaultKind::HeartbeatTimeout`] rules.
-    node_faults: Vec<(SimTime, u16)>,
+    node_faults: Vec<(Ts, u16)>,
     /// Completions, failures and the report. Its `overlap_time`s stay
     /// zero here: the simulator models overlap via link/engine occupancy
     /// rather than measuring wall-clock intersections.
@@ -94,7 +98,7 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
     };
     let mut st = SimState {
         xfer: TransferEngine::new(&platform),
-        noise: NoiseModel::new(rt.config.noise_sigma, platform.seed.wrapping_add(rt.run_count)),
+        noise: NoiseModel::new(NOISE_SIGMA, platform.seed.wrapping_add(rt.run_count)),
         events: EventQueue::new(),
         wave: Wave::new(max_dispatch),
         // Device residency state survives across waves/runs, so a later
@@ -115,7 +119,7 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
         tasks,
         injector: FaultInjector::new(platform.faults.clone(), platform.seed),
         node_faults: {
-            let mut f: Vec<(SimTime, u16)> = platform
+            let mut f: Vec<(Ts, u16)> = platform
                 .faults
                 .node_rules
                 .iter()
@@ -124,7 +128,7 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
                         NodeFaultKind::Drop => r.at,
                         NodeFaultKind::HeartbeatTimeout => r.at + SIM_HEARTBEAT_TIMEOUT,
                     };
-                    (SimTime::from_duration(detect), r.node)
+                    (Ts::ZERO + detect, r.node)
                 })
                 .collect();
             f.sort_unstable();
@@ -133,7 +137,7 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
         tally: RunTally::begin(rt, Ts::ZERO),
     };
 
-    let mut now = SimTime::ZERO;
+    let mut now = Ts::ZERO;
     pump(rt, &mut st, now);
     start_idle_workers(rt, &mut st, now);
 
@@ -171,7 +175,7 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
     if rt.config.flush_on_wait && rt.graph.all_done() {
         for t in rt.directory.flush_all_to_host() {
             let done = st.xfer.schedule(&t, now);
-            record_transfer(&st.tally.sink, None, &t, (now.into(), done.into()), None);
+            record_transfer(&st.tally.sink, None, &t, (now, done), None);
             end = end.max(done);
         }
     }
@@ -184,7 +188,7 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
 fn finish(
     rt: &mut Runtime,
     mut st: SimState,
-    end: SimTime,
+    end: Ts,
     abort: Option<Abort>,
 ) -> Result<RunReport, RunError> {
     if let EngineKind::Sim { caches, in_flight, .. } = &mut rt.engine {
@@ -196,7 +200,7 @@ fn finish(
 }
 
 /// Handle one task completion at virtual time `now`.
-fn on_completion(rt: &mut Runtime, st: &mut SimState, now: SimTime, wid: WorkerId, tid: TaskId) {
+fn on_completion(rt: &mut Runtime, st: &mut SimState, now: Ts, wid: WorkerId, tid: TaskId) {
     rt.workers[wid.index()].finish(tid);
     let measured = st.tasks.remove(&tid).expect("completed task was in flight").duration;
     st.tally.completed(rt, tid, wid, measured);
@@ -210,7 +214,7 @@ fn on_completion(rt: &mut Runtime, st: &mut SimState, now: SimTime, wid: WorkerI
         sink.record(
             wid.index(),
             TraceEvent::TaskEnd {
-                time: now.into(),
+                time: now,
                 task: tid,
                 worker: wid,
                 kernel_ns: measured.as_nanos() as u64,
@@ -229,7 +233,7 @@ fn on_completion(rt: &mut Runtime, st: &mut SimState, now: SimTime, wid: WorkerI
 fn on_failure(
     rt: &mut Runtime,
     st: &mut SimState,
-    now: SimTime,
+    now: Ts,
     wid: WorkerId,
     tid: TaskId,
 ) -> Option<Abort> {
@@ -246,14 +250,14 @@ fn on_failure(
         (FailureKind::Fault, message)
     };
     t.doomed = false;
-    st.tally.failed(rt, (tid, wid), failure, &mut t.attempts, Some((wid.index(), now.into())))
+    st.tally.failed(rt, (tid, wid), failure, &mut t.attempts, Some((wid.index(), now)))
 }
 
 /// Fire every scheduled node loss whose detection time has passed:
 /// retire the node's workers, return their queued (never-started) tasks
 /// to the pending pool silently, and mark running tasks as lost so their
 /// queued completion events become [`FailureKind::NodeLost`] failures.
-fn fire_node_faults(rt: &mut Runtime, st: &mut SimState, now: SimTime) {
+fn fire_node_faults(rt: &mut Runtime, st: &mut SimState, now: Ts) {
     while let Some(&(detect, node)) = st.node_faults.first() {
         if detect > now {
             break;
@@ -282,15 +286,15 @@ fn fire_node_faults(rt: &mut Runtime, st: &mut SimState, now: SimTime) {
             }
         }
         if let Some(sink) = &st.tally.sink {
-            sink.record(sink.coordinator(), TraceEvent::NodeLost { time: stamp.into(), node });
+            sink.record(sink.coordinator(), TraceEvent::NodeLost { time: stamp, node });
         }
     }
 }
 
 /// Dispatch what the wave budget allows ([`Wave::dispatch`]), then
 /// prefetch the assigned tasks' data if enabled.
-fn pump(rt: &mut Runtime, st: &mut SimState, now: SimTime) {
-    st.wave.dispatch(rt, &st.tally.sink, now.into());
+fn pump(rt: &mut Runtime, st: &mut SimState, now: Ts) {
+    st.wave.dispatch(rt, &st.tally.sink, now);
     for i in 0..st.wave.assigned.len() {
         let (tid, a) = st.wave.assigned[i];
         let deadline = rt.config.prefetch.then(|| stage_task_data(rt, st, tid, a.worker, now));
@@ -306,8 +310,8 @@ fn stage_task_data(
     st: &mut SimState,
     tid: TaskId,
     worker: WorkerId,
-    now: SimTime,
-) -> SimTime {
+    now: Ts,
+) -> Ts {
     let space = rt.workers[worker.index()].info.space;
     let accesses = &rt.graph.node(tid).instance.accesses;
     let mut deadline = now;
@@ -323,20 +327,15 @@ fn stage_task_data(
             // merely *queued* tasks may be evicted — those tasks re-stage
             // when they start (see `start_idle_workers`), exactly like a
             // bounded prefetch window on real hardware.
-            let mut pinned = Vec::with_capacity(accesses.len());
             for (region, _) in accesses {
                 cache.insert(region.data, rt.directory.bytes(region.data));
+            }
+            let running = rt.workers[worker.index()].running().map(|q| q.task);
+            let running = running.filter(|&r| r != tid).map(|r| &rt.graph.node(r).instance.accesses);
+            let mut pinned = Vec::with_capacity(accesses.len());
+            for (region, _) in accesses.iter().chain(running.into_iter().flatten()) {
                 if !pinned.contains(&region.data) {
                     pinned.push(region.data);
-                }
-            }
-            if let Some(running) = rt.workers[worker.index()].running() {
-                if running.task != tid {
-                    for (region, _) in &rt.graph.node(running.task).instance.accesses {
-                        if !pinned.contains(&region.data) {
-                            pinned.push(region.data);
-                        }
-                    }
                 }
             }
             for victim in cache.evict_to_capacity(&pinned) {
@@ -346,7 +345,7 @@ fn stage_task_data(
                         .flush_to_host(victim)
                         .expect("sole device copy needs a write-back");
                     let end = st.xfer.schedule(&wb, now);
-                    record_transfer(&st.tally.sink, None, &wb, (now.into(), end.into()), None);
+                    record_transfer(&st.tally.sink, None, &wb, (now, end), None);
                     deadline = deadline.max(end);
                 }
                 rt.directory.invalidate(victim, space);
@@ -362,13 +361,13 @@ fn stage_task_data(
             // per-space bandwidth EWMA the native engine trains — and
             // attributes the copy to the destination worker.
             let t_end = st.xfer.schedule(&t, now);
-            let elapsed = t_end.as_duration().saturating_sub(now.as_duration());
+            let elapsed = t_end - now;
             rt.scheduler.transfer_done(t.to, t.bytes, elapsed);
             let wt = &mut st.tally.worker_transfers[worker.index()];
             wt.staged_bytes += t.bytes;
             wt.staged_count += 1;
             wt.stage_time += elapsed;
-            record_transfer(&st.tally.sink, None, &t, (now.into(), t_end.into()), Some(worker));
+            record_transfer(&st.tally.sink, None, &t, (now, t_end), Some(worker));
             end = end.max(t_end);
         }
     }
@@ -376,7 +375,7 @@ fn stage_task_data(
 }
 
 /// Let every idle worker begin its next queued task.
-fn start_idle_workers(rt: &mut Runtime, st: &mut SimState, now: SimTime) {
+fn start_idle_workers(rt: &mut Runtime, st: &mut SimState, now: Ts) {
     for wi in 0..rt.workers.len() {
         if rt.workers[wi].running().is_some() {
             continue;
@@ -427,7 +426,7 @@ fn start_idle_workers(rt: &mut Runtime, st: &mut SimState, now: SimTime) {
             sink.record(
                 wi,
                 TraceEvent::TaskStart {
-                    time: start.into(),
+                    time: start,
                     task: tid,
                     worker: wid,
                     version: q.version,

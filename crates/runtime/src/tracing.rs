@@ -4,75 +4,16 @@
 //! off, so the disabled cost is one branch per would-be event and runs
 //! are byte-identical to untraced ones. The helpers here cover the parts
 //! common to the engines: turning scheduler decision logging on for the
-//! duration of a traced run, converting the scheduler's
-//! [`Decision`](versa_core::scheduler::Decision)s into trace
-//! [`DecisionRecord`]s, and stamping the run's metadata.
+//! duration of a traced run, moving the scheduler's
+//! [`Decision`](versa_core::scheduler::Decision)s into the trace, and
+//! stamping the run's metadata.
 
 use crate::graph::TaskState;
 use crate::Runtime;
 use std::sync::Arc;
-use versa_core::scheduler::{Decision, DecisionPhase};
 use versa_core::{WorkerId, WorkerInfo};
 use versa_mem::Transfer;
-use versa_trace::{
-    Bid, CandidateRecord, DecisionRecord, Phase, TraceEvent, TraceMeta, TraceSink, Ts,
-    WorkerSnapRecord,
-};
-
-/// Convert one scheduler decision into the trace's record form, stamped
-/// with the (virtual or wall) time the engine drained it at. The bid,
-/// candidate and worker vectors (and each worker's `runnable` list) move
-/// into the record: the element types share a layout, so `collect`
-/// reuses each vector's storage instead of copying it.
-pub(crate) fn decision_record(d: Decision, time: Ts) -> DecisionRecord {
-    DecisionRecord {
-        time,
-        task: d.task,
-        template: d.template,
-        bucket: d.bucket,
-        job: d.job,
-        phase: match d.phase {
-            DecisionPhase::Learning => Phase::Learning,
-            DecisionPhase::Reliable => Phase::Reliable,
-            DecisionPhase::ReliableFallback => Phase::ReliableFallback,
-        },
-        worker: d.assignment.worker,
-        version: d.assignment.version,
-        bids: d
-            .bids
-            .into_iter()
-            .map(|b| Bid {
-                worker: b.worker,
-                version: b.version,
-                busy: b.busy,
-                mean: b.mean,
-                transfer: b.transfer,
-                finish: b.finish,
-            })
-            .collect(),
-        candidates: d
-            .candidates
-            .into_iter()
-            .map(|c| CandidateRecord {
-                version: c.version,
-                scheduled: c.scheduled,
-                count: c.count,
-                mean: c.mean,
-            })
-            .collect(),
-        workers: d
-            .workers
-            .into_iter()
-            .map(|w| WorkerSnapRecord {
-                worker: w.worker,
-                pressure: w.pressure,
-                busy: w.busy,
-                transfer: w.transfer,
-                runnable: w.runnable,
-            })
-            .collect(),
-    }
-}
+use versa_trace::{TraceEvent, TraceMeta, TraceSink, Ts};
 
 /// Turn on scheduler decision logging for a traced run. Returns whether
 /// *this* run turned it on (and therefore owns turning it off again); a
@@ -109,8 +50,8 @@ pub(crate) fn drain_decisions(rt: &mut Runtime, sink: &Option<Arc<TraceSink>>, n
         return;
     }
     let lane = sink.coordinator();
-    for d in v.drain_decisions() {
-        sink.record(lane, TraceEvent::Decision(decision_record(d, now)));
+    for decision in v.drain_decisions() {
+        sink.record(lane, TraceEvent::Decision { time: now, decision });
     }
 }
 

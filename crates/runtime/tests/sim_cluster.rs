@@ -6,11 +6,12 @@
 //! run completes on the surviving workers with a coherent report.
 
 use std::time::Duration;
+use versa_core::scheduler::WorkerBid;
 use versa_core::{DeviceKind, FailureKind, SchedulerKind, VersionId, WorkerId};
 use versa_mem::DataId;
 use versa_runtime::{Runtime, RuntimeConfig};
-use versa_sim::{FaultRule, NodeFaultRule, PlatformConfig, SimNode, TraceEvent};
-use versa_trace::TraceConfig;
+use versa_sim::{FaultRule, NodeFaultRule, PlatformConfig, SimNode};
+use versa_trace::{TraceConfig, TraceEvent};
 
 const TASKS: usize = 48;
 const TILE: u64 = 1 << 20;
@@ -207,14 +208,9 @@ fn remote_bids_price_the_nic_link() {
     // has observed NIC shipments their transfer estimates are non-zero
     // (the scheduler has learned the link like a PCIe lane).
     let trace = report.trace.as_ref().expect("tracing was on");
-    let remote_bids: Vec<&versa_trace::Bid> = trace
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            TraceEvent::Decision(d) => Some(d.bids.iter()),
-            _ => None,
-        })
-        .flatten()
+    let remote_bids: Vec<&WorkerBid> = trace
+        .decisions()
+        .flat_map(|d| d.bids.iter())
         .filter(|b| rt.node_of_worker(b.worker) == 1)
         .collect();
     assert!(!remote_bids.is_empty(), "remote workers never entered an auction");

@@ -10,9 +10,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+use versa_core::scheduler::{Decision, DecisionPhase};
 use versa_core::{TemplateId, VersionId};
 use versa_runtime::{RunReport, WorkerTransferStats};
-use versa_trace::{DecisionRecord, Phase, TraceEvent};
+use versa_trace::TraceEvent;
 
 /// How many recent scheduler decisions the service keeps for inspection.
 const DECISION_TAIL: usize = 64;
@@ -62,8 +63,8 @@ pub(crate) struct Books {
     worker_busy: Vec<Duration>,
     worker_task_counts: Vec<u64>,
     worker_transfers: Vec<WorkerTransferStats>,
-    last_decisions: VecDeque<DecisionRecord>,
-    decision_phases: HashMap<(Option<u64>, Phase), u64>,
+    last_decisions: VecDeque<Decision>,
+    decision_phases: HashMap<(Option<u64>, DecisionPhase), u64>,
     trace_dropped: u64,
     job_events: VecDeque<TraceEvent>,
     /// Latest profile-hints snapshot (only with
@@ -90,7 +91,7 @@ impl Books {
         if let Some(trace) = &report.trace {
             self.trace_dropped += trace.dropped;
             for ev in trace.events() {
-                if let TraceEvent::Decision(d) = ev {
+                if let TraceEvent::Decision { decision: d, .. } = ev {
                     *self.decision_phases.entry((d.job, d.phase)).or_insert(0) += 1;
                     if self.last_decisions.len() >= DECISION_TAIL {
                         self.last_decisions.pop_front();
@@ -224,9 +225,9 @@ pub struct MetricsSnapshot {
     /// The most recent scheduler decisions (oldest first, at most
     /// `DECISION_TAIL`), harvested from wave traces. Empty unless the
     /// service's runtime was built with `RuntimeConfig::tracing` on.
-    pub last_decisions: Vec<DecisionRecord>,
+    pub last_decisions: Vec<Decision>,
     /// Decisions per (job, scheduling phase) across all traced waves.
-    pub decision_phases: HashMap<(Option<u64>, Phase), u64>,
+    pub decision_phases: HashMap<(Option<u64>, DecisionPhase), u64>,
     /// Trace events lost to ring overflow across all traced waves — a
     /// non-zero value means the lane capacity is too small for the
     /// service's wave size.

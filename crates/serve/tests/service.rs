@@ -2,7 +2,7 @@
 //! engines, cross-job profile warmth, warm start, and live metrics.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 use versa_core::{DeviceKind, SchedulerKind, VersionId};
 use versa_runtime::{NativeConfig, Runtime, RuntimeConfig};
@@ -35,12 +35,14 @@ fn sim_runtime() -> (Runtime, versa_core::TemplateId) {
 /// `tasks` independent tasks over fresh same-size allocations (one size
 /// group), leaked on purpose — sim data is contentless.
 fn sim_job(tpl: versa_core::TemplateId, tasks: usize) -> JobSpec {
-    JobSpec::fire_and_forget(format!("sim-{tasks}"), move |rt| {
-        for _ in 0..tasks {
-            let d = rt.alloc_bytes(1 << 16);
-            rt.task(tpl).read_write(d).submit();
-        }
-    })
+    JobSpec::fire_and_forget(format!("sim-{tasks}"), move |rt| sim_tasks(rt, tpl, tasks))
+}
+
+fn sim_tasks(rt: &mut Runtime, tpl: versa_core::TemplateId, tasks: usize) {
+    for _ in 0..tasks {
+        let d = rt.alloc_bytes(1 << 16);
+        rt.task(tpl).read_write(d).submit();
+    }
 }
 
 #[test]
@@ -50,14 +52,19 @@ fn two_clients_interleave_on_the_sim_engine() {
         Service::start(rt, ServeConfig { wave_dispatch: 4, ..ServeConfig::default() });
     let c1 = service.client();
     let c2 = service.client();
-    let h1 = std::thread::spawn(move || {
-        c1.submit(sim_job(tpl, 128)).accepted().expect("queue has room").wait()
+    // The first job's build runs on the service thread and blocks there
+    // until the second job is queued, so the service admits both before
+    // its first wave however the threads are scheduled: it drains one
+    // job alone in well under a millisecond.
+    let (release, gate) = mpsc::channel::<()>();
+    let first = JobSpec::fire_and_forget("sim-128-gated", move |rt| {
+        gate.recv().expect("the test opens the gate");
+        sim_tasks(rt, tpl, 128);
     });
-    let h2 = std::thread::spawn(move || {
-        c2.submit(sim_job(tpl, 128)).accepted().expect("queue has room").wait()
-    });
-    let r1 = h1.join().unwrap();
-    let r2 = h2.join().unwrap();
+    let t1 = c1.submit(first).accepted().expect("queue has room");
+    let t2 = c2.submit(sim_job(tpl, 128)).accepted().expect("queue has room");
+    release.send(()).unwrap();
+    let (r1, r2) = (t1.wait(), t2.wait());
 
     for r in [&r1, &r2] {
         assert_eq!(r.tasks, 128);

@@ -1,23 +1,24 @@
 //! Deterministic discrete-event queue.
 
-use crate::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use versa_trace::Ts;
 
 /// A min-heap of timestamped events with FIFO tie-breaking: events pushed
 /// earlier pop first among equal timestamps, making simulations fully
 /// deterministic regardless of payload type.
 ///
 /// ```
-/// use versa_sim::{EventQueue, SimTime};
+/// use versa_sim::EventQueue;
+/// use versa_trace::Ts;
 ///
 /// let mut q = EventQueue::new();
-/// q.push(SimTime(20), "late");
-/// q.push(SimTime(10), "early");
-/// q.push(SimTime(10), "early-but-second");
-/// assert_eq!(q.pop(), Some((SimTime(10), "early")));
-/// assert_eq!(q.pop(), Some((SimTime(10), "early-but-second")));
-/// assert_eq!(q.pop(), Some((SimTime(20), "late")));
+/// q.push(Ts(20), "late");
+/// q.push(Ts(10), "early");
+/// q.push(Ts(10), "early-but-second");
+/// assert_eq!(q.pop(), Some((Ts(10), "early")));
+/// assert_eq!(q.pop(), Some((Ts(10), "early-but-second")));
+/// assert_eq!(q.pop(), Some((Ts(20), "late")));
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
@@ -25,7 +26,7 @@ pub struct EventQueue<E> {
 }
 
 struct Entry<E> {
-    time: SimTime,
+    time: Ts,
     seq: u64,
     payload: E,
 }
@@ -63,13 +64,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule `payload` at `time`.
-    pub fn push(&mut self, time: SimTime, payload: E) {
+    pub fn push(&mut self, time: Ts, payload: E) {
         self.heap.push(Reverse(Entry { time, seq: self.seq, payload }));
         self.seq += 1;
     }
 
     /// Pop the earliest event (FIFO among ties).
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    pub fn pop(&mut self) -> Option<(Ts, E)> {
         self.heap.pop().map(|Reverse(e)| (e.time, e.payload))
     }
 }
@@ -81,12 +82,12 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(SimTime(30), "c");
-        q.push(SimTime(10), "a");
-        q.push(SimTime(20), "b");
-        assert_eq!(q.pop(), Some((SimTime(10), "a")));
-        assert_eq!(q.pop(), Some((SimTime(20), "b")));
-        assert_eq!(q.pop(), Some((SimTime(30), "c")));
+        q.push(Ts(30), "c");
+        q.push(Ts(10), "a");
+        q.push(Ts(20), "b");
+        assert_eq!(q.pop(), Some((Ts(10), "a")));
+        assert_eq!(q.pop(), Some((Ts(20), "b")));
+        assert_eq!(q.pop(), Some((Ts(30), "c")));
         assert_eq!(q.pop(), None);
     }
 
@@ -94,23 +95,23 @@ mod tests {
     fn simultaneous_events_are_fifo() {
         let mut q = EventQueue::new();
         for i in 0..100 {
-            q.push(SimTime(5), i);
+            q.push(Ts(5), i);
         }
         for i in 0..100 {
-            assert_eq!(q.pop(), Some((SimTime(5), i)));
+            assert_eq!(q.pop(), Some((Ts(5), i)));
         }
     }
 
     #[test]
     fn interleaved_push_pop_stays_ordered() {
         let mut q = EventQueue::new();
-        q.push(SimTime(10), 1);
-        q.push(SimTime(5), 0);
-        assert_eq!(q.pop(), Some((SimTime(5), 0)));
-        q.push(SimTime(7), 2);
-        q.push(SimTime(7), 3);
-        assert_eq!(q.pop(), Some((SimTime(7), 2)));
-        assert_eq!(q.pop(), Some((SimTime(7), 3)));
-        assert_eq!(q.pop(), Some((SimTime(10), 1)));
+        q.push(Ts(10), 1);
+        q.push(Ts(5), 0);
+        assert_eq!(q.pop(), Some((Ts(5), 0)));
+        q.push(Ts(7), 2);
+        q.push(Ts(7), 3);
+        assert_eq!(q.pop(), Some((Ts(7), 2)));
+        assert_eq!(q.pop(), Some((Ts(7), 3)));
+        assert_eq!(q.pop(), Some((Ts(10), 1)));
     }
 }

@@ -5,9 +5,10 @@
 //! building blocks to *simulate* such a node deterministically, so the
 //! scheduler experiments reproduce without the hardware:
 //!
-//! * [`SimTime`] — a virtual clock (nanosecond resolution).
 //! * [`EventQueue`] — a deterministic discrete-event queue (FIFO among
-//!   simultaneous events).
+//!   simultaneous events), keyed by the trace's clock
+//!   [`Ts`](versa_trace::Ts): virtual nanoseconds since simulation
+//!   start, so trace records need no conversion.
 //! * [`PlatformConfig`] — node description: SMP worker count, GPU count,
 //!   per-GPU PCIe link bandwidth/latency, peer-to-peer capability, and
 //!   per-device peak GFLOP/s (for report normalization).
@@ -18,9 +19,10 @@
 //! * [`TransferEngine`] — virtual-time DMA: transfers occupy links,
 //!   respect data production times, may overlap with compute (prefetch),
 //!   and are accounted in the paper's Input/Output/Device Tx categories.
-//! * [`Trace`] — re-export of the unified `versa-trace` event model (the
-//!   recorder, exporters and analysis live there, shared with the native
-//!   engine).
+//!
+//! Traces of simulated runs use the unified `versa-trace` event model
+//! (recorder, exporters and analysis live there, shared with the native
+//! engine).
 //!
 //! The actual task-execution event loop lives in `versa-runtime`
 //! (`SimEngine`), which combines these pieces with the task graph and a
@@ -32,16 +34,15 @@ mod cost;
 mod event;
 mod fault;
 mod platform;
-mod time;
-mod trace;
 mod transfer;
 
 pub use cost::{CostTable, NoiseModel};
 pub use event::EventQueue;
 pub use fault::{FaultInjector, FaultPlan, FaultRule, NodeFaultKind, NodeFaultRule};
 pub use platform::{LinkConfig, PlatformConfig, SimNode};
-pub use time::SimTime;
-pub use trace::{Trace, TraceEvent, Ts};
 pub use transfer::TransferEngine;
-pub use versa_trace::analysis;
-pub use versa_trace::{TaskInterval, TraceAnalysis};
+/// The trace clock under the simulator's old name. Only the separate
+/// `benchmark/` package still names it (`probes/mod.rs` builds
+/// `SimTime(..)`); it goes when that package's debt is paid (ROADMAP
+/// item 1).
+pub use versa_trace::Ts as SimTime;

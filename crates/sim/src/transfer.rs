@@ -11,8 +11,9 @@
 //! destination worker is computing — so transfers for queued tasks
 //! proceed while earlier tasks run.
 
-use crate::{PlatformConfig, SimTime};
+use crate::PlatformConfig;
 use versa_mem::{DataId, IdMap, MemSpace, Transfer, TransferKind, TransferStats};
+use versa_trace::Ts;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Dir {
@@ -31,12 +32,12 @@ enum Dir {
 #[derive(Debug)]
 pub struct TransferEngine {
     /// When each device's upload engine is next free.
-    up_free: Vec<SimTime>,
+    up_free: Vec<Ts>,
     /// When each device's download engine is next free.
-    down_free: Vec<SimTime>,
+    down_free: Vec<Ts>,
     /// When each (allocation, space) copy's bytes physically exist.
     /// Absent entries mean "since simulation start" (initial host data).
-    ready: IdMap<(DataId, MemSpace), SimTime>,
+    ready: IdMap<(DataId, MemSpace), Ts>,
     stats: TransferStats,
     /// Per-device link, indexed by `MemSpace::device_index`.
     links: Vec<crate::LinkConfig>,
@@ -50,8 +51,8 @@ impl TransferEngine {
         links.extend(platform.nodes.iter().map(|n| n.nic));
         let engines = links.len();
         TransferEngine {
-            up_free: vec![SimTime::ZERO; engines],
-            down_free: vec![SimTime::ZERO; engines],
+            up_free: vec![Ts::ZERO; engines],
+            down_free: vec![Ts::ZERO; engines],
             ready: IdMap::default(),
             stats: TransferStats::default(),
             links,
@@ -65,14 +66,14 @@ impl TransferEngine {
     }
 
     /// When the copy of `data` in `space` is physically usable.
-    pub fn ready_at(&self, data: DataId, space: MemSpace) -> SimTime {
-        self.ready.get(&(data, space)).copied().unwrap_or(SimTime::ZERO)
+    pub fn ready_at(&self, data: DataId, space: MemSpace) -> Ts {
+        self.ready.get(&(data, space)).copied().unwrap_or(Ts::ZERO)
     }
 
     /// Declare that a task (or the user) produced `data` in `space` at
     /// `time` — e.g. a kernel finishing on a GPU, or an SMP task writing
     /// host memory.
-    pub fn mark_produced(&mut self, data: DataId, space: MemSpace, time: SimTime) {
+    pub fn mark_produced(&mut self, data: DataId, space: MemSpace, time: Ts) {
         self.ready.insert((data, space), time);
     }
 
@@ -85,7 +86,7 @@ impl TransferEngine {
         down.into_iter().chain(up)
     }
 
-    fn engine_free(&self, dev: usize, dir: Dir) -> SimTime {
+    fn engine_free(&self, dev: usize, dir: Dir) -> Ts {
         if self.links[dev].duplex {
             match dir {
                 Dir::Up => self.up_free[dev],
@@ -97,7 +98,7 @@ impl TransferEngine {
         }
     }
 
-    fn occupy(&mut self, dev: usize, dir: Dir, until: SimTime) {
+    fn occupy(&mut self, dev: usize, dir: Dir, until: Ts) {
         if self.links[dev].duplex {
             match dir {
                 Dir::Up => self.up_free[dev] = until,
@@ -118,7 +119,7 @@ impl TransferEngine {
     /// destination's upload engine; without peer-to-peer support it
     /// additionally pays a double (staged-through-host) transfer time,
     /// while still being accounted once as *Device Tx*.
-    pub fn schedule(&mut self, t: &Transfer, now: SimTime) -> SimTime {
+    pub fn schedule(&mut self, t: &Transfer, now: Ts) -> Ts {
         let kind = t.kind();
         let engines = Self::engines_of(t);
         let src_ready = self.ready_at(t.data, t.from);
@@ -170,8 +171,8 @@ mod tests {
     #[test]
     fn input_transfer_takes_bandwidth_time() {
         let mut e = engine();
-        let end = e.schedule(&tx(0, HOST, MemSpace::device(0), 1_000_000), SimTime::ZERO);
-        assert_eq!(end, SimTime(1_000_000)); // 1 MB at 1 GB/s = 1 ms
+        let end = e.schedule(&tx(0, HOST, MemSpace::device(0), 1_000_000), Ts::ZERO);
+        assert_eq!(end, Ts(1_000_000)); // 1 MB at 1 GB/s = 1 ms
         assert_eq!(e.stats().input_bytes, 1_000_000);
         assert_eq!(e.ready_at(DataId(0), MemSpace::device(0)), end);
     }
@@ -179,57 +180,57 @@ mod tests {
     #[test]
     fn same_engine_serializes_different_links_overlap() {
         let mut e = engine();
-        let a = e.schedule(&tx(0, HOST, MemSpace::device(0), 1_000_000), SimTime::ZERO);
-        let b = e.schedule(&tx(1, HOST, MemSpace::device(0), 1_000_000), SimTime::ZERO);
+        let a = e.schedule(&tx(0, HOST, MemSpace::device(0), 1_000_000), Ts::ZERO);
+        let b = e.schedule(&tx(1, HOST, MemSpace::device(0), 1_000_000), Ts::ZERO);
         assert_eq!(b, a + Duration::from_millis(1), "same upload engine: serialized");
-        let c = e.schedule(&tx(2, HOST, MemSpace::device(1), 1_000_000), SimTime::ZERO);
-        assert_eq!(c, SimTime(1_000_000), "other GPU's link: concurrent");
+        let c = e.schedule(&tx(2, HOST, MemSpace::device(1), 1_000_000), Ts::ZERO);
+        assert_eq!(c, Ts(1_000_000), "other GPU's link: concurrent");
     }
 
     #[test]
     fn duplex_overlaps_upload_and_download() {
         let mut e = engine();
-        e.mark_produced(DataId(1), MemSpace::device(0), SimTime::ZERO);
-        let up = e.schedule(&tx(0, HOST, MemSpace::device(0), 1_000_000), SimTime::ZERO);
-        let down = e.schedule(&tx(1, MemSpace::device(0), HOST, 1_000_000), SimTime::ZERO);
-        assert_eq!(up, SimTime(1_000_000));
-        assert_eq!(down, SimTime(1_000_000), "dual copy engines run both directions at once");
+        e.mark_produced(DataId(1), MemSpace::device(0), Ts::ZERO);
+        let up = e.schedule(&tx(0, HOST, MemSpace::device(0), 1_000_000), Ts::ZERO);
+        let down = e.schedule(&tx(1, MemSpace::device(0), HOST, 1_000_000), Ts::ZERO);
+        assert_eq!(up, Ts(1_000_000));
+        assert_eq!(down, Ts(1_000_000), "dual copy engines run both directions at once");
     }
 
     #[test]
     fn simplex_serializes_upload_and_download() {
         let mut e = engine_with(false);
-        e.mark_produced(DataId(1), MemSpace::device(0), SimTime::ZERO);
-        let up = e.schedule(&tx(0, HOST, MemSpace::device(0), 1_000_000), SimTime::ZERO);
-        let down = e.schedule(&tx(1, MemSpace::device(0), HOST, 1_000_000), SimTime::ZERO);
-        assert_eq!(up, SimTime(1_000_000));
-        assert_eq!(down, SimTime(2_000_000), "one engine serves both directions");
+        e.mark_produced(DataId(1), MemSpace::device(0), Ts::ZERO);
+        let up = e.schedule(&tx(0, HOST, MemSpace::device(0), 1_000_000), Ts::ZERO);
+        let down = e.schedule(&tx(1, MemSpace::device(0), HOST, 1_000_000), Ts::ZERO);
+        assert_eq!(up, Ts(1_000_000));
+        assert_eq!(down, Ts(2_000_000), "one engine serves both directions");
     }
 
     #[test]
     fn transfer_waits_for_source_production() {
         let mut e = engine();
-        e.mark_produced(DataId(0), MemSpace::device(0), SimTime(5_000_000));
-        let end = e.schedule(&tx(0, MemSpace::device(0), HOST, 1_000_000), SimTime::ZERO);
-        assert_eq!(end, SimTime(6_000_000), "starts only after the kernel wrote it");
+        e.mark_produced(DataId(0), MemSpace::device(0), Ts(5_000_000));
+        let end = e.schedule(&tx(0, MemSpace::device(0), HOST, 1_000_000), Ts::ZERO);
+        assert_eq!(end, Ts(6_000_000), "starts only after the kernel wrote it");
         assert_eq!(e.stats().output_bytes, 1_000_000);
     }
 
     #[test]
     fn device_to_device_without_p2p_pays_double() {
         let mut e = engine(); // p2p = false by default
-        e.mark_produced(DataId(0), MemSpace::device(0), SimTime::ZERO);
+        e.mark_produced(DataId(0), MemSpace::device(0), Ts::ZERO);
         let end =
-            e.schedule(&tx(0, MemSpace::device(0), MemSpace::device(1), 1_000_000), SimTime::ZERO);
-        assert_eq!(end, SimTime(2_000_000));
+            e.schedule(&tx(0, MemSpace::device(0), MemSpace::device(1), 1_000_000), Ts::ZERO);
+        assert_eq!(end, Ts(2_000_000));
         assert_eq!(e.stats().device_bytes, 1_000_000, "accounted once");
         // Source's download engine and destination's upload engine are
         // busy until `end`; the destination's *download* engine is free.
-        let up1 = e.schedule(&tx(1, HOST, MemSpace::device(1), 1_000_000), SimTime::ZERO);
-        assert_eq!(up1, SimTime(3_000_000), "dev1 upload engine was occupied");
-        e.mark_produced(DataId(2), MemSpace::device(1), SimTime::ZERO);
-        let down1 = e.schedule(&tx(2, MemSpace::device(1), HOST, 1_000_000), SimTime::ZERO);
-        assert_eq!(down1, SimTime(1_000_000), "dev1 download engine was free");
+        let up1 = e.schedule(&tx(1, HOST, MemSpace::device(1), 1_000_000), Ts::ZERO);
+        assert_eq!(up1, Ts(3_000_000), "dev1 upload engine was occupied");
+        e.mark_produced(DataId(2), MemSpace::device(1), Ts::ZERO);
+        let down1 = e.schedule(&tx(2, MemSpace::device(1), HOST, 1_000_000), Ts::ZERO);
+        assert_eq!(down1, Ts(1_000_000), "dev1 download engine was free");
     }
 
     #[test]
@@ -238,10 +239,10 @@ mod tests {
         p.link = crate::LinkConfig { bandwidth: 1e9, latency: Duration::ZERO, duplex: true };
         p.gpu_p2p = true;
         let mut e = TransferEngine::new(&p);
-        e.mark_produced(DataId(0), MemSpace::device(0), SimTime::ZERO);
+        e.mark_produced(DataId(0), MemSpace::device(0), Ts::ZERO);
         let end =
-            e.schedule(&tx(0, MemSpace::device(0), MemSpace::device(1), 1_000_000), SimTime::ZERO);
-        assert_eq!(end, SimTime(1_000_000));
+            e.schedule(&tx(0, MemSpace::device(0), MemSpace::device(1), 1_000_000), Ts::ZERO);
+        assert_eq!(end, Ts(1_000_000));
     }
 
     #[test]
@@ -253,14 +254,14 @@ mod tests {
             duplex: true,
         };
         let mut e = TransferEngine::new(&p);
-        let end = e.schedule(&tx(0, HOST, MemSpace::device(0), 1_000_000), SimTime::ZERO);
-        assert_eq!(end, SimTime(1_010_000));
+        let end = e.schedule(&tx(0, HOST, MemSpace::device(0), 1_000_000), Ts::ZERO);
+        assert_eq!(end, Ts(1_010_000));
     }
 
     #[test]
     fn initial_host_data_is_ready_at_zero() {
         let e = engine();
-        assert_eq!(e.ready_at(DataId(7), HOST), SimTime::ZERO);
+        assert_eq!(e.ready_at(DataId(7), HOST), Ts::ZERO);
     }
 
     /// 2 GPUs on a 1 GB/s PCIe link + 1 remote node on a 10× slower NIC.
@@ -277,34 +278,34 @@ mod tests {
     #[test]
     fn nic_link_is_priced_separately_from_pcie() {
         let mut e = cluster_engine();
-        let pcie = e.schedule(&tx(0, HOST, MemSpace::device(0), 1_000_000), SimTime::ZERO);
-        assert_eq!(pcie, SimTime(1_000_000), "1 MB over PCIe at 1 GB/s");
+        let pcie = e.schedule(&tx(0, HOST, MemSpace::device(0), 1_000_000), Ts::ZERO);
+        assert_eq!(pcie, Ts(1_000_000), "1 MB over PCIe at 1 GB/s");
         // Device index 2 = remote node 1's mirror space, behind the NIC.
-        let nic = e.schedule(&tx(1, HOST, MemSpace::device(2), 1_000_000), SimTime::ZERO);
-        assert_eq!(nic, SimTime(10_000_000), "same bytes over a 10× slower NIC");
+        let nic = e.schedule(&tx(1, HOST, MemSpace::device(2), 1_000_000), Ts::ZERO);
+        assert_eq!(nic, Ts(10_000_000), "same bytes over a 10× slower NIC");
         assert_eq!(e.stats().input_bytes, 2_000_000);
     }
 
     #[test]
     fn nic_and_pcie_links_are_independent_engines() {
         let mut e = cluster_engine();
-        let a = e.schedule(&tx(0, HOST, MemSpace::device(0), 1_000_000), SimTime::ZERO);
-        let b = e.schedule(&tx(1, HOST, MemSpace::device(2), 1_000_000), SimTime::ZERO);
-        assert_eq!(a, SimTime(1_000_000));
-        assert_eq!(b, SimTime(10_000_000), "NIC shipment does not queue behind PCIe");
+        let a = e.schedule(&tx(0, HOST, MemSpace::device(0), 1_000_000), Ts::ZERO);
+        let b = e.schedule(&tx(1, HOST, MemSpace::device(2), 1_000_000), Ts::ZERO);
+        assert_eq!(a, Ts(1_000_000));
+        assert_eq!(b, Ts(10_000_000), "NIC shipment does not queue behind PCIe");
         // But two shipments to the same node share its NIC.
-        let c = e.schedule(&tx(2, HOST, MemSpace::device(2), 1_000_000), SimTime::ZERO);
-        assert_eq!(c, SimTime(20_000_000), "same NIC upload engine: serialized");
+        let c = e.schedule(&tx(2, HOST, MemSpace::device(2), 1_000_000), Ts::ZERO);
+        assert_eq!(c, Ts(20_000_000), "same NIC upload engine: serialized");
     }
 
     #[test]
     fn gpu_to_node_is_limited_by_the_slower_link() {
         let mut e = cluster_engine(); // p2p = false: staged through host
-        e.mark_produced(DataId(0), MemSpace::device(0), SimTime::ZERO);
+        e.mark_produced(DataId(0), MemSpace::device(0), Ts::ZERO);
         let end =
-            e.schedule(&tx(0, MemSpace::device(0), MemSpace::device(2), 1_000_000), SimTime::ZERO);
+            e.schedule(&tx(0, MemSpace::device(0), MemSpace::device(2), 1_000_000), Ts::ZERO);
         // Two hops, each priced at the slower (NIC) link time.
-        assert_eq!(end, SimTime(20_000_000));
+        assert_eq!(end, Ts(20_000_000));
         assert_eq!(e.stats().device_bytes, 1_000_000, "accounted once as Device Tx");
     }
 }

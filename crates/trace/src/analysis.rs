@@ -12,10 +12,11 @@
 //! * `version_counts` matches `RunReport::version_counts`.
 //! * `failed_count` matches `RunReport::failures.failure_count()`.
 
-use crate::event::{DecisionRecord, Phase, Trace, TraceEvent, Ts};
+use crate::event::{Trace, TraceEvent, Ts};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Duration;
+use versa_core::scheduler::{Decision, DecisionPhase};
 use versa_core::{BucketKey, TemplateId, VersionId, WorkerId};
 use versa_mem::TransferKind;
 
@@ -53,15 +54,21 @@ pub struct PhaseMix {
     pub reliable: u64,
     /// Fallback assignments (profiles exhausted / quarantined).
     pub fallback: u64,
+    /// When the first reliable decision was drained, if there was one.
+    pub first_reliable: Option<Ts>,
 }
 
 impl PhaseMix {
-    /// Count one decision.
-    pub(crate) fn count(&mut self, phase: Phase) {
+    /// Count one decision, drained at `time` (decisions arrive in time
+    /// order, so the first reliable one seen is the earliest).
+    pub(crate) fn count(&mut self, phase: DecisionPhase, time: Ts) {
         match phase {
-            Phase::Learning => self.learning += 1,
-            Phase::Reliable => self.reliable += 1,
-            Phase::ReliableFallback => self.fallback += 1,
+            DecisionPhase::Learning => self.learning += 1,
+            DecisionPhase::Reliable => {
+                self.reliable += 1;
+                self.first_reliable.get_or_insert(time);
+            }
+            DecisionPhase::ReliableFallback => self.fallback += 1,
         }
     }
 }
@@ -90,7 +97,7 @@ pub struct TraceAnalysis {
     /// Number of failed attempts (kernel faults + staging faults).
     pub failed_count: usize,
     /// The scheduler decision ledger, in time order.
-    pub decisions: Vec<DecisionRecord>,
+    pub decisions: Vec<Decision>,
     /// Decision phase mix per (template, bucket).
     pub phase_mix: HashMap<(TemplateId, BucketKey), PhaseMix>,
     /// Cluster node losses, in time order (empty for single-node runs).
@@ -168,9 +175,10 @@ impl TraceAnalysis {
                     *transfer_bytes.entry(kind).or_default() += bytes;
                     transfer_count += 1;
                 }
-                TraceEvent::Decision(ref d) => {
-                    phase_mix.entry((d.template, d.bucket)).or_default().count(d.phase);
-                    decisions.push(d.clone());
+                TraceEvent::Decision { time, ref decision } => {
+                    let key = (decision.template, decision.bucket);
+                    phase_mix.entry(key).or_default().count(decision.phase, time);
+                    decisions.push(decision.clone());
                 }
                 TraceEvent::NodeLost { time, node } => {
                     node_losses.push((time, node));
@@ -296,11 +304,9 @@ impl TraceAnalysis {
         );
         for key in keys {
             let mix = &self.phase_mix[&key];
-            let first_reliable = self
-                .decisions
-                .iter()
-                .find(|d| (d.template, d.bucket) == key && d.phase == Phase::Reliable)
-                .map(|d| format!("{:.3}", d.time.as_duration().as_secs_f64() * 1e3))
+            let first_reliable = mix
+                .first_reliable
+                .map(|t| format!("{:.3}", t.as_duration().as_secs_f64() * 1e3))
                 .unwrap_or_else(|| "-".to_string());
             let _ = writeln!(
                 out,
@@ -404,13 +410,13 @@ pub fn to_csv(trace: &Trace) -> String {
                     format!("transfer,{},{},{from}->{to},{data:?}:{bytes}B", start.0, end.0),
                 ));
             }
-            TraceEvent::Decision(d) => {
+            TraceEvent::Decision { time, decision: d } => {
                 rows.push((
-                    d.time.0,
+                    time.0,
                     format!(
                         "decision,{},{},{},t{}v{}:{}",
-                        d.time.0,
-                        d.time.0,
+                        time.0,
+                        time.0,
                         d.worker,
                         d.task.0,
                         d.version.0,
@@ -531,9 +537,9 @@ mod tests {
 
     #[test]
     fn phase_mix_counts_decisions() {
-        let mk = |t: u64, phase: Phase| {
-            TraceEvent::Decision(DecisionRecord {
-                time: Ts(t),
+        let mk = |t: u64, phase: DecisionPhase| TraceEvent::Decision {
+            time: Ts(t),
+            decision: Decision {
                 task: TaskId(t),
                 template: TemplateId(0),
                 bucket: BucketKey(3),
@@ -544,16 +550,22 @@ mod tests {
                 bids: Vec::new(),
                 candidates: Vec::new(),
                 workers: Vec::new(),
-            })
+            },
         };
         let a = TraceAnalysis::new(&Trace::new(
             TraceMeta::default(),
-            vec![mk(0, Phase::Learning), mk(1, Phase::Learning), mk(2, Phase::Reliable)],
+            vec![
+                mk(0, DecisionPhase::Learning),
+                mk(1, DecisionPhase::Learning),
+                mk(2, DecisionPhase::Reliable),
+                mk(3, DecisionPhase::Reliable),
+            ],
             0,
         ));
         let mix = &a.phase_mix[&(TemplateId(0), BucketKey(3))];
-        assert_eq!((mix.learning, mix.reliable, mix.fallback), (2, 1, 0));
-        assert_eq!(a.decisions.len(), 3);
+        assert_eq!((mix.learning, mix.reliable, mix.fallback), (2, 2, 0));
+        assert_eq!(mix.first_reliable, Some(Ts(2)));
+        assert_eq!(a.decisions.len(), 4);
         let report = a.phase_report(&TraceMeta::default());
         assert!(report.contains("tpl0"));
     }

@@ -88,11 +88,11 @@ pub fn to_chrome_json(trace: &Trace) -> String {
                     bytes
                 ));
             }
-            TraceEvent::Decision(d) => {
+            TraceEvent::Decision { time, decision: d } => {
                 events.push(format!(
                     "{{\"name\":\"{}\",\"cat\":\"decision\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":0,\"tid\":{},\"args\":{{\"task\":{},\"phase\":\"{}\",\"bids\":{}}}}}",
                     esc(&format!("assign t{} {}", d.task.0, meta.version_name(d.template, d.version))),
-                    us(d.time.0),
+                    us(time.0),
                     d.worker.0,
                     d.task.0,
                     d.phase.label(),

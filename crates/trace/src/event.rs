@@ -3,7 +3,8 @@
 
 use crate::meta::TraceMeta;
 use std::time::Duration;
-use versa_core::{BucketKey, TaskId, TemplateId, VersionId, WorkerId};
+use versa_core::scheduler::Decision;
+use versa_core::{TaskId, TemplateId, VersionId, WorkerId};
 use versa_mem::{DataId, MemSpace};
 
 /// A trace timestamp: nanoseconds since the run's epoch (virtual time for
@@ -24,6 +25,7 @@ impl Ts {
 
 impl std::ops::Sub for Ts {
     type Output = Duration;
+    #[inline]
     fn sub(self, rhs: Ts) -> Duration {
         Duration::from_nanos(self.0.saturating_sub(rhs.0))
     }
@@ -31,6 +33,7 @@ impl std::ops::Sub for Ts {
 
 impl std::ops::Add<Duration> for Ts {
     type Output = Ts;
+    #[inline]
     fn add(self, rhs: Duration) -> Ts {
         Ts(self.0 + rhs.as_nanos() as u64)
     }
@@ -40,120 +43,6 @@ impl std::fmt::Display for Ts {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}ns", self.0)
     }
-}
-
-/// Which regime the versioning scheduler was in when it made a decision
-/// (paper §IV-B: learning phase vs reliable earliest-executor phase).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Phase {
-    /// Still training some version for this (template, bucket).
-    Learning,
-    /// All versions profiled; earliest-executor bidding.
-    Reliable,
-    /// Profiles exhausted/quarantined; least-bad fallback.
-    ReliableFallback,
-}
-
-impl Phase {
-    /// Stable one-word label (used by the text format and reports).
-    pub fn label(self) -> &'static str {
-        match self {
-            Phase::Learning => "learning",
-            Phase::Reliable => "reliable",
-            Phase::ReliableFallback => "fallback",
-        }
-    }
-
-    /// Inverse of [`Phase::label`].
-    pub(crate) fn from_label(s: &str) -> Option<Phase> {
-        match s {
-            "learning" => Some(Phase::Learning),
-            "reliable" => Some(Phase::Reliable),
-            "fallback" => Some(Phase::ReliableFallback),
-            _ => None,
-        }
-    }
-}
-
-/// One worker's bid in an earliest-executor auction: estimated finish =
-/// current busy time + profiled mean + transfer penalty.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Bid {
-    /// The bidding worker.
-    pub worker: WorkerId,
-    /// The version this worker would run.
-    pub version: VersionId,
-    /// Estimated queue drain time at bid time.
-    pub busy: Duration,
-    /// Profiled mean execution time of `version` in the task's bucket.
-    pub mean: Duration,
-    /// Estimated copy-in time for non-resident data.
-    pub transfer: Duration,
-    /// Total estimated finish time (the auction metric).
-    pub finish: Duration,
-}
-
-/// Profile statistics of one candidate version as the scheduler saw them
-/// immediately before a decision (before that decision's own bookkeeping)
-/// — the per-version half of the policy input, recorded so decisions
-/// replay offline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CandidateRecord {
-    /// The candidate version.
-    pub version: VersionId,
-    /// Assignments so far in this size group.
-    pub scheduled: u64,
-    /// Completed executions so far in this size group.
-    pub count: u64,
-    /// Mean execution time, once measured.
-    pub mean: Option<Duration>,
-}
-
-/// One worker's load at decision time plus the versions its device can
-/// run — the per-worker half of the policy input.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WorkerSnapRecord {
-    /// The worker.
-    pub worker: WorkerId,
-    /// Queue pressure: queued tasks plus the running one.
-    pub pressure: u64,
-    /// Estimated queue drain time.
-    pub busy: Duration,
-    /// Estimated copy-in time for this task's non-resident data.
-    pub transfer: Duration,
-    /// Template versions the worker's device can run, in version order.
-    pub runnable: Vec<VersionId>,
-}
-
-/// One scheduler decision: which worker/version won, in which phase, and
-/// every bid considered — the data `versioning.rs` computes on every
-/// assignment, preserved instead of thrown away.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DecisionRecord {
-    /// When the decision was drained from the scheduler.
-    pub time: Ts,
-    /// The task assigned.
-    pub task: TaskId,
-    /// Its template.
-    pub template: TemplateId,
-    /// The size bucket its profile lookup used.
-    pub bucket: BucketKey,
-    /// Owning job, when running under versa-serve.
-    pub job: Option<u64>,
-    /// Scheduling regime.
-    pub phase: Phase,
-    /// Chosen worker.
-    pub worker: WorkerId,
-    /// Chosen version.
-    pub version: VersionId,
-    /// All bids considered (empty in the learning phase, which assigns
-    /// round-robin to train untrained versions).
-    pub bids: Vec<Bid>,
-    /// Candidate versions with their pre-decision profile statistics
-    /// (empty in traces recorded before the policy snapshot existed).
-    pub candidates: Vec<CandidateRecord>,
-    /// Per-worker load snapshots at decision time (empty in old traces).
-    pub workers: Vec<WorkerSnapRecord>,
 }
 
 /// One traced event. Timestamps are [`Ts`] nanoseconds from the run
@@ -176,8 +65,14 @@ pub enum TraceEvent {
         /// Which task.
         task: TaskId,
     },
-    /// The scheduler assigned a task (full bid ledger attached).
-    Decision(DecisionRecord),
+    /// The scheduler assigned a task: the scheduler's own record of the
+    /// decision (phase, every bid, and the policy input that replays it).
+    Decision {
+        /// When the engine drained the decision from the scheduler.
+        time: Ts,
+        /// The decision as the scheduler logged it.
+        decision: Decision,
+    },
     /// A task attempt began executing on a worker.
     TaskStart {
         /// When.
@@ -277,8 +172,8 @@ impl TraceEvent {
             | TraceEvent::TaskFailed { time, .. }
             | TraceEvent::NodeLost { time, .. }
             | TraceEvent::JobAdmitted { time, .. }
-            | TraceEvent::JobCompleted { time, .. } => *time,
-            TraceEvent::Decision(d) => d.time,
+            | TraceEvent::JobCompleted { time, .. }
+            | TraceEvent::Decision { time, .. } => *time,
             TraceEvent::Transfer { start, .. } => *start,
         }
     }
@@ -293,7 +188,7 @@ impl TraceEvent {
             TraceEvent::JobAdmitted { .. } => 0,
             TraceEvent::TaskCreated { .. } => 1,
             TraceEvent::TaskReady { .. } => 2,
-            TraceEvent::Decision(_) => 3,
+            TraceEvent::Decision { .. } => 3,
             TraceEvent::Transfer { .. } => 4,
             // A node loss sorts before the task failures it causes.
             TraceEvent::NodeLost { .. } => 5,
@@ -340,9 +235,9 @@ impl Trace {
     }
 
     /// The scheduler decision ledger, in time order.
-    pub fn decisions(&self) -> impl Iterator<Item = &DecisionRecord> {
+    pub fn decisions(&self) -> impl Iterator<Item = &Decision> {
         self.events.iter().filter_map(|e| match e {
-            TraceEvent::Decision(d) => Some(d),
+            TraceEvent::Decision { decision, .. } => Some(decision),
             _ => None,
         })
     }
@@ -378,14 +273,6 @@ mod tests {
         assert!(matches!(tr.events()[1], TraceEvent::TaskStart { task: TaskId(1), .. }));
         assert!(matches!(tr.events()[2], TraceEvent::TaskEnd { .. }));
         assert!(matches!(tr.events()[3], TraceEvent::TaskStart { task: TaskId(2), .. }));
-    }
-
-    #[test]
-    fn phase_labels_round_trip() {
-        for p in [Phase::Learning, Phase::Reliable, Phase::ReliableFallback] {
-            assert_eq!(Phase::from_label(p.label()), Some(p));
-        }
-        assert_eq!(Phase::from_label("bogus"), None);
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! of the same program are comparable event-for-event.
 //!
 //! * [`TraceEvent`] — the unified event model: task lifecycle (created →
-//!   ready → running → done/failed/retried), scheduler [`DecisionRecord`]s
-//!   (phase + every worker's bid), staging/transfer spans, and serve-level
-//!   job admission events.
+//!   ready → running → done/failed/retried), the scheduler's own
+//!   [`Decision`](versa_core::scheduler::Decision)s (phase + every
+//!   worker's bid + the policy input), staging/transfer spans, and
+//!   serve-level job admission events.
 //! * [`TraceSink`] — a lock-light per-worker ring-buffer recorder:
 //!   bounded memory, drop-counted overflow, one uncontended mutex per
 //!   lane (each engine thread owns a lane, so locks never collide).
@@ -36,8 +37,11 @@ mod sink;
 mod text;
 
 pub use analysis::{TaskInterval, TraceAnalysis};
-pub use event::{
-    Bid, CandidateRecord, DecisionRecord, Phase, Trace, TraceEvent, Ts, WorkerSnapRecord,
-};
+pub use event::{Trace, TraceEvent, Ts};
+/// The scheduler's phase type under its old trace-side name. Only the
+/// separate `benchmark/` package still names it (`workloads/native.rs`,
+/// `serve_tiny.rs`, `mod.rs`); it goes when that package's debt is paid
+/// (ROADMAP item 1).
+pub use versa_core::scheduler::DecisionPhase as Phase;
 pub use meta::{TemplateMeta, TraceMeta, WorkerMeta};
 pub use sink::{TraceConfig, TraceSink};

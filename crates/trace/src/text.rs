@@ -32,11 +32,12 @@
 //! tokens; an optional `lambda N` meta line records the learning
 //! threshold. Traces without these extensions still parse.
 
-use crate::event::{Bid, CandidateRecord, DecisionRecord, Phase, Trace, TraceEvent, Ts, WorkerSnapRecord};
+use crate::event::{Trace, TraceEvent, Ts};
 use crate::meta::{TemplateMeta, TraceMeta, WorkerMeta};
 use std::fmt::Write as _;
 use std::time::Duration;
-use versa_core::{BucketKey, TaskId, TemplateId, VersionId, WorkerId};
+use versa_core::scheduler::{Decision, DecisionPhase, WorkerBid};
+use versa_core::{BucketKey, CandidateStats, TaskId, TemplateId, VersionId, WorkerId, WorkerSnap};
 use versa_mem::{DataId, MemSpace};
 
 fn space_token(s: MemSpace) -> String {
@@ -87,12 +88,12 @@ impl Trace {
                 TraceEvent::TaskReady { time, task } => {
                     let _ = writeln!(out, "ready {} {}", time.0, task.0);
                 }
-                TraceEvent::Decision(d) => {
+                TraceEvent::Decision { time, decision: d } => {
                     let job = d.job.map(|j| j.to_string()).unwrap_or_else(|| "-".into());
                     let _ = write!(
                         out,
                         "decision {} {} {} {} {} {} {} {}",
-                        d.time.0,
+                        time.0,
                         d.task.0,
                         d.template.0,
                         d.bucket.0,
@@ -259,8 +260,8 @@ impl Trace {
                         "-" => None,
                         j => Some(j.parse::<u64>().map_err(|_| err("bad job"))?),
                     };
-                    let phase = Phase::from_label(toks.get(6).ok_or_else(|| err("missing phase"))?)
-                        .ok_or_else(|| err("bad phase"))?;
+                    let label = toks.get(6).ok_or_else(|| err("missing phase"))?;
+                    let phase = DecisionPhase::from_label(label).ok_or_else(|| err("bad phase"))?;
                     let mut bids = Vec::new();
                     let mut candidates = Vec::new();
                     let mut workers = Vec::new();
@@ -277,7 +278,7 @@ impl Trace {
                                 "-" => None,
                                 m => Some(ns(m)?),
                             };
-                            candidates.push(CandidateRecord {
+                            candidates.push(CandidateStats {
                                 version: VersionId(
                                     f[0].parse().map_err(|_| err("bad candidate version"))?,
                                 ),
@@ -300,7 +301,7 @@ impl Trace {
                                     .collect::<Result<Vec<_>, _>>()
                                     .map_err(|_| err("bad runnable list"))?,
                             };
-                            workers.push(WorkerSnapRecord {
+                            workers.push(WorkerSnap {
                                 worker: WorkerId(
                                     f[0].parse().map_err(|_| err("bad snapshot worker"))?,
                                 ),
@@ -315,7 +316,7 @@ impl Trace {
                         if f.len() != 6 {
                             return Err(err("bad bid"));
                         }
-                        bids.push(Bid {
+                        bids.push(WorkerBid {
                             worker: WorkerId(f[0].parse().map_err(|_| err("bad bid worker"))?),
                             version: VersionId(f[1].parse().map_err(|_| err("bad bid version"))?),
                             busy: ns(f[2])?,
@@ -324,19 +325,21 @@ impl Trace {
                             finish: ns(f[5])?,
                         });
                     }
-                    events.push(TraceEvent::Decision(DecisionRecord {
+                    events.push(TraceEvent::Decision {
                         time: Ts(num!(1, u64)),
-                        task: TaskId(num!(2, u64)),
-                        template: TemplateId(num!(3, u32)),
-                        bucket: BucketKey(num!(4, u64)),
-                        job,
-                        phase,
-                        worker: WorkerId(num!(7, u16)),
-                        version: VersionId(num!(8, u16)),
-                        bids,
-                        candidates,
-                        workers,
-                    }));
+                        decision: Decision {
+                            task: TaskId(num!(2, u64)),
+                            template: TemplateId(num!(3, u32)),
+                            bucket: BucketKey(num!(4, u64)),
+                            job,
+                            phase,
+                            worker: WorkerId(num!(7, u16)),
+                            version: VersionId(num!(8, u16)),
+                            bids,
+                            candidates,
+                            workers,
+                        },
+                    });
                 }
                 "start" => events.push(TraceEvent::TaskStart {
                     time: Ts(num!(1, u64)),
@@ -425,54 +428,56 @@ mod tests {
             vec![
                 TraceEvent::TaskCreated { time: Ts(0), task: TaskId(1), template: TemplateId(0) },
                 TraceEvent::TaskReady { time: Ts(0), task: TaskId(1) },
-                TraceEvent::Decision(DecisionRecord {
+                TraceEvent::Decision {
                     time: Ts(1),
-                    task: TaskId(1),
-                    template: TemplateId(0),
-                    bucket: BucketKey(3),
-                    job: Some(7),
-                    phase: Phase::Reliable,
-                    worker: WorkerId(1),
-                    version: VersionId(0),
-                    bids: vec![Bid {
+                    decision: Decision {
+                        task: TaskId(1),
+                        template: TemplateId(0),
+                        bucket: BucketKey(3),
+                        job: Some(7),
+                        phase: DecisionPhase::Reliable,
                         worker: WorkerId(1),
                         version: VersionId(0),
-                        busy: Duration::from_nanos(10),
-                        mean: Duration::from_nanos(20),
-                        transfer: Duration::from_nanos(5),
-                        finish: Duration::from_nanos(35),
-                    }],
-                    candidates: vec![
-                        CandidateRecord {
-                            version: VersionId(0),
-                            scheduled: 3,
-                            count: 3,
-                            mean: Some(Duration::from_nanos(20)),
-                        },
-                        CandidateRecord {
-                            version: VersionId(1),
-                            scheduled: 3,
-                            count: 2,
-                            mean: None,
-                        },
-                    ],
-                    workers: vec![
-                        WorkerSnapRecord {
-                            worker: WorkerId(0),
-                            pressure: 1,
-                            busy: Duration::from_nanos(40),
-                            transfer: Duration::ZERO,
-                            runnable: vec![VersionId(1)],
-                        },
-                        WorkerSnapRecord {
+                        bids: vec![WorkerBid {
                             worker: WorkerId(1),
-                            pressure: 0,
-                            busy: Duration::ZERO,
+                            version: VersionId(0),
+                            busy: Duration::from_nanos(10),
+                            mean: Duration::from_nanos(20),
                             transfer: Duration::from_nanos(5),
-                            runnable: vec![],
-                        },
-                    ],
-                }),
+                            finish: Duration::from_nanos(35),
+                        }],
+                        candidates: vec![
+                            CandidateStats {
+                                version: VersionId(0),
+                                scheduled: 3,
+                                count: 3,
+                                mean: Some(Duration::from_nanos(20)),
+                            },
+                            CandidateStats {
+                                version: VersionId(1),
+                                scheduled: 3,
+                                count: 2,
+                                mean: None,
+                            },
+                        ],
+                        workers: vec![
+                            WorkerSnap {
+                                worker: WorkerId(0),
+                                pressure: 1,
+                                busy: Duration::from_nanos(40),
+                                transfer: Duration::ZERO,
+                                runnable: vec![VersionId(1)],
+                            },
+                            WorkerSnap {
+                                worker: WorkerId(1),
+                                pressure: 0,
+                                busy: Duration::ZERO,
+                                transfer: Duration::from_nanos(5),
+                                runnable: vec![],
+                            },
+                        ],
+                    },
+                },
                 TraceEvent::Transfer {
                     start: Ts(1),
                     end: Ts(5),

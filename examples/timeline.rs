@@ -9,7 +9,7 @@
 
 use versa::apps::cholesky::{self, CholeskyConfig, CholeskyVariant};
 use versa::prelude::*;
-use versa::sim::{analysis, SimTime, TraceAnalysis};
+use versa::trace::{analysis, TraceAnalysis};
 
 fn main() {
     let cfg = CholeskyConfig { n: 8192, bs: 1024 };
@@ -48,7 +48,6 @@ fn main() {
         }
         println!("  {:<4} {}", w.to_string(), row.into_iter().collect::<String>());
     }
-    let _ = SimTime::ZERO; // (SimTime re-exported for library users)
 
     let csv = analysis::to_csv(trace);
     let path = std::env::temp_dir().join("versa_cholesky_timeline.csv");

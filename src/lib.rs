@@ -42,5 +42,6 @@ pub mod prelude {
     };
     pub use versa_mem::{AccessMode, DataId, MemSpace, Region, TransferStats};
     pub use versa_runtime::{RunError, RunReport, Runtime, RuntimeConfig};
-    pub use versa_sim::{FaultPlan, FaultRule, PlatformConfig, SimTime};
+    pub use versa_sim::{FaultPlan, FaultRule, PlatformConfig};
+    pub use versa_trace::Ts;
 }

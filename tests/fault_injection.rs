@@ -133,12 +133,12 @@ fn fault_trace_records_failed_attempts() {
     let report = rt.run().expect("run failed");
     let trace = report.trace.as_ref().expect("trace enabled");
 
-    let analysis = versa::sim::TraceAnalysis::new(trace);
+    let analysis = versa::trace::TraceAnalysis::new(trace);
     assert_eq!(analysis.failed_count as u64, report.failures.failure_count());
     assert_eq!(analysis.task_count as u64, report.tasks_executed);
     assert_eq!(analysis.find_overlap(), None, "failed attempts still occupy the worker");
 
-    let csv = versa::sim::analysis::to_csv(trace);
+    let csv = versa::trace::analysis::to_csv(trace);
     assert_eq!(
         csv.lines().filter(|l| l.starts_with("failed,")).count() as u64,
         report.failures.failure_count()

@@ -4,7 +4,8 @@ use proptest::prelude::*;
 use versa::core::{DeviceKind, SchedulerKind, TaskId, VersionId, WorkerId};
 use versa::mem::{AccessMode, DataId, Directory, MemSpace, Region};
 use versa::runtime::{NativeConfig, Runtime, RuntimeConfig, TaskGraph};
-use versa::sim::{EventQueue, SimTime};
+use versa::sim::EventQueue;
+use versa::trace::Ts;
 
 // ---------------------------------------------------------------------
 // Serializability: any parallel schedule produces the serial result
@@ -422,9 +423,9 @@ proptest! {
     fn event_queue_pops_sorted_fifo(times in proptest::collection::vec(0u64..1000, 1..200)) {
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime(t), i);
+            q.push(Ts(t), i);
         }
-        let mut last: Option<(SimTime, usize)> = None;
+        let mut last: Option<(Ts, usize)> = None;
         while let Some((t, seq)) = q.pop() {
             if let Some((lt, lseq)) = last {
                 prop_assert!(t >= lt, "times must be non-decreasing");

@@ -185,7 +185,7 @@ fn native_and_sim_traces_have_the_same_event_shape() {
                 TraceEvent::TaskEnd { task, .. } => {
                     ended.insert(task);
                 }
-                TraceEvent::Decision(_) => decisions += 1,
+                TraceEvent::Decision { .. } => decisions += 1,
                 _ => {}
             }
         }
