@@ -126,13 +126,13 @@ pub fn ablate_mean_policy(_scale: Scale) -> FigureResult {
     ] {
         let mut store = ProfileStore::new(SizeBucketPolicy::Exact, policy, 3);
         for _ in 0..100 {
-            store.record(tpl, 1, 1024, v, Duration::from_millis(7));
+            store.record(tpl, 1024, v, Duration::from_millis(7));
         }
         let mut mean_at_10 = 0.0;
         let mut mean_at_50 = 0.0;
         let mut crossed_at: Option<usize> = None;
         for i in 1..=200usize {
-            store.record(tpl, 1, 1024, v, Duration::from_millis(140));
+            store.record(tpl, 1024, v, Duration::from_millis(140));
             let mean = store.mean(tpl, 1024, v).unwrap().as_secs_f64() * 1e3;
             if i == 10 {
                 mean_at_10 = mean;

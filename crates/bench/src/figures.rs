@@ -477,8 +477,8 @@ pub fn fig5() -> String {
     let mut sched = VersioningScheduler::with_defaults();
     sched.set_decision_logging(true);
     // Learned profile: GPU version 10 ms, SMP version 35 ms.
-    sched.profiles_mut().seed(template, 2, 1 << 20, VersionId(0), std::time::Duration::from_millis(10), 20);
-    sched.profiles_mut().seed(template, 2, 1 << 20, VersionId(1), std::time::Duration::from_millis(35), 20);
+    sched.profiles_mut().seed(template, 1 << 20, VersionId(0), std::time::Duration::from_millis(10), 20);
+    sched.profiles_mut().seed(template, 1 << 20, VersionId(1), std::time::Duration::from_millis(35), 20);
     // GPU worker 2 is busy: six queued tasks ≈ 60 ms of work. SMP worker
     // 1 is idle; SMP worker 0 has one queued task.
     for q in 0..6 {

@@ -36,9 +36,8 @@ pub use device::DeviceKind;
 pub use ids::{TaskId, TemplateId, VersionId, WorkerId};
 pub use profile::{BucketKey, MeanPolicy, ProfileStore, QuarantineEntry, SizeBucketPolicy};
 pub use scheduler::{
-    make_scheduler, Assignment, CandidateStats, FailureKind, Policy, PolicyChoice, PolicyCtx,
-    PolicyKind, SchedCtx, Scheduler, SchedulerKind, VersioningConfig, VersioningScheduler,
-    WorkerSnap,
+    make_scheduler, Assignment, CandidateStats, FailureKind, PolicyChoice, PolicyCtx, PolicyKind,
+    SchedCtx, Scheduler, SchedulerKind, VersioningConfig, VersioningScheduler, WorkerSnap,
 };
 pub use task::{JobTag, TaskInstance, TaskTemplate, TaskVersion, TemplateBuilder, TemplateRegistry};
 pub use worker::{QueuedTask, WorkerInfo, WorkerState};

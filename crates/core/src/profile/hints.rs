@@ -19,10 +19,9 @@
 //! Records are keyed by template *name* (stable across runs) and raw
 //! [`BucketKey`]. Bucket keys are only meaningful under the
 //! [`SizeBucketPolicy`] that produced them (and seeded means only under
-//! the same [`MeanPolicy`]), so v2 files carry a `policy` line and
-//! [`apply_hints`] rejects a file whose policies differ from the
-//! receiving store's. Legacy v1 files without a `policy` line still load
-//! — they simply skip the check.
+//! the same [`MeanPolicy`]), so every file carries a `policy` line,
+//! [`parse_hints`] rejects a file without one, and [`apply_hints`]
+//! rejects a file whose policies differ from the receiving store's.
 //!
 //! `quarantine` records are optional and carry the store's failure
 //! quarantine state (consecutive-failure streak per quarantined entry),
@@ -94,12 +93,11 @@ pub struct QuarantineRecord {
     pub failures: u64,
 }
 
-/// A parsed hints file: the declared policies (absent in legacy v1
-/// files) and the records.
+/// A parsed hints file: the declared policies and the records.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HintsFile {
-    /// The `policy` header, when present.
-    pub policy: Option<HintsPolicy>,
+    /// The `policy` header.
+    pub policy: HintsPolicy,
     /// The `hint` records, in file order.
     pub records: Vec<HintRecord>,
     /// The `quarantine` records, in file order.
@@ -130,6 +128,9 @@ pub enum HintsError {
         /// The offending content.
         content: String,
     },
+    /// The file has no `policy` line, so its bucket keys and means
+    /// cannot be interpreted.
+    MissingPolicy,
     /// The file's declared policies differ from the receiving store's —
     /// its bucket keys/means would be misinterpreted.
     PolicyMismatch {
@@ -152,6 +153,7 @@ impl fmt::Display for HintsError {
             HintsError::BadPolicy { line, content } => {
                 write!(f, "hints line {line}: malformed policy header {content:?}")
             }
+            HintsError::MissingPolicy => write!(f, "hints file has no policy line"),
             HintsError::PolicyMismatch { expected, found } => {
                 write!(
                     f,
@@ -173,14 +175,14 @@ pub fn render_hints(store: &ProfileStore, registry: &TemplateRegistry) -> String
     out.push('\n');
     for (template, bucket, group) in store.iter() {
         let name = &registry.get(template).name;
-        for (i, stats) in group.versions().iter().enumerate() {
-            if let Some(mean) = stats.mean() {
+        for (i, row) in group.rows().iter().enumerate() {
+            if let Some(mean) = row.exec.mean() {
                 let _ = writeln!(
                     out,
                     "hint {name} {i} {} {} {}",
                     bucket.0,
                     mean.as_nanos(),
-                    stats.count()
+                    row.exec.count()
                 );
             }
         }
@@ -229,8 +231,8 @@ fn parse_policy(line: usize, trimmed: &str) -> Result<HintsPolicy, HintsError> {
     Ok(HintsPolicy { bucket: bucket.ok_or_else(err)?, mean: mean.ok_or_else(err)? })
 }
 
-/// Parse a hints file. Blank lines and `#` comments are ignored; at most
-/// one `policy` line is accepted (none in legacy v1 files).
+/// Parse a hints file. Blank lines and `#` comments are ignored; exactly
+/// one `policy` line is required.
 pub fn parse_hints(text: &str) -> Result<HintsFile, HintsError> {
     let mut policy: Option<HintsPolicy> = None;
     let mut records = Vec::new();
@@ -285,27 +287,25 @@ pub fn parse_hints(text: &str) -> Result<HintsFile, HintsError> {
         }
         records.push(HintRecord { template, version, bucket, mean_ns, count });
     }
+    let policy = policy.ok_or(HintsError::MissingPolicy)?;
     Ok(HintsFile { policy, records, quarantine })
 }
 
-/// Seed `store` with a parsed hints file. When the file declares its
-/// policies, they must match the store's
-/// ([`HintsError::PolicyMismatch`] otherwise). Hints for templates not
-/// present in `registry` (or version indices out of range) are skipped
-/// and counted in the returned `(applied, skipped)` pair.
+/// Seed `store` with a parsed hints file. The file's policies must match
+/// the store's ([`HintsError::PolicyMismatch`] otherwise). Hints for
+/// templates not present in `registry` (or version indices out of range)
+/// are skipped and counted in the returned `(applied, skipped)` pair.
 pub fn apply_hints(
     store: &mut ProfileStore,
     registry: &TemplateRegistry,
     file: &HintsFile,
 ) -> Result<(usize, usize), HintsError> {
     let ours = HintsPolicy { bucket: store.bucket_policy(), mean: store.mean_policy() };
-    if let Some(theirs) = file.policy {
-        if theirs != ours {
-            return Err(HintsError::PolicyMismatch {
-                expected: ours.render(),
-                found: theirs.render(),
-            });
-        }
+    if file.policy != ours {
+        return Err(HintsError::PolicyMismatch {
+            expected: ours.render(),
+            found: file.policy.render(),
+        });
     }
     let mut applied = 0;
     let mut skipped = 0;
@@ -314,14 +314,12 @@ pub fn apply_hints(
             skipped += 1;
             continue;
         };
-        let n_versions = registry.get(template).version_count();
-        if rec.version as usize >= n_versions {
+        if rec.version as usize >= registry.get(template).version_count() {
             skipped += 1;
             continue;
         }
         store.seed_bucket(
             template,
-            n_versions,
             rec.bucket,
             VersionId(rec.version),
             Duration::from_nanos(rec.mean_ns),
@@ -334,12 +332,11 @@ pub fn apply_hints(
             skipped += 1;
             continue;
         };
-        let n_versions = registry.get(template).version_count();
-        if rec.version as usize >= n_versions {
+        if rec.version as usize >= registry.get(template).version_count() {
             skipped += 1;
             continue;
         }
-        store.seed_quarantine(template, n_versions, rec.bucket, VersionId(rec.version), rec.failures);
+        store.seed_quarantine(template, rec.bucket, VersionId(rec.version), rec.failures);
         applied += 1;
     }
     Ok((applied, skipped))
@@ -364,16 +361,16 @@ mod tests {
         let reg = registry();
         let tpl = reg.by_name("matmul_tile").unwrap();
         let mut store = ProfileStore::with_defaults();
-        store.record(tpl, 2, 1000, VersionId(0), Duration::from_millis(7));
-        store.record(tpl, 2, 1000, VersionId(1), Duration::from_millis(420));
-        store.record(tpl, 2, 2000, VersionId(0), Duration::from_millis(14));
+        store.record(tpl, 1000, VersionId(0), Duration::from_millis(7));
+        store.record(tpl, 1000, VersionId(1), Duration::from_millis(420));
+        store.record(tpl, 2000, VersionId(0), Duration::from_millis(14));
 
         let text = render_hints(&store, &reg);
         let file = parse_hints(&text).unwrap();
         assert_eq!(file.records.len(), 3);
         assert_eq!(
             file.policy,
-            Some(HintsPolicy { bucket: SizeBucketPolicy::Exact, mean: MeanPolicy::Arithmetic })
+            HintsPolicy { bucket: SizeBucketPolicy::Exact, mean: MeanPolicy::Arithmetic }
         );
 
         let mut fresh = ProfileStore::with_defaults();
@@ -393,7 +390,7 @@ mod tests {
             MeanPolicy::Ewma { alpha: 0.3 },
             4,
         );
-        store.record(tpl, 2, 1000, VersionId(0), Duration::from_millis(7));
+        store.record(tpl, 1000, VersionId(0), Duration::from_millis(7));
         let text = render_hints(&store, &reg);
         assert!(text.contains("policy bucket=range:0.25 mean=ewma:0.3"));
         let file = parse_hints(&text).unwrap();
@@ -415,7 +412,7 @@ mod tests {
             MeanPolicy::Arithmetic,
             4,
         );
-        store.record(tpl, 2, 1000, VersionId(0), Duration::from_millis(7));
+        store.record(tpl, 1000, VersionId(0), Duration::from_millis(7));
         let file = parse_hints(&render_hints(&store, &reg)).unwrap();
 
         // A store with exact buckets would misread the range-policy keys.
@@ -434,22 +431,18 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_without_policy_line_still_load() {
-        let reg = registry();
-        let tpl = reg.by_name("matmul_tile").unwrap();
+    fn files_without_policy_line_are_rejected() {
         let text = "# versa profile hints v1\nhint matmul_tile 0 1000 7000000 10\n";
-        let file = parse_hints(text).unwrap();
-        assert_eq!(file.policy, None);
-        let mut store = ProfileStore::with_defaults();
-        assert_eq!(apply_hints(&mut store, &reg, &file).unwrap(), (1, 0));
-        assert_eq!(store.count(tpl, 1000, VersionId(0)), 10);
+        assert_eq!(parse_hints(text).unwrap_err(), HintsError::MissingPolicy);
+        assert_eq!(parse_hints("").unwrap_err(), HintsError::MissingPolicy);
     }
 
     #[test]
     fn warm_started_store_skips_learning() {
         let reg = registry();
         let tpl = reg.by_name("matmul_tile").unwrap();
-        let text = "hint matmul_tile 0 1000 7000000 10\nhint matmul_tile 1 1000 420000000 10\n";
+        let text = "policy bucket=exact mean=arithmetic\n\
+                    hint matmul_tile 0 1000 7000000 10\nhint matmul_tile 1 1000 420000000 10\n";
         let mut store = ProfileStore::with_defaults();
         let file = parse_hints(text).unwrap();
         apply_hints(&mut store, &reg, &file).unwrap();
@@ -461,9 +454,9 @@ mod tests {
         let reg = registry();
         let tpl = reg.by_name("matmul_tile").unwrap();
         let mut store = ProfileStore::with_defaults();
-        store.record(tpl, 2, 1000, VersionId(0), Duration::from_millis(7));
-        store.record_failure(tpl, 2, 1000, VersionId(1));
-        store.record_failure(tpl, 2, 1000, VersionId(1));
+        store.record(tpl, 1000, VersionId(0), Duration::from_millis(7));
+        store.record_failure(tpl, 1000, VersionId(1));
+        store.record_failure(tpl, 1000, VersionId(1));
         assert!(store.is_quarantined(tpl, 1000, VersionId(1)));
 
         let text = render_hints(&store, &reg);
@@ -475,14 +468,13 @@ mod tests {
         let mut fresh = ProfileStore::with_defaults();
         apply_hints(&mut fresh, &reg, &file).unwrap();
         assert!(fresh.is_quarantined(tpl, 1000, VersionId(1)));
-        assert!(fresh.is_excluded(tpl, 1000, VersionId(1)));
         // Byte-stable: re-rendering the restored store reproduces the file.
         assert_eq!(render_hints(&fresh, &reg), text);
     }
 
     #[test]
     fn comments_and_blank_lines_ignored() {
-        let text = "# header\n\n   \nhint t 0 5 100 1\n# trailing\n";
+        let text = "# header\npolicy bucket=exact mean=arithmetic\n\n   \nhint t 0 5 100 1\n# trailing\n";
         let file = parse_hints(text).unwrap();
         assert_eq!(file.records.len(), 1);
         assert_eq!(file.records[0].template, "t");
@@ -531,8 +523,10 @@ mod tests {
     #[test]
     fn unknown_templates_are_skipped_not_fatal() {
         let reg = registry();
-        let file =
-            parse_hints("hint unknown_task 0 5 100 1\nhint matmul_tile 9 5 100 1\n").unwrap();
+        let file = parse_hints(
+            "policy bucket=exact mean=arithmetic\nhint unknown_task 0 5 100 1\nhint matmul_tile 9 5 100 1\n",
+        )
+        .unwrap();
         let mut store = ProfileStore::with_defaults();
         let (applied, skipped) = apply_hints(&mut store, &reg, &file).unwrap();
         assert_eq!((applied, skipped), (0, 2));

@@ -17,4 +17,5 @@ pub use hints::{
     QuarantineRecord,
 };
 pub use stats::{MeanPolicy, RunningMean};
-pub use store::{GroupProfile, ProfileStore, QuarantineEntry, VersionStats};
+pub(crate) use store::GroupProfile;
+pub use store::{ProfileStore, QuarantineEntry};

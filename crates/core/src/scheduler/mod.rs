@@ -31,10 +31,7 @@ mod versioning;
 pub use affinity::AffinityScheduler;
 pub(crate) use breadth_first::BreadthFirstScheduler;
 pub(crate) use dep_aware::DepAwareScheduler;
-pub use policy::{
-    CandidateStats, Policy, PolicyChoice, PolicyCtx, PolicyKind, RepresentativeSet,
-    RoundRobinLearning, WorkerSnap,
-};
+pub use policy::{CandidateStats, PolicyChoice, PolicyCtx, PolicyKind, WorkerSnap};
 pub use versioning::{Decision, DecisionPhase, VersioningConfig, VersioningScheduler, WorkerBid};
 
 use crate::{TaskInstance, TemplateRegistry, VersionId, WorkerId, WorkerState};

@@ -1,22 +1,21 @@
-//! Pluggable decision policies for the versioning scheduler.
+//! Decision policies of the versioning scheduler.
 //!
 //! The paper hard-wires one selection strategy: round-robin learning
 //! until every version has λ observations, then earliest-executor
-//! bidding. Luo et al. (PAPERS.md) show version-set pruning matters once
-//! version counts grow, so the decision core is factored out behind the
-//! [`Policy`] trait and two policies ship: the paper's
-//! [`RoundRobinLearning`] (the default) and [`RepresentativeSet`].
-//! Korndörfer et al. find that more elaborate selection rarely pays
-//! off. The scheduler stays responsible for
+//! bidding (`round_robin`). Luo et al. (PAPERS.md) show version-set
+//! pruning matters once version counts grow, so a second strategy,
+//! representative-set pruning, ships for offline comparison; Korndörfer
+//! et al. find that more elaborate selection rarely pays off. A policy
+//! is a plain function of the [`PolicyCtx`] snapshot (plus the
+//! round-robin cursor table); the scheduler stays responsible for
 //! everything *around* the decision (profiles, quarantine, bandwidth
-//! EWMAs, bookkeeping); a policy is a pure function of the
-//! [`PolicyCtx`] snapshot plus its own internal state.
+//! EWMAs, bookkeeping).
 //!
 //! Because the snapshot is recorded verbatim into the trace's decision
-//! ledger, any policy can be re-run *offline* against a recorded run
-//! (`versa-gym`): replaying [`RoundRobinLearning`] over its own
-//! recording reproduces every decision exactly, and candidate policies
-//! are scored without touching live workloads.
+//! ledger, any [`PolicyKind`] can be re-run *offline* against a recorded
+//! run (`versa-gym`): replaying `round-robin` over its own recording
+//! reproduces every decision exactly, and candidate policies are scored
+//! without touching live workloads.
 
 use super::versioning::DecisionPhase;
 use super::WorkerBid;
@@ -67,9 +66,9 @@ impl WorkerSnap {
     }
 }
 
-/// Everything a [`Policy`] may consult for one decision. A pure
-/// snapshot: replaying a recorded `PolicyCtx` through the same policy
-/// state reproduces the live decision.
+/// Everything a policy may consult for one decision. A pure snapshot:
+/// replaying a recorded `PolicyCtx` through the same policy and cursor
+/// table reproduces the live decision.
 #[derive(Clone, Debug)]
 pub struct PolicyCtx<'a> {
     /// The task's template.
@@ -89,7 +88,7 @@ pub struct PolicyCtx<'a> {
 
 /// A policy's answer: the chosen placement and which regime produced it.
 /// The bids backing an auction go to the caller's buffer (see
-/// [`Policy::decide`]).
+/// [`PolicyKind::decide`]).
 #[derive(Clone, Copy, Debug)]
 pub struct PolicyChoice {
     /// Chosen version.
@@ -102,30 +101,6 @@ pub struct PolicyChoice {
     /// Execution-time estimate backing the choice (for busy-time
     /// accounting; zero when unknown).
     pub estimate: Duration,
-}
-
-/// The decision core of the versioning scheduler, extracted so
-/// alternative selection strategies compose with the same profile,
-/// quarantine and bid plumbing.
-///
-/// Contract:
-/// * `decide` must return a version from `ctx.candidates` and a worker
-///   whose snapshot says it can run that version.
-/// * Policies may keep internal state (round-robin cursors),
-///   but must be deterministic: the same sequence of `PolicyCtx`
-///   snapshots yields the same sequence of choices. This is what makes
-///   offline replay (`versa-gym`) exact.
-/// * The scheduler owns all store mutations; a policy never sees the
-///   profile store itself, only the snapshot.
-pub trait Policy: Send {
-    /// Stable policy name (CLI selector and report label).
-    fn name(&self) -> &'static str;
-
-    /// Choose a `(version, worker)` for one ready task, appending every
-    /// bid considered to `bids` (passed in empty; left empty by
-    /// learning-style decisions). The buffer is the caller's so that a
-    /// decision allocates nothing once it has grown to the worker count.
-    fn decide(&mut self, ctx: &PolicyCtx<'_>, bids: &mut Vec<WorkerBid>) -> PolicyChoice;
 }
 
 /// Least-loaded worker able to run `version`, by `(queue pressure, busy
@@ -190,101 +165,65 @@ pub(crate) fn earliest_executor(
     }
 }
 
-/// The paper's strategy (§IV-B), unchanged: round-robin over
-/// under-trained versions until each has λ assignments, then
-/// earliest-executor bidding. Decision-for-decision identical to the
-/// pre-trait `VersioningScheduler` (enforced by the golden-trace tests
-/// in `versa-gym`).
-#[derive(Debug, Default)]
-pub struct RoundRobinLearning {
-    /// Per-(template, bucket) round-robin cursor over the candidates.
-    cursors: IdMap<(TemplateId, BucketKey), usize>,
-}
-
-impl RoundRobinLearning {
-    /// New policy with all cursors at zero.
-    pub(crate) fn new() -> RoundRobinLearning {
-        RoundRobinLearning::default()
-    }
-}
-
-impl Policy for RoundRobinLearning {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn decide(&mut self, ctx: &PolicyCtx<'_>, bids: &mut Vec<WorkerBid>) -> PolicyChoice {
-        if ctx.candidates.iter().any(|c| c.scheduled < ctx.lambda) {
-            let cursor = self.cursors.entry((ctx.template, ctx.bucket)).or_insert(0);
-            let n = ctx.candidates.len();
-            for step in 0..n {
-                let idx = (*cursor + step) % n;
-                let c = &ctx.candidates[idx];
-                if c.scheduled < ctx.lambda {
-                    *cursor = idx + 1;
-                    return PolicyChoice {
-                        version: c.version,
-                        worker: least_loaded_for(ctx.workers, c.version),
-                        phase: DecisionPhase::Learning,
-                        estimate: c.mean.unwrap_or(Duration::ZERO),
-                    };
-                }
+/// The paper's strategy (§IV-B): round-robin over under-trained
+/// versions until each has λ assignments, then earliest-executor
+/// bidding. `cursors` holds the per-(template, bucket) round-robin
+/// position over the candidates; the live scheduler keeps one table and
+/// every offline replay keeps its own.
+pub(crate) fn round_robin(
+    cursors: &mut IdMap<(TemplateId, BucketKey), usize>,
+    ctx: &PolicyCtx<'_>,
+    bids: &mut Vec<WorkerBid>,
+) -> PolicyChoice {
+    if ctx.candidates.iter().any(|c| c.scheduled < ctx.lambda) {
+        let cursor = cursors.entry((ctx.template, ctx.bucket)).or_insert(0);
+        let n = ctx.candidates.len();
+        for step in 0..n {
+            let idx = (*cursor + step) % n;
+            let c = &ctx.candidates[idx];
+            if c.scheduled < ctx.lambda {
+                *cursor = idx + 1;
+                return PolicyChoice {
+                    version: c.version,
+                    worker: least_loaded_for(ctx.workers, c.version),
+                    phase: DecisionPhase::Learning,
+                    estimate: c.mean.unwrap_or(Duration::ZERO),
+                };
             }
-            // The under-trained set emptied between the phase check and
-            // the pick (quarantine strikes can do this): fall through to
-            // the profiled path instead of panicking.
         }
-        earliest_executor(ctx, ctx.candidates, bids)
+        // The under-trained set emptied between the phase check and
+        // the pick (quarantine strikes can do this): fall through to
+        // the profiled path instead of panicking.
     }
+    earliest_executor(ctx, ctx.candidates, bids)
 }
 
 /// Representative-set pruning (Luo et al.): train every version once,
-/// then restrict the earliest-executor auction to the `k` fastest —
-/// learning cost stays bounded when version counts explode, at the
-/// price of never revisiting versions outside the representative set.
-#[derive(Debug)]
-pub struct RepresentativeSet {
-    k: usize,
+/// then restrict the earliest-executor auction to the `k` fastest (at
+/// least one) — learning cost stays bounded when version counts explode,
+/// at the price of never revisiting versions outside the representative
+/// set.
+fn representative_set(k: usize, ctx: &PolicyCtx<'_>, bids: &mut Vec<WorkerBid>) -> PolicyChoice {
+    // One observation per version is the entire learning phase.
+    if let Some(c) =
+        ctx.candidates.iter().filter(|c| c.count == 0 && c.scheduled == 0).min_by_key(|c| c.version)
+    {
+        return PolicyChoice {
+            version: c.version,
+            worker: least_loaded_for(ctx.workers, c.version),
+            phase: DecisionPhase::Learning,
+            estimate: Duration::ZERO,
+        };
+    }
+    let mut ranked: Vec<&CandidateStats> = ctx.candidates.iter().collect();
+    ranked.sort_by_key(|c| (c.mean.unwrap_or(Duration::MAX), c.version));
+    let allowed: Vec<CandidateStats> = ranked.into_iter().take(k.max(1)).copied().collect();
+    earliest_executor(ctx, &allowed, bids)
 }
 
-impl RepresentativeSet {
-    /// New pruning policy keeping the `k` fastest versions (k ≥ 1).
-    pub(crate) fn new(k: usize) -> RepresentativeSet {
-        RepresentativeSet { k: k.max(1) }
-    }
-}
-
-impl Policy for RepresentativeSet {
-    fn name(&self) -> &'static str {
-        "representative-set"
-    }
-
-    fn decide(&mut self, ctx: &PolicyCtx<'_>, bids: &mut Vec<WorkerBid>) -> PolicyChoice {
-        // One observation per version is the entire learning phase.
-        if let Some(c) = ctx
-            .candidates
-            .iter()
-            .filter(|c| c.count == 0 && c.scheduled == 0)
-            .min_by_key(|c| c.version)
-        {
-            return PolicyChoice {
-                version: c.version,
-                worker: least_loaded_for(ctx.workers, c.version),
-                phase: DecisionPhase::Learning,
-                estimate: Duration::ZERO,
-            };
-        }
-        let mut ranked: Vec<&CandidateStats> = ctx.candidates.iter().collect();
-        ranked.sort_by_key(|c| (c.mean.unwrap_or(Duration::MAX), c.version));
-        let allowed: Vec<CandidateStats> =
-            ranked.into_iter().take(self.k).copied().collect();
-        earliest_executor(ctx, &allowed, bids)
-    }
-}
-
-/// Selector for the shipped policies — the `policy` field of
-/// [`VersioningConfig`](super::VersioningConfig), so policy selection
-/// flows through `RuntimeConfig` like every other scheduler knob.
+/// The shipped decision policies. The live scheduler runs the paper's
+/// [`PolicyKind::RoundRobin`]; the `versa-gym` replays recorded
+/// decisions through every kind to score them offline.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub enum PolicyKind {
     /// The paper's round-robin learning + earliest-executor (default).
@@ -318,11 +257,20 @@ impl PolicyKind {
         vec![PolicyKind::RoundRobin, PolicyKind::RepresentativeSet { k: 2 }]
     }
 
-    /// Instantiate the policy.
-    pub fn build(&self) -> Box<dyn Policy> {
+    /// Choose a `(version, worker)` for one ready task, appending every
+    /// bid considered to `bids` (passed in empty; left empty by learning
+    /// decisions). `cursors` is the round-robin position table; the same
+    /// sequence of snapshots through the same table yields the same
+    /// choices, which is what makes offline replay exact.
+    pub fn decide(
+        &self,
+        cursors: &mut IdMap<(TemplateId, BucketKey), usize>,
+        ctx: &PolicyCtx<'_>,
+        bids: &mut Vec<WorkerBid>,
+    ) -> PolicyChoice {
         match *self {
-            PolicyKind::RoundRobin => Box::new(RoundRobinLearning::new()),
-            PolicyKind::RepresentativeSet { k } => Box::new(RepresentativeSet::new(k)),
+            PolicyKind::RoundRobin => round_robin(cursors, ctx, bids),
+            PolicyKind::RepresentativeSet { k } => representative_set(k, ctx, bids),
         }
     }
 }
@@ -362,17 +310,17 @@ mod tests {
 
     #[test]
     fn round_robin_cycles_then_bids() {
-        let mut p = RoundRobinLearning::new();
+        let mut p = IdMap::default();
         let workers = [snap(0, 0, Duration::ZERO, &[0, 1])];
         // Both under-trained: alternate starting at the cursor.
         let c = [cand(0, 0, 0, None), cand(1, 0, 0, None)];
-        assert_eq!(p.decide(&ctx(&c, &workers), &mut Vec::new()).version, VersionId(0));
+        assert_eq!(round_robin(&mut p, &ctx(&c, &workers), &mut Vec::new()).version, VersionId(0));
         let c = [cand(0, 1, 1, Some(ms(10))), cand(1, 0, 0, None)];
-        assert_eq!(p.decide(&ctx(&c, &workers), &mut Vec::new()).version, VersionId(1));
+        assert_eq!(round_robin(&mut p, &ctx(&c, &workers), &mut Vec::new()).version, VersionId(1));
         // Trained: the faster mean wins the auction.
         let c = [cand(0, 3, 3, Some(ms(10))), cand(1, 3, 3, Some(ms(5)))];
         let mut bids = Vec::new();
-        let choice = p.decide(&ctx(&c, &workers), &mut bids);
+        let choice = round_robin(&mut p, &ctx(&c, &workers), &mut bids);
         assert_eq!(choice.version, VersionId(1));
         assert_eq!(choice.phase, DecisionPhase::Reliable);
         assert_eq!(bids.len(), 1);
@@ -380,14 +328,14 @@ mod tests {
 
     #[test]
     fn round_robin_skips_trained_versions_mid_cycle() {
-        let mut p = RoundRobinLearning::new();
+        let mut p = IdMap::default();
         let workers = [snap(0, 0, Duration::ZERO, &[0, 1, 2])];
         // v0 already has λ assignments: the walk starts at the cursor
         // (0) and skips to v1.
         let c = [cand(0, 3, 0, None), cand(1, 0, 0, None), cand(2, 0, 0, None)];
-        assert_eq!(p.decide(&ctx(&c, &workers), &mut Vec::new()).version, VersionId(1));
+        assert_eq!(round_robin(&mut p, &ctx(&c, &workers), &mut Vec::new()).version, VersionId(1));
         let c = [cand(0, 3, 0, None), cand(1, 1, 0, None), cand(2, 0, 0, None)];
-        assert_eq!(p.decide(&ctx(&c, &workers), &mut Vec::new()).version, VersionId(2));
+        assert_eq!(round_robin(&mut p, &ctx(&c, &workers), &mut Vec::new()).version, VersionId(2));
     }
 
     #[test]
@@ -395,39 +343,39 @@ mod tests {
         // The phase check sees an under-trained candidate list, but the
         // walk finds none (stale snapshot after quarantine strikes):
         // must not panic — the earliest-executor fallback handles it.
-        let mut p = RoundRobinLearning::new();
+        let mut p = IdMap::default();
         let workers = [snap(0, 0, Duration::ZERO, &[0])];
         let c = [cand(0, 5, 2, Some(ms(7)))];
-        let choice = p.decide(&ctx(&c, &workers), &mut Vec::new());
+        let choice = round_robin(&mut p, &ctx(&c, &workers), &mut Vec::new());
         assert_eq!(choice.version, VersionId(0));
         assert_eq!(choice.phase, DecisionPhase::Reliable);
     }
 
     #[test]
     fn learning_places_on_least_loaded_compatible_worker() {
-        let mut p = RoundRobinLearning::new();
+        let mut p = IdMap::default();
         let workers = [
             snap(0, 2, ms(50), &[0]),
             snap(1, 0, ms(1), &[1]), // idle, but cannot run v0
             snap(2, 1, ms(5), &[0, 1]),
         ];
         let c = [cand(0, 0, 0, None), cand(1, 0, 0, None)];
-        let choice = p.decide(&ctx(&c, &workers), &mut Vec::new());
+        let choice = round_robin(&mut p, &ctx(&c, &workers), &mut Vec::new());
         assert_eq!(choice.version, VersionId(0));
         assert_eq!(choice.worker, WorkerId(2), "w1 is idle but incompatible");
     }
 
     #[test]
     fn representative_set_prunes_to_k_fastest() {
-        let mut p = RepresentativeSet::new(2);
+        let k = 2;
         let workers = [snap(0, 0, Duration::ZERO, &[0, 1, 2])];
         // Train each version exactly once.
         let c = [cand(0, 0, 0, None), cand(1, 0, 0, None), cand(2, 0, 0, None)];
-        assert_eq!(p.decide(&ctx(&c, &workers), &mut Vec::new()).version, VersionId(0));
+        assert_eq!(representative_set(k, &ctx(&c, &workers), &mut Vec::new()).version, VersionId(0));
         let c = [cand(0, 1, 1, Some(ms(30))), cand(1, 0, 0, None), cand(2, 0, 0, None)];
-        assert_eq!(p.decide(&ctx(&c, &workers), &mut Vec::new()).version, VersionId(1));
+        assert_eq!(representative_set(k, &ctx(&c, &workers), &mut Vec::new()).version, VersionId(1));
         let c = [cand(0, 1, 1, Some(ms(30))), cand(1, 1, 1, Some(ms(5))), cand(2, 0, 0, None)];
-        assert_eq!(p.decide(&ctx(&c, &workers), &mut Vec::new()).version, VersionId(2));
+        assert_eq!(representative_set(k, &ctx(&c, &workers), &mut Vec::new()).version, VersionId(2));
         // All observed: v2 (400 ms) is outside the representative set
         // {v1, v0}; the auction never picks it again.
         let c = [
@@ -436,7 +384,7 @@ mod tests {
             cand(2, 1, 1, Some(ms(400))),
         ];
         for _ in 0..8 {
-            let choice = p.decide(&ctx(&c, &workers), &mut Vec::new());
+            let choice = representative_set(k, &ctx(&c, &workers), &mut Vec::new());
             assert_ne!(choice.version, VersionId(2), "pruned version must not win");
         }
     }
@@ -445,7 +393,6 @@ mod tests {
     fn kind_round_trips_labels() {
         for kind in PolicyKind::shipped() {
             assert_eq!(PolicyKind::parse(kind.label()), Some(kind.clone()));
-            assert_eq!(kind.build().name(), kind.label());
         }
         assert_eq!(PolicyKind::parse("bogus"), None);
         assert_eq!(PolicyKind::default(), PolicyKind::RoundRobin);

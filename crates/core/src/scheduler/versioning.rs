@@ -1,6 +1,6 @@
 //! The versioning scheduler — the paper's contribution (§IV).
 
-use super::policy::{CandidateStats, Policy, PolicyCtx, PolicyKind, WorkerSnap};
+use super::policy::{round_robin, CandidateStats, PolicyCtx, WorkerSnap};
 use super::{queue_pressure, Assignment, FailureKind, SchedCtx, Scheduler};
 use crate::profile::{BucketKey, GroupProfile, MeanPolicy, ProfileStore, SizeBucketPolicy};
 use crate::{TaskId, TaskInstance, TaskTemplate, TemplateId, VersionId, WorkerId, WorkerState};
@@ -18,6 +18,11 @@ const BANDWIDTH_EWMA_ALPHA: f64 = 0.25;
 /// never predicts a transfer cost again. 1 TB/s sits comfortably above
 /// any link this runtime models while still bounding the damage.
 const BANDWIDTH_SAMPLE_CEILING: f64 = 1.0e12;
+
+/// Link bandwidth (bytes/second) the locality-aware transfer term
+/// assumes for a space until a transfer into it has been measured: a
+/// PCIe 2.0 x16-class link, matching the simulated platform.
+const ASSUMED_BANDWIDTH: f64 = 6.0e9;
 
 /// Tunables of the [`VersioningScheduler`]; the analogue of Nanos++
 /// configuration arguments / environment variables.
@@ -37,22 +42,6 @@ pub struct VersioningConfig {
     /// earliest-executor objective so data locality is taken into
     /// account.
     pub locality_aware: bool,
-    /// Link bandwidth assumed when estimating transfer times in
-    /// locality-aware mode (bytes/second).
-    pub assumed_bandwidth: f64,
-    /// Quarantine threshold K: consecutive failures of a (template,
-    /// version, size-group) entry before the version is excluded from
-    /// learning and bidding in that group.
-    pub quarantine_threshold: u64,
-    /// Probation period: with `Some(p)`, a quarantined version earns one
-    /// retrial after `p` successful executions of other versions in the
-    /// same group; with `None`, quarantine holds until the run ends.
-    pub probation: Option<u64>,
-    /// Decision policy: which [`Policy`] turns the per-decision snapshot
-    /// into a `(version, worker)` choice. The default,
-    /// [`PolicyKind::RoundRobin`], is the paper's strategy and is
-    /// decision-for-decision identical to the pre-trait scheduler.
-    pub policy: PolicyKind,
 }
 
 impl Default for VersioningConfig {
@@ -62,11 +51,6 @@ impl Default for VersioningConfig {
             bucket_policy: SizeBucketPolicy::Exact,
             mean_policy: MeanPolicy::Arithmetic,
             locality_aware: false,
-            // A PCIe 2.0 x16-class link, matching the simulated platform.
-            assumed_bandwidth: 6.0e9,
-            quarantine_threshold: 2,
-            probation: None,
-            policy: PolicyKind::RoundRobin,
         }
     }
 }
@@ -142,8 +126,8 @@ struct DecisionBufs {
 
 /// The candidate versions of a task: the template's versions some live
 /// worker can run (versions targeting absent devices are excluded so the
-/// learning phase can terminate), minus those excluded by quarantine in
-/// its size `group`. If quarantine empties the set, the least-failed
+/// learning phase can terminate), minus those quarantined in its size
+/// `group`. If quarantine empties the set, the least-failed
 /// runnable version alone, so the scheduler stays total — the engine's
 /// bounded retry is the layer that turns persistent failure into a
 /// graceful error.
@@ -151,16 +135,15 @@ fn candidate_versions<'a>(
     tpl: &'a TaskTemplate,
     workers: &'a [WorkerState],
     group: Option<&'a GroupProfile>,
-    probation: Option<u64>,
 ) -> impl Iterator<Item = VersionId> + 'a {
     let trainable = move || {
         (0..tpl.version_count() as u16).map(VersionId).filter(move |&v| {
             workers.iter().any(|w| !w.is_retired() && tpl.version(v).runs_on(w.info.device))
         })
     };
-    let excluded = move |v: VersionId| group.is_some_and(|g| g.is_excluded(v, probation));
+    let excluded = move |v: VersionId| group.is_some_and(|g| g.row(v).quarantined);
     let fallback = if trainable().all(excluded) {
-        trainable().min_by_key(|&v| (group.map_or(0, |g| g.failures(v)), v))
+        trainable().min_by_key(|&v| (group.map_or(0, |g| g.row(v).failures), v))
     } else {
         None
     };
@@ -169,14 +152,12 @@ fn candidate_versions<'a>(
 
 /// A candidate's statistics in its size `group`, as the policy sees them.
 fn candidate_stats(group: Option<&GroupProfile>, version: VersionId) -> CandidateStats {
-    match group {
-        Some(g) => CandidateStats {
-            version,
-            scheduled: g.scheduled(version),
-            count: g.version(version).count(),
-            mean: g.version(version).mean(),
-        },
-        None => CandidateStats { version, scheduled: 0, count: 0, mean: None },
+    let row = group.map(|g| g.row(version)).unwrap_or_default();
+    CandidateStats {
+        version,
+        scheduled: row.scheduled,
+        count: row.exec.count(),
+        mean: row.exec.mean(),
     }
 }
 
@@ -232,29 +213,27 @@ pub struct Decision {
 pub struct VersioningScheduler {
     config: VersioningConfig,
     profiles: ProfileStore,
-    policy: Box<dyn Policy>,
     decisions: Option<Vec<Decision>>,
     /// Measured bytes/second into each space, learned online from
     /// completed transfers (EWMA). Used by the locality-aware transfer
-    /// term in place of the static `assumed_bandwidth` once at least one
+    /// term in place of [`ASSUMED_BANDWIDTH`] once at least one
     /// transfer into the space has been observed.
     bandwidth: IdMap<MemSpace, f64>,
+    /// Per-(template, bucket) round-robin cursor of the learning phase.
+    cursors: IdMap<(TemplateId, BucketKey), usize>,
     bufs: DecisionBufs,
 }
 
 impl VersioningScheduler {
     /// Create a scheduler from a configuration.
     pub(crate) fn new(config: VersioningConfig) -> VersioningScheduler {
-        let mut profiles =
-            ProfileStore::new(config.bucket_policy, config.mean_policy, config.lambda);
-        profiles.set_quarantine(config.quarantine_threshold, config.probation);
-        let policy = config.policy.build();
+        let profiles = ProfileStore::new(config.bucket_policy, config.mean_policy, config.lambda);
         VersioningScheduler {
             config,
             profiles,
-            policy,
             decisions: None,
             bandwidth: IdMap::default(),
+            cursors: IdMap::default(),
             bufs: DecisionBufs::default(),
         }
     }
@@ -322,12 +301,8 @@ impl VersioningScheduler {
         let bytes = ctx.directory.bytes_missing_for(&task.accesses, w.info.space);
         // Prefer the online-measured bandwidth for this destination
         // space; until a transfer has been observed, fall back to the
-        // configured static estimate.
-        let bw = self
-            .bandwidth
-            .get(&w.info.space)
-            .copied()
-            .unwrap_or(self.config.assumed_bandwidth);
+        // static estimate.
+        let bw = self.bandwidth.get(&w.info.space).copied().unwrap_or(ASSUMED_BANDWIDTH);
         Duration::from_secs_f64(bytes as f64 / bw)
     }
 
@@ -338,7 +313,7 @@ impl VersioningScheduler {
     fn fill_inputs(&mut self, task: &TaskInstance, ctx: &SchedCtx<'_>) {
         let tpl = ctx.templates.get(task.template);
         let group = self.profiles.group(task.template, task.data_set_size);
-        let candidates = candidate_versions(tpl, ctx.workers, group, self.profiles.probation());
+        let candidates = candidate_versions(tpl, ctx.workers, group);
         self.bufs.candidates.clear();
         self.bufs.candidates.extend(candidates.map(|v| candidate_stats(group, v)));
         // Every field of every snapshot is overwritten below.
@@ -387,7 +362,8 @@ impl Scheduler for VersioningScheduler {
         );
         let bucket = self.profiles.bucket(task.data_set_size);
         self.bufs.bids.clear();
-        let choice = self.policy.decide(
+        let choice = round_robin(
+            &mut self.cursors,
             &PolicyCtx {
                 template: task.template,
                 bucket,
@@ -398,25 +374,7 @@ impl Scheduler for VersioningScheduler {
             },
             &mut self.bufs.bids,
         );
-        let n_versions = ctx.templates.get(task.template).version_count();
-        match choice.phase {
-            DecisionPhase::Learning => {
-                self.profiles.note_learning(
-                    task.template,
-                    n_versions,
-                    task.data_set_size,
-                    choice.version,
-                );
-            }
-            DecisionPhase::Reliable | DecisionPhase::ReliableFallback => {
-                self.profiles.mark_scheduled(
-                    task.template,
-                    n_versions,
-                    task.data_set_size,
-                    choice.version,
-                );
-            }
-        }
+        self.profiles.mark_scheduled(task.template, task.data_set_size, choice.version);
         let assignment =
             Assignment { worker: choice.worker, version: choice.version, estimate: choice.estimate };
         if let Some(log) = &mut self.decisions {
@@ -439,16 +397,7 @@ impl Scheduler for VersioningScheduler {
     fn task_finished(&mut self, task: &TaskInstance, assignment: Assignment, measured: Duration) {
         // "Execution information is also recorded exactly in the same way
         // as the previous phase ... the scheduler is always learning."
-        // The group already exists (created at assign time); the version
-        // count passed here is a lower bound the store grows to if needed.
-        let n_versions = usize::from(assignment.version.0) + 1;
-        self.profiles.record(
-            task.template,
-            n_versions,
-            task.data_set_size,
-            assignment.version,
-            measured,
-        );
+        self.profiles.record(task.template, task.data_set_size, assignment.version, measured);
     }
 
     fn transfer_done(&mut self, to: MemSpace, bytes: u64, elapsed: Duration) {
@@ -477,13 +426,7 @@ impl Scheduler for VersioningScheduler {
         if kind == FailureKind::NodeLost {
             return;
         }
-        let n_versions = usize::from(assignment.version.0) + 1;
-        self.profiles.record_failure(
-            task.template,
-            n_versions,
-            task.data_set_size,
-            assignment.version,
-        );
+        self.profiles.record_failure(task.template, task.data_set_size, assignment.version);
     }
 
     fn eager(&self, task: &TaskInstance, ctx: &SchedCtx<'_>) -> bool {
@@ -491,9 +434,9 @@ impl Scheduler for VersioningScheduler {
         // collecting them.
         let tpl = ctx.templates.get(task.template);
         let group = self.profiles.group(task.template, task.data_set_size);
-        let mut candidates = candidate_versions(tpl, ctx.workers, group, self.profiles.probation());
+        let mut candidates = candidate_versions(tpl, ctx.workers, group);
         match group {
-            Some(g) => candidates.all(|v| g.version(v).count() >= self.config.lambda),
+            Some(g) => candidates.all(|v| g.row(v).exec.count() >= self.config.lambda),
             None => candidates.next().is_none(),
         }
     }
@@ -590,10 +533,10 @@ mod tests {
             counts[a.version.index()] += 1;
         }
         assert_eq!(counts, [3, 3, 3]);
-        // Every learning pick was accounted through `note_learning`.
+        // Every learning pick was accounted through `mark_scheduled`.
         let group = s.profiles().group(fx.tpl, 2048).unwrap();
         for v in 0..3 {
-            assert_eq!(group.scheduled(VersionId(v)), 3);
+            assert_eq!(group.row(VersionId(v)).scheduled, 3);
         }
         assert!(s.profiles().is_reliable(
             fx.tpl,
@@ -748,7 +691,7 @@ mod tests {
         s.set_decision_logging(true);
         // Seed profiles so we skip straight to the reliable phase.
         for v in [VersionId(0), VersionId(1), VersionId(2)] {
-            s.profiles_mut().seed(tpl, 3, 200_000_000, v, ms(10), 5);
+            s.profiles_mut().seed(tpl, 200_000_000, v, ms(10), 5);
         }
         let t = task(0, tpl, DataId(0), DataId(1), 100_000_000);
         let ctx = SchedCtx { templates: &reg, workers: &workers, directory: &dir, chain_hint: None };
@@ -784,7 +727,7 @@ mod tests {
     #[test]
     fn measured_bandwidth_steers_to_slower_but_data_resident_worker() {
         // The Fig. 5 analogue for data movement: the GPU version's mean
-        // (10 ms) beats the SMP version's (40 ms), but the task's 200 MB
+        // (10 ms) beats the SMP version's (80 ms), but the task's 200 MB
         // working set lives on the host and the *measured* link is slow
         // — the earliest executor is the slower worker that already
         // holds the data.
@@ -794,27 +737,24 @@ mod tests {
         let mk = || {
             let mut s = VersioningScheduler::new(VersioningConfig {
                 locality_aware: true,
-                // Deliberately optimistic static estimate: with no
-                // measurements the transfer term is negligible.
-                assumed_bandwidth: 1.0e12,
                 ..Default::default()
             });
-            for (v, mean) in [(VersionId(0), ms(10)), (VersionId(1), ms(15)), (VersionId(2), ms(40))] {
-                s.profiles_mut().seed(tpl, 3, 200_000_000, v, mean, 5);
+            for (v, mean) in [(VersionId(0), ms(10)), (VersionId(1), ms(15)), (VersionId(2), ms(80))] {
+                s.profiles_mut().seed(tpl, 200_000_000, v, mean, 5);
             }
             s.set_decision_logging(true);
             s
         };
         let ctx = SchedCtx { templates: &reg, workers: &workers, directory: &dir, chain_hint: None };
 
-        // Before any transfer completes, the optimistic static bandwidth
-        // makes the fast GPU win.
+        // Before any transfer completes, the static 6 GB/s estimate
+        // prices the copy-in at ~33 ms: GPU 10 + 33 ms < SMP 80 ms.
         let mut cold = mk();
         let a = cold.assign(&task(0, tpl, DataId(0), DataId(1), 100_000_000), &ctx);
         assert_eq!(a.version, VersionId(0), "without measurements the GPU mean dominates");
 
         // Online measurements reveal the real link: 2 GB/s into each GPU
-        // space → a 200 MB copy-in costs ~100 ms, dwarfing the 30 ms
+        // space → a 200 MB copy-in costs ~100 ms, dwarfing the 70 ms
         // mean advantage. The host-resident SMP worker now wins.
         let mut warm = mk();
         for g in 0..2 {
@@ -907,35 +847,6 @@ mod tests {
     }
 
     #[test]
-    fn success_during_probation_rehabilitates_version() {
-        let fx = Fixture::new();
-        let mut s = VersioningScheduler::new(VersioningConfig {
-            quarantine_threshold: 1,
-            probation: Some(2),
-            ..Default::default()
-        });
-        for i in 0..9 {
-            let t = fx.task(i);
-            let a = s.assign(&t, &fx.ctx());
-            s.task_finished(&t, a, measured_for(a.version));
-        }
-        let t = fx.task(40);
-        let bad = Assignment { worker: crate::WorkerId(2), version: VersionId(0), estimate: ms(7) };
-        s.task_failed(&t, bad, FailureKind::Panic);
-        assert!(s.profiles().is_excluded(fx.tpl, 2048, VersionId(0)));
-        // Two peer successes earn v0 a retrial; its success lifts quarantine.
-        for i in 41..43 {
-            let a = s.assign(&fx.task(i), &fx.ctx());
-            assert_ne!(a.version, VersionId(0));
-            s.task_finished(&fx.task(i), a, measured_for(a.version));
-        }
-        let a = s.assign(&fx.task(43), &fx.ctx());
-        assert_eq!(a.version, VersionId(0), "probation retrial goes to the fastest version");
-        s.task_finished(&fx.task(43), a, measured_for(a.version));
-        assert!(!s.profiles().is_quarantined(fx.tpl, 2048, VersionId(0)));
-    }
-
-    #[test]
     fn quarantine_storm_mid_learning_does_not_panic() {
         // Fault injection for the old learning-phase `expect`: quarantine
         // every version while the group is still learning, then keep
@@ -992,32 +903,6 @@ mod tests {
         s.transfer_done(dev, 0, Duration::from_secs(1));
         s.transfer_done(dev, 64, Duration::ZERO);
         assert_eq!(s.measured_bandwidth(dev), Some(bw2));
-    }
-
-    #[test]
-    fn policy_selection_flows_through_config() {
-        // A non-default policy wired through `VersioningConfig` drives
-        // decisions: representative-set has no λ-long round-robin phase,
-        // it tries each version once and then auctions over the k fastest.
-        let fx = Fixture::new();
-        let mut s = VersioningScheduler::new(VersioningConfig {
-            policy: PolicyKind::RepresentativeSet { k: 1 },
-            ..Default::default()
-        });
-        assert_eq!(s.policy.name(), "representative-set");
-        s.set_decision_logging(true);
-        for i in 0..12 {
-            let a = s.assign(&fx.task(i), &fx.ctx());
-            s.task_finished(&fx.task(i), a, measured_for(a.version));
-        }
-        // Every version got tried at least once (one observation each)...
-        for v in 0..3u16 {
-            assert!(s.profiles().count(fx.tpl, 2048, VersionId(v)) >= 1);
-        }
-        // ...and with the counts in, the auction over the one fastest
-        // version settles on it.
-        let a = s.assign(&fx.task(100), &fx.ctx());
-        assert_eq!(a.version, VersionId(0), "CUBLAS has the best mean");
     }
 
     #[test]

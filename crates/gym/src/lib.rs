@@ -6,7 +6,7 @@
 //! turns scheduler work into an offline eval loop:
 //!
 //! 1. **record** a production (or smoke) run's trace ([`record`]),
-//! 2. **replay** the ledger through any [`Policy`] — the identity policy
+//! 2. **replay** the ledger through any [`PolicyKind`] — the identity policy
 //!    (`round-robin`) must reproduce the recorded decisions exactly
 //!    ([`replay`]),
 //! 3. **score** candidate policies against each other on makespan proxy,
@@ -16,7 +16,7 @@
 //! job and the golden-trace tests in `tests/` gate the policy refactor
 //! on decision-for-decision identity with pre-refactor recordings.
 //!
-//! [`Policy`]: versa_core::Policy
+//! [`PolicyKind`]: versa_core::PolicyKind
 
 #![warn(missing_docs)]
 

@@ -1,4 +1,4 @@
-//! Replaying a recorded decision ledger through a [`Policy`].
+//! Replaying a recorded decision ledger through a [`PolicyKind`].
 //!
 //! Each recorded decision carries the *inputs* the live scheduler saw —
 //! per-candidate profile statistics and per-worker load snapshots,
@@ -10,8 +10,6 @@
 //! scheduler behavior) must agree with the recording on every
 //! decision; alternative policies diverge and get scored on what their
 //! divergence would have cost ([`Score`]).
-//!
-//! [`Policy`]: versa_core::Policy
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -209,7 +207,9 @@ pub struct Replay {
 
 /// Replay every decision in `ledger` through a fresh instance of `kind`.
 pub fn replay(ledger: &Ledger, kind: PolicyKind) -> Replay {
-    let mut policy = kind.build();
+    // The replay's own round-robin cursor table, fresh like the live
+    // scheduler's at the start of the recorded run.
+    let mut cursors = Default::default();
     let mut clocks: HashMap<WorkerId, Duration> = HashMap::new();
     let mut mismatches = Vec::new();
     let mut version_agree = 0usize;
@@ -228,7 +228,7 @@ pub fn replay(ledger: &Ledger, kind: PolicyKind) -> Replay {
             workers: &step.workers,
         };
         bids.clear();
-        let choice = policy.decide(&ctx, &mut bids);
+        let choice = kind.decide(&mut cursors, &ctx, &mut bids);
         let recorded = (step.phase, step.version, step.worker);
         let replayed = (choice.phase, choice.version, choice.worker);
         if replayed == recorded {

@@ -1,11 +1,11 @@
-//! Golden-trace tests gating the `Policy`-trait extraction.
+//! Golden-trace tests pinning the versioning scheduler's decisions.
 //!
-//! The fixtures in `fixtures/` were recorded with the *pre-refactor*
+//! The fixtures in `fixtures/` were recorded with an earlier
 //! `VersioningScheduler` (decision logic inlined in `assign`). Two
-//! independent checks pin the refactored scheduler to that behavior:
+//! independent checks pin the current scheduler to that behavior:
 //!
 //! 1. **Replay identity** — feeding each recorded decision's snapshot
-//!    through `RoundRobinLearning` reproduces the recorded
+//!    through `PolicyKind::RoundRobin` reproduces the recorded
 //!    `(phase, version, worker)` exactly, on all four fixtures (mm-wide
 //!    and cholesky, sim and native engines).
 //! 2. **Live identity** — re-running the sim workloads with the current

@@ -128,9 +128,7 @@ mod tests {
     use super::*;
     use crate::RuntimeConfig;
     use std::time::Duration;
-    use versa_core::{
-        DeviceKind, FailureKind, SchedulerKind, TemplateId, VersionId, VersioningConfig, WorkerId,
-    };
+    use versa_core::{DeviceKind, SchedulerKind, TemplateId, WorkerId};
     use versa_sim::PlatformConfig;
 
     /// One SMP worker (w0) and one GPU worker (w1); a template whose main
@@ -207,43 +205,5 @@ mod tests {
         let second = drain(&mut rt, None);
         assert_eq!(second.len(), 1, "one more task for the freed worker");
         assert_eq!(rt.pending.len(), 1);
-    }
-
-    #[test]
-    fn probation_retrial_is_handed_out_once_per_drain() {
-        // K = 1 and a probation of 2: one failure quarantines the GPU
-        // version v0, and two successes of v1 make its retrial due. The
-        // drain's first decision spends the retrial; every later
-        // decision of the same drain must see v0 excluded again.
-        let config = VersioningConfig {
-            quarantine_threshold: 1,
-            probation: Some(2),
-            ..Default::default()
-        };
-        let (mut rt, tpl) = setup(SchedulerKind::Versioning(config), 4);
-        let task = rt.graph.node(TaskId(0)).instance.clone();
-        let size = task.data_set_size;
-        let v = rt.versioning_mut().unwrap();
-        v.set_decision_logging(true);
-        v.profiles_mut().seed(tpl, 2, size, VersionId(0), Duration::from_millis(1), 3);
-        v.profiles_mut().seed(tpl, 2, size, VersionId(1), Duration::from_millis(10), 3);
-        let run = |version| Assignment { worker: WorkerId(0), version, estimate: Duration::ZERO };
-        rt.scheduler.task_failed(&task, run(VersionId(0)), FailureKind::Panic);
-        for _ in 0..2 {
-            rt.scheduler.task_finished(&task, run(VersionId(1)), Duration::from_millis(10));
-        }
-        let profiles = rt.versioning().unwrap().profiles();
-        assert!(profiles.is_quarantined(tpl, size, VersionId(0)));
-        assert!(!profiles.is_excluded(tpl, size, VersionId(0)), "the retrial is due");
-
-        let assigned = drain(&mut rt, None);
-        let versions: Vec<u16> = assigned.iter().map(|(_, a)| a.version.0).collect();
-        assert_eq!(versions, [0, 1, 1, 1], "one retrial, on the idle GPU, then v1 only");
-        let decisions = rt.versioning_mut().unwrap().drain_decisions();
-        let offers_v0 = |d: &versa_core::scheduler::Decision| {
-            d.candidates.iter().any(|c| c.version == VersionId(0))
-        };
-        assert!(offers_v0(&decisions[0]));
-        assert!(!decisions[1..].iter().any(offers_v0), "v0 is excluded again within the drain");
     }
 }

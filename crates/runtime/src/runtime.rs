@@ -869,7 +869,6 @@ mod tests {
             .register();
         rt.versioning_mut().unwrap().profiles_mut().seed(
             tpl,
-            2,
             1000,
             versa_core::VersionId(0),
             std::time::Duration::from_millis(5),

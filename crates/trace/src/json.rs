@@ -58,6 +58,7 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -159,16 +160,16 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("bad escape")),
                     }
                 }
+                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let ch = rest.chars().next().unwrap();
-                    if (ch as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
+                    // Copy the run of plain characters up to the next
+                    // quote, escape or control byte in one slice. Those
+                    // are ASCII, so the run ends on a char boundary.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
                     }
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    out.push_str(&self.text[start..self.pos]);
                 }
                 None => return Err(self.err("unterminated string")),
             }
@@ -228,7 +229,7 @@ impl<'a> Parser<'a> {
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 pub fn parse(text: &str) -> Result<JsonValue, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -273,6 +274,35 @@ mod tests {
             "{\"a\":}",
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn strings_decode_utf8_escapes_and_megabyte_documents_exactly() {
+        // Multi-byte UTF-8 (2-, 3- and 4-byte scalars) passes through.
+        let v = parse("\"aé€𝄞z\"").unwrap();
+        assert_eq!(v.as_str(), Some("aé€𝄞z"));
+        // Every escape, `\u` included.
+        let v = parse(r#""\"\\\/\b\f\n\r\t\u0041\u00e9\u20AC""#).unwrap();
+        assert_eq!(v.as_str(), Some("\"\\/\u{8}\u{c}\n\r\tAé€"));
+        // A string-heavy document over 1 MB: every value comes back exact.
+        let item = |i: usize| format!("name-{i}-é€𝄞 \"quoted\" \\ tab\t");
+        let escaped = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"").replace('\t', "\\t");
+        let n = 24_000;
+        let mut doc = String::from("[");
+        for i in 0..n {
+            if i > 0 {
+                doc.push(',');
+            }
+            doc.push_str(&format!("{{\"k{i}\": \"{}\"}}", escaped(&item(i))));
+        }
+        doc.push(']');
+        assert!(doc.len() >= 1 << 20, "document is {} bytes", doc.len());
+        let v = parse(&doc).unwrap();
+        let arr = v.as_arr().unwrap();
+        assert_eq!(arr.len(), n);
+        for (i, obj) in arr.iter().enumerate() {
+            assert_eq!(obj.get(&format!("k{i}")).and_then(JsonValue::as_str), Some(item(i).as_str()));
         }
     }
 }

@@ -227,7 +227,7 @@ proptest! {
         use versa::core::{MeanPolicy, ProfileStore, SizeBucketPolicy, TemplateId};
         let mut store = ProfileStore::new(SizeBucketPolicy::Exact, MeanPolicy::Arithmetic, 3);
         for &s in &samples {
-            store.record(TemplateId(0), 1, 99, VersionId(0), std::time::Duration::from_nanos(s));
+            store.record(TemplateId(0), 99, VersionId(0), std::time::Duration::from_nanos(s));
         }
         let mean = store.mean(TemplateId(0), 99, VersionId(0)).unwrap().as_nanos() as f64;
         let expect = samples.iter().sum::<u64>() as f64 / samples.len() as f64;
@@ -325,7 +325,6 @@ mod hints_roundtrip {
             let version = VersionId(v % n_versions as u16);
             store.seed_bucket(
                 tpl,
-                n_versions,
                 BucketKey(bucket),
                 version,
                 Duration::from_nanos(mean_ns),
@@ -336,7 +335,7 @@ mod hints_roundtrip {
             let (name, n_versions) = TEMPLATES[slot];
             let tpl = reg.by_name(name).unwrap();
             let version = VersionId(v % n_versions as u16);
-            store.seed_quarantine(tpl, n_versions, BucketKey(bucket), version, failures);
+            store.seed_quarantine(tpl, BucketKey(bucket), version, failures);
         }
         store
     }
@@ -371,9 +370,8 @@ mod hints_roundtrip {
             let file = parse_hints(&text).expect("rendered hints must parse");
             prop_assert_eq!(file.records.len(), hints.len());
             prop_assert_eq!(file.quarantine.len(), quarantines.len());
-            let policy = file.policy.expect("v2 files declare their policies");
-            prop_assert_eq!(policy.bucket, bucket, "bucket policy survives the header");
-            prop_assert_eq!(policy.mean, mean, "mean policy survives the header");
+            prop_assert_eq!(file.policy.bucket, bucket, "bucket policy survives the header");
+            prop_assert_eq!(file.policy.mean, mean, "mean policy survives the header");
 
             let mut fresh = ProfileStore::new(bucket, mean, 3);
             let (applied, skipped) =
