@@ -39,5 +39,5 @@ pub use scheduler::{
     make_scheduler, Assignment, CandidateStats, FailureKind, PolicyChoice, PolicyCtx, PolicyKind,
     SchedCtx, Scheduler, SchedulerKind, VersioningConfig, VersioningScheduler, WorkerSnap,
 };
-pub use task::{JobTag, TaskInstance, TaskTemplate, TaskVersion, TemplateBuilder, TemplateRegistry};
+pub use task::{TaskInstance, TaskTemplate, TaskVersion, TemplateBuilder, TemplateRegistry};
 pub use worker::{QueuedTask, WorkerInfo, WorkerState};

@@ -105,7 +105,7 @@ pub struct HintsFile {
 }
 
 /// Errors produced while parsing or applying a hints file.
-#[derive(Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum HintsError {
     /// A line did not match the expected record shape.
     Malformed {

@@ -367,7 +367,7 @@ impl Scheduler for VersioningScheduler {
             &PolicyCtx {
                 template: task.template,
                 bucket,
-                job: task.job.map(|j| j.job),
+                job: task.job,
                 lambda: self.config.lambda,
                 candidates: &self.bufs.candidates,
                 workers: &self.bufs.workers,
@@ -382,7 +382,7 @@ impl Scheduler for VersioningScheduler {
                 task: task.id,
                 template: task.template,
                 bucket,
-                job: task.job.map(|j| j.job),
+                job: task.job,
                 phase: choice.phase,
                 worker: choice.worker,
                 version: choice.version,

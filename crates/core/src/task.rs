@@ -185,25 +185,6 @@ impl TemplateRegistry {
     }
 }
 
-/// Job/tenant tag attached to a task instance by a serving layer.
-///
-/// The one-shot API leaves tasks untagged (`TaskInstance::job == None`);
-/// a multi-job service stamps every task it submits so that dispatch
-/// order can interleave jobs fairly and reports can be sliced per job.
-/// Tags are advisory: schedulers may ignore them entirely.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct JobTag {
-    /// Service-unique job id.
-    pub job: u64,
-    /// Owning tenant/client id (several jobs may share a tenant).
-    pub tenant: u32,
-    /// Priority class; higher classes are dispatched strictly before
-    /// lower ones when tasks compete for dispatch slots.
-    pub class: u8,
-    /// Weighted-round-robin share *within* a class (must be >= 1).
-    pub weight: u32,
-}
-
 /// A dynamic task instance: one invocation of an annotated task function.
 #[derive(Clone, Debug)]
 pub struct TaskInstance {
@@ -217,8 +198,10 @@ pub struct TaskInstance {
     /// counted once, "even if it is an input/output parameter" (paper
     /// footnote 2). Used to select the profile size group.
     pub data_set_size: u64,
-    /// Owning job, when submitted through a multi-job service.
-    pub job: Option<JobTag>,
+    /// Id of the owning job, when a multi-job service submitted the
+    /// task; the one-shot API leaves it `None`. Bounded waves interleave
+    /// jobs by it, and decision records carry it.
+    pub job: Option<u64>,
 }
 
 impl TaskInstance {

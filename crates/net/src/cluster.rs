@@ -27,15 +27,27 @@ use crate::protocol::{read_frame, write_frame, Frame, ProtoError};
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
+use versa_core::profile::HintsError;
 use versa_runtime::{RemoteCaps, Runtime};
 
 /// What [`Membership`] remembers about one node name.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NodeRecord {
     /// How many times a node with this name joined.
     pub joins: u32,
     /// How many times it was declared lost.
     pub losses: u32,
+    /// Profile-hint records its latest join's inbound gossip applied
+    /// (`Ok(0)` = it joined cold), or why the coordinator rejected
+    /// those hints. A rejected cache does not refuse the join: the node
+    /// serves cold.
+    pub hints_applied: Result<usize, HintsError>,
+}
+
+impl Default for NodeRecord {
+    fn default() -> Self {
+        NodeRecord { joins: 0, losses: 0, hints_applied: Ok(0) }
+    }
 }
 
 /// Per-name join/loss history, persisting across reconnects.
@@ -45,11 +57,12 @@ pub struct Membership {
 }
 
 impl Membership {
-    /// Record a join; returns `true` when the node enters on probation
-    /// (it has prior losses on record).
-    pub(crate) fn on_join(&mut self, name: &str) -> bool {
+    /// Record a join and what its gossip applied; returns `true` when
+    /// the node enters on probation (it has prior losses on record).
+    pub(crate) fn on_join(&mut self, name: &str, hints_applied: Result<usize, HintsError>) -> bool {
         let rec = self.records.entry(name.to_string()).or_default();
         rec.joins += 1;
+        rec.hints_applied = hints_applied;
         rec.losses > 0
     }
 
@@ -76,7 +89,8 @@ pub struct JoinInfo {
     /// Whether it rejoined with prior losses on record.
     pub probation: bool,
     /// Profile-hint records the node's inbound gossip applied to the
-    /// coordinator's scheduler (0 = it joined cold).
+    /// coordinator's scheduler: 0 when it joined cold, or when its hints
+    /// were rejected ([`NodeRecord::hints_applied`] holds why).
     pub hints_applied: usize,
 }
 
@@ -124,9 +138,9 @@ impl Cluster {
         // Inbound gossip: a rejoining worker hands back the profile it
         // cached at its last shutdown.
         let hints_applied = if hints.is_empty() {
-            0
+            Ok(0)
         } else {
-            rt.load_hints(&hints).map(|(applied, _)| applied).unwrap_or(0)
+            rt.load_hints(&hints).map(|(applied, _)| applied)
         };
 
         let node_id = (self.nodes.len() + 1) as u16;
@@ -140,14 +154,15 @@ impl Cluster {
         let attached = rt.attach_remote_node(transport.clone());
         debug_assert_eq!(attached, node_id, "cluster and runtime node ids must agree");
 
-        let probation = self.membership.on_join(&name);
+        let applied = *hints_applied.as_ref().unwrap_or(&0);
+        let probation = self.membership.on_join(&name, hints_applied);
         self.nodes.push(ClusterNode { name: name.clone(), transport, reaped: false });
         Ok(JoinInfo {
             name,
             node_id,
             smp_workers: smp_workers as usize,
             probation,
-            hints_applied,
+            hints_applied: applied,
         })
     }
 

@@ -33,6 +33,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
+use versa_core::profile::HintsError;
 use versa_core::{SchedulerKind, VersionId};
 use versa_mem::{AccessMode, AlignedBuf, DataId, MemSpace, Region};
 use versa_runtime::{DetachedExecutor, NativeConfig, Runtime, RuntimeConfig};
@@ -71,8 +72,10 @@ pub struct WorkerReport {
     /// The node id the coordinator assigned.
     pub node_id: u16,
     /// Profile-hint records applied from the coordinator's welcome
-    /// gossip (0 = the coordinator was cold).
-    pub hints_applied: usize,
+    /// gossip (`Ok(0)` = the coordinator was cold), or why they were
+    /// rejected. Rejected hints do not end the membership: the worker
+    /// serves cold.
+    pub hints_applied: Result<usize, HintsError>,
     /// Tasks executed.
     pub execs: u64,
     /// Shipments received.
@@ -118,7 +121,7 @@ pub fn run_worker(
         return Err(ProtoError::BadPayload);
     };
     let hints_applied =
-        if hints.is_empty() { 0 } else { rt.load_hints(&hints).map(|(a, _)| a).unwrap_or(0) };
+        if hints.is_empty() { Ok(0) } else { rt.load_hints(&hints).map(|(a, _)| a) };
 
     let executor = rt.detach_executor().expect("native runtime has an executor");
     serve(stream, &executor, &cfg, node_id, hints_applied)
@@ -141,7 +144,7 @@ fn serve(
     executor: &DetachedExecutor,
     cfg: &WorkerConfig,
     node_id: u16,
-    hints_applied: usize,
+    hints_applied: Result<usize, HintsError>,
 ) -> Result<WorkerReport, ProtoError> {
     let writer = Mutex::new(stream.try_clone()?);
     // Buffered: a frame's header and scalar fields cost one read, and

@@ -118,7 +118,7 @@ fn shutdown_gossip_warms_the_next_join() {
     submit_and_run(&mut rt, 6, 4);
     cluster.shutdown(&rt);
     let report1 = w.join().unwrap().unwrap();
-    assert_eq!(report1.hints_applied, 0, "coordinator was cold at welcome time");
+    assert_eq!(report1.hints_applied, Ok(0), "coordinator was cold at welcome time");
     assert!(cache.exists(), "shutdown gossip must be cached to disk");
 
     // Life 2: a FRESH coordinator, warmed only by the worker's cached
@@ -263,4 +263,47 @@ fn worker_reports_only_after_its_exec_pool_drained() {
         Ok(report) => assert_eq!(report.execs, 1),
         Err(e) => assert!(matches!(e, ProtoError::Io(_)), "{e}"),
     }
+}
+
+/// Malformed gossip in either direction is reported, not dropped: the
+/// coordinator's record of the node holds the parse error of its cached
+/// hints, and the worker's report holds that of the welcome hints. Both
+/// memberships still go ahead, cold.
+#[test]
+fn malformed_gossip_is_reported_on_both_sides() {
+    use versa_core::profile::HintsError;
+    use versa_net::protocol::{read_frame, write_frame, Frame};
+    let malformed = |r: &Result<usize, HintsError>| matches!(r, Err(HintsError::Malformed { .. }));
+
+    // Worker → coordinator: a corrupt hints cache rides in the hello.
+    let cache = temp_hints_path("corrupt");
+    std::fs::write(&cache, "not a hints file\n").unwrap();
+    let mut rt = coordinator();
+    let mut cluster = Cluster::listen("127.0.0.1:0").unwrap();
+    let mut cfg = WorkerConfig::new(cluster.local_addr().unwrap().to_string(), 1);
+    (cfg.name, cfg.hints_cache) = ("corrupt".into(), Some(cache.clone()));
+    let w = std::thread::spawn(move || versa_net::run_worker(cfg, register_scale2));
+    let join = cluster.accept_node(&mut rt).expect("a bad cache does not refuse the join");
+    assert_eq!(join.hints_applied, 0);
+    let record = cluster.membership.record("corrupt").unwrap();
+    assert!(malformed(&record.hints_applied), "{:?}", record.hints_applied);
+    submit_and_run(&mut rt, 2, 1);
+    cluster.shutdown(&rt);
+    w.join().unwrap().unwrap();
+    let _ = std::fs::remove_file(&cache);
+
+    // Coordinator → worker: a hand-rolled coordinator welcomes with
+    // garbage, then shuts the worker down.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let cfg = WorkerConfig::new(listener.local_addr().unwrap().to_string(), 1);
+    let w = std::thread::spawn(move || versa_net::run_worker(cfg, register_scale2));
+    let (mut stream, _) = listener.accept().unwrap();
+    let (hello, tag) = read_frame(&mut stream).unwrap().unwrap();
+    assert!(matches!(hello, Frame::Hello { .. }));
+    let welcome = Frame::Welcome { node_id: 1, hints: "not a hints file".into() };
+    write_frame(&mut stream, &welcome, tag).unwrap();
+    write_frame(&mut stream, &Frame::Shutdown { hints: String::new() }, 7).unwrap();
+    assert!(matches!(read_frame(&mut stream).unwrap(), Some((Frame::ShutdownAck, 7))));
+    let report = w.join().unwrap().expect("bad welcome hints do not end the membership");
+    assert!(malformed(&report.hints_applied), "{:?}", report.hints_applied);
 }

@@ -14,11 +14,13 @@ use std::sync::Arc;
 use versa_core::{Assignment, SchedCtx, TaskId};
 use versa_trace::{TraceEvent, TraceSink, Ts};
 
-/// One `run()`'s dispatch budget, and the assignments of its latest
-/// drain.
+/// One run's terms — its dispatch budget and whether it ends with the
+/// `taskwait` flush — and the assignments of its latest drain.
 pub(crate) struct Wave {
     /// Dispatch budget of this run (`u64::MAX` = unbounded).
     budget: u64,
+    /// Whether the run ends by flushing device-resident data home.
+    pub(crate) flush: bool,
     /// Tasks dispatched so far.
     dispatched: u64,
     /// The assignments of the latest drain (reused from drain to drain).
@@ -26,9 +28,20 @@ pub(crate) struct Wave {
 }
 
 impl Wave {
-    /// A run that may dispatch `max_dispatch` tasks (`None` = all).
-    pub(crate) fn new(max_dispatch: Option<u64>) -> Wave {
-        Wave { budget: max_dispatch.unwrap_or(u64::MAX), dispatched: 0, assigned: Vec::new() }
+    /// A run to completion, with or without the flush.
+    pub(crate) fn taskwait(flush: bool) -> Wave {
+        Wave { budget: u64::MAX, flush, dispatched: 0, assigned: Vec::new() }
+    }
+
+    /// A bounded wave: at most `max_dispatch` dispatches, in fair order
+    /// across jobs, and never a flush.
+    pub(crate) fn bounded(max_dispatch: u64) -> Wave {
+        Wave { budget: max_dispatch, ..Wave::taskwait(false) }
+    }
+
+    /// Whether the run has a dispatch budget.
+    pub(crate) fn is_bounded(&self) -> bool {
+        self.budget != u64::MAX
     }
 
     /// Whether the run has dispatched its whole budget.
@@ -37,7 +50,8 @@ impl Wave {
     }
 
     /// Pool the newly ready tasks (recording `TaskReady` at `now`), then,
-    /// while the budget lasts, order the pool fairly and drain it:
+    /// while the budget lasts, drain the pool — in a bounded wave after
+    /// ordering it fairly across jobs:
     /// `assigned` holds what this call dispatched, and the scheduler's
     /// decisions go to the trace. The pool lives in the runtime, so
     /// tasks a bounded wave could not dispatch carry over to the next.
@@ -53,14 +67,14 @@ impl Wave {
         if remaining == 0 {
             return;
         }
-        if rt.config.fair_scheduling {
+        let bounded = self.is_bounded();
+        if bounded {
             rt.fair.order(&mut rt.pending, &rt.graph);
         }
-        let limit = (self.budget != u64::MAX).then_some(remaining as usize);
-        drain_pool(rt, limit, &mut self.assigned);
+        drain_pool(rt, bounded.then_some(remaining as usize), &mut self.assigned);
         self.dispatched += self.assigned.len() as u64;
         crate::tracing::drain_decisions(rt, sink, now);
-        if rt.config.fair_scheduling {
+        if bounded {
             rt.fair.note_dispatched(&rt.graph, self.assigned.iter().map(|(t, _)| t));
         }
     }

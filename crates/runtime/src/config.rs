@@ -17,13 +17,6 @@ pub struct RuntimeConfig {
     /// prefetching queued tasks' data (paper §V-A2). On by default, and
     /// — as in the paper — independent of the scheduling policy.
     pub prefetch: bool,
-    /// Whether the implicit `taskwait` at the end of a run flushes all
-    /// device-resident data back to the host. Disable for the
-    /// `taskwait(noflush)` behaviour of paper §III. In an unbounded
-    /// native run a datum is written back as soon as no unfinished task
-    /// uses it, so the flush overlaps the remaining kernels; the moved
-    /// bytes are the same.
-    pub flush_on_wait: bool,
     /// Structured execution tracing (both engines): task lifecycle,
     /// scheduler decision records, transfer spans. Off by default; when
     /// off the engines hold no recorder at all, so runs are byte-identical
@@ -38,12 +31,6 @@ pub struct RuntimeConfig {
     /// attempt (the task's node died under it) advances the attempt
     /// number but never counts against the budget.
     pub max_task_retries: u32,
-    /// Reorder the ready pool with weighted start-time fair queuing over
-    /// job tags before each dispatch round, so concurrently submitted
-    /// jobs interleave instead of running FIFO. Off by default — the
-    /// one-shot API has a single implicit job, and keeping the flag off
-    /// preserves the exact historical dispatch order.
-    pub fair_scheduling: bool,
     /// Native engine: how many tasks beyond the running one may occupy a
     /// worker's staging pipeline, so the next task's inputs stage while
     /// the current kernel runs (the double-buffering the paper's M2090s
@@ -65,10 +52,8 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             scheduler: SchedulerKind::versioning(),
             prefetch: true,
-            flush_on_wait: true,
             tracing: TraceConfig::default(),
             max_task_retries: 3,
-            fair_scheduling: false,
             lookahead_depth: 2,
         }
     }
@@ -82,7 +67,6 @@ mod tests {
     fn defaults_match_paper_setup() {
         let c = RuntimeConfig::default();
         assert!(c.prefetch, "paper enables transfer/compute overlap + prefetch");
-        assert!(c.flush_on_wait);
         assert!(!c.tracing.enabled);
         assert!(c.tracing.lane_capacity > 0, "bounded but non-empty rings");
         assert_eq!(c.scheduler.label(), "ver");

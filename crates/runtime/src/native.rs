@@ -862,10 +862,9 @@ struct NativeRun {
     in_flight: usize,
     node_inflight: Vec<usize>,
     node_loss: Vec<NodeLoss>,
-    /// The write-back lane, in runs that may end with the flush.
+    /// The write-back lane, in runs that end with the flush: a datum
+    /// goes home on it as soon as no unfinished task uses it.
     writeback: Option<mpsc::Sender<Transfer>>,
-    /// Whether a datum goes home as soon as no unfinished task uses it.
-    write_behind: bool,
 }
 
 impl NativeRun {
@@ -1014,7 +1013,7 @@ impl NativeRun {
                 self.tally.worker_transfers[wi].stage_time += Duration::from_nanos(stage_ns);
                 lane.kernel_spans.push(kernel_span);
                 lane.stage_spans.extend(stage_spans);
-                if self.write_behind {
+                if self.writeback.is_some() {
                     // Data no unfinished task uses goes home now, under
                     // the remaining kernels, not after them.
                     for (region, _) in &rt.graph.node(tid).instance.accesses {
@@ -1092,9 +1091,9 @@ impl NativeRun {
     /// hand every lane what is left in its outbox, and stop the lanes.
     fn close(&mut self, rt: &mut Runtime, aborted: bool) {
         // Whatever is still device-only (data this run never touched, or
-        // every datum in a bounded wave) goes on the write-back lane
+        // left there by an earlier wave) goes on the write-back lane
         // behind the copies already planned there.
-        if !aborted && rt.config.flush_on_wait && rt.graph.all_done() {
+        if !aborted && self.writeback.is_some() {
             for t in rt.directory.flush_all_to_host() {
                 self.write_back(t);
             }
@@ -1180,20 +1179,20 @@ fn overlap_ns(kernel: &mut [(u64, u64)], stage: &[(u64, u64)]) -> u64 {
 /// exhausted, which aborts with a [`RunError`] carrying the partial
 /// report.
 ///
-/// With `max_dispatch` set, at most that many tasks are dispatched this
-/// call (a *wave*); everything dispatched drains before returning, and
+/// With a bounded `wave`, at most its budget of tasks is dispatched this
+/// call; everything dispatched drains before returning, and
 /// ready tasks beyond the budget stay pooled in the runtime.
 ///
 /// The coordinator plans every transfer but the byte movement runs on
 /// per-worker staging lanes, with a bounded lookahead so the next task's
 /// inputs stage under the current kernel; the coordinator thread never
-/// waits on a copy or on the wire. With `flush_on_wait`, the `taskwait`
-/// flush runs on the same terms: one write-back lane per run copies
-/// each datum home as soon as no unfinished task uses it (in an
-/// unbounded run) and takes the end-of-run flush of whatever is left.
+/// waits on a copy or on the wire. A run that ends with the flush runs
+/// it on the same terms: one write-back lane per run copies each datum
+/// home as soon as no unfinished task uses it and takes the end-of-run
+/// flush of whatever is left.
 /// See the pipeline comment above and DESIGN.md §2.2 for the protocol
 /// and its invariants.
-pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunReport, RunError> {
+pub(crate) fn run_native(rt: &mut Runtime, wave: Wave) -> Result<RunReport, RunError> {
     let EngineKind::Native { cfg, arena } = &rt.engine else {
         unreachable!("run_native on a non-native runtime")
     };
@@ -1237,9 +1236,8 @@ pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<
             scope.spawn(move || exec_loop(exec_rx, done, ctx, cores));
         }
         drop(done_tx);
-        let (writeback, writeback_lane) = rt
-            .config
-            .flush_on_wait
+        let (writeback, writeback_lane) = wave
+            .flush
             .then(|| {
                 let (tx, rx) = mpsc::channel();
                 let (arena, copy_out, sink) = (&arena, &copy_out, sink.clone());
@@ -1249,7 +1247,7 @@ pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<
             .unzip();
         let mut run = NativeRun {
             tally,
-            wave: Wave::new(max_dispatch),
+            wave,
             wall0,
             stats: TransferStats::default(),
             ledger: StagingLedger::new(),
@@ -1260,10 +1258,9 @@ pub(crate) fn run_native(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<
             in_flight: 0,
             node_inflight: vec![0; nodes],
             node_loss: vec![NodeLoss::Alive; nodes],
-            writeback,
             // Only a run that ends with the flush writes data back early,
             // so the moved bytes are exactly the ones that flush would move.
-            write_behind: rt.config.flush_on_wait && max_dispatch.is_none(),
+            writeback,
         };
         let abort = run.drive(rt, &done_rx);
         run.close(rt, abort.is_some());

@@ -1,5 +1,6 @@
 //! The user-facing runtime: data allocation, task submission, execution.
 
+use crate::assign::Wave;
 use crate::fair::FairState;
 use crate::graph::TaskGraph;
 use crate::native::{KernelCtx, NativeConfig};
@@ -12,7 +13,7 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use versa_core::{
-    make_scheduler, DeviceKind, JobTag, Scheduler, TaskId, TaskInstance, TemplateBuilder,
+    make_scheduler, DeviceKind, Scheduler, TaskId, TaskInstance, TemplateBuilder,
     TemplateId, TemplateRegistry, VersionId, VersioningScheduler, WorkerId, WorkerInfo,
     WorkerState,
 };
@@ -99,8 +100,9 @@ pub struct Runtime {
     pub(crate) pending: VecDeque<TaskId>,
     /// Cross-job fair-queuing dispatch accounting.
     pub(crate) fair: FairState,
-    /// Tag stamped onto subsequently submitted tasks (multi-job service).
-    current_job: Option<JobTag>,
+    /// Job id stamped onto subsequently submitted tasks (multi-job
+    /// service).
+    current_job: Option<u64>,
     /// Test hook: pending injected staging faults per datum (native
     /// engine). See [`Runtime::inject_stage_fault`].
     pub(crate) stage_faults: IdMap<DataId, u32>,
@@ -204,9 +206,12 @@ impl Runtime {
     }
 
     /// Mutable access to the configuration. The behavioural flags
-    /// (`prefetch`, `flush_on_wait`, `fair_scheduling`, …) take effect
-    /// on the next run; changing `scheduler` here has no effect — the
-    /// policy object was built at construction.
+    /// (`prefetch`, `tracing`, `max_task_retries`, `lookahead_depth`)
+    /// take effect on the next run; changing `scheduler` here has no
+    /// effect — the policy object was built at construction. Whether a
+    /// run flushes, and whether it orders jobs fairly, is decided by the
+    /// call: [`Runtime::run`], [`Runtime::run_noflush`] or
+    /// [`Runtime::run_bounded`].
     pub fn config_mut(&mut self) -> &mut RuntimeConfig {
         &mut self.config
     }
@@ -219,6 +224,16 @@ impl Runtime {
     /// Worker descriptions (SMP workers first, then one per GPU).
     pub fn workers(&self) -> Vec<WorkerInfo> {
         self.workers.iter().map(|w| w.info).collect()
+    }
+
+    /// Whether some live worker (one no node loss retired) can run a
+    /// version of `template`. A task no live worker can run never
+    /// dispatches, so a service checks this before it admits a job.
+    pub fn can_run(&self, template: TemplateId) -> bool {
+        let tpl = self.templates.get(template);
+        self.workers
+            .iter()
+            .any(|w| !w.is_retired() && tpl.versions_for(w.info.device).next().is_some())
     }
 
     /// Attach a remote node: its advertised workers become schedulable
@@ -511,13 +526,13 @@ impl Runtime {
     // Task submission
     // ------------------------------------------------------------------
 
-    /// Stamp every subsequently submitted task with a job tag (or stop
-    /// stamping with `None`). The tag drives fair multi-job dispatch
-    /// ordering when [`RuntimeConfig::fair_scheduling`] is on and lets
-    /// reports attribute tasks to jobs. One-shot applications never need
-    /// this; `versa-serve` sets it around each job's build closure.
-    pub fn set_job_tag(&mut self, tag: Option<JobTag>) {
-        self.current_job = tag;
+    /// Stamp every subsequently submitted task with a job id (or stop
+    /// stamping with `None`). Bounded waves ([`Runtime::run_bounded`])
+    /// interleave jobs fairly by it, and decision records carry it.
+    /// One-shot applications never need this; `versa-serve` sets it
+    /// around each job's build closure.
+    pub fn set_job_tag(&mut self, job: Option<u64>) {
+        self.current_job = job;
     }
 
     /// The task graph (read-only): inspect task states, count live
@@ -555,13 +570,13 @@ impl Runtime {
     // ------------------------------------------------------------------
 
     /// Execute every submitted-but-unfinished task to completion — the
-    /// implicit `taskwait` — and report what happened. With
-    /// [`RuntimeConfig::flush_on_wait`] set, device-resident data is
-    /// flushed back to host memory before this returns (and accounted as
-    /// Output Tx). The native engine starts each datum's write-back as
-    /// soon as no unfinished task uses it, overlapping the remaining
-    /// kernels; the simulated one flushes at the end, as the paper's
-    /// `taskwait` does.
+    /// implicit `taskwait` — and report what happened. Device-resident
+    /// data is flushed back to host memory before this returns (and
+    /// accounted as Output Tx). The native engine writes behind: it
+    /// starts each datum's write-back as soon as no unfinished task uses
+    /// it, overlapping the remaining kernels. The simulated one flushes
+    /// at the end, as the paper's `taskwait` does; the moved bytes are
+    /// the same.
     ///
     /// # Errors
     /// Task failures (native kernel panics, simulated injected faults)
@@ -572,7 +587,7 @@ impl Runtime {
     /// [`RunReport`]. An aborted runtime still has tasks in flight and
     /// must not be reused.
     pub fn run(&mut self) -> Result<RunReport, RunError> {
-        self.run_bounded(None)
+        self.drive(Wave::taskwait(true))
     }
 
     /// Execute one *wave*: dispatch at most `max_dispatch` tasks (counted
@@ -580,21 +595,21 @@ impl Runtime {
     /// enqueueing), let everything dispatched drain, and return. Ready
     /// tasks beyond the budget stay pooled in the runtime for the next
     /// wave; [`RunReport::completed`] says whether the graph fully
-    /// drained. `None` behaves exactly like [`Runtime::run`].
+    /// drained.
     ///
     /// This is the re-entry point a multi-job service loops on: between
-    /// waves it can admit new jobs, whose tasks then compete fairly
-    /// (see [`RuntimeConfig::fair_scheduling`]) with the backlog.
+    /// waves it can admit new jobs. Each wave orders the ready pool by
+    /// start-time fair queuing over job ids (see
+    /// [`Runtime::set_job_tag`]), so new jobs' tasks compete fairly with
+    /// the backlog; on an untagged pool that order is the submission
+    /// order. A wave never flushes: jobs overlap, and device residency is
+    /// the warmth the next wave reuses. A closing [`Runtime::run`]
+    /// flushes.
     ///
     /// # Errors
     /// As [`Runtime::run`].
-    pub fn run_bounded(&mut self, max_dispatch: Option<u64>) -> Result<RunReport, RunError> {
-        let report = match &self.engine {
-            EngineKind::Sim { .. } => crate::sim_engine::run_sim(self, max_dispatch),
-            EngineKind::Native { .. } => crate::native::run_native(self, max_dispatch),
-        };
-        self.run_count += 1;
-        report
+    pub fn run_bounded(&mut self, max_dispatch: u64) -> Result<RunReport, RunError> {
+        self.drive(Wave::bounded(max_dispatch))
     }
 
     /// Like [`Runtime::run`], but without the trailing flush — the
@@ -605,10 +620,16 @@ impl Runtime {
     /// # Errors
     /// As [`Runtime::run`].
     pub fn run_noflush(&mut self) -> Result<RunReport, RunError> {
-        let saved = self.config.flush_on_wait;
-        self.config.flush_on_wait = false;
-        let report = self.run();
-        self.config.flush_on_wait = saved;
+        self.drive(Wave::taskwait(false))
+    }
+
+    /// Run on the active engine on the `wave`'s terms.
+    fn drive(&mut self, wave: Wave) -> Result<RunReport, RunError> {
+        let report = match &self.engine {
+            EngineKind::Sim { .. } => crate::sim_engine::run_sim(self, wave),
+            EngineKind::Native { .. } => crate::native::run_native(self, wave),
+        };
+        self.run_count += 1;
         report
     }
 

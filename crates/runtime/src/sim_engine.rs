@@ -86,10 +86,10 @@ struct SimState {
     tally: RunTally,
 }
 
-/// Run tasks in virtual time: all of them (`max_dispatch = None`), or at
+/// Run tasks in virtual time on the `wave`'s terms: all of them, or at
 /// most a bounded wave of dispatches, leaving the rest pooled in the
 /// runtime for the next wave.
-pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<RunReport, RunError> {
+pub(crate) fn run_sim(rt: &mut Runtime, wave: Wave) -> Result<RunReport, RunError> {
     let (platform, stored_caches, tasks) = {
         let EngineKind::Sim { platform, caches, in_flight } = &mut rt.engine else {
             unreachable!("run_sim on a non-simulated runtime")
@@ -100,7 +100,7 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
         xfer: TransferEngine::new(&platform),
         noise: NoiseModel::new(NOISE_SIGMA, platform.seed.wrapping_add(rt.run_count)),
         events: EventQueue::new(),
-        wave: Wave::new(max_dispatch),
+        wave,
         // Device residency state survives across waves/runs, so a later
         // job still sees what an earlier one left on the GPUs.
         caches: stored_caches.or_else(|| {
@@ -159,7 +159,7 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
         start_idle_workers(rt, &mut st, now);
     }
 
-    if max_dispatch.is_none() {
+    if !st.wave.is_bounded() {
         assert!(
             rt.graph.all_done() && rt.pending.is_empty(),
             "simulation stalled with {} live tasks and {} pooled tasks — \
@@ -169,10 +169,9 @@ pub(crate) fn run_sim(rt: &mut Runtime, max_dispatch: Option<u64>) -> Result<Run
         );
     }
 
-    // The implicit taskwait: flush device-resident data home (only once
-    // everything is done — a partial wave leaves data on the devices).
+    // The implicit taskwait: flush device-resident data home.
     let mut end = now;
-    if rt.config.flush_on_wait && rt.graph.all_done() {
+    if st.wave.flush {
         for t in rt.directory.flush_all_to_host() {
             let done = st.xfer.schedule(&t, now);
             record_transfer(&st.tally.sink, None, &t, (now, done), None);

@@ -10,37 +10,6 @@ use versa_runtime::Runtime;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId(pub u64);
 
-/// Scheduling class of a job: a strict priority level plus a weight for
-/// proportional sharing *within* the level. Tasks of a higher-priority
-/// job always dispatch before lower-priority ones; among equal-priority
-/// jobs, a job with weight `w` gets `w` dispatch slots for every slot a
-/// weight-1 job gets (start-time fair queuing over the ready pool).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct JobClass {
-    /// Strict priority level (higher dispatches first).
-    pub priority: u8,
-    /// Proportional share within the priority level (≥ 1).
-    pub weight: u32,
-}
-
-impl JobClass {
-    /// The default class: priority 1, weight 1.
-    pub fn normal() -> JobClass {
-        JobClass { priority: 1, weight: 1 }
-    }
-
-    /// Same priority, different proportional share.
-    pub fn with_weight(self, weight: u32) -> JobClass {
-        JobClass { weight: weight.max(1), ..self }
-    }
-}
-
-impl Default for JobClass {
-    fn default() -> Self {
-        JobClass::normal()
-    }
-}
-
 /// Finalizer run on the service thread once every task of the job is
 /// done: read results back, verify, free the job's allocations. Its
 /// `Err` is recorded as the job's outcome (the service keeps running).
@@ -57,10 +26,6 @@ pub(crate) type BuildFn = Box<dyn FnOnce(&mut Runtime) -> FinishFn + Send>;
 pub struct JobSpec {
     /// Human-readable name (echoed in the [`JobReport`]).
     pub name: String,
-    /// Tenant the job belongs to (free-form; carried on the job tag).
-    pub tenant: u32,
-    /// Priority/weight class.
-    pub class: JobClass,
     /// Complete-by budget measured from submission. Admission sheds the
     /// job up front when the backlog estimate already exceeds it; `None`
     /// disables shedding.
@@ -72,19 +37,12 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A normal-class job from a build closure.
+    /// A job from a build closure.
     pub fn new(
         name: impl Into<String>,
         build: impl FnOnce(&mut Runtime) -> FinishFn + Send + 'static,
     ) -> JobSpec {
-        JobSpec {
-            name: name.into(),
-            tenant: 0,
-            class: JobClass::normal(),
-            deadline: None,
-            est_tasks: 0,
-            build: Box::new(build),
-        }
+        JobSpec { name: name.into(), deadline: None, est_tasks: 0, build: Box::new(build) }
     }
 
     /// A job with no finalizer (nothing to read back or free).
@@ -96,12 +54,6 @@ impl JobSpec {
             build(rt);
             Box::new(|_| Ok(()))
         })
-    }
-
-    /// Set the scheduling class.
-    pub fn class(mut self, class: JobClass) -> Self {
-        self.class = class;
-        self
     }
 
     /// Set the deadline and the task-count estimate backing its

@@ -13,11 +13,11 @@
 //!   [`SubmitOutcome::Shed`] when a job's deadline is already
 //!   infeasible given the live backlog estimate.
 //! * **Fair multi-job interleaving** — the service drives the runtime
-//!   in bounded *waves* ([`Runtime::run_bounded`]) and turns on
-//!   weighted start-time fair queuing over job tags
-//!   ([`RuntimeConfig::fair_scheduling`]), so concurrent jobs share the
-//!   workers instead of running FIFO; [`JobClass`] sets priority and
-//!   weight per job.
+//!   in bounded *waves* ([`Runtime::run_bounded`]), each of which orders
+//!   the ready pool by start-time fair queuing over job ids, so
+//!   concurrent jobs take dispatch slots in turn instead of running
+//!   FIFO. A wave never flushes: device residency carries over to the
+//!   next job.
 //! * **Cross-job profile warmth** — one scheduler serves every job, so
 //!   profiles learned by job *n* schedule job *n+1*; `warm_start`
 //!   hints seed templates incrementally as jobs register them.
@@ -53,7 +53,6 @@
 //!
 //! [`Runtime`]: versa_runtime::Runtime
 //! [`Runtime::run_bounded`]: versa_runtime::Runtime::run_bounded
-//! [`RuntimeConfig::fair_scheduling`]: versa_runtime::RuntimeConfig
 
 #![warn(missing_docs)]
 
@@ -61,8 +60,6 @@ mod job;
 mod metrics;
 mod service;
 
-pub use job::{
-    FinishFn, JobClass, JobId, JobReport, JobSpec, JobTicket, RejectReason, SubmitOutcome,
-};
+pub use job::{FinishFn, JobId, JobReport, JobSpec, JobTicket, RejectReason, SubmitOutcome};
 pub use metrics::MetricsSnapshot;
 pub use service::{Client, ServeConfig, Service};

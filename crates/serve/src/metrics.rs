@@ -8,7 +8,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use versa_core::scheduler::{Decision, DecisionPhase};
 use versa_core::{TemplateId, VersionId};
@@ -67,11 +67,6 @@ pub(crate) struct Books {
     decision_phases: HashMap<(Option<u64>, DecisionPhase), u64>,
     trace_dropped: u64,
     job_events: VecDeque<TraceEvent>,
-    /// Latest profile-hints snapshot (only with
-    /// `ServeConfig::gossip_hints`), for `Client::hints_snapshot`. An
-    /// `Arc`, so readers clone a pointer, not the hints text, under the
-    /// lock.
-    pub hints: Option<Arc<str>>,
 }
 
 impl Books {
@@ -143,7 +138,9 @@ impl Shared {
     }
 
     pub(crate) fn books(&self) -> MutexGuard<'_, Books> {
-        self.books.lock().expect("service metrics poisoned")
+        // The books are plain counters and rings, so a wave merge that a
+        // panic cut short still leaves them readable: take them anyway.
+        self.books.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {

@@ -10,8 +10,8 @@ use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
-use versa_core::profile::{apply_hints, parse_hints, HintsFile};
-use versa_core::{JobTag, TaskId};
+use versa_core::profile::{apply_hints, HintsFile};
+use versa_core::TaskId;
 use versa_runtime::{graph::TaskState, RunReport, Runtime};
 use versa_trace::{TraceEvent, Ts};
 
@@ -31,32 +31,20 @@ pub struct ServeConfig {
     /// workers between two admission points. Smaller = fresher admission
     /// and fairer interleaving; larger = less coordination overhead.
     pub wave_dispatch: u64,
-    /// Hints-v2 text (from [`Runtime::save_hints`]) to warm the
-    /// versioning scheduler with. Applied *incrementally*: whenever a
-    /// job registers a template the hints mention, that template's
-    /// records are seeded — once — so late-arriving job types still get
-    /// their warm start, and profiles learned while serving are never
-    /// overwritten by a re-apply.
-    pub warm_start: Option<String>,
-    /// How long the idle service sleeps between queue polls.
-    pub idle_poll: Duration,
-    /// Publish a fresh profile-hints snapshot after every wave
-    /// ([`Client::hints_snapshot`]). This is the outbound half of
-    /// cluster profile gossip (DESIGN.md §7): a coordinator serving
-    /// jobs can warm a newly joining `versa-net` worker with what the
-    /// service has learned *so far*, without shutting it down.
-    pub gossip_hints: bool,
+    /// Profile hints to warm the versioning scheduler with: text from
+    /// [`Runtime::save_hints`], parsed by the caller with
+    /// [`parse_hints`](versa_core::profile::parse_hints), so a malformed
+    /// file is the caller's typed error, never a silent cold start.
+    /// Applied *incrementally*: whenever a job registers a template the
+    /// hints mention, that template's records are seeded — once — so
+    /// late-arriving job types still get their warm start, and profiles
+    /// learned while serving are never overwritten by a re-apply.
+    pub warm_start: Option<HintsFile>,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        ServeConfig {
-            queue_capacity: 16,
-            wave_dispatch: 32,
-            warm_start: None,
-            idle_poll: Duration::from_millis(2),
-            gossip_hints: false,
-        }
+        ServeConfig { queue_capacity: 16, wave_dispatch: 32, warm_start: None }
     }
 }
 
@@ -109,10 +97,11 @@ struct Finished {
 }
 
 /// A cloneable submission handle. Clones share the same queue and
-/// metrics; hand one to each client thread.
+/// metrics; hand one to each client thread. The queue carries `None`
+/// once, from [`Service::shutdown`], to wake an idle service.
 #[derive(Clone)]
 pub struct Client {
-    tx: mpsc::SyncSender<Submission>,
+    tx: mpsc::SyncSender<Option<Submission>>,
     shared: Arc<Shared>,
 }
 
@@ -149,7 +138,7 @@ impl Client {
         // a successful `try_send` can land after that decrement — a lost
         // update that wraps the unsigned depth counter.
         self.shared.queue_depth.fetch_add(1, Ordering::Relaxed);
-        match self.tx.try_send(sub) {
+        match self.tx.try_send(Some(sub)) {
             Ok(()) => {
                 self.shared.accepted.fetch_add(1, Ordering::Relaxed);
                 SubmitOutcome::Accepted(JobTicket { id: JobId(id), rx: report_rx })
@@ -170,16 +159,6 @@ impl Client {
     /// A live snapshot of the service counters.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.shared.snapshot()
-    }
-
-    /// The latest profile-hints snapshot the serve loop published —
-    /// `None` until a wave has run with [`ServeConfig::gossip_hints`]
-    /// set (or when the scheduler has nothing to save). Feed this to a
-    /// joining remote worker's welcome gossip or to another service's
-    /// `warm_start`. The `Arc` is swapped in whole by the publisher, so
-    /// this clones a pointer — never the hints text — under the lock.
-    pub fn hints_snapshot(&self) -> Option<Arc<str>> {
-        self.shared.books().hints.clone()
     }
 }
 
@@ -221,6 +200,10 @@ impl Service {
     /// learned, ready for [`Runtime::save_hints`] or another service.
     pub fn shutdown(self) -> Runtime {
         self.client.shared.accepting.store(false, Ordering::Release);
+        // Wake the service if it sleeps idle. It drains its queue, so the
+        // send finds room; it fails only when the service thread is
+        // already gone, and the join below reports how it ended.
+        let _ = self.client.tx.send(None);
         drop(self.client);
         self.handle.join().expect("service thread panicked")
     }
@@ -229,76 +212,70 @@ impl Service {
 fn serve_loop(
     mut rt: Runtime,
     config: ServeConfig,
-    rx: mpsc::Receiver<Submission>,
+    rx: mpsc::Receiver<Option<Submission>>,
     shared: Arc<Shared>,
 ) -> Runtime {
-    let saved_flush = rt.config().flush_on_wait;
-    let saved_fair = rt.config().fair_scheduling;
-    rt.config_mut().fair_scheduling = true;
-    // Waves must not flush device data home: jobs overlap, and residency
-    // is part of the cross-job warmth the service exists to preserve.
-    rt.config_mut().flush_on_wait = false;
-
-    let warm: Option<HintsFile> =
-        config.warm_start.as_deref().and_then(|text| parse_hints(text).ok());
+    let warm = config.warm_start.as_ref();
     let mut seeded: HashSet<String> = HashSet::new();
     let mut active: Vec<ActiveJob> = Vec::new();
     let mut wave: u64 = 0;
     // Reused every wave: the finished jobs whose reports wait for the
     // wave's metrics publication.
     let mut finished: Vec<Finished> = Vec::new();
+    // Set by the shutdown message: drain what is queued and active, then
+    // hand the runtime back.
+    let mut closing = false;
 
     loop {
-        while let Ok(sub) = rx.try_recv() {
-            admit(&mut rt, sub, &mut active, &shared, warm.as_ref(), &mut seeded, wave);
+        // Busy, take what is already queued. Idle, sleep until a
+        // submission or the shutdown message arrives; a queue whose
+        // senders are all gone reads as the shutdown message.
+        let mut next = if active.is_empty() && !closing {
+            Ok(rx.recv().unwrap_or(None))
+        } else {
+            rx.try_recv()
+        };
+        while let Ok(msg) = next {
+            match msg {
+                None => closing = true,
+                Some(sub) => {
+                    let refused = admit(&mut rt, sub, &mut active, &shared, warm, &mut seeded, wave);
+                    if let Some(why) = refused {
+                        abort(&shared, &rx, &mut active, &why, &mut finished);
+                        publish_wave(&shared, None, &mut finished);
+                        return rt;
+                    }
+                }
+            }
+            next = rx.try_recv();
         }
         if active.is_empty() {
-            if !shared.accepting.load(Ordering::Acquire) {
-                break;
-            }
-            match rx.recv_timeout(config.idle_poll) {
-                Ok(sub) => {
-                    admit(&mut rt, sub, &mut active, &shared, warm.as_ref(), &mut seeded, wave);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-            continue;
+            // Idle after the drain only once the shutdown message came.
+            debug_assert!(closing);
+            break;
         }
 
         wave += 1;
-        let result = rt.run_bounded(Some(config.wave_dispatch));
+        let result = rt.run_bounded(config.wave_dispatch);
         let report = match &result {
             Ok(report) => report,
             Err(err) => &err.report,
         };
         count_wave(&shared, report);
-        if let Err(err) = &result {
-            // A task exhausted its retries: the runtime cannot be driven
-            // further. Fail every admitted and queued job and stop; no
-            // task of theirs will run.
-            shared.accepting.store(false, Ordering::Release);
-            shared.live_tasks.store(0, Ordering::Relaxed);
-            let msg = format!("service aborted: {err}");
-            for job in active.drain(..) {
-                let report = JobReport::failed(JobId(job.id), job.name.clone(), msg.clone());
-                job.finish(&shared, report, &mut finished);
-            }
-            while let Ok(sub) = rx.try_recv() {
-                shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                shared.failed.fetch_add(1, Ordering::Relaxed);
-                let report = JobReport::failed(JobId(sub.id), sub.spec.name, msg.clone());
-                let _ = sub.report_tx.try_send(report);
-            }
-            publish_wave(&shared, report, None, &mut finished);
+        // A task exhausted its retries, or a wave in which nothing ran or
+        // failed left work behind (a node loss stranded pooled tasks):
+        // the runtime cannot be driven further.
+        let stalled =
+            report.tasks_executed == 0 && report.failures.events.is_empty() && !report.completed;
+        if result.is_err() || stalled {
+            let why = match &result {
+                Err(err) => err.to_string(),
+                Ok(_) => "stalled: no pooled task can run on a live worker".to_string(),
+            };
+            abort(&shared, &rx, &mut active, &why, &mut finished);
+            publish_wave(&shared, Some(report), &mut finished);
             break;
         }
-        assert!(
-            report.tasks_executed > 0 || report.completed,
-            "service stalled: no task of the {} active job(s) can run on any worker",
-            active.len()
-        );
-        let hints = if config.gossip_hints { rt.save_hints().map(Arc::from) } else { None };
         active.retain_mut(|job| {
             let done = job_done(&rt, &job.range);
             if done {
@@ -308,19 +285,44 @@ fn serve_loop(
             }
             !done
         });
-        publish_wave(&shared, report, hints, &mut finished);
+        publish_wave(&shared, Some(report), &mut finished);
         // Everything below the earliest still-active job is finalized
         // and safe to recycle: steady-state admission allocates O(active
         // jobs), not O(jobs ever served).
         let keep = active.iter().map(|j| j.range.start).min().unwrap_or(rt.graph().len() as u64);
         rt.prune_done_tasks(TaskId(keep));
     }
-
-    rt.config_mut().flush_on_wait = saved_flush;
-    rt.config_mut().fair_scheduling = saved_fair;
     rt
 }
 
+/// Fail every admitted and queued job with `why` and stop accepting: no
+/// task of theirs will run. The caller publishes the failed jobs.
+fn abort(
+    shared: &Shared,
+    rx: &mpsc::Receiver<Option<Submission>>,
+    active: &mut Vec<ActiveJob>,
+    why: &str,
+    finished: &mut Vec<Finished>,
+) {
+    shared.accepting.store(false, Ordering::Release);
+    shared.live_tasks.store(0, Ordering::Relaxed);
+    let msg = format!("service aborted: {why}");
+    for job in active.drain(..) {
+        let report = JobReport::failed(JobId(job.id), job.name.clone(), msg.clone());
+        job.finish(shared, report, finished);
+    }
+    while let Ok(msg_or_shutdown) = rx.try_recv() {
+        let Some(sub) = msg_or_shutdown else { continue };
+        shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        shared.failed.fetch_add(1, Ordering::Relaxed);
+        let report = JobReport::failed(JobId(sub.id), sub.spec.name, msg.clone());
+        let _ = sub.report_tx.try_send(report);
+    }
+}
+
+/// Build the job into the runtime and make it active. Returns why the
+/// service must stop instead when the job has a template no live worker
+/// can run: dispatching its tasks would panic the scheduler.
 fn admit(
     rt: &mut Runtime,
     sub: Submission,
@@ -329,23 +331,25 @@ fn admit(
     warm: Option<&HintsFile>,
     seeded: &mut HashSet<String>,
     wave: u64,
-) {
+) -> Option<String> {
     shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
     let admitted = Instant::now();
     let Submission { id, spec, submitted, report_tx } = sub;
     let before = rt.graph().len() as u64;
-    rt.set_job_tag(Some(JobTag {
-        job: id,
-        tenant: spec.tenant,
-        class: spec.class.priority,
-        weight: spec.class.weight,
-    }));
+    rt.set_job_tag(Some(id));
     let finish = (spec.build)(rt);
     rt.set_job_tag(None);
     let after = rt.graph().len() as u64;
     if let Some(file) = warm {
         seed_new_templates(rt, file, seeded);
     }
+    let unrunnable = (before..after)
+        .map(|i| rt.graph().node(TaskId(i)).instance.template)
+        .find(|&tpl| !rt.can_run(tpl))
+        .map(|tpl| {
+            let name = &rt.templates().get(tpl).name;
+            format!("job {:?} has template {name:?}, which no live worker can run", spec.name)
+        });
     shared.live_tasks.fetch_add(after - before, Ordering::Relaxed);
     shared.active_jobs.fetch_add(1, Ordering::Relaxed);
     active.push(ActiveJob {
@@ -359,38 +363,29 @@ fn admit(
         admitted_wave: wave,
         report_tx,
     });
+    unrunnable
 }
 
 /// Seed warm-start hints for templates that exist now but were not
 /// seeded yet. Each template is seeded at most once, so profiles keep
 /// anything they learned afterwards.
 fn seed_new_templates(rt: &mut Runtime, file: &HintsFile, seeded: &mut HashSet<String>) {
-    let fresh: Vec<&str> = file
-        .records
-        .iter()
-        .map(|r| r.template.as_str())
-        .chain(file.quarantine.iter().map(|q| q.template.as_str()))
-        .filter(|name| !seeded.contains(*name) && rt.templates().by_name(name).is_some())
-        .collect();
-    if fresh.is_empty() {
-        return;
-    }
+    let fresh = |name: &str| !seeded.contains(name) && rt.templates().by_name(name).is_some();
     let sub = HintsFile {
         policy: file.policy,
-        records: file.records.iter().filter(|r| fresh.contains(&r.template.as_str())).cloned().collect(),
-        quarantine: file
-            .quarantine
-            .iter()
-            .filter(|q| fresh.contains(&q.template.as_str()))
-            .cloned()
-            .collect(),
+        records: file.records.iter().filter(|r| fresh(&r.template)).cloned().collect(),
+        quarantine: file.quarantine.iter().filter(|q| fresh(&q.template)).cloned().collect(),
     };
+    if sub.records.is_empty() && sub.quarantine.is_empty() {
+        return;
+    }
     let templates = rt.templates().clone();
     if let Some(v) = rt.versioning_mut() {
         // A policy mismatch just skips warm start; serving continues.
         let _ = apply_hints(v.profiles_mut(), &templates, &sub);
     }
-    seeded.extend(fresh.into_iter().map(str::to_owned));
+    seeded.extend(sub.records.iter().map(|r| r.template.clone()));
+    seeded.extend(sub.quarantine.iter().map(|q| q.template.clone()));
 }
 
 /// Count the wave into the atomic counters.
@@ -407,22 +402,16 @@ fn count_wave(shared: &Shared, report: &RunReport) {
     }
 }
 
-/// Take the metrics lock once to merge the wave and publish the event
-/// pairs of the jobs it finished. Their reports go out only after that,
+/// Take the metrics lock once to merge the wave (if one ran) and publish
+/// the event pairs of the jobs it finished. Their reports go out only after that,
 /// so a client holding a report sees its job's events and counts.
-fn publish_wave(
-    shared: &Shared,
-    report: &RunReport,
-    hints: Option<Arc<str>>,
-    finished: &mut Vec<Finished>,
-) {
+fn publish_wave(shared: &Shared, report: Option<&RunReport>, finished: &mut Vec<Finished>) {
     {
         let mut books = shared.books();
-        books.merge_wave(report);
-        books.push_job_events(finished.iter().flat_map(|f| f.events.iter().cloned()));
-        if hints.is_some() {
-            books.hints = hints;
+        if let Some(report) = report {
+            books.merge_wave(report);
         }
+        books.push_job_events(finished.iter().flat_map(|f| f.events.iter().cloned()));
     }
     for f in finished.drain(..) {
         // The only send into a one-slot channel cannot find it full. The

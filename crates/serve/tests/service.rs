@@ -4,6 +4,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
+use versa_core::profile::parse_hints;
 use versa_core::{DeviceKind, SchedulerKind, VersionId};
 use versa_runtime::{NativeConfig, Runtime, RuntimeConfig};
 use versa_serve::{JobSpec, RejectReason, ServeConfig, Service, SubmitOutcome};
@@ -116,6 +117,7 @@ fn profiles_stay_warm_across_jobs_and_across_services() {
     drop(client);
     let rt = service.shutdown();
     let hints = rt.save_hints().expect("versioning scheduler active");
+    let hints = parse_hints(&hints).expect("saved hints parse");
 
     // A brand-new service warm-started from those hints skips learning
     // from its very first job.
@@ -134,41 +136,34 @@ fn profiles_stay_warm_across_jobs_and_across_services() {
     warm_service.shutdown();
 }
 
+/// A job whose template has only a CUDA version, on a service without
+/// GPUs, can run nowhere. The service fails it with a report naming the
+/// template, stops accepting, and hands its runtime back instead of
+/// dying on the service thread.
 #[test]
-fn gossip_hints_publishes_live_warmth_mid_service() {
-    // Off by default: no snapshot is ever published.
-    let (rt, tpl) = sim_runtime();
+fn a_job_no_worker_can_run_fails_instead_of_killing_the_service() {
+    let mut rt = Runtime::simulated(
+        RuntimeConfig::with_scheduler(SchedulerKind::versioning()),
+        PlatformConfig::minotauro(2, 0),
+    );
+    let cuda = rt.template("cuda_only").main("cuda_only_gpu", &[DeviceKind::Cuda]).register();
+    rt.bind_cost(cuda, VersionId(0), |_| Duration::from_millis(1));
     let service = Service::start(rt, ServeConfig::default());
     let client = service.client();
-    client.submit(sim_job(tpl, 64)).accepted().unwrap().wait();
-    assert!(client.hints_snapshot().is_none(), "gossip_hints is off by default");
+    let stranded = JobSpec::fire_and_forget("stranded", move |rt| {
+        let d = rt.alloc_bytes(1 << 10);
+        rt.task(cuda).read_write(d).submit();
+    });
+    let report = client.submit(stranded).accepted().expect("queue has room").wait();
+    let why = report.outcome.expect_err("no worker can run the job");
+    assert!(why.contains("cuda_only"), "the failure names the template: {why}");
+    let m = service.metrics();
+    assert_eq!((m.completed, m.failed, m.active_jobs), (0, 1, 0));
+    let late = client.submit(JobSpec::fire_and_forget("late", |_| {}));
+    assert!(matches!(late, SubmitOutcome::Rejected(RejectReason::ShuttingDown)), "{late:?}");
     drop(client);
-    service.shutdown();
-
-    // On: after the first job's waves a snapshot is available *without*
-    // shutting the service down — the outbound half of cluster gossip.
-    let (rt, tpl) = sim_runtime();
-    let service =
-        Service::start(rt, ServeConfig { gossip_hints: true, ..ServeConfig::default() });
-    let client = service.client();
-    client.submit(sim_job(tpl, 64)).accepted().unwrap().wait();
-    let hints = client.hints_snapshot().expect("published after the first wave");
-
-    // The live snapshot carries real warmth: a second service
-    // warm-started from it skips the learning phase entirely.
-    let (rt2, tpl2) = sim_runtime();
-    let warm_service =
-        Service::start(rt2, ServeConfig { warm_start: Some(hints.to_string()), ..ServeConfig::default() });
-    let warm = warm_service.client().submit(sim_job(tpl2, 64)).accepted().unwrap().wait();
-    assert_eq!(
-        warm.version_count(tpl2, VersionId(1)),
-        0,
-        "job warmed from a live snapshot re-entered learning: {:?}",
-        warm.version_counts
-    );
-    warm_service.shutdown();
-    drop(client);
-    service.shutdown();
+    let rt = service.shutdown();
+    assert_eq!(rt.graph().len(), 1, "the stranded task never ran");
 }
 
 #[test]

@@ -78,10 +78,10 @@ fn main() {
                 report.node_id,
                 report.execs,
                 report.ships,
-                if report.hints_applied > 0 {
-                    format!(", joined gossip-warmed ({} hints)", report.hints_applied)
-                } else {
-                    ", joined cold".to_string()
+                match &report.hints_applied {
+                    Ok(0) => ", joined cold".to_string(),
+                    Ok(n) => format!(", joined gossip-warmed ({n} hints)"),
+                    Err(e) => format!(", joined cold (welcome hints rejected: {e})"),
                 }
             );
         }

@@ -131,12 +131,16 @@ pub fn run_coordinator(opts: &CoordinatorOpts) -> Result<CoordinatorOutcome, Str
         let t0 = Instant::now();
         let j = cluster.accept_node(&mut rt).map_err(|e| format!("worker handshake: {e}"))?;
         join_latencies.push(t0.elapsed());
+        let warmth = match cluster.membership.record(&j.name).map(|r| &r.hints_applied) {
+            Some(Err(e)) => format!("cold (cached hints rejected: {e})"),
+            _ if j.hints_applied > 0 => "gossip-warmed".to_string(),
+            _ => "cold".to_string(),
+        };
         eprintln!(
-            "versa-cluster: node {} ({}) joined with {} workers, {}{}",
+            "versa-cluster: node {} ({}) joined with {} workers, {warmth}{}",
             j.node_id,
             j.name,
             j.smp_workers,
-            if j.hints_applied > 0 { "gossip-warmed" } else { "cold" },
             if j.probation { ", on probation" } else { "" },
         );
         joins.push(j);

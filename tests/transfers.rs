@@ -136,10 +136,10 @@ fn independent_tasks_have_deterministic_stats_across_depths_and_workers() {
     assert_eq!(flat_stats.output_count, 8, "written C tiles flush home");
 }
 
-/// Partial-wave carry-over: the small matmul driven as
-/// `run_bounded(Some(7))` waves until done moves, in sum, exactly what a
-/// single `run()` moves — device copies planned in one wave stay valid
-/// for the next, and only the final wave flushes — and computes the same
+/// Partial-wave carry-over: the small matmul driven as `run_bounded(7)`
+/// waves until done, then one closing `run()` for the flush no wave
+/// does, moves in sum exactly what a single `run()` moves — device copies
+/// planned in one wave stay valid for the next — and computes the same
 /// `C` bit for bit.
 #[test]
 fn bounded_waves_sum_to_a_single_run() {
@@ -160,12 +160,20 @@ fn bounded_waves_sum_to_a_single_run() {
             (0..nb * nb).map(|_| rt.alloc_from_f64(&vec![0.0; bs * bs])).collect();
         matmul::submit_tasks(&mut rt, tpl, nb, &a, &b, &c);
         let mut reports = Vec::new();
+        let Some(wave) = wave else {
+            reports.push(rt.run().expect("run failed"));
+            return (reports, c.iter().map(|&t| rt.read_f64(t)).collect());
+        };
         loop {
             reports.push(rt.run_bounded(wave).expect("wave failed"));
             if reports.last().unwrap().completed {
                 break;
             }
         }
+        // A wave never flushes; the closing `run()` moves what the last
+        // wave's flush used to, so its copies count with that wave.
+        let flush = rt.run().expect("closing run failed");
+        reports.last_mut().unwrap().transfers.merge(&flush.transfers);
         (reports, c.iter().map(|&t| rt.read_f64(t)).collect())
     };
 
