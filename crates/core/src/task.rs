@@ -204,28 +204,9 @@ pub struct TaskInstance {
     pub job: Option<u64>,
 }
 
-impl TaskInstance {
-    /// Compute the data set size from a list of accesses and a size
-    /// oracle for allocations (each allocation counted once).
-    pub fn data_set_size_of(
-        accesses: &[(Region, AccessMode)],
-        alloc_bytes: impl Fn(versa_mem::DataId) -> u64,
-    ) -> u64 {
-        // An allocation counts at its first access only; access lists are
-        // a handful long, so the quadratic scan beats building a set.
-        accesses
-            .iter()
-            .enumerate()
-            .filter(|&(i, (region, _))| accesses[..i].iter().all(|(r, _)| r.data != region.data))
-            .map(|(_, (region, _))| alloc_bytes(region.data))
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use versa_mem::DataId;
 
     fn registry_with_matmul() -> (TemplateRegistry, TemplateId) {
         let mut reg = TemplateRegistry::new();
@@ -317,18 +298,5 @@ mod tests {
     fn empty_template_name_rejected() {
         let mut reg = TemplateRegistry::new();
         let _ = reg.template("").main("a", &[DeviceKind::Smp]).register();
-    }
-
-    #[test]
-    fn data_set_size_counts_each_allocation_once() {
-        let a = DataId(0);
-        let b = DataId(1);
-        let accesses = vec![
-            (Region::whole(a, 100), AccessMode::In),
-            (Region::whole(b, 50), AccessMode::In),
-            (Region::whole(a, 100), AccessMode::InOut),
-        ];
-        let size = TaskInstance::data_set_size_of(&accesses, |d| if d == a { 100 } else { 50 });
-        assert_eq!(size, 150);
     }
 }

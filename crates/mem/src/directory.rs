@@ -160,12 +160,51 @@ impl Directory {
             .unwrap_or(false)
     }
 
-    /// Size in bytes of a registered allocation.
+    /// Size in bytes of a registered allocation. Each call takes the
+    /// lock and looks `data` up once; a task's accesses are sized all
+    /// together by [`Directory::resolve_accesses`] instead.
     ///
     /// # Panics
     /// Panics if `data` is not registered.
     pub fn bytes(&self, data: DataId) -> u64 {
         self.with_entry(data, "bytes", |e| e.bytes)
+    }
+
+    /// Size a task's accesses in one visit — one lock, one lookup per
+    /// access — and return its *data set size*: each accessed
+    /// allocation counted once, "even if it is an input/output
+    /// parameter" (paper footnote 2). A region of length
+    /// [`Region::TO_END`] is cut to the end of its allocation; every
+    /// region must then lie inside its allocation.
+    ///
+    /// # Panics
+    /// Panics, once the lock is released, if an allocation is not
+    /// registered or a region exceeds its allocation.
+    pub fn resolve_accesses(&self, accesses: &mut [(Region, AccessMode)]) -> u64 {
+        let entries = self.entries();
+        let mut data_set = 0;
+        for i in 0..accesses.len() {
+            let data = accesses[i].0.data;
+            let Some(bytes) = entries.get(&data).map(|e| e.bytes) else {
+                drop(entries);
+                panic!("resolve_accesses: {data:?} not registered");
+            };
+            // An allocation counts at its first access only; access lists
+            // are a handful long, so the quadratic scan beats a set.
+            if accesses[..i].iter().all(|(r, _)| r.data != data) {
+                data_set += bytes;
+            }
+            let region = &mut accesses[i].0;
+            if region.len == Region::TO_END {
+                region.len = bytes.saturating_sub(region.offset);
+            }
+            if region.end() > bytes {
+                let region = *region;
+                drop(entries);
+                panic!("access {region:?} exceeds allocation size {bytes}");
+            }
+        }
+        data_set
     }
 
     /// Make `data` accessible in `space` for the given access mode,
@@ -298,13 +337,12 @@ impl Directory {
     /// Panics if a read allocation is not registered.
     pub fn bytes_missing_for(&self, accesses: &[(Region, AccessMode)], space: MemSpace) -> u64 {
         let entries = self.entries();
-        let mut seen: Vec<DataId> = Vec::with_capacity(accesses.len());
         let mut total = 0;
-        for (region, mode) in accesses {
-            if !mode.reads() || seen.contains(&region.data) {
+        for (i, (region, mode)) in accesses.iter().enumerate() {
+            let seen = |(r, m): &(Region, AccessMode)| m.reads() && r.data == region.data;
+            if !mode.reads() || accesses[..i].iter().any(seen) {
                 continue;
             }
-            seen.push(region.data);
             match entries.get(&region.data) {
                 Some(e) if e.valid.binary_search(&space).is_err() => total += e.bytes,
                 Some(_) => {}
@@ -426,6 +464,32 @@ mod tests {
         ];
         assert_eq!(dir.bytes_missing_for(&accesses, MemSpace::device(0)), 100);
         assert_eq!(dir.bytes_missing_for(&accesses, MemSpace::HOST), 0);
+        // A write before the first read does not hide the read's copy-in.
+        let write_then_read = [
+            (Region::whole(DataId(0), 100), AccessMode::Out),
+            (Region::whole(DataId(0), 100), AccessMode::In),
+        ];
+        assert_eq!(dir.bytes_missing_for(&write_then_read, MemSpace::device(0)), 100);
+    }
+
+    #[test]
+    fn resolve_accesses_sizes_whole_regions_and_counts_each_allocation_once() {
+        let dir = Directory::new();
+        dir.register(DataId(0), 100, MemSpace::HOST);
+        dir.register(DataId(1), 50, MemSpace::HOST);
+        let mut accesses = [
+            (Region::whole(DataId(0), Region::TO_END), AccessMode::In),
+            (Region::range(DataId(1), 10, 40), AccessMode::In),
+            (Region::range(DataId(0), 20, Region::TO_END), AccessMode::InOut),
+        ];
+        assert_eq!(dir.resolve_accesses(&mut accesses), 150);
+        let regions: Vec<Region> = accesses.iter().map(|(r, _)| *r).collect();
+        let expected = [
+            Region::whole(DataId(0), 100),
+            Region::range(DataId(1), 10, 40),
+            Region::range(DataId(0), 20, 80),
+        ];
+        assert_eq!(regions, expected);
     }
 
     #[test]
@@ -500,9 +564,12 @@ mod tests {
         dir.acquire(DataId(0), MemSpace::device(0), AccessMode::InOut);
         let ghost = DataId(16);
         let reads = [(Region::whole(ghost, 8), AccessMode::In)];
-        let misuses: [(&dyn Fn(), &str); 8] = [
+        let oversized = [(Region::range(DataId(0), 8, 64), AccessMode::In)];
+        let misuses: [(&dyn Fn(), &str); 10] = [
             (&|| _ = dir.acquire(ghost, MemSpace::HOST, AccessMode::In), "not registered"),
             (&|| _ = dir.bytes(ghost), "not registered"),
+            (&|| _ = dir.resolve_accesses(&mut reads.clone()), "d16 not registered"),
+            (&|| _ = dir.resolve_accesses(&mut oversized.clone()), "exceeds allocation size 64"),
             (&|| dir.invalidate(ghost, MemSpace::HOST), "not registered"),
             (&|| _ = dir.flush_to_host(ghost), "not registered"),
             (&|| _ = dir.bytes_missing_for(&reads, MemSpace::HOST), "not registered"),

@@ -34,6 +34,13 @@ pub struct Region {
 }
 
 impl Region {
+    /// A length that stands for "to the end of the allocation": the task
+    /// builder records whole-allocation clauses with it, and
+    /// [`Directory::resolve_accesses`] cuts it to the allocation's size.
+    ///
+    /// [`Directory::resolve_accesses`]: crate::Directory::resolve_accesses
+    pub const TO_END: u64 = u64::MAX;
+
     /// A region covering `len` bytes of allocation `data` from its start.
     #[inline]
     pub fn whole(data: DataId, len: u64) -> Region {

@@ -41,8 +41,59 @@ pub struct TaskNode {
     /// Worker that executed the most recently *finished* producer of one
     /// of this task's inputs (the dependency-chain hint).
     pub chain_hint: Option<WorkerId>,
-    successors: Vec<TaskId>,
+    successors: Successors,
     remaining_deps: usize,
+}
+
+/// Successor slots a node holds before its edges move to the heap.
+const INLINE_SUCCESSORS: usize = 3;
+
+/// A node's successor edges in push order — completion releases them in
+/// that order. Most nodes have at most three (in the `sim_drain` shape: a
+/// reader of its output, the next writer of that output, and the next
+/// writer of what it read), so those need no allocation; a fourth
+/// spills the list to a `Vec`.
+#[derive(Debug)]
+enum Successors {
+    /// Ids in the leading slots; unused slots hold [`Successors::FREE`].
+    Inline([TaskId; INLINE_SUCCESSORS]),
+    Spilled(Vec<TaskId>),
+}
+
+impl Default for Successors {
+    fn default() -> Self {
+        Successors::Inline([Successors::FREE; INLINE_SUCCESSORS])
+    }
+}
+
+impl Successors {
+    /// Marks an unused inline slot; ids count up from 0 and never reach it.
+    const FREE: TaskId = TaskId(u64::MAX);
+
+    fn push(&mut self, id: TaskId) {
+        match self {
+            Successors::Inline(slots) => match slots.iter().position(|&s| s == Successors::FREE) {
+                Some(i) => slots[i] = id,
+                None => {
+                    let mut spilled = Vec::with_capacity(2 * INLINE_SUCCESSORS);
+                    spilled.extend_from_slice(slots);
+                    spilled.push(id);
+                    *self = Successors::Spilled(spilled);
+                }
+            },
+            Successors::Spilled(ids) => ids.push(id),
+        }
+    }
+
+    fn as_slice(&self) -> &[TaskId] {
+        match self {
+            Successors::Inline(slots) => {
+                let n = slots.iter().position(|&s| s == Successors::FREE).unwrap_or(INLINE_SUCCESSORS);
+                &slots[..n]
+            }
+            Successors::Spilled(ids) => ids,
+        }
+    }
 }
 
 #[derive(Default, Debug)]
@@ -163,30 +214,22 @@ impl TaskGraph {
         let id = TaskId(self.len() as u64);
         assert_eq!(instance.id, id, "task instance id must match submission order");
 
-        // Gather dependencies (deduplicated, only on unfinished tasks).
+        // One pass: each access reads and updates its allocation's log in
+        // one lookup. An earlier access of this task may already have
+        // logged the task itself, which is never a dependence; and what an
+        // earlier write superseded, that write already depended on.
         let mut deps = std::mem::take(&mut self.deps);
         deps.clear();
         for (region, mode) in &instance.accesses {
             let log = self.logs.entry(region.data).or_default();
-            for (wr, writer) in &log.writers {
-                if wr.overlaps(region) && !deps.contains(writer) {
-                    deps.push(*writer);
+            let mut depend = |(r, t): &(Region, TaskId)| {
+                if *t != id && r.overlaps(region) && !deps.contains(t) {
+                    deps.push(*t);
                 }
-            }
+            };
+            log.writers.iter().for_each(&mut depend);
             if mode.writes() {
-                for (rr, reader) in &log.readers {
-                    if rr.overlaps(region) && !deps.contains(reader) {
-                        deps.push(*reader);
-                    }
-                }
-            }
-        }
-        deps.retain(|d| !self.is_done(*d));
-
-        // Update the access logs.
-        for (region, mode) in &instance.accesses {
-            let log = self.logs.entry(region.data).or_default();
-            if mode.writes() {
+                log.readers.iter().for_each(&mut depend);
                 // This write supersedes fully-covered earlier accesses;
                 // keeping partially-covered ones is conservative but
                 // correct (extra edges only).
@@ -197,6 +240,7 @@ impl TaskGraph {
                 log.readers.push((*region, id));
             }
         }
+        deps.retain(|d| !self.is_done(*d));
 
         let remaining = deps.len();
         for d in &deps {
@@ -209,7 +253,7 @@ impl TaskGraph {
             state: if remaining == 0 { TaskState::Ready } else { TaskState::Pending },
             assignment: None,
             chain_hint: None,
-            successors: Vec::new(),
+            successors: Successors::default(),
             remaining_deps: remaining,
         });
         self.live += 1;
@@ -254,7 +298,7 @@ impl TaskGraph {
         node.state = TaskState::Done;
         self.live -= 1;
         let successors = std::mem::take(&mut self.nodes[i].successors);
-        for s in &successors {
+        for s in successors.as_slice() {
             let si = self.idx(*s);
             let succ = &mut self.nodes[si];
             succ.remaining_deps -= 1;
@@ -332,8 +376,7 @@ mod tests {
     use versa_mem::AccessMode;
 
     fn instance(id: u64, accesses: Vec<(Region, AccessMode)>) -> TaskInstance {
-        let size = TaskInstance::data_set_size_of(&accesses, |_| 64);
-        TaskInstance { id: TaskId(id), template: TemplateId(0), accesses, data_set_size: size, job: None }
+        TaskInstance { id: TaskId(id), template: TemplateId(0), accesses, data_set_size: 64, job: None }
     }
 
     fn whole(d: u32) -> Region {
@@ -450,7 +493,7 @@ mod tests {
             vec![(whole(0), AccessMode::In), (whole(1), AccessMode::In)],
         ));
         assert_eq!(g.node(r).remaining_deps, 1);
-        assert_eq!(g.node(w).successors, [r]);
+        assert_eq!(g.node(w).successors.as_slice(), [r]);
     }
 
     #[test]
@@ -583,6 +626,142 @@ mod tests {
         assert!(g.logs.contains_key(&DataId(0)));
         g.forget_data(DataId(0));
         assert!(!g.logs.contains_key(&DataId(0)));
+    }
+
+    #[test]
+    fn naming_one_allocation_twice_adds_no_self_edge() {
+        let mut g = TaskGraph::new();
+        let w = g.submit(instance(0, vec![(whole(0), AccessMode::Out), (whole(0), AccessMode::In)]));
+        let rw = g.submit(instance(1, vec![(whole(0), AccessMode::In), (whole(0), AccessMode::InOut)]));
+        assert_eq!(g.take_newly_ready(), vec![w]);
+        assert_eq!(g.node(rw).remaining_deps, 1);
+        assert_eq!(g.node(w).successors.as_slice(), [rw]);
+    }
+
+    #[test]
+    fn successors_spill_past_the_inline_slots_in_push_order() {
+        let mut g = TaskGraph::new();
+        let w = g.submit(instance(0, vec![(whole(0), AccessMode::Out)]));
+        let readers: Vec<TaskId> =
+            (1..=5).map(|i| g.submit(instance(i, vec![(whole(0), AccessMode::In)]))).collect();
+        assert_eq!(g.node(w).successors.as_slice(), readers);
+        g.take_newly_ready();
+        g.mark_running(w);
+        g.complete(w, WorkerId(0));
+        assert_eq!(g.take_newly_ready(), readers);
+    }
+
+    /// The two-pass dependence analysis — gather every access's
+    /// dependences, then update every log — as a reference for the
+    /// graph's one-pass `submit`.
+    #[derive(Default)]
+    struct TwoPass {
+        logs: IdMap<DataId, RegionLog>,
+        done: Vec<bool>,
+        successors: Vec<Vec<TaskId>>,
+        remaining: Vec<usize>,
+        ready: Vec<TaskId>,
+    }
+
+    impl TwoPass {
+        fn submit(&mut self, accesses: &[(Region, AccessMode)]) {
+            let id = TaskId(self.done.len() as u64);
+            let mut deps = Vec::new();
+            for (region, mode) in accesses {
+                let log = self.logs.entry(region.data).or_default();
+                let readers = if mode.writes() { &log.readers[..] } else { &[] };
+                for (r, t) in log.writers.iter().chain(readers) {
+                    if r.overlaps(region) && !deps.contains(t) {
+                        deps.push(*t);
+                    }
+                }
+            }
+            deps.retain(|d| !self.done[d.index()]);
+            for (region, mode) in accesses {
+                let log = self.logs.entry(region.data).or_default();
+                if mode.writes() {
+                    log.writers.retain(|(r, _)| !region.contains(r));
+                    log.readers.retain(|(r, _)| !region.contains(r));
+                    log.writers.push((*region, id));
+                } else {
+                    log.readers.push((*region, id));
+                }
+            }
+            for d in &deps {
+                self.successors[d.index()].push(id);
+            }
+            self.done.push(false);
+            self.successors.push(Vec::new());
+            self.remaining.push(deps.len());
+            if deps.is_empty() {
+                self.ready.push(id);
+            }
+        }
+
+        fn complete(&mut self, id: TaskId) {
+            self.done[id.index()] = true;
+            for &s in &self.successors[id.index()] {
+                self.remaining[s.index()] -= 1;
+                if self.remaining[s.index()] == 0 {
+                    self.ready.push(s);
+                }
+            }
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum Step {
+        Submit(Vec<(Region, AccessMode)>),
+        /// Finish the ready task at this index (modulo the pool) if any.
+        Finish(usize),
+    }
+
+    fn step() -> impl proptest::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        // Three allocations of 64 bytes: whole ones and 16-byte-aligned
+        // partial ranges (zero-length ones included), so accesses often
+        // name one allocation twice and overlap partially.
+        let range = (0..3u32, 0..4u64, 0..5u64)
+            .prop_map(|(d, at, len)| Region::range(DataId(d), 16 * at, 16 * len.min(4 - at)));
+        let mode = prop_oneof![Just(AccessMode::In), Just(AccessMode::Out), Just(AccessMode::InOut)];
+        let access = (prop_oneof![(0..3u32).prop_map(whole), range], mode);
+        prop_oneof![
+            proptest::collection::vec(access, 1..5).prop_map(Step::Submit),
+            (0..64usize).prop_map(Step::Finish),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 256 })]
+        #[test]
+        fn one_pass_submit_matches_the_two_pass_analysis(
+            steps in proptest::collection::vec(step(), 1..48),
+        ) {
+            let (mut g, mut reference) = (TaskGraph::new(), TwoPass::default());
+            let mut pool: Vec<TaskId> = Vec::new();
+            for step in steps {
+                match step {
+                    Step::Submit(accesses) => {
+                        reference.submit(&accesses);
+                        g.submit(instance(g.len() as u64, accesses));
+                    }
+                    Step::Finish(_) if pool.is_empty() => {}
+                    Step::Finish(k) => {
+                        let t = pool.remove(k % pool.len());
+                        g.mark_running(t);
+                        g.complete(t, WorkerId(0));
+                        reference.complete(t);
+                    }
+                }
+                let ready = g.take_newly_ready();
+                proptest::prop_assert_eq!(&ready, &std::mem::take(&mut reference.ready));
+                pool.extend(ready);
+                for (i, node) in g.nodes().enumerate() {
+                    proptest::prop_assert_eq!(node.remaining_deps, reference.remaining[i]);
+                    proptest::prop_assert_eq!(node.successors.as_slice(), &reference.successors[i][..]);
+                }
+            }
+        }
     }
 
     #[test]

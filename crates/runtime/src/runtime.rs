@@ -541,26 +541,11 @@ impl Runtime {
         &self.graph
     }
 
-    /// Submit a task instance with explicit accesses.
-    pub(crate) fn submit(
-        &mut self,
-        template: TemplateId,
-        accesses: Vec<(Region, AccessMode)>,
-    ) -> TaskId {
-        for (region, _) in &accesses {
-            let bytes = self.directory.bytes(region.data);
-            assert!(
-                region.end() <= bytes,
-                "access {region:?} exceeds allocation size {bytes}"
-            );
-        }
-        let data_set_size =
-            TaskInstance::data_set_size_of(&accesses, |d| self.directory.bytes(d));
-        let id = TaskId(self.graph.len() as u64);
-        self.graph.submit(TaskInstance { id, template, accesses, data_set_size, job: self.current_job })
-    }
-
     /// Fluent task submission: `rt.task(tpl).read(a).read(b).read_write(c).submit()`.
+    ///
+    /// The clauses only record the accesses; [`TaskSubmitter::submit`]
+    /// sizes them all in one directory visit and computes the task's
+    /// dependences in one pass over them.
     pub fn task(&mut self, template: TemplateId) -> TaskSubmitter<'_> {
         TaskSubmitter { rt: self, template, accesses: Vec::new() }
     }
@@ -720,7 +705,8 @@ impl DetachedExecutor {
     }
 }
 
-/// Builder returned by [`Runtime::task`].
+/// Builder returned by [`Runtime::task`]: one clause per access, then
+/// [`TaskSubmitter::submit`].
 pub struct TaskSubmitter<'a> {
     rt: &'a mut Runtime,
     template: TemplateId,
@@ -728,31 +714,39 @@ pub struct TaskSubmitter<'a> {
 }
 
 impl TaskSubmitter<'_> {
-    /// `input(...)` clause over a whole allocation.
-    pub fn read(mut self, data: DataId) -> Self {
-        let bytes = self.rt.directory.bytes(data);
-        self.accesses.push((Region::whole(data, bytes), AccessMode::In));
+    /// Record a whole-allocation access; `submit` sizes it.
+    fn whole(mut self, data: DataId, mode: AccessMode) -> Self {
+        self.accesses.push((Region::whole(data, Region::TO_END), mode));
         self
+    }
+
+    /// `input(...)` clause over a whole allocation.
+    pub fn read(self, data: DataId) -> Self {
+        self.whole(data, AccessMode::In)
     }
 
     /// `output(...)` clause over a whole allocation.
-    pub fn write(mut self, data: DataId) -> Self {
-        let bytes = self.rt.directory.bytes(data);
-        self.accesses.push((Region::whole(data, bytes), AccessMode::Out));
-        self
+    pub fn write(self, data: DataId) -> Self {
+        self.whole(data, AccessMode::Out)
     }
 
     /// `inout(...)` clause over a whole allocation.
-    pub fn read_write(mut self, data: DataId) -> Self {
-        let bytes = self.rt.directory.bytes(data);
-        self.accesses.push((Region::whole(data, bytes), AccessMode::InOut));
-        self
+    pub fn read_write(self, data: DataId) -> Self {
+        self.whole(data, AccessMode::InOut)
     }
 
-    /// Create the task.
+    /// Create the task: take the directory lock once to size every
+    /// access ([`Directory::resolve_accesses`]), then add the task to the
+    /// graph.
+    ///
+    /// # Panics
+    /// Panics if an accessed allocation is not registered (never
+    /// allocated, or freed) or an access exceeds its allocation.
     pub fn submit(self) -> TaskId {
-        let TaskSubmitter { rt, template, accesses } = self;
-        rt.submit(template, accesses)
+        let TaskSubmitter { rt, template, mut accesses } = self;
+        let data_set_size = rt.directory.resolve_accesses(&mut accesses);
+        let id = TaskId(rt.graph.len() as u64);
+        rt.graph.submit(TaskInstance { id, template, accesses, data_set_size, job: rt.current_job })
     }
 }
 
@@ -833,6 +827,19 @@ mod tests {
         let mut submitter = rt.task(tpl);
         submitter.accesses.push((Region::range(a, 0, 20), AccessMode::In));
         let _ = submitter.submit();
+    }
+
+    #[test]
+    fn task_over_a_freed_allocation_is_rejected() {
+        let mut rt = sim_runtime();
+        let tpl = rt.template("t").main("smp", &[DeviceKind::Smp]).register();
+        let a = rt.alloc_bytes(10);
+        rt.free(a);
+        let submit = std::panic::AssertUnwindSafe(|| rt.task(tpl).read(a).submit());
+        let err = std::panic::catch_unwind(submit).expect_err("a freed allocation was accepted");
+        let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains(&format!("{a:?} not registered")), "{msg}");
+        assert!(rt.graph.is_empty(), "the rejected task was not added");
     }
 
     #[test]
