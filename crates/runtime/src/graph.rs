@@ -334,8 +334,7 @@ impl TaskGraph {
     /// Whether any unfinished task (pending, ready, or running) has an
     /// access clause over `data`: `live_users(data) > 0`, answered from
     /// the allocation's dependence log instead of a scan of the window.
-    /// The gate behind `Runtime::free` and the native engine's early
-    /// write-back.
+    /// The gate behind `Runtime::free` and `Runtime::try_free`.
     /// The log can miss an unfinished accessor only when a later write
     /// covering its region superseded it — and that writer depends on
     /// it, so it is unfinished too; following the chain always ends at
@@ -345,6 +344,22 @@ impl TaskGraph {
             && self.logs.get(&data).is_some_and(|log| {
                 log.writers.iter().chain(&log.readers).any(|(_, t)| !self.is_done(*t))
             })
+    }
+
+    /// Whether any unfinished task writes `data`, over all of it or a
+    /// part: once no one does, the datum's value is final for the run.
+    /// The native engine's write-behind gate.
+    /// Writers leave the log only when a later write covers their
+    /// region, and that writer depends on them, so it is unfinished too;
+    /// readers never remove a writer, and a partial-range writer stays
+    /// logged beside the writes that overlap it. Following the chain
+    /// always ends at an unfinished writer that is still logged.
+    pub(crate) fn has_live_writer(&self, data: DataId) -> bool {
+        self.live > 0
+            && self
+                .logs
+                .get(&data)
+                .is_some_and(|log| log.writers.iter().any(|(_, t)| !self.is_done(*t)))
     }
 
     /// Number of unfinished tasks (pending, ready, or running) with an
@@ -626,6 +641,65 @@ mod tests {
         assert!(g.logs.contains_key(&DataId(0)));
         g.forget_data(DataId(0));
         assert!(!g.logs.contains_key(&DataId(0)));
+    }
+
+    /// Run `id` to completion (it must be ready).
+    fn finish(g: &mut TaskGraph, id: TaskId) {
+        g.mark_running(id);
+        g.complete(id, WorkerId(0));
+    }
+
+    #[test]
+    fn finished_writer_with_pending_readers_has_no_live_writer() {
+        let mut g = TaskGraph::new();
+        let w = g.submit(instance(0, vec![(whole(0), AccessMode::Out)]));
+        g.submit(instance(1, vec![(whole(0), AccessMode::In)]));
+        g.submit(instance(2, vec![(whole(0), AccessMode::In)]));
+        assert!(g.has_live_writer(DataId(0)));
+        g.take_newly_ready();
+        finish(&mut g, w);
+        assert!(!g.has_live_writer(DataId(0)), "the value is final");
+        assert!(g.has_live_accessor(DataId(0)), "the readers still use it");
+    }
+
+    #[test]
+    fn unfinished_writer_that_superseded_a_finished_one_is_live() {
+        let mut g = TaskGraph::new();
+        let first = g.submit(instance(0, vec![(whole(0), AccessMode::Out)]));
+        let second = g.submit(instance(1, vec![(whole(0), AccessMode::InOut)]));
+        assert_eq!(g.logs[&DataId(0)].writers, [(whole(0), second)], "the first left the log");
+        g.take_newly_ready();
+        finish(&mut g, first);
+        assert!(g.has_live_writer(DataId(0)));
+        finish(&mut g, second);
+        assert!(!g.has_live_writer(DataId(0)));
+    }
+
+    #[test]
+    fn partial_range_writers_are_seen() {
+        let mut g = TaskGraph::new();
+        let half = |offset| Region { data: DataId(0), offset, len: 32 };
+        let lo = g.submit(instance(0, vec![(half(0), AccessMode::Out)]));
+        let hi = g.submit(instance(1, vec![(half(32), AccessMode::InOut)]));
+        g.submit(instance(2, vec![(whole(0), AccessMode::In)]));
+        assert_eq!(g.take_newly_ready(), vec![lo, hi]);
+        finish(&mut g, hi);
+        assert!(g.has_live_writer(DataId(0)), "the low half is still being written");
+        finish(&mut g, lo);
+        assert!(!g.has_live_writer(DataId(0)));
+        assert!(g.has_live_accessor(DataId(0)));
+    }
+
+    #[test]
+    fn no_live_writer_once_all_done_or_unlogged() {
+        let mut g = TaskGraph::new();
+        assert!(!g.has_live_writer(DataId(0)), "empty log");
+        let w = g.submit(instance(0, vec![(whole(0), AccessMode::InOut)]));
+        assert!(!g.has_live_writer(DataId(1)), "another allocation's log");
+        g.take_newly_ready();
+        finish(&mut g, w);
+        assert!(g.all_done());
+        assert!(!g.has_live_writer(DataId(0)));
     }
 
     #[test]

@@ -300,12 +300,18 @@ impl CopyOut {
 }
 
 /// The run's write-back lane: performs the device→host copies the
-/// coordinator planned, in plan order, under the link's copy-out rule.
+/// coordinator planned, in plan order, under the link's copy-out rule,
+/// and publishes each copy's cell once its bytes are home. A copy whose
+/// source copy failed, or that carries an injected fault, publishes
+/// failure instead and moves nothing. Each copy arrives as a one-op
+/// [`StageOps`], whose drop guard resolves the cell of a copy the lane
+/// never makes (it died, or refused the message): a host reader's
+/// stager may be waiting on it.
 /// Returns each copy's `(to, bytes, took)` sample in plan order; the
 /// coordinator hands them to the scheduler once the lane has joined, so
 /// in-run decisions never see them.
 fn writeback_loop(
-    rx: mpsc::Receiver<Transfer>,
+    rx: mpsc::Receiver<StageOps>,
     arena: &Arena,
     link_bandwidth: Option<u64>,
     copy_out: &CopyOut,
@@ -313,13 +319,27 @@ fn writeback_loop(
     sink: Option<Arc<TraceSink>>,
 ) -> Vec<(MemSpace, u64, Duration)> {
     let mut samples = Vec::new();
-    for t in rx {
-        let _link = copy_out.guard(&t);
+    for ops in rx {
+        let [StageOp::Copy { t, wait_src, publish, inject_fault }] = &ops.0[..] else {
+            unreachable!("a write-back is one copy")
+        };
+        let failed = match wait_src.as_ref().map(|src| src.wait()) {
+            Some(Err(msg)) => Some(format!("upstream staging failed: {msg}")),
+            _ => inject_fault.then(|| format!("injected staging fault for {:?}", t.data)),
+        };
+        if let Some(msg) = failed {
+            publish.publish_failed(msg);
+            let now = ts(wall0);
+            record_transfer(&sink, None, t, (now, now), None);
+            continue;
+        }
+        let _link = copy_out.guard(t);
         let start = wall0.elapsed();
-        arena.perform(&t);
+        arena.perform(t);
         throttle_link(link_bandwidth, t.bytes, wall0.elapsed() - start);
         let end = wall0.elapsed();
-        record_transfer(&sink, None, &t, (at(start), at(end)), None);
+        record_transfer(&sink, None, t, (at(start), at(end)), None);
+        publish.publish_ok();
         samples.push((t.to, t.bytes, end - start));
     }
     samples
@@ -420,8 +440,11 @@ fn execute_item(
 // coordinator never touches the wire.
 //
 // Copies home go the same way: the coordinator plans each write-back
-// when the datum's last unfinished accessor completes, and the run's
-// one write-back lane performs them in plan order.
+// when the datum's last unfinished writer completes, with a ledger cell
+// like any staged copy, and the run's one write-back lane performs them
+// in plan order. A host reader planned after it waits on that cell
+// (`WaitLocal`) instead of copying the datum out itself; a device reader
+// copies from a device while the host copy is in flight.
 
 /// One step of a staged item's pre-kernel pipeline, planned by the
 /// coordinator, executed by the destination worker's stager.
@@ -863,8 +886,10 @@ struct NativeRun {
     node_inflight: Vec<usize>,
     node_loss: Vec<NodeLoss>,
     /// The write-back lane, in runs that end with the flush: a datum
-    /// goes home on it as soon as no unfinished task uses it.
-    writeback: Option<mpsc::Sender<Transfer>>,
+    /// goes home on it as soon as no unfinished task writes it.
+    writeback: Option<mpsc::Sender<StageOps>>,
+    /// Each planned write-back's datum and cell, until the copy resolves.
+    homing: Vec<(DataId, Arc<ReadyCell>)>,
 }
 
 impl NativeRun {
@@ -896,6 +921,7 @@ impl NativeRun {
     /// Plan everything currently assignable within the wave budget, then
     /// admit queued items to each lane up to the lookahead cap.
     fn plan(&mut self, rt: &mut Runtime) {
+        self.sweep_homing(rt);
         self.ledger.prune();
         self.wave.dispatch(rt, &self.tally.sink, ts(self.wall0));
         for i in 0..self.wave.assigned.len() {
@@ -926,7 +952,18 @@ impl NativeRun {
                     rb.push(Rollback::Restore(data, snap));
                 }
             }
-            if let Some(t) = rt.directory.acquire(data, space, *mode) {
+            if let Some(mut t) = rt.directory.acquire(data, space, *mode) {
+                if t.from.is_host() && self.ledger.pending(data, MemSpace::HOST).is_some() {
+                    // The host copy is still in flight (a write-back, say):
+                    // copy from a device that holds the value instead of
+                    // queueing behind it. The directory keeps preferring
+                    // the host.
+                    let state = rt.directory.state(data).expect("acquired data is registered");
+                    let other = |s: &&MemSpace| !s.is_host() && **s != space;
+                    if let Some(&dev) = state.valid_spaces().iter().find(other) {
+                        t.from = dev;
+                    }
+                }
                 if !mode.writes() {
                     // A pure read copy-in rolls back by retraction; a
                     // write's snapshot (above) already covers its transfer.
@@ -978,18 +1015,38 @@ impl NativeRun {
         self.node_inflight[lane.node as usize] += 1;
     }
 
-    /// Plan a copy home on the write-back lane, counted at plan time like
-    /// a staged copy.
-    fn write_back(&mut self, t: Transfer) {
+    /// Plan a copy home on the write-back lane like a staged copy:
+    /// counted at plan time, with a ledger cell that host readers planned
+    /// after it wait on.
+    fn write_back(&mut self, rt: &mut Runtime, t: Transfer) {
         self.stats.record(t.kind(), t.bytes);
+        let (wait_src, publish) = self.ledger.plan_copy(&t);
+        let inject_fault = rt.take_stage_fault(t.data);
+        self.homing.push((t.data, Arc::clone(&publish)));
         if let Some(tx) = &self.writeback {
-            // A dead lane surfaces its panic when it is joined.
-            let _ = tx.send(t);
+            // A copy a dead lane refuses resolves its cell as it drops;
+            // the lane's panic surfaces when it is joined.
+            let _ = tx.send(StageOps(vec![StageOp::Copy { t, wait_src, publish, inject_fault }]));
         }
     }
 
+    /// Forget the write-backs that landed. One that failed left the host
+    /// stale: retract the host copy it marked valid, so the next host
+    /// reader copies the datum out itself instead of replanning onto the
+    /// failed cell.
+    fn sweep_homing(&mut self, rt: &Runtime) {
+        self.homing.retain(|(data, cell)| match cell.poll() {
+            None => true,
+            Some(Ok(())) => false,
+            Some(Err(_)) => {
+                rt.directory.retract(*data, MemSpace::HOST);
+                false
+            }
+        });
+    }
+
     /// Account one task's outcome: complete it (writing behind the data
-    /// no unfinished task uses), or undo what staging failed to do and
+    /// no unfinished task writes), or undo what staging failed to do and
     /// hand the failure to the shared failure path. Returns the abort
     /// when that failure exhausted the task's retry budget.
     fn on_outcome(&mut self, rt: &mut Runtime, (wid, tid, outcome): Reported) -> Option<Abort> {
@@ -1014,12 +1071,14 @@ impl NativeRun {
                 lane.kernel_spans.push(kernel_span);
                 lane.stage_spans.extend(stage_spans);
                 if self.writeback.is_some() {
-                    // Data no unfinished task uses goes home now, under
-                    // the remaining kernels, not after them.
-                    for (region, _) in &rt.graph.node(tid).instance.accesses {
-                        if !rt.graph.has_live_accessor(region.data) {
-                            if let Some(t) = rt.directory.flush_to_host(region.data) {
-                                self.write_back(t);
+                    // Data no unfinished task writes is final: it goes
+                    // home now, under the remaining kernels, while its
+                    // last readers may still run.
+                    for i in 0..rt.graph.node(tid).instance.accesses.len() {
+                        let data = rt.graph.node(tid).instance.accesses[i].0.data;
+                        if !rt.graph.has_live_writer(data) {
+                            if let Some(t) = rt.directory.flush_to_host(data) {
+                                self.write_back(rt, t);
                             }
                         }
                     }
@@ -1090,12 +1149,17 @@ impl NativeRun {
     /// Stop planning: queue the `taskwait` flush unless the run aborted,
     /// hand every lane what is left in its outbox, and stop the lanes.
     fn close(&mut self, rt: &mut Runtime, aborted: bool) {
-        // Whatever is still device-only (data this run never touched, or
-        // left there by an earlier wave) goes on the write-back lane
-        // behind the copies already planned there.
+        // Every task is done, so every early write-back resolves; one
+        // that failed is retracted and planned again here, with whatever
+        // else is still device-only (data this run never touched, or left
+        // there by an earlier wave).
         if !aborted && self.writeback.is_some() {
+            for (_, cell) in &self.homing {
+                let _ = cell.wait();
+            }
+            self.sweep_homing(rt);
             for t in rt.directory.flush_all_to_host() {
-                self.write_back(t);
+                self.write_back(rt, t);
             }
         }
         // Flush every outbox before stopping (reached on abort, or when a
@@ -1186,10 +1250,11 @@ fn overlap_ns(kernel: &mut [(u64, u64)], stage: &[(u64, u64)]) -> u64 {
 /// The coordinator plans every transfer but the byte movement runs on
 /// per-worker staging lanes, with a bounded lookahead so the next task's
 /// inputs stage under the current kernel; the coordinator thread never
-/// waits on a copy or on the wire. A run that ends with the flush runs
-/// it on the same terms: one write-back lane per run copies each datum
-/// home as soon as no unfinished task uses it and takes the end-of-run
-/// flush of whatever is left.
+/// waits on a copy or on the wire while tasks remain. A run that ends
+/// with the flush runs it on the same terms: one write-back lane per run
+/// copies each datum home as soon as no unfinished task writes it and
+/// takes the end-of-run flush of whatever is left, including any early
+/// write-back that failed.
 /// See the pipeline comment above and DESIGN.md §2.2 for the protocol
 /// and its invariants.
 pub(crate) fn run_native(rt: &mut Runtime, wave: Wave) -> Result<RunReport, RunError> {
@@ -1261,6 +1326,7 @@ pub(crate) fn run_native(rt: &mut Runtime, wave: Wave) -> Result<RunReport, RunE
             // Only a run that ends with the flush writes data back early,
             // so the moved bytes are exactly the ones that flush would move.
             writeback,
+            homing: Vec::new(),
         };
         let abort = run.drive(rt, &done_rx);
         run.close(rt, abort.is_some());
@@ -1275,6 +1341,8 @@ pub(crate) fn run_native(rt: &mut Runtime, wave: Wave) -> Result<RunReport, RunE
     // start they recorded.
     run.node_inflight.fill(0);
     run.stamp_drained_losses();
+    // The lane has joined: no write-back it failed leaves a host copy.
+    run.sweep_homing(rt);
     for (to, bytes, took) in writeback_samples {
         rt.scheduler.transfer_done(to, bytes, took);
     }

@@ -558,10 +558,13 @@ impl Runtime {
     /// implicit `taskwait` — and report what happened. Device-resident
     /// data is flushed back to host memory before this returns (and
     /// accounted as Output Tx). The native engine writes behind: it
-    /// starts each datum's write-back as soon as no unfinished task uses
-    /// it, overlapping the remaining kernels. The simulated one flushes
+    /// starts each datum's write-back as soon as no unfinished task
+    /// writes it, overlapping the remaining kernels, and host readers
+    /// planned after it wait for that copy. The simulated one flushes
     /// at the end, as the paper's `taskwait` does; the moved bytes are
-    /// the same.
+    /// the same. Their split can differ on several GPUs: a native device
+    /// read of a datum whose home copy has landed is Input Tx, where
+    /// the simulator (flushing later) may count a Device Tx.
     ///
     /// # Errors
     /// Task failures (native kernel panics, simulated injected faults)

@@ -448,3 +448,152 @@ fn upstream_staging_failure_does_not_charge_innocent_waiters() {
     assert_eq!(rt.read_f64(c1), vec![5.0; 8]);
     assert_eq!(rt.read_f64(c2), vec![5.0; 8]);
 }
+
+/// A runtime over `cfg` with two single-version templates: `produce`
+/// fills every argument with 7.0 on a GPU, `copy` copies argument 0
+/// into argument 1 on `reader`.
+fn produce_and_copy(cfg: NativeConfig, reader: DeviceKind) -> (Runtime, TemplateId, TemplateId) {
+    let mut rt = Runtime::native(
+        traced(RuntimeConfig::with_scheduler(SchedulerKind::BreadthFirst)),
+        cfg,
+    );
+    let produce = rt.template("produce").main("produce_gpu", &[DeviceKind::Cuda]).register();
+    rt.bind_native(produce, VersionId(0), |ctx| {
+        for i in 0..ctx.arg_count() {
+            ctx.f64_mut(i).fill(7.0);
+        }
+    });
+    let copy = rt.template("copy").main("copy", &[reader]).register();
+    rt.bind_native(copy, VersionId(0), |ctx| {
+        let (src, dst) = ctx.f64_reads_and_mut(&[0], 1);
+        dst.copy_from_slice(src[0]);
+    });
+    (rt, produce, copy)
+}
+
+/// One SMP worker per `smp_workers` and one GPU, over a 20 MB/s link.
+fn throttled(smp_workers: usize) -> NativeConfig {
+    NativeConfig { smp_workers, gpus: 1, gpu_lanes: 1, link_bandwidth: Some(20_000_000) }
+}
+
+/// Every `Transfer` of `data` into the host: `(by, end > start)`.
+fn copies_home(trace: &Trace, data: DataId) -> Vec<(Option<WorkerId>, bool)> {
+    trace
+        .events()
+        .iter()
+        .filter_map(|ev| match *ev {
+            TraceEvent::Transfer { data: d, to, by, start, end, .. } if d == data && to.is_host() => {
+                Some((by, end > start))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// A datum goes home once its last writer finishes, not its last
+/// reader: the host reader planned after it waits on that write-back
+/// instead of copying the datum out of the device itself.
+#[test]
+fn host_reader_waits_on_the_in_flight_write_back() {
+    let (mut rt, produce, copy) = produce_and_copy(throttled(1), DeviceKind::Smp);
+    let d = rt.alloc_from_f64(&[0.0; 8192]);
+    let e = rt.alloc_from_f64(&[0.0; 8192]);
+    rt.task(produce).write(d).submit();
+    rt.task(copy).read(d).write(e).submit();
+    let report = rt.run().expect("run failed");
+    let trace = report.trace.as_ref().expect("tracing was on");
+    assert!(invariants::check(trace).is_empty(), "{:?}", invariants::check(trace));
+    assert_eq!(copies_home(trace, d), [(None, true)], "one copy home, on the write-back lane");
+    assert_eq!(report.transfers.output_count, 1);
+    assert_eq!(report.transfers.input_count, 0);
+    assert_eq!(rt.read_f64(e), vec![7.0; 8192]);
+    assert_eq!(rt.read_f64(d), vec![7.0; 8192]);
+}
+
+/// While a datum's write-back is in flight, a reader on another device
+/// copies it from the device that wrote it (Device Tx), not from the
+/// host copy still on the link.
+#[test]
+fn device_readers_source_from_a_device_while_the_host_copy_is_in_flight() {
+    let cfg = NativeConfig { smp_workers: 0, gpus: 2, gpu_lanes: 1, link_bandwidth: Some(20_000_000) };
+    let (mut rt, produce, copy) = produce_and_copy(cfg, DeviceKind::Cuda);
+    let d = rt.alloc_from_f64(&[0.0; 8192]);
+    let outs: Vec<DataId> = (0..4).map(|_| rt.alloc_from_f64(&[0.0; 8192])).collect();
+    rt.task(produce).write(d).submit();
+    for &e in &outs {
+        rt.task(copy).read(d).write(e).submit();
+    }
+    let report = rt.run().expect("run failed");
+    let trace = report.trace.as_ref().expect("tracing was on");
+    let devices: Vec<WorkerId> = trace
+        .events()
+        .iter()
+        .filter_map(|ev| match *ev {
+            TraceEvent::TaskEnd { worker, .. } => Some(worker),
+            _ => None,
+        })
+        .collect();
+    assert!(devices.iter().any(|&w| w != devices[0]), "the readers ran on both GPUs: {devices:?}");
+    assert_eq!(report.transfers.device_count, 1, "one copy of d to the other GPU");
+    assert_eq!(report.transfers.input_count, 0, "nothing came from the host");
+    assert_eq!(report.transfers.output_count, 5, "d and every output come home");
+    for &e in &outs {
+        assert_eq!(rt.read_f64(e), vec![7.0; 8192]);
+    }
+}
+
+/// `f`'s result, or a failed test once a minute has passed: a copy
+/// whose cell never resolves hangs the run instead of failing it.
+fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(60)).expect("the run hung (or panicked)")
+}
+
+/// A write-back that fails moves nothing and leaves no host copy
+/// behind: the host reader that waited on it is requeued without a
+/// charge, and its retry copies the datum out of the device itself.
+#[test]
+fn failed_write_back_is_recovered_by_the_host_reader() {
+    let (failures, home, e, d) = within_a_minute(|| {
+        let (mut rt, produce, copy) = produce_and_copy(throttled(1), DeviceKind::Smp);
+        let d = rt.alloc_from_f64(&[0.0; 8192]);
+        let e = rt.alloc_from_f64(&[0.0; 8192]);
+        rt.task(produce).write(d).submit();
+        rt.task(copy).read(d).write(e).submit();
+        rt.inject_stage_fault(d, 1);
+        let report = rt.run().expect("the run recovers");
+        let home = copies_home(report.trace.as_ref().expect("tracing was on"), d);
+        (report.failures.failure_count(), home, rt.read_f64(e), rt.read_f64(d))
+    });
+    assert_eq!(failures, 0, "no task is charged for the write-back's fault");
+    assert_eq!(home.len(), 2, "the failed write-back and the reader's own copy: {home:?}");
+    assert_eq!(home[0], (None, false), "the write-back moved nothing");
+    assert!(matches!(home[1], (Some(_), true)), "the host stager copied d: {home:?}");
+    assert_eq!(e, vec![7.0; 8192]);
+    assert_eq!(d, vec![7.0; 8192]);
+}
+
+/// With no host reader to recover it, a failed write-back is planned
+/// again by the end-of-run flush, so `run()` still returns with the
+/// datum at home — also when the failure resolves only after the last
+/// task finished (`d`'s write-back queues behind a larger one).
+#[test]
+fn failed_write_back_is_planned_again_by_the_flush() {
+    let (outputs, home) = within_a_minute(|| {
+        let (mut rt, produce, copy) = produce_and_copy(throttled(0), DeviceKind::Cuda);
+        let big = rt.alloc_from_f64(&[0.0; 131_072]);
+        let d = rt.alloc_from_f64(&[0.0; 8192]);
+        let e = rt.alloc_from_f64(&[0.0; 8192]);
+        rt.task(produce).write(big).write(d).submit();
+        rt.task(copy).read(d).write(e).submit();
+        rt.inject_stage_fault(d, 1);
+        let report = rt.run().expect("run failed");
+        let home = copies_home(report.trace.as_ref().expect("tracing was on"), d);
+        (report.transfers.output_count, home)
+    });
+    assert_eq!(home, [(None, false), (None, true)], "the failed write-back, then the flush's");
+    assert_eq!(outputs, 4, "big, both attempts at d, and e");
+}
