@@ -16,8 +16,9 @@
 //!   (learning phase + earliest-executor phase), the two baselines it is
 //!   evaluated against (*dependency-aware* and *affinity*), and the
 //!   locality-aware extension sketched in the paper's future work (§VII).
-//! * The **worker model** ([`WorkerState`]): per-worker FIFO task queues
-//!   and estimated busy time.
+//! * The **worker model** ([`WorkerState`]): per-worker task queues
+//!   (FIFO unless the engine names the task to start) and estimated
+//!   busy time.
 //!
 //! The crate is engine-agnostic: it never executes anything. Execution
 //! engines (see `versa-runtime`) feed it ready tasks and measured

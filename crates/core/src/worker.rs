@@ -1,4 +1,5 @@
-//! Worker model: per-worker FIFO task queues and estimated busy time.
+//! Worker model: per-worker task queues and estimated busy time. A queue
+//! starts its tasks FIFO, unless the engine names the task to start.
 //!
 //! Paper §IV-B: "With the versioning scheduler, each worker has its own
 //! task queue. ... it will be used at runtime to assign tasks to threads
@@ -37,7 +38,7 @@ pub struct QueuedTask {
     pub estimate: Duration,
 }
 
-/// Mutable scheduling state of one worker: FIFO queue + busy estimate.
+/// Mutable scheduling state of one worker: task queue + busy estimate.
 ///
 /// The runtime owns a `Vec<WorkerState>`; schedulers read busy times
 /// through it and the runtime pushes/pops as tasks are assigned, started
@@ -140,6 +141,20 @@ impl WorkerState {
         Some(next)
     }
 
+    /// Start the named queued task, wherever it stands in the queue,
+    /// marking it running — for an engine that orders its own starts.
+    ///
+    /// Returns `None` if the task is not queued or a task is already
+    /// running.
+    pub fn start(&mut self, task: TaskId) -> Option<QueuedTask> {
+        if self.running.is_some() {
+            return None;
+        }
+        let i = self.queue.iter().position(|q| q.task == task)?;
+        self.running = self.queue.remove(i);
+        self.running
+    }
+
     /// Mark the running task finished, removing its estimate from the
     /// busy time.
     ///
@@ -193,6 +208,23 @@ mod tests {
         w.finish(TaskId(1));
         let second = w.start_next().unwrap();
         assert_eq!(second.task, TaskId(2));
+    }
+
+    #[test]
+    fn a_named_task_starts_out_of_queue_order() {
+        let mut w = worker();
+        w.enqueue(TaskId(1), VersionId(0), Duration::from_millis(1));
+        w.enqueue(TaskId(2), VersionId(0), Duration::from_millis(2));
+        w.enqueue(TaskId(3), VersionId(0), Duration::from_millis(4));
+        assert_eq!(w.start(TaskId(2)).map(|q| q.task), Some(TaskId(2)));
+        assert!(w.start(TaskId(3)).is_none(), "one task at a time");
+        assert_eq!(w.estimated_busy(), Duration::from_millis(7), "a start moves no estimate");
+        w.finish(TaskId(2));
+        assert!(w.start(TaskId(2)).is_none(), "no longer queued");
+        assert_eq!(w.start_next().map(|q| q.task), Some(TaskId(1)), "the rest keep their order");
+        w.finish(TaskId(1));
+        assert_eq!(w.queue_len(), 1);
+        assert_eq!(w.estimated_busy(), Duration::from_millis(4));
     }
 
     #[test]

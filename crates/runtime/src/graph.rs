@@ -125,6 +125,23 @@ pub struct TaskGraph {
     deps: Vec<TaskId>,
 }
 
+/// The ranks [`TaskGraph::rank_live`] computed, by task id: an engine's
+/// buffer, valid for the unfinished tasks of the graph it ranked.
+#[derive(Default)]
+pub(crate) struct Ranks {
+    /// Id of the task `of[0]` ranks.
+    base: usize,
+    of: Vec<u32>,
+}
+
+impl Ranks {
+    /// An unfinished task's rank. Pruning the graph does not move it:
+    /// only finished tasks leave the window.
+    pub(crate) fn get(&self, id: TaskId) -> u32 {
+        self.of[id.index() - self.base]
+    }
+}
+
 impl TaskGraph {
     /// Empty graph.
     pub fn new() -> TaskGraph {
@@ -324,6 +341,31 @@ impl TaskGraph {
         node.state = TaskState::Ready;
         node.assignment = None;
         self.newly_ready.push(id);
+    }
+
+    /// Rank every unfinished task by its bottom level with unit weights:
+    /// the number of tasks on the longest path from it to a sink of the
+    /// submitted graph, so a sink ranks 1. An edge always points to a
+    /// higher id, and an unfinished task's successors are unfinished
+    /// too, so one pass from the back of the window down to the oldest
+    /// unfinished task ranks each task after all of its successors. No
+    /// cost model feeds the rank: it is a function of the graph alone.
+    pub(crate) fn rank_live(&self, ranks: &mut Ranks) {
+        let (mut lo, mut left) = (self.nodes.len(), self.live);
+        while left > 0 {
+            lo -= 1;
+            left -= usize::from(self.nodes[lo].state != TaskState::Done);
+        }
+        ranks.base = self.base + lo;
+        ranks.of.clear();
+        ranks.of.resize(self.nodes.len() - lo, 0);
+        for i in (lo..self.nodes.len()).rev() {
+            let node = &self.nodes[i];
+            if node.state != TaskState::Done {
+                let below = node.successors.as_slice().iter().map(|s| ranks.get(*s));
+                ranks.of[i - lo] = 1 + below.max().unwrap_or(0);
+            }
+        }
     }
 
     /// Whether every submitted task has finished.
@@ -833,6 +875,101 @@ mod tests {
                 for (i, node) in g.nodes().enumerate() {
                     proptest::prop_assert_eq!(node.remaining_deps, reference.remaining[i]);
                     proptest::prop_assert_eq!(node.successors.as_slice(), &reference.successors[i][..]);
+                }
+            }
+        }
+    }
+
+    /// The ranks of the unfinished tasks, in id order.
+    fn live_ranks(g: &TaskGraph) -> Vec<(TaskId, u32)> {
+        let mut ranks = Ranks::default();
+        g.rank_live(&mut ranks);
+        let live = g.nodes().filter(|n| n.state != TaskState::Done);
+        live.map(|n| (n.instance.id, ranks.get(n.instance.id))).collect()
+    }
+
+    #[test]
+    fn rank_counts_the_tasks_on_the_longest_path_to_a_sink() {
+        let mut g = TaskGraph::new();
+        // 0 → 1 → 2 is the long path; 3 reads what 0 wrote and ends
+        // there; 4 is on its own.
+        g.submit(instance(0, vec![(whole(0), AccessMode::InOut)]));
+        g.submit(instance(1, vec![(whole(0), AccessMode::In), (whole(1), AccessMode::Out)]));
+        g.submit(instance(2, vec![(whole(1), AccessMode::InOut)]));
+        g.submit(instance(3, vec![(whole(0), AccessMode::In), (whole(2), AccessMode::Out)]));
+        g.submit(instance(4, vec![(whole(3), AccessMode::Out)]));
+        let ranks: Vec<u32> = live_ranks(&g).into_iter().map(|(_, r)| r).collect();
+        assert_eq!(ranks, [3, 2, 1, 1, 1]);
+        // Finishing the head leaves the rest of the path ranked as before.
+        g.take_newly_ready();
+        finish(&mut g, TaskId(0));
+        assert_eq!(live_ranks(&g), [(TaskId(1), 2), (TaskId(2), 1), (TaskId(3), 1), (TaskId(4), 1)]);
+    }
+
+    #[test]
+    fn ranks_stay_right_after_the_window_moves() {
+        let mut g = TaskGraph::new();
+        for i in 0..4 {
+            g.submit(instance(i, vec![(whole(0), AccessMode::InOut)]));
+        }
+        g.take_newly_ready();
+        for i in 0..2 {
+            finish(&mut g, TaskId(i));
+            g.take_newly_ready();
+        }
+        let before = live_ranks(&g);
+        assert_eq!(before, [(TaskId(2), 2), (TaskId(3), 1)]);
+        assert_eq!(g.prune_done_prefix(TaskId(4)), 2);
+        assert_eq!(live_ranks(&g), before, "pruning moves no rank");
+        // Two more links of the chain, and a reader hanging off its end.
+        g.submit(instance(4, vec![(whole(0), AccessMode::InOut)]));
+        g.submit(instance(5, vec![(whole(0), AccessMode::InOut)]));
+        g.submit(instance(6, vec![(whole(0), AccessMode::In)]));
+        let ranks = live_ranks(&g);
+        assert_eq!(ranks, [(TaskId(2), 5), (TaskId(3), 4), (TaskId(4), 3), (TaskId(5), 2), (TaskId(6), 1)]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 256 })]
+        #[test]
+        fn every_edge_steps_down_one_rank_or_more(
+            steps in proptest::collection::vec((step(), 0..10u32), 1..48),
+        ) {
+            let (mut g, mut reference) = (TaskGraph::new(), TwoPass::default());
+            let mut pool: Vec<TaskId> = Vec::new();
+            for (step, dice) in steps {
+                match step {
+                    Step::Submit(accesses) => {
+                        reference.submit(&accesses);
+                        g.submit(instance(g.len() as u64, accesses));
+                    }
+                    Step::Finish(_) if pool.is_empty() => {}
+                    Step::Finish(k) => {
+                        let t = pool.remove(k % pool.len());
+                        finish(&mut g, t);
+                        reference.complete(t);
+                    }
+                }
+                pool.extend(g.take_newly_ready());
+                reference.ready.clear();
+                let before = live_ranks(&g);
+                if dice < 3 {
+                    g.prune_done_prefix(TaskId(g.len() as u64));
+                    proptest::prop_assert_eq!(&live_ranks(&g), &before, "pruning moved a rank");
+                }
+                let ranks: IdMap<TaskId, u32> = before.into_iter().collect();
+                let live = (0..reference.done.len()).filter(|&i| !reference.done[i]);
+                proptest::prop_assert_eq!(ranks.len(), live.clone().count());
+                for t in live.map(|i| TaskId(i as u64)) {
+                    let succ = &reference.successors[t.index()];
+                    if succ.is_empty() {
+                        proptest::prop_assert_eq!(ranks[&t], 1, "a sink ranks 1");
+                    }
+                    for s in succ {
+                        proptest::prop_assert!(ranks[&t] > ranks[s], "{:?} → {:?}", t, s);
+                    }
+                    let below = succ.iter().map(|s| ranks[s]).max().unwrap_or(0);
+                    proptest::prop_assert_eq!(ranks[&t], 1 + below, "the longest path through {:?}", t);
                 }
             }
         }

@@ -7,8 +7,10 @@
 //!   accesses over byte regions build the task graph (flow, anti and
 //!   output dependences), exactly as the StarSs dependence support does.
 //! * **Scheduling**: ready tasks flow through the configured policy
-//!   (`versa-core` schedulers) into per-worker FIFO queues, with the
+//!   (`versa-core` schedulers) into per-worker queues, with the
 //!   learning-phase pull throttling described in the paper's §IV-B.
+//!   The sim starts each queue FIFO, as the paper does; a native lane
+//!   starts the highest-ranked queued task first (its bottom level).
 //! * **Two engines** behind one API:
 //!   [`Runtime::simulated`] executes in virtual time on the `versa-sim`
 //!   platform (this is what reproduces the paper's figures without

@@ -15,18 +15,20 @@
 //! learns real device speed ratios.
 
 use crate::assign::Wave;
+use crate::graph::Ranks;
 use crate::remote::{RemoteAccess, RemoteError, RemoteExec, RemoteNode, RemotePlan, ShipTicket};
 use crate::report::{Abort, Attempts, RunError, RunTally};
 use crate::runtime::{EngineKind, NativeFn};
 use crate::tracing::record_transfer;
 use crate::{RunReport, Runtime};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-use versa_core::{Assignment, FailureKind, TaskId, TemplateId, VersionId, WorkerId};
+use versa_core::{FailureKind, TaskId, TemplateId, VersionId, WorkerId};
 use versa_kernels::chunk_ranges;
 use versa_kernels::exec::{LaneExec, LanePool, SerialExec};
 use versa_mem::{
@@ -263,13 +265,24 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Sleep off the residual of an emulated link budget: a transfer of
 /// `bytes` bytes must take at least `bytes / bw` seconds of wall time,
-/// of which `spent` already elapsed in the memcpy.
-fn throttle_link(link_bandwidth: Option<u64>, bytes: u64, spent: Duration) {
+/// of which `spent` already elapsed in the memcpy. A sleep wakes late,
+/// by tens of µs, which would cut a short copy's bandwidth to a fraction
+/// of the link's. So the overshoot is kept in the lane's `credit` and
+/// counted against its next residual, capped at the overrunning copy's
+/// own budget: a lane's copies still never beat the link in total, and
+/// a long stall cannot release a burst of free copies.
+fn throttle_link(link_bandwidth: Option<u64>, bytes: u64, spent: Duration, credit: &mut Duration) {
     let Some(bw) = link_bandwidth else { return };
     let budget = Duration::from_secs_f64(bytes as f64 / bw as f64);
-    if let Some(residual) = budget.checked_sub(spent) {
-        std::thread::sleep(residual);
+    let residual = budget.saturating_sub(spent);
+    if residual <= *credit {
+        *credit -= residual;
+        return;
     }
+    let residual = residual - *credit;
+    let slept = Instant::now();
+    std::thread::sleep(residual);
+    *credit = slept.elapsed().saturating_sub(residual).min(budget);
 }
 
 /// The emulated link's copy-out rule: a device's link carries one
@@ -318,6 +331,7 @@ fn writeback_loop(
     wall0: Instant,
     sink: Option<Arc<TraceSink>>,
 ) -> Vec<(MemSpace, u64, Duration)> {
+    let mut link_credit = Duration::ZERO;
     let mut samples = Vec::new();
     for ops in rx {
         let [StageOp::Copy { t, wait_src, publish, inject_fault }] = &ops.0[..] else {
@@ -328,15 +342,17 @@ fn writeback_loop(
             _ => inject_fault.then(|| format!("injected staging fault for {:?}", t.data)),
         };
         if let Some(msg) = failed {
-            publish.publish_failed(msg);
+            // Stamped before the cell resolves, so the failed copy
+            // precedes in the trace whatever its waiters do next.
             let now = ts(wall0);
             record_transfer(&sink, None, t, (now, now), None);
+            publish.publish_failed(msg);
             continue;
         }
         let _link = copy_out.guard(t);
         let start = wall0.elapsed();
         arena.perform(t);
-        throttle_link(link_bandwidth, t.bytes, wall0.elapsed() - start);
+        throttle_link(link_bandwidth, t.bytes, wall0.elapsed() - start, &mut link_credit);
         let end = wall0.elapsed();
         record_transfer(&sink, None, t, (at(start), at(end)), None);
         publish.publish_ok();
@@ -420,19 +436,33 @@ fn execute_item(
 // The staged transfer pipeline
 // ---------------------------------------------------------------------------
 //
-// Each worker is a pair of pipeline threads:
+// Each worker is a pair of pipeline threads behind a queue of assigned,
+// not yet planned tasks:
 //
-//   coordinator ──plan──▶ outbox ──▶ stager ──▶ exec ──done──▶ coordinator
+//   assign ──▶ queue ──plan, highest rank first──▶ stager ──▶ exec ──done──▶ coordinator
 //
-// The coordinator performs every directory transition (acquire,
-// snapshot, rollback) single-threaded, in plan order — decisions stay
+// The scheduler assigns a task to a worker as soon as it is ready; the
+// task then waits in its lane's queue, unplanned. Each time the lane
+// has room — fewer than `lookahead_depth + 1` items in its pipeline —
+// the coordinator plans the queued task with the highest rank (its
+// bottom level in the task graph, ties to the lower id) and sends it
+// at once, so the lane runs its tasks in plan order, critical path
+// first.
+//
+// Planning performs every directory transition (acquire, snapshot,
+// rollback) single-threaded, in plan order — decisions stay
 // deterministic. The byte movement happens off the coordinator:
 // each planned task becomes a `StagedItem` whose `StageOp`s the worker's
 // *stager* thread executes (waiting on in-flight sources via the
 // `StagingLedger`'s `ReadyCell`s), after which the item flows to the
-// *exec* thread that runs the kernel. At most `lookahead_depth + 1`
-// items occupy a worker's pipeline, so the next task's inputs stage
+// *exec* thread that runs the kernel, so the next task's inputs stage
 // while the current kernel computes.
+//
+// No wait can close a cycle. Every planned item is in its lane the
+// moment it is planned, and every lane takes its items in plan order;
+// a copy only ever waits on a cell of a copy planned before it. So the
+// earliest planned item that is not yet staged waits on nothing
+// unresolved, and it makes progress.
 //
 // A remote node's workers get the same lane pair (`RemoteLane`): the
 // stager ships each staged copy to the node as the copy's epilogue, the
@@ -476,9 +506,10 @@ struct StagedItem {
 /// A staged item's pre-kernel steps.
 struct StageOps(Vec<StageOp>);
 
-/// If an item is dropped without being staged (coordinator unwound with
-/// the item still in an outbox), its publish cells must resolve — a
-/// stager on another worker may be blocked waiting on one.
+/// If an item is dropped without being staged (its lane refused or
+/// abandoned it, or the coordinator unwound with it in hand), its
+/// publish cells must resolve — a stager on another worker may be
+/// blocked waiting on one. The write-back lane relies on this too.
 impl Drop for StageOps {
     fn drop(&mut self) {
         for op in &self.0 {
@@ -624,7 +655,7 @@ struct LaneCtx {
 
 /// The staging lane of one worker: executes `StageOp`s in plan order,
 /// then forwards the item to the exec thread (or a failure notice, so
-/// per-worker completion order stays FIFO).
+/// a worker's items complete in plan order).
 ///
 /// On a remote lane every copy has an epilogue: once the bytes sit in
 /// the mirror space they go on the wire. The acknowledgements are
@@ -640,9 +671,12 @@ fn stager_loop(
     copy_out: &CopyOut,
 ) {
     let LaneCtx { arena, space, wid, wall0, sink, remote } = ctx;
+    let mut link_credit = Duration::ZERO;
     // Every planned `Copy` gets exactly one Transfer event — a real span
     // on success, a truncated (or empty) span when the copy faults or is
     // abandoned — so traced bytes reconcile with plan-time TransferStats.
+    // A failed copy is stamped before its cell resolves, so it precedes
+    // in the trace whatever its waiters do next.
     let record_copy = |t: &Transfer, start: Duration, end: Duration| {
         record_transfer(&sink, Some(wid.index()), t, (at(start), at(end)), Some(wid));
     };
@@ -657,7 +691,7 @@ fn stager_loop(
         // A copy's bytes are in place (and acknowledged, on a remote
         // lane): account its `start..now` window and publish its cell.
         let mut landed = |t: &Transfer, start: Duration, publish: &ReadyCell| {
-            throttle_link(link_bandwidth, t.bytes, wall0.elapsed() - start);
+            throttle_link(link_bandwidth, t.bytes, wall0.elapsed() - start, &mut link_credit);
             let end = wall0.elapsed();
             let took = (end - start).as_nanos() as u64;
             stage_ns += took;
@@ -687,9 +721,9 @@ fn stager_loop(
                     if let Some(src) = wait_src {
                         if let Err(msg) = src.wait() {
                             let msg = format!("upstream staging failed: {msg}");
-                            publish.publish_failed(msg.clone());
                             let now = wall0.elapsed();
                             record_copy(&t, now, now);
+                            publish.publish_failed(msg.clone());
                             failure = Some((msg, None));
                             continue;
                         }
@@ -746,9 +780,9 @@ fn stager_loop(
                 // hanging; the coordinator rolls all of them back.
                 for op in ops {
                     if let StageOp::Copy { t, publish, .. } = &op {
-                        publish.publish_failed("abandoned after earlier staging failure");
                         let now = wall0.elapsed();
                         record_copy(t, now, now);
+                        publish.publish_failed("abandoned after earlier staging failure");
                     }
                 }
                 tx.send(ExecMsg::Failed { task: work.task, msg, charge })
@@ -764,7 +798,7 @@ fn stager_loop(
 
 /// The exec thread of one worker: runs kernels against fully staged
 /// data — on this worker's lanes, or on the node a remote lane fronts —
-/// forwards staging failures unchanged (keeping completion order FIFO),
+/// forwards staging failures unchanged (keeping completion in plan order),
 /// reports outcomes with wall-clock spans for overlap accounting.
 fn exec_loop(rx: mpsc::Receiver<ExecMsg>, tx: mpsc::Sender<Reported>, ctx: LaneCtx, cores: usize) {
     let LaneCtx { arena, space, wid, wall0, sink, remote } = ctx;
@@ -850,9 +884,10 @@ enum NodeLoss {
 /// The coordinator's end of one worker's lane pair.
 struct LaneEnd {
     tx: mpsc::Sender<StageMsg>,
-    /// Planned items not yet admitted to the lane.
-    outbox: VecDeque<StagedItem>,
-    /// Items admitted and not yet completed (at most `inflight_cap`).
+    /// Tasks assigned to the worker and not yet planned, highest rank
+    /// (then lowest id) on top.
+    queued: BinaryHeap<(u32, Reverse<TaskId>)>,
+    /// Items planned and not yet completed (at most `inflight_cap`).
     busy: usize,
     /// The node the worker runs on (0 = this process).
     node: u16,
@@ -870,8 +905,15 @@ struct NativeRun {
     tally: RunTally,
     wave: Wave,
     wall0: Instant,
-    /// Transfer accounting, counted at plan time in plan order, so the
-    /// totals depend neither on lane timing nor on `lookahead_depth`.
+    /// Transfer accounting, counted at plan time in plan order. Given
+    /// where each task runs, the totals do not depend on the order the
+    /// tasks are planned in, and so neither on lane timing, on
+    /// `lookahead_depth` nor on rank order: the graph orders each writer
+    /// of a datum against all its other accessors, so each space that
+    /// reads a value copies it in once, whichever reader plans first,
+    /// and each final value goes home once. (Which space a copy comes
+    /// from may follow timing: a device read while the host copy is in
+    /// flight comes from another device.)
     stats: TransferStats,
     ledger: StagingLedger,
     /// The directory undo log of every planned, unfinished task.
@@ -879,9 +921,14 @@ struct NativeRun {
     /// The attempts record of every task that failed in this run.
     attempts: IdMap<TaskId, Attempts>,
     lanes: Vec<LaneEnd>,
+    /// The rank of every unfinished task, computed once per run: each
+    /// lane plans its highest-ranked queued task first.
+    ranks: Ranks,
     /// The running task plus `lookahead_depth` staging successors.
     inflight_cap: usize,
     /// Planned tasks that have not reported back, in all and per node.
+    /// A lane with queued tasks is at its cap, so none left in flight
+    /// means none left queued.
     in_flight: usize,
     node_inflight: Vec<usize>,
     node_loss: Vec<NodeLoss>,
@@ -918,28 +965,29 @@ impl NativeRun {
         None
     }
 
-    /// Plan everything currently assignable within the wave budget, then
-    /// admit queued items to each lane up to the lookahead cap.
+    /// Assign everything currently assignable within the wave budget,
+    /// then fill each lane up to the lookahead cap, planning its queued
+    /// tasks highest rank first.
     fn plan(&mut self, rt: &mut Runtime) {
         self.sweep_homing(rt);
         self.ledger.prune();
         self.wave.dispatch(rt, &self.tally.sink, ts(self.wall0));
-        for i in 0..self.wave.assigned.len() {
-            let (tid, a) = self.wave.assigned[i];
-            self.plan_task(rt, tid, a);
+        for &(tid, a) in &self.wave.assigned {
+            self.lanes[a.worker.index()].queued.push((self.ranks.get(tid), Reverse(tid)));
         }
-        for lane in &mut self.lanes {
-            while lane.busy < self.inflight_cap {
-                let Some(item) = lane.outbox.pop_front() else { break };
-                lane.tx.send(StageMsg::Work(item)).expect("staging lane died");
-                lane.busy += 1;
+        for wi in 0..self.lanes.len() {
+            while self.lanes[wi].busy < self.inflight_cap {
+                let Some((_, Reverse(tid))) = self.lanes[wi].queued.pop() else { break };
+                self.plan_task(rt, tid);
             }
         }
     }
 
-    /// Plan one assigned task: perform its directory transitions, record
-    /// their undo log, and queue its `StagedItem` — no byte movement.
-    fn plan_task(&mut self, rt: &mut Runtime, tid: TaskId, a: Assignment) {
+    /// Plan one queued task: perform its directory transitions, record
+    /// their undo log, and send its `StagedItem` to the lane — no byte
+    /// movement.
+    fn plan_task(&mut self, rt: &mut Runtime, tid: TaskId) {
+        let a = rt.graph.node(tid).assignment.expect("a queued task has an assignment");
         let wi = a.worker.index();
         let space = rt.workers[wi].info.space;
         let accesses = rt.graph.node(tid).instance.accesses.clone();
@@ -1010,7 +1058,9 @@ impl NativeRun {
         rt.graph.mark_running(tid);
         let attempt = self.attempts.get(&tid).map_or(1, |n| n.made + 1);
         let work = WorkItem { task: tid, kernel, accesses, version: a.version, template, attempt };
-        lane.outbox.push_back(StagedItem { work, ops: StageOps(ops) });
+        let item = StagedItem { work, ops: StageOps(ops) };
+        lane.tx.send(StageMsg::Work(item)).expect("staging lane died");
+        lane.busy += 1;
         self.in_flight += 1;
         self.node_inflight[lane.node as usize] += 1;
     }
@@ -1055,8 +1105,7 @@ impl NativeRun {
         let lane = &mut self.lanes[wi];
         lane.busy -= 1;
         self.node_inflight[lane.node as usize] -= 1;
-        let q = rt.workers[wi].start_next().expect("completion from a worker with an empty queue");
-        assert_eq!(q.task, tid, "worker completions must be FIFO");
+        rt.workers[wi].start(tid).expect("completion of a task its worker never queued");
         rt.workers[wi].finish(tid);
         let rollback = self.rollbacks.remove(&tid);
 
@@ -1123,10 +1172,21 @@ impl NativeRun {
         if kind == FailureKind::NodeLost && self.node_loss[node as usize] == NodeLoss::Alive {
             // Charge the node, not the version: retire every worker the
             // lost node hosted so the scheduler stops placing work there.
+            // What they had queued was never planned: it goes back to the
+            // pool as it is, with no directory transition to undo and no
+            // attempt charged.
             self.node_loss[node as usize] = NodeLoss::Draining;
-            for (w, lane) in rt.workers.iter_mut().zip(&self.lanes) {
+            for (w, lane) in rt.workers.iter_mut().zip(&mut self.lanes) {
                 if lane.node == node {
                     w.retire();
+                    for (_, Reverse(tid)) in lane.queued.drain() {
+                        // Started and abandoned unrun: off the worker's
+                        // queue and out of its busy estimate.
+                        w.start(tid).expect("a queued task is on its worker's queue");
+                        w.abandon_running();
+                        rt.graph.node_mut(tid).assignment = None;
+                        rt.pending.push_back(tid);
+                    }
                 }
             }
         }
@@ -1147,7 +1207,8 @@ impl NativeRun {
     }
 
     /// Stop planning: queue the `taskwait` flush unless the run aborted,
-    /// hand every lane what is left in its outbox, and stop the lanes.
+    /// and stop the lanes. Tasks still queued were never planned, so no
+    /// lane waits on them.
     fn close(&mut self, rt: &mut Runtime, aborted: bool) {
         // Every task is done, so every early write-back resolves; one
         // that failed is retracted and planned again here, with whatever
@@ -1160,17 +1221,6 @@ impl NativeRun {
             self.sweep_homing(rt);
             for t in rt.directory.flush_all_to_host() {
                 self.write_back(rt, t);
-            }
-        }
-        // Flush every outbox before stopping (reached on abort, or when a
-        // wave budget leaves planned items unadmitted): a queued item may
-        // hold the publish cell a blocked stager is waiting on. Items a
-        // dead lane refuses resolve their cells as they drop here.
-        for lane in &mut self.lanes {
-            while let Some(item) = lane.outbox.pop_front() {
-                if lane.tx.send(StageMsg::Work(item)).is_err() {
-                    lane.outbox.clear();
-                }
             }
         }
         for lane in &self.lanes {
@@ -1272,13 +1322,13 @@ pub(crate) fn run_native(rt: &mut Runtime, wave: Wave) -> Result<RunReport, RunE
     let sink = tally.sink.clone();
     let (done_tx, done_rx) = mpsc::channel();
     let copy_out = CopyOut::new(cfg.link_bandwidth, arena.space_count());
+    let mut ranks = Ranks::default();
+    rt.graph.rank_live(&mut ranks);
 
     let (mut run, abort, writeback_samples) = std::thread::scope(|scope| {
         // Every sender lives inside the scope so a coordinator panic
-        // unwinds cleanly: dropping the outboxes resolves their cells
-        // (the `StageOps` drop guard), dropping the lane senders stops the
-        // stagers, which drop their exec senders, which stops the exec
-        // threads.
+        // unwinds cleanly: dropping the lane senders stops the stagers,
+        // which drop their exec senders, which stops the exec threads.
         let mut lanes = Vec::with_capacity(rt.workers.len());
         for ((w, remote), &node) in rt.workers.iter().zip(remote_lanes).zip(&plan.node_of_worker) {
             let (stage_tx, stage_rx) = mpsc::channel();
@@ -1287,7 +1337,7 @@ pub(crate) fn run_native(rt: &mut Runtime, wave: Wave) -> Result<RunReport, RunE
             let ctx = LaneCtx { arena, space: w.info.space, wid: w.info.id, wall0, sink, remote };
             lanes.push(LaneEnd {
                 tx: stage_tx,
-                outbox: VecDeque::new(),
+                queued: BinaryHeap::new(),
                 busy: 0,
                 node,
                 remote: ctx.remote.is_some(),
@@ -1319,6 +1369,7 @@ pub(crate) fn run_native(rt: &mut Runtime, wave: Wave) -> Result<RunReport, RunE
             rollbacks: IdMap::default(),
             attempts: IdMap::default(),
             lanes,
+            ranks,
             inflight_cap: rt.config.lookahead_depth + 1,
             in_flight: 0,
             node_inflight: vec![0; nodes],

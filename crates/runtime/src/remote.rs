@@ -36,8 +36,8 @@
 //!   engine retires every worker of the node, fails the tasks whose own
 //!   shipment or execution hit the error with
 //!   [`FailureKind::NodeLost`](versa_core::FailureKind) (no
-//!   version-quarantine strike, no retry-budget check), bounces what
-//!   was queued behind them on the dead lanes back to the ready pool
+//!   version-quarantine strike, no retry-budget check), returns what
+//!   was queued behind them on the dead lanes to the ready pool
 //!   uncharged, and requeues everything onto surviving workers.
 
 use std::sync::Arc;

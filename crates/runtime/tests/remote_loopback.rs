@@ -336,3 +336,47 @@ fn lost_shipment_requeues_the_lane_without_charging_anyone() {
     let violations = versa_trace::invariants::check(&trace);
     assert!(violations.is_empty(), "{violations:?}");
 }
+
+#[test]
+fn queued_work_of_a_lost_node_returns_to_the_pool_unplanned() {
+    // As above, but with no lookahead: the node's lane holds the one
+    // task whose shipment fails, and the rest of what the scheduler
+    // queued on the node waits unplanned behind it.
+    let (mut rt, tpl) = gpu_coordinator(Some(Duration::from_micros(500)));
+    rt.config_mut().lookahead_depth = 0;
+    let node = Arc::new(MockNode::new(1, u32::MAX));
+    rt.attach_remote_node(node.clone());
+    let remote = versa_core::WorkerId((rt.workers().len() - 1) as u16);
+    let batch = |rt: &mut Runtime| -> Vec<DataId> {
+        let ids: Vec<DataId> = (0..16).map(|i| rt.alloc_from_f64(&[i as f64, 1.0])).collect();
+        for &id in &ids {
+            rt.task(tpl).read_write(id).submit();
+        }
+        ids
+    };
+    batch(&mut rt);
+    let warm = rt.run().expect("healthy run failed");
+    assert!(warm.worker_task_counts[remote.index()] > 0 && warm.failures.is_clean());
+
+    node.fail_ship_after.store(node.ships.load(Ordering::SeqCst), Ordering::SeqCst);
+    let ids = batch(&mut rt);
+    let report = rt.run().expect("a lost node must not abort the run");
+    assert!(report.completed);
+    for (i, &id) in ids.iter().enumerate() {
+        assert_eq!(rt.read_f64(id), vec![i as f64 * 2.0, 2.0], "results correct after requeue");
+    }
+    let trace = report.trace.expect("tracing was on");
+    let queued_remote = trace.decisions().filter(|d| d.worker == remote).count();
+    assert!(queued_remote >= 4, "the scenario needs 3 queued behind the failing task");
+    // Only the planned task made a copy toward the node, and only it is
+    // charged: the queued ones went back to the pool without a failure.
+    assert_eq!(report.worker_transfers[remote.index()].staged_count, 1);
+    assert_eq!(report.failures.events.len(), 1, "{:?}", report.failures.events);
+    assert_eq!(report.failures.events[0].kind, FailureKind::NodeLost);
+    assert_eq!(report.failures.retries, 1);
+    let failed = trace.events().iter().filter(|e| matches!(e, TraceEvent::TaskFailed { .. }));
+    assert_eq!(failed.count(), 1);
+    assert!(trace.events().iter().any(|e| matches!(e, TraceEvent::NodeLost { node: 1, .. })));
+    let violations = versa_trace::invariants::check(&trace);
+    assert!(violations.is_empty(), "{violations:?}");
+}

@@ -236,3 +236,90 @@ fn state_persists_across_runs() {
     let gpu_second = second.version_counts[&(tpl, VersionId(0))];
     assert_eq!(gpu_second, 10, "no re-learning on the second run");
 }
+
+/// One emulated GPU and a graph with one long path: a head task whose
+/// output feeds a chain of three, beside four independent tasks that
+/// are ready from the start. Returns the order the tasks started in and
+/// the final values of the head's output `a`, the chain's `b` and the
+/// independent outputs, next to the same program run serially.
+fn critical_path_run(lookahead_depth: usize) -> (Vec<u64>, Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    let mut cfg = RuntimeConfig::with_scheduler(SchedulerKind::DepAware);
+    cfg.lookahead_depth = lookahead_depth;
+    cfg.tracing.enabled = true;
+    let native = NativeConfig { smp_workers: 0, gpus: 1, gpu_lanes: 1, link_bandwidth: None };
+    let mut rt = Runtime::native(cfg, native);
+    let tpl = rt.template("axpy").main("axpy_gpu", &[DeviceKind::Cuda]).register();
+    // y ← 1.1·y + x, which rounds, so a reordered update would show.
+    let axpy = |x: &[f64], y: &mut [f64]| {
+        for (y, x) in y.iter_mut().zip(x) {
+            *y = 1.1 * *y + x;
+        }
+    };
+    rt.bind_native(tpl, VersionId(0), move |ctx| {
+        let (x, y) = ctx.f64_reads_and_mut(&[0], 1);
+        axpy(x[0], y);
+    });
+    let init = |i: usize| vec![0.25 * i as f64 + 1.0; 16];
+    let z = rt.alloc_from_f64(&init(0));
+    let a = rt.alloc_from_f64(&init(1));
+    let b = rt.alloc_from_f64(&init(2));
+    let xs: Vec<DataId> = (3..7).map(|i| rt.alloc_from_f64(&init(i))).collect();
+    // Task 0 heads the long path (rank 4); tasks 1–4 are sinks (rank 1);
+    // tasks 5–7 form the chain (ranks 3, 2, 1) that task 0 releases.
+    rt.task(tpl).read(z).read_write(a).submit();
+    for &x in &xs {
+        rt.task(tpl).read(z).read_write(x).submit();
+    }
+    for _ in 0..3 {
+        rt.task(tpl).read(a).read_write(b).submit();
+    }
+    let report = rt.run().expect("run failed");
+    let trace = report.trace.as_ref().expect("tracing was on");
+    let starts = trace
+        .events()
+        .iter()
+        .filter_map(|ev| match *ev {
+            versa::trace::TraceEvent::TaskStart { task, .. } => Some(task.0),
+            _ => None,
+        })
+        .collect();
+    let mut outs = vec![a, b];
+    outs.extend(&xs);
+    let got = outs.iter().map(|&d| rt.read_f64(d)).collect();
+
+    // The same program, serially, in submission order.
+    let (z, mut a, mut b) = (init(0), init(1), init(2));
+    let mut xs: Vec<Vec<f64>> = (3..7).map(init).collect();
+    axpy(&z, &mut a);
+    for x in &mut xs {
+        axpy(&z, x);
+    }
+    for _ in 0..3 {
+        axpy(&a, &mut b);
+    }
+    let mut serial = vec![a, b];
+    serial.extend(xs);
+    (starts, got, serial)
+}
+
+/// The lane starts its queued tasks highest rank first: once task 0
+/// finishes, the chain task it releases (5) starts ahead of the
+/// independent tasks 3 and 4, which were queued before it was ready.
+#[test]
+fn native_lane_starts_the_longer_path_first() {
+    let (starts, got, serial) = critical_path_run(2);
+    // Three fit in the lane at depth 2: 0 first, then the lower-id ties.
+    assert_eq!(starts, [0, 1, 2, 5, 3, 4, 6, 7]);
+    assert_eq!(got, serial, "bitwise-identical to the serial run");
+}
+
+/// With no lookahead the lane holds one task, so the chain runs ahead
+/// of every independent task until its last task, a sink that ties with
+/// them and goes by id — and the results stay bitwise those of the
+/// serial run.
+#[test]
+fn rank_order_without_lookahead_matches_the_serial_results() {
+    let (starts, got, serial) = critical_path_run(0);
+    assert_eq!(starts, [0, 5, 6, 1, 2, 3, 4, 7]);
+    assert_eq!(got, serial, "bitwise-identical to the serial run");
+}

@@ -5,6 +5,7 @@
 //! failures route through the same recovery machinery as kernel panics.
 
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use versa::apps::cholesky::{self, CholeskyConfig, CholeskyVariant};
 use versa::apps::matmul::{self, MatmulConfig, MatmulVariant, NativeMatmulData};
 use versa::kernels::exec::SerialExec;
@@ -13,6 +14,18 @@ use versa::kernels::verify::random_matrix_f64;
 use versa::prelude::*;
 use versa::runtime::NativeConfig;
 use versa::trace::{invariants, Trace, TraceEvent, Ts};
+
+/// Held by every test here, so the file's tests run one at a time. The
+/// harness runs tests on parallel threads over few cores, and the engine
+/// threads of a sibling test beside
+/// `write_backs_overlap_the_remaining_kernels` starve that test's
+/// write-back lane of the time it measures.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A test that failed holding the lock leaves nothing to repair.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn small() -> MatmulConfig {
     // nb = 4: 64 gemm tasks over 16+16+16 tiles of 48×48 f64.
@@ -61,6 +74,7 @@ fn assert_golden(report: &RunReport) {
 
 #[test]
 fn transfer_stats_match_golden() {
+    let _serial = serial();
     for depth in [0, 2] {
         let (report, data) = run_small(depth);
         assert_golden(&report);
@@ -92,17 +106,20 @@ fn serial_c(data: &NativeMatmulData) -> Vec<Vec<f64>> {
 /// this is the strictest possible byte-identity check.
 #[test]
 fn lookahead_depths_agree_bitwise_with_the_serial_recompute() {
+    let _serial = serial();
     let (_, flat) = run_small(0);
     let (_, deep) = run_small(2);
     assert_eq!(deep.c, flat.c, "bitwise-identical results across depths");
     assert_eq!(flat.c, serial_c(&flat), "bitwise-identical to the serial recompute");
 }
 
-/// Independent tasks on two GPUs are all planned in the first dispatch
-/// round, in submission order, at every depth — so even a multi-worker
-/// run keeps deterministic, depth-independent transfer accounting.
+/// Independent tasks on two GPUs are all assigned in the first dispatch
+/// round and all rank alike, so each lane plans its share in submission
+/// order at every depth — even a multi-worker run keeps deterministic,
+/// depth-independent transfer accounting.
 #[test]
 fn independent_tasks_have_deterministic_stats_across_depths_and_workers() {
+    let _serial = serial();
     let run = |lookahead_depth: usize| -> (TransferStats, Vec<Vec<f64>>) {
         let mut rt = Runtime::native(
             runtime_config(lookahead_depth),
@@ -143,6 +160,7 @@ fn independent_tasks_have_deterministic_stats_across_depths_and_workers() {
 /// `C` bit for bit.
 #[test]
 fn bounded_waves_sum_to_a_single_run() {
+    let _serial = serial();
     // Solve the small matmul in waves of `wave` dispatches (`None` is a
     // plain `run()`); returns each wave's report and the final `C`.
     let solve = |wave: Option<u64>| -> (Vec<RunReport>, Vec<Vec<f64>>) {
@@ -219,6 +237,7 @@ fn write_back_ends(trace: &Trace) -> Vec<Ts> {
 /// `C` tile per kernel, and its write-back keeps pace.
 #[test]
 fn write_backs_overlap_the_remaining_kernels() {
+    let _serial = serial();
     let config = MatmulConfig { n: 512, bs: 128 };
     assert_eq!(config.nb(), small().nb());
     let (report, data) = matmul::run_native_with(
@@ -251,6 +270,7 @@ fn write_backs_overlap_the_remaining_kernels() {
 /// `taskwait(noflush)` plans no write-back at all, early or late.
 #[test]
 fn noflush_runs_write_nothing_back() {
+    let _serial = serial();
     let mut rt = Runtime::native(traced(runtime_config(2)), one_gpu());
     let tpl = matmul::register_native(&mut rt, MatmulVariant::Gpu, small().bs);
     let nb = small().nb();
@@ -270,6 +290,7 @@ fn noflush_runs_write_nothing_back() {
 /// next `run()` still comes home, next to the datum that run wrote.
 #[test]
 fn untouched_device_data_is_flushed_at_the_end_of_the_run() {
+    let _serial = serial();
     let mut rt = Runtime::native(traced(runtime_config(2)), one_gpu());
     let tpl = rt.template("scale").main("scale_gpu", &[DeviceKind::Cuda]).register();
     rt.bind_native(tpl, VersionId(0), |ctx| {
@@ -306,6 +327,7 @@ fn untouched_device_data_is_flushed_at_the_end_of_the_run() {
 /// `Transfer` spans out of one device never overlap.
 #[test]
 fn one_copy_out_per_device_at_a_time() {
+    let _serial = serial();
     let (report, data) = cholesky::run_native_with(
         traced(RuntimeConfig::with_scheduler(SchedulerKind::versioning())),
         CholeskyConfig { n: 384, bs: 64 },
@@ -341,6 +363,7 @@ fn one_copy_out_per_device_at_a_time() {
 /// never exceeding staging time.
 #[test]
 fn worker_transfer_breakdown_is_populated() {
+    let _serial = serial();
     let (report, _) = matmul::run_native_with(
         runtime_config(2),
         small(),
@@ -366,6 +389,7 @@ fn worker_transfer_breakdown_is_populated() {
 /// rollback — and the numerics still come out right.
 #[test]
 fn staging_fault_is_recovered_by_retry() {
+    let _serial = serial();
     let mut rt = Runtime::native(runtime_config(2), one_gpu());
     let tpl = rt.template("scale").main("scale_gpu", &[DeviceKind::Cuda]).register();
     rt.bind_native(tpl, VersionId(0), |ctx| {
@@ -394,6 +418,7 @@ fn staging_fault_is_recovered_by_retry() {
 /// kernel panics do: a `RunError` with a coherent partial report.
 #[test]
 fn persistent_staging_faults_exhaust_retries_and_abort() {
+    let _serial = serial();
     let mut cfg = runtime_config(2);
     cfg.max_task_retries = 2;
     let mut rt = Runtime::native(cfg, one_gpu());
@@ -420,6 +445,7 @@ fn persistent_staging_faults_exhaust_retries_and_abort() {
 /// complete once the retry restages the datum.
 #[test]
 fn upstream_staging_failure_does_not_charge_innocent_waiters() {
+    let _serial = serial();
     let mut rt = Runtime::native(runtime_config(2), one_gpu());
     let tpl = rt.template("scale").main("scale_gpu", &[DeviceKind::Cuda]).register();
     rt.bind_native(tpl, VersionId(0), |ctx| {
@@ -495,6 +521,7 @@ fn copies_home(trace: &Trace, data: DataId) -> Vec<(Option<WorkerId>, bool)> {
 /// instead of copying the datum out of the device itself.
 #[test]
 fn host_reader_waits_on_the_in_flight_write_back() {
+    let _serial = serial();
     let (mut rt, produce, copy) = produce_and_copy(throttled(1), DeviceKind::Smp);
     let d = rt.alloc_from_f64(&[0.0; 8192]);
     let e = rt.alloc_from_f64(&[0.0; 8192]);
@@ -515,6 +542,7 @@ fn host_reader_waits_on_the_in_flight_write_back() {
 /// host copy still on the link.
 #[test]
 fn device_readers_source_from_a_device_while_the_host_copy_is_in_flight() {
+    let _serial = serial();
     let cfg = NativeConfig { smp_workers: 0, gpus: 2, gpu_lanes: 1, link_bandwidth: Some(20_000_000) };
     let (mut rt, produce, copy) = produce_and_copy(cfg, DeviceKind::Cuda);
     let d = rt.alloc_from_f64(&[0.0; 8192]);
@@ -557,6 +585,7 @@ fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) ->
 /// charge, and its retry copies the datum out of the device itself.
 #[test]
 fn failed_write_back_is_recovered_by_the_host_reader() {
+    let _serial = serial();
     let (failures, home, e, d) = within_a_minute(|| {
         let (mut rt, produce, copy) = produce_and_copy(throttled(1), DeviceKind::Smp);
         let d = rt.alloc_from_f64(&[0.0; 8192]);
@@ -582,6 +611,7 @@ fn failed_write_back_is_recovered_by_the_host_reader() {
 /// task finished (`d`'s write-back queues behind a larger one).
 #[test]
 fn failed_write_back_is_planned_again_by_the_flush() {
+    let _serial = serial();
     let (outputs, home) = within_a_minute(|| {
         let (mut rt, produce, copy) = produce_and_copy(throttled(0), DeviceKind::Cuda);
         let big = rt.alloc_from_f64(&[0.0; 131_072]);
